@@ -3,17 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-
-def _apply_thread_env() -> None:
-    """DDRPLATE_THREADS caps the linear-algebra thread pools; must run before
-    numpy is imported."""
-    n = os.environ.get("DDRPLATE_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
+from .errors import DdrError
+from .harness import (ConvergenceRecord, RunConfig, run_convergence, run_single,
+                      write_outputs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,12 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_env()
     args = build_parser().parse_args(argv)
-
-    from .errors import DdrError
-    from .harness import ConvergenceRecord, RunConfig, run_convergence, run_single, write_outputs
-
     try:
         config = RunConfig(
             mesh_family=args.mesh_family, mesh_dir=args.mesh_dir,

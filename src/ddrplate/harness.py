@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -44,8 +44,10 @@ class RunConfig:
     def __post_init__(self):
         if not 0 <= self.degree <= 3:
             raise ConfigError(f"degree must be in 0..3, got {self.degree}")
-        if not 0.0 < self.thickness < 1.0:
-            raise ConfigError("thickness must lie in (0, 1)")
+        try:
+            self.material()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.solution not in ("polynomial", "analytical"):
             raise ConfigError(f"unknown solution {self.solution!r}")
         if self.mesh_dir is None and self.mesh_family not in MESH_FAMILIES:
@@ -78,7 +80,6 @@ class RunResult:
     error: float
     time: float
     solver_residual: float
-    extras: dict = field(default_factory=dict)
 
 
 def _asset_mesh_paths(family: str) -> list[Path]:
@@ -91,20 +92,20 @@ def _asset_mesh_paths(family: str) -> list[Path]:
 
 
 def mesh_sequence(config: RunConfig) -> list[tuple[str, PolygonalMesh]]:
+    if config.mesh_dir is None and config.mesh_family == "tri":
+        return [(f"tri_n{4 * 2 ** i}", triangular_mesh(4 * 2 ** i))
+                for i in range(config.refinements)]
     if config.mesh_dir is not None:
         paths = sorted(Path(config.mesh_dir).glob("*.json"))
         if not paths:
             raise ParseError(f"no .json meshes in {config.mesh_dir}")
-        paths = paths[:config.refinements]
-        return [(p.stem, load_mesh(str(p))) for p in paths]
-    if config.mesh_family == "tri":
-        return [(f"tri_n{4 * 2 ** i}", triangular_mesh(4 * 2 ** i))
-                for i in range(config.refinements)]
-    paths = _asset_mesh_paths(config.mesh_family)
+        source = f"mesh directory {config.mesh_dir}"
+    else:
+        paths = _asset_mesh_paths(config.mesh_family)
+        source = f"family {config.mesh_family!r}"
     if len(paths) < config.refinements:
-        raise ConfigError(
-            f"family {config.mesh_family!r} ships {len(paths)} meshes, "
-            f"{config.refinements} requested")
+        raise ConfigError(f"{source} holds {len(paths)} meshes, "
+                          f"{config.refinements} requested")
     return [(p.stem, load_mesh(str(p))) for p in paths[:config.refinements]]
 
 

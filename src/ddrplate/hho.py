@@ -23,16 +23,13 @@ import scipy.sparse as sps
 from .errors import SingularLocalSystem
 from .operators import LocalOperatorPack, _theta_slices
 from .polyspace import ElementContext, dim_P, dim_croly, dim_roly
-from .spaces import Discretization
+from .spaces import Discretization, assemble
 
 _TINY = 1e-300
 
 
 @dataclass
 class HHOLocalPack:
-    element_id: int
-    k: int
-    GG: np.ndarray    # (4 np_k, n_theta) full tensor gradient
     GS: np.ndarray    # (3 np_k, n_theta) symmetric gradient [11, 12, 22]
     DD: np.ndarray    # (np_k, n_theta) divergence
     P1: np.ndarray    # (2 np_{k+1}, n_theta) strain reconstruction
@@ -63,27 +60,27 @@ def build_tensor_gradient(ctx: ElementContext, pack: LocalOperatorPack):
     w = ctx.qweights
     _, _, sl_t, sl_n, n_theta = _theta_slices(ctx)
 
-    GG = np.zeros((4, np_k, n_theta))
+    G = np.zeros((4, np_k, n_theta))
     pt_blocks = [pack.PT[:np_k], pack.PT[np_k:]]
     for a in range(2):
         for b in range(2):
             vb = np.einsum("q,qm,qi->mi", w, ctx.grad[:, :np_k, b],
                            ctx.phi[:, :np_k])
-            GG[2 * a + b] -= vb @ pt_blocks[a]
+            G[2 * a + b] -= vb @ pt_blocks[a]
     for j, led in enumerate(ctx.edges):
         cs = pack.scalar_cross[j][:np_k, :k + 1]
         t, n = led.ctx.edge.tangent, led.ctx.edge.normal
         for a in range(2):
             for b in range(2):
-                GG[2 * a + b][:, sl_t[j]] += led.n_out[b] * t[a] * cs
-                GG[2 * a + b][:, sl_n[j]] += led.n_out[b] * n[a] * cs
-    GG = GG.reshape(4 * np_k, n_theta)
+                G[2 * a + b][:, sl_t[j]] += led.n_out[b] * t[a] * cs
+                G[2 * a + b][:, sl_n[j]] += led.n_out[b] * n[a] * cs
+    G = G.reshape(4 * np_k, n_theta)
 
-    g11, g12 = GG[:np_k], GG[np_k:2 * np_k]
-    g21, g22 = GG[2 * np_k:3 * np_k], GG[3 * np_k:]
+    g11, g12 = G[:np_k], G[np_k:2 * np_k]
+    g21, g22 = G[2 * np_k:3 * np_k], G[3 * np_k:]
     GS = np.vstack([g11, 0.5 * (g12 + g21), g22])
     DD = g11 + g22
-    return GG, GS, DD
+    return G, GS, DD
 
 
 def build_reconstruction(ctx: ElementContext, pack: LocalOperatorPack) -> np.ndarray:
@@ -234,10 +231,10 @@ def build_stabilisation(ctx: ElementContext, pack: LocalOperatorPack,
 
 
 def build_hho_pack(ctx: ElementContext, pack: LocalOperatorPack) -> HHOLocalPack:
-    GG, GS, DD = build_tensor_gradient(ctx, pack)
+    _, GS, DD = build_tensor_gradient(ctx, pack)
     P1 = build_reconstruction(ctx, pack)
     sT = build_stabilisation(ctx, pack, P1)
-    return HHOLocalPack(ctx.element.id, ctx.k, GG, GS, DD, P1, sT)
+    return HHOLocalPack(GS, DD, P1, sT)
 
 
 def build_hho_packs(disc: Discretization, packs: list[LocalOperatorPack]) -> list[HHOLocalPack]:
@@ -256,28 +253,22 @@ def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack]
     mesh = disc.mesh
     if edge_ids is None:
         edge_ids = range(mesh.n_edges)
-    rows, cols, vals = [], [], []
-    for eid in edge_ids:
-        edge = mesh.edges[eid]
-        mats, dofs = [], []
-        for t_id in sorted(edge.elements):
-            ctx = disc.elem_ctxs[t_id]
-            j = ctx.element.edges.index(eid)
-            rest = _edge_restriction(ctx, packs[t_id], j, disc.k + 2, np_1)
-            mats.append(rest @ hho_packs[t_id].P1)
-            dofs.append(sp_t.local_dofs(ctx.element))
-        if len(mats) == 2:
-            big = np.concatenate([mats[0], -mats[1]], axis=1)
-            idx = np.concatenate([dofs[0], dofs[1]])
-        else:
-            big, idx = mats[0], dofs[0]
-        block = (big.T @ big) / edge.length
-        r, c = np.meshgrid(idx, idx, indexing="ij")
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(block.ravel())
-    if rows:
-        data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    else:
-        data = (np.zeros(0), (np.zeros(0, dtype=int), np.zeros(0, dtype=int)))
-    return sps.coo_matrix(data, shape=(sp_t.dim, sp_t.dim)).tocsr()
+
+    def blocks():
+        for eid in edge_ids:
+            edge = mesh.edges[eid]
+            mats, dofs = [], []
+            for t_id in sorted(edge.elements):
+                ctx = disc.elem_ctxs[t_id]
+                j = ctx.element.edges.index(eid)
+                rest = _edge_restriction(ctx, packs[t_id], j, disc.k + 2, np_1)
+                mats.append(rest @ hho_packs[t_id].P1)
+                dofs.append(sp_t.local_dofs(ctx.element))
+            if len(mats) == 2:
+                big = np.concatenate([mats[0], -mats[1]], axis=1)
+                idx = np.concatenate([dofs[0], dofs[1]])
+            else:
+                big, idx = mats[0], dofs[0]
+            yield idx, idx, (big.T @ big) / edge.length
+
+    return assemble(blocks(), (sp_t.dim, sp_t.dim))

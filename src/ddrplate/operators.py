@@ -26,15 +26,13 @@ import scipy.sparse as sps
 
 from .errors import SingularLocalSystem
 from .polyspace import ElementContext, dim_P, dim_croly, dim_roly
-from .spaces import Discretization
+from .spaces import Discretization, assemble
 
 _COND_LIMIT = 1e12
 
 
 @dataclass
 class LocalOperatorPack:
-    element_id: int
-    k: int
     n_theta: int
     n_u: int
     # displacement side
@@ -45,7 +43,6 @@ class LocalOperatorPack:
     RT: np.ndarray                   # (np_k, n_theta)
     PT: np.ndarray                   # (2 np_k, n_theta)
     M_theta: np.ndarray              # (n_theta, n_theta) local L2 product
-    S_theta: np.ndarray              # stabilisation part of M_theta
     # projections from vP^k coefficients onto Roly^{k-1} / cRoly^k
     proj_roly: np.ndarray            # (n_roly, 2 np_k)
     proj_croly: np.ndarray           # (n_croly_k, 2 np_k)
@@ -175,10 +172,9 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
     proj_croly = A[:n_croly].copy()
 
     return LocalOperatorPack(
-        element_id=ctx.element.id, k=k, n_theta=n_theta, n_u=n_u,
-        trace=trace, GT=GT, PU=PU, RT=RT, PT=PT,
-        M_theta=0.5 * (M + M.T), S_theta=0.5 * (S + S.T),
-        proj_roly=proj_roly, proj_croly=proj_croly, scalar_cross=cross)
+        n_theta=n_theta, n_u=n_u, trace=trace, GT=GT, PU=PU, RT=RT, PT=PT,
+        M_theta=0.5 * (M + M.T), proj_roly=proj_roly, proj_croly=proj_croly,
+        scalar_cross=cross)
 
 
 def build_packs(disc: Discretization) -> list[LocalOperatorPack]:
@@ -192,51 +188,28 @@ def build_global_gradient(disc: Discretization, packs: list[LocalOperatorPack]) 
     exact from the trace coefficients."""
     sp_t, sp_u = disc.theta_space, disc.u_space
     k = disc.k
-    rows, cols, vals = [], [], []
 
-    def scatter(r_idx, c_idx, block):
-        if block.size == 0:
-            return
-        r, c = np.meshgrid(r_idx, c_idx, indexing="ij")
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(np.asarray(block).ravel())
+    def blocks():
+        for ctx, pack in zip(disc.elem_ctxs, packs):
+            u_idx = sp_u.local_dofs(ctx.element)
+            off = sp_t.elem_offset(ctx.element.id)
+            yield (np.arange(off, off + sp_t.n_roly), u_idx, pack.proj_roly @ pack.GT)
+            yield (np.arange(off + sp_t.n_roly, off + sp_t.elem_dim), u_idx,
+                   pack.proj_croly @ pack.GT)
+        for ec in disc.edge_ctxs:
+            e = ec.edge
+            u_cols = np.concatenate([
+                np.arange(sp_u.edge_offset(e.id), sp_u.edge_offset(e.id) + k),
+                [sp_u.vertex_offset(e.vertices[0]), sp_u.vertex_offset(e.vertices[1])],
+            ]).astype(int)
+            yield sp_t.edge_tangential_slots(e.id), u_cols, (ec.dmat @ ec.trace)[:k + 1]
 
-    for ctx, pack in zip(disc.elem_ctxs, packs):
-        el = ctx.element
-        u_idx = sp_u.local_dofs(el)
-        off = sp_t.elem_offset(el.id)
-        if sp_t.n_roly:
-            scatter(np.arange(off, off + sp_t.n_roly), u_idx, pack.proj_roly @ pack.GT)
-        if sp_t.n_croly:
-            scatter(np.arange(off + sp_t.n_roly, off + sp_t.elem_dim), u_idx,
-                    pack.proj_croly @ pack.GT)
-
-    for ec in disc.edge_ctxs:
-        e = ec.edge
-        deriv = (ec.dmat @ ec.trace)[:k + 1]
-        u_cols = np.concatenate([
-            np.arange(sp_u.edge_offset(e.id), sp_u.edge_offset(e.id) + k),
-            [sp_u.vertex_offset(e.vertices[0]), sp_u.vertex_offset(e.vertices[1])],
-        ]).astype(int)
-        scatter(sp_t.edge_tangential_slots(e.id), u_cols, deriv)
-
-    if rows:
-        data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    else:
-        data = (np.zeros(0), (np.zeros(0, dtype=int), np.zeros(0, dtype=int)))
-    return sps.coo_matrix(data, shape=(sp_t.dim, sp_u.dim)).tocsr()
+    return assemble(blocks(), (sp_t.dim, sp_u.dim))
 
 
 def assemble_theta_product(disc: Discretization, packs: list[LocalOperatorPack]) -> sps.csr_matrix:
     """Global DDR L2 product matrix on the rotation space."""
     sp_t = disc.theta_space
-    rows, cols, vals = [], [], []
-    for ctx, pack in zip(disc.elem_ctxs, packs):
-        idx = sp_t.local_dofs(ctx.element)
-        r, c = np.meshgrid(idx, idx, indexing="ij")
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(pack.M_theta.ravel())
-    data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    return sps.coo_matrix(data, shape=(sp_t.dim, sp_t.dim)).tocsr()
+    idx = [sp_t.local_dofs(ctx.element) for ctx in disc.elem_ctxs]
+    return assemble(((i, i, pack.M_theta) for i, pack in zip(idx, packs)),
+                    (sp_t.dim, sp_t.dim))

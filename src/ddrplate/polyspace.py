@@ -1,4 +1,4 @@
-"""Scaled polynomial bases, quadrature and L2 projections on polygons.
+"""Scaled polynomial bases and quadrature on polygons.
 
 Element bases are scaled monomials ((x - x_T)/h_T)^alpha in graded
 lexicographic order, L2-orthonormalized through a Cholesky factorization of
@@ -112,14 +112,6 @@ def edge_reference_rule(edge: Edge, degree: int) -> tuple[np.ndarray, np.ndarray
     return s, 0.5 * edge.length * w, n
 
 
-def make_quadrature(mesh: PolygonalMesh, entity, degree: int) -> QuadratureRule:
-    if isinstance(entity, Element):
-        return element_quadrature(mesh, entity, degree)
-    if isinstance(entity, Edge):
-        return edge_quadrature(mesh, entity, degree)
-    raise TypeError("entity must be an Element or an Edge")
-
-
 # ---------------------------------------------------------------------------
 # orthonormalization
 
@@ -210,12 +202,6 @@ class ScalarFamily:
         n = self.dim(l)
         return np.einsum("qmc,nm->qnc", self._raw_hess(x), self.transform[:n])
 
-    def eval_rot(self, x: np.ndarray, l: int | None = None) -> np.ndarray:
-        """rot psi = (d_2 psi, -d_1 psi) for each member."""
-        g = self.eval_grad(x, l)
-        return np.stack([g[..., 1], -g[..., 0]], axis=-1)
-
-
 class VectorSubspaceFamily:
     """Orthonormalized family of an explicit vector-polynomial subspace."""
 
@@ -276,13 +262,6 @@ class CRolyFamily(VectorSubspaceFamily):
         return raw_div @ self.transform[:m].T
 
 
-def build_roly_bases(scal: ScalarFamily, l: int, qpoints, qweights
-                     ) -> tuple[VectorSubspaceFamily, CRolyFamily]:
-    """Orthonormalized bases of Roly^l(T) and cRoly^l(T)."""
-    return (roly_family(scal, l, qpoints, qweights),
-            CRolyFamily(scal, l, qpoints, qweights))
-
-
 # ---------------------------------------------------------------------------
 # edge family (normalized Legendre)
 
@@ -326,7 +305,6 @@ class EdgeContext:
     points: np.ndarray     # physical quad points
     weights: np.ndarray    # arc-length quad weights
     psi: np.ndarray        # (nq, ndeg) family values at quad points
-    psi_end: np.ndarray    # (2, ndeg) values at the two endpoints
     dmat: np.ndarray       # derivative representation
     trace: np.ndarray      # (ndeg, ndeg): [moments(k), v_a, v_b] -> coefficients
 
@@ -350,7 +328,7 @@ def build_edge_context(mesh: PolygonalMesh, edge: Edge, k: int, quad_degree: int
     tail = np.linalg.solve(ends[:, k:], np.eye(2))
     tr[k:, k:] = tail
     tr[k:, :k] = -tail @ ends[:, :k]
-    return EdgeContext(edge, fam, s, pts, w, psi, ends, fam.deriv_matrix(), tr)
+    return EdgeContext(edge, fam, s, pts, w, psi, fam.deriv_matrix(), tr)
 
 
 @dataclass
@@ -398,57 +376,6 @@ class ElementContext:
                 local_vertices=(loop.index(a), loop.index(b)),
             ))
 
-    def n_scalar(self, l: int) -> int:
-        return dim_P(l)
-
     def integrate(self, vals: np.ndarray) -> np.ndarray:
         """Integrate quad-point values (first axis) over the element."""
         return np.tensordot(self.qweights, vals, axes=(0, 0))
-
-
-# ---------------------------------------------------------------------------
-# projections
-
-
-def project_scalar(ctx: ElementContext, f, l: int) -> np.ndarray:
-    """Coefficients of the L2 projection of f onto P^l(T) (orthonormal basis)."""
-    vals = np.asarray(f(ctx.qpoints), dtype=float)
-    return ctx.integrate(vals[:, None] * ctx.phi[:, :dim_P(l)])
-
-def project_vector(ctx: ElementContext, f, l: int) -> np.ndarray:
-    """Component-major coefficients of the projection onto P^l(T)^2."""
-    vals = np.asarray(f(ctx.qpoints), dtype=float)
-    n = dim_P(l)
-    coef = ctx.integrate(vals[:, None, :] * ctx.phi[:, :n, None])
-    return np.concatenate([coef[:, 0], coef[:, 1]])
-
-
-def project_roly(ctx: ElementContext, f, l: int | None = None) -> np.ndarray:
-    vals = np.asarray(f(ctx.qpoints), dtype=float)
-    n = ctx.roly.n if l is None else dim_roly(l)
-    if n > ctx.roly.n:
-        raise ValueError(f"context carries Roly up to degree {ctx.k - 1}")
-    basis = ctx.roly_vals[:, :n, :]
-    return np.einsum("q,qc,qnc->n", ctx.qweights, vals, basis)
-
-
-def project_croly(ctx: ElementContext, f, l: int) -> np.ndarray:
-    vals = np.asarray(f(ctx.qpoints), dtype=float)
-    n = dim_croly(l)
-    if n > ctx.croly.n:
-        raise ValueError(f"context carries cRoly up to degree {ctx.k + 2}")
-    basis = ctx.croly_vals[:, :n, :]
-    return np.einsum("q,qc,qnc->n", ctx.qweights, vals, basis)
-
-
-def l2_project(ctx: ElementContext, f, target: str, l: int) -> np.ndarray:
-    """Projector dispatch by target name in {'P', 'vP', 'Roly', 'cRoly'}."""
-    if target == "P":
-        return project_scalar(ctx, f, l)
-    if target == "vP":
-        return project_vector(ctx, f, l)
-    if target == "Roly":
-        return project_roly(ctx, f, l)
-    if target == "cRoly":
-        return project_croly(ctx, f, l)
-    raise ValueError(f"unknown projection target {target!r}")

@@ -11,7 +11,8 @@ k moments per edge (coefficients 0..k-1 against the orthonormal edge family).
 
 Global ordering: all element blocks (by element id), then all edge blocks (by
 edge id), then the vertex block -- deterministic, so assembled matrices are
-reproducible bit for bit.
+reproducible bit for bit. All global matrices are summed from dense local
+blocks by ``assemble``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sps
 
 from .mesh import Element, PolygonalMesh
 from .polyspace import (ElementContext, EdgeContext, build_edge_context,
@@ -58,9 +60,6 @@ class ThetaSpace:
             idx.append(np.arange(off, off + self.edge_dim))
         return np.concatenate(idx).astype(int)
 
-    def local_dim(self, element: Element) -> int:
-        return self.elem_dim + len(element.edges) * self.edge_dim
-
 
 class USpace:
     def __init__(self, mesh: PolygonalMesh, k: int):
@@ -91,9 +90,23 @@ class USpace:
         idx.append(np.array([self.vertex_offset(v) for v in element.vertices], dtype=int))
         return np.concatenate(idx).astype(int)
 
-    def local_dim(self, element: Element) -> int:
-        n = len(element.vertices)
-        return self.elem_dim + n * self.edge_dim + n
+
+def assemble(blocks, shape: tuple[int, int]) -> sps.csr_matrix:
+    """Sum dense blocks into a sparse matrix.
+
+    ``blocks`` yields ``(row_idx, col_idx, dense_block)`` triples. Entries
+    are summed in the order given, so the same blocks in the same order give
+    the same matrix bit for bit."""
+    rows, cols, vals = [], [], []
+    for r_idx, c_idx, block in blocks:
+        # row-major order of the block, as np.meshgrid(..., indexing="ij")
+        rows.append(np.repeat(r_idx, len(c_idx)))
+        cols.append(np.tile(c_idx, len(r_idx)))
+        vals.append(np.asarray(block).ravel())
+    if not vals:
+        return sps.csr_matrix(shape)
+    data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return sps.coo_matrix(data, shape=shape).tocsr()
 
 
 @dataclass

@@ -9,18 +9,18 @@ local constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
 from .errors import SolverFailure, ZeroNormError
-from .hho import HHOLocalPack, build_hho_packs, build_jump_penalisation
-from .operators import (LocalOperatorPack, assemble_theta_product, build_packs,
-                        build_global_gradient)
+from .hho import build_hho_packs, build_jump_penalisation
+from .operators import assemble_theta_product, build_global_gradient, build_packs
 from .polyspace import dim_P
-from .spaces import (Discretization, ThetaVector, UVector, boundary_dof_sets)
+from .spaces import (Discretization, ThetaVector, UVector, assemble,
+                     boundary_dof_sets)
 
 _GS_METRIC = np.array([1.0, 2.0, 1.0])   # contraction weights for [11, 12, 22]
 
@@ -35,14 +35,14 @@ class MaterialParams:
     kappa0: float = 5.0 / 6.0
 
     def __post_init__(self):
-        if self.E <= 0:
-            raise ValueError("Young modulus must be positive")
+        if not 0.0 < self.E < np.inf:
+            raise ValueError("Young modulus must be positive and finite")
         if not 0.0 <= self.nu < 0.5:
             raise ValueError("Poisson ratio must lie in [0, 1/2)")
-        if not 0.0 < self.t < 1.0:
-            raise ValueError("thickness must lie in (0, 1)")
-        if self.kappa0 <= 0:
-            raise ValueError("shear correction factor must be positive")
+        if not (0.0 < self.t < 1.0 and self.t ** 2 > 0.0):
+            raise ValueError("thickness must lie in (0, 1), with t^2 > 0 in floating point")
+        if not 0.0 < self.kappa0 < np.inf:
+            raise ValueError("shear correction factor must be positive and finite")
 
     @property
     def beta0(self) -> float:
@@ -70,52 +70,36 @@ class SolveReport:
     residual: float
     n_free: int
     symmetric_defect: float
-    condition_flag: bool = False
-    extras: dict = field(default_factory=dict)
 
 
 class PlateSystem:
     """Material-independent discrete operators for one mesh and degree."""
 
-    def __init__(self, disc: Discretization,
-                 packs: list[LocalOperatorPack] | None = None,
-                 hho_packs: list[HHOLocalPack] | None = None):
+    def __init__(self, disc: Discretization):
         self.disc = disc
-        self.packs = packs if packs is not None else build_packs(disc)
-        self.hho_packs = (hho_packs if hho_packs is not None
-                          else build_hho_packs(disc, self.packs))
+        packs = build_packs(disc)
+        hho = build_hho_packs(disc, packs)
+        # the displacement reconstructions are all the load vector needs
+        self.PU = [pack.PU for pack in packs]
         sp_t, sp_u = disc.theta_space, disc.u_space
         self.n_theta, self.n_u = sp_t.dim, sp_u.dim
 
-        rows, cols, gs_vals, s_vals, d_vals = [], [], [], [], []
-        for ctx, hho in zip(disc.elem_ctxs, self.hho_packs):
-            idx = sp_t.local_dofs(ctx.element)
-            np_k = dim_P(disc.k)
-            gs = hho.GS
-            h_gs = sum(_GS_METRIC[b] * gs[b * np_k:(b + 1) * np_k].T
-                       @ gs[b * np_k:(b + 1) * np_k] for b in range(3))
-            h_d = hho.DD.T @ hho.DD
-            r, c = np.meshgrid(idx, idx, indexing="ij")
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            gs_vals.append(h_gs.ravel())
-            s_vals.append(hho.sT.ravel())
-            d_vals.append(h_d.ravel())
-        ij = (np.concatenate(rows), np.concatenate(cols))
+        np_k = dim_P(disc.k)
+        idx = [sp_t.local_dofs(ctx.element) for ctx in disc.elem_ctxs]
+        h_gs = (sum(_GS_METRIC[b] * p.GS[b * np_k:(b + 1) * np_k].T
+                    @ p.GS[b * np_k:(b + 1) * np_k] for b in range(3)) for p in hho)
         shape = (self.n_theta, self.n_theta)
-        self.H_gs = sps.coo_matrix((np.concatenate(gs_vals), ij), shape=shape).tocsr()
-        self.H_sj = sps.coo_matrix((np.concatenate(s_vals), ij), shape=shape).tocsr()
-        self.H_d = sps.coo_matrix((np.concatenate(d_vals), ij), shape=shape).tocsr()
+        self.H_gs = assemble(zip(idx, idx, h_gs), shape)
+        self.H_sj = assemble(zip(idx, idx, (p.sT for p in hho)), shape)
+        self.H_d = assemble(zip(idx, idx, (p.DD.T @ p.DD for p in hho)), shape)
         if disc.k == 0:
-            self.H_sj = self.H_sj + build_jump_penalisation(
-                disc, self.packs, self.hho_packs)
-        self.M_theta = assemble_theta_product(disc, self.packs)
-        self.G = build_global_gradient(disc, self.packs)
+            self.H_sj = self.H_sj + build_jump_penalisation(disc, packs, hho)
+        self.M_theta = assemble_theta_product(disc, packs)
+        self.G = build_global_gradient(disc, packs)
         self.MG = (self.M_theta @ self.G).tocsr()
         self.GMG = (self.G.T @ self.MG).tocsr()
 
         th_d, u_d = boundary_dof_sets(disc)
-        self.theta_dirichlet, self.u_dirichlet = th_d, u_d
         dir_mask = np.zeros(self.n_theta + self.n_u, dtype=bool)
         dir_mask[th_d] = True
         dir_mask[self.n_theta + u_d] = True
@@ -124,17 +108,11 @@ class PlateSystem:
 
     # -- bilinear forms -----------------------------------------------------
 
-    def ah_matrix(self, material: MaterialParams) -> sps.csr_matrix:
-        return (material.beta0 * (self.H_gs + self.H_sj)
-                + material.beta1 * self.H_d).tocsr()
-
-    def bh_matrix(self, material: MaterialParams) -> sps.csr_matrix:
-        c = material.shear_over_t2
-        return sps.bmat([[c * self.M_theta, -c * self.MG],
-                         [-c * self.MG.T, c * self.GMG]], format="csr")
-
     def full_matrix(self, material: MaterialParams) -> sps.csr_matrix:
-        a = self.ah_matrix(material)
+        """Global matrix of a_h + b_h: bending (beta0, beta1) plus the shear
+        coupling kappa/t^2 between rotations and displacement gradients."""
+        a = (material.beta0 * (self.H_gs + self.H_sj)
+             + material.beta1 * self.H_d).tocsr()
         c = material.shear_over_t2
         return sps.bmat([[a + c * self.M_theta, -c * self.MG],
                          [-c * self.MG.T, c * self.GMG]], format="csr")
@@ -144,10 +122,10 @@ class PlateSystem:
         sp_u = self.disc.u_space
         out = np.zeros(self.n_theta + self.n_u)
         np_k1 = dim_P(self.disc.k + 1)
-        for ctx, pack in zip(self.disc.elem_ctxs, self.packs):
+        for ctx, PU in zip(self.disc.elem_ctxs, self.PU):
             fv = np.asarray(f(ctx.qpoints), dtype=float)
             coef = ctx.integrate(fv[:, None] * ctx.phi[:, :np_k1])
-            out[self.n_theta + sp_u.local_dofs(ctx.element)] += pack.PU.T @ coef
+            out[self.n_theta + sp_u.local_dofs(ctx.element)] += PU.T @ coef
         return out
 
     # -- solve ---------------------------------------------------------------

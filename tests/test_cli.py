@@ -1,5 +1,8 @@
+import pytest
+
 from ddrplate.cli import main
 from ddrplate.harness import parse_dat
+from ddrplate.mesh import save_mesh, triangular_mesh
 
 
 def test_cli_single_run(tmp_path, capsys):
@@ -29,9 +32,23 @@ def test_cli_typed_errors(tmp_path, capsys):
     code = main(["--mesh-dir", str(tmp_path / "void"), "--refinements", "2"])
     assert code == 1
     assert "ParseError" in capsys.readouterr().err
+    # a directory holding fewer meshes than requested is refused, as the
+    # bundled families are
+    for i, n in enumerate((4, 8)):
+        save_mesh(triangular_mesh(n), str(tmp_path / f"m{i}.json"))
+    code = main(["--mesh-dir", str(tmp_path), "--refinements", "4"])
+    assert code == 1
+    assert "ConfigError" in capsys.readouterr().err
 
 
-def test_cli_thickness_out_of_range(capsys):
-    code = main(["--thickness", "2.0"])
+@pytest.mark.parametrize("args", [
+    ["--thickness", "2.0"],
+    ["--refinements", "1", "--poisson", "0.6"],
+    ["--refinements", "1", "--young", "-1"],
+    ["--refinements", "1", "--kappa0", "0"],
+    ["--refinements", "1", "--thickness", "1e-300"],
+], ids=["thickness", "poisson", "young", "kappa0", "thickness_underflow"])
+def test_cli_thickness_out_of_range(args, capsys):
+    code = main(args)
     assert code == 1
     assert "ConfigError" in capsys.readouterr().err

@@ -71,9 +71,9 @@ def test_tensor_gradient_commutes_with_projection(cache, rng, k):
         deg = 2 if coefs.shape[1] == 6 else k + 1
         eta = _poly_vector(coefs, deg)
         iv = interpolate_theta(disc, eta).values
-        for ctx, pack, hho in zip(disc.elem_ctxs[:3], cache.packs("hexa", k)[:3],
-                                  cache.hho("hexa", k)[:3]):
-            g = hho.GG @ iv[sp.local_dofs(ctx.element)]
+        for ctx, pack in zip(disc.elem_ctxs[:3], cache.packs("hexa", k)[:3]):
+            full, _, _ = build_tensor_gradient(ctx, pack)
+            g = full @ iv[sp.local_dofs(ctx.element)]
             qp, qw = refined_quadrature(ctx)
             phi = ctx.scal.eval(qp)[:, :np_k]
             grad_eta = _poly_jacobian(coefs, deg, qp)
@@ -115,16 +115,19 @@ def test_constant_field_has_zero_gradient(cache):
     disc = cache.disc("tri", 2)
     iv = interpolate_theta(disc, lambda x: np.tile([0.3, 0.9], (len(x), 1))).values
     sp = disc.theta_space
-    for ctx, hho in zip(disc.elem_ctxs, cache.hho("tri", 2)):
-        assert np.abs(hho.GG @ iv[sp.local_dofs(ctx.element)]).max() < 1e-12
+    for ctx, pack in zip(disc.elem_ctxs, cache.packs("tri", 2)):
+        full, _, _ = build_tensor_gradient(ctx, pack)
+        assert np.abs(full @ iv[sp.local_dofs(ctx.element)]).max() < 1e-12
 
 
 def test_trace_of_gradient_is_divergence(cache):
     for k in range(4):
-        hho = cache.hho("hexa", k)
+        disc = cache.disc("hexa", k)
         np_k = dim_P(k)
-        for hp in hho:
-            tr = hp.GG[:np_k] + hp.GG[3 * np_k:]
+        for ctx, pack, hp in zip(disc.elem_ctxs, cache.packs("hexa", k),
+                                 cache.hho("hexa", k)):
+            full, _, _ = build_tensor_gradient(ctx, pack)
+            tr = full[:np_k] + full[3 * np_k:]
             assert np.abs(tr - hp.DD).max() == 0.0
 
 

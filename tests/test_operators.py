@@ -376,7 +376,8 @@ def test_product_of_interpolated_constant(cache):
         assert val == pytest.approx(ctx.element.area * (c @ c), rel=1e-12)
         # stabilisation vanishes: the potential of an interpolated constant
         # equals the constant on the edges
-        assert loc @ (pack.S_theta @ loc) < 1e-13 * (c @ c)
+        S = pack.M_theta - pack.PT.T @ pack.PT
+        assert abs(loc @ (S @ loc)) < 1e-13 * (c @ c)
 
 
 def test_product_symmetry(cache):

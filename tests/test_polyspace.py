@@ -8,8 +8,7 @@ from ddrplate.errors import SingularGram
 from ddrplate.mesh import build_mesh, triangular_mesh
 from ddrplate.polyspace import (CRolyFamily, ScalarFamily, dim_P, dim_croly,
                                 dim_roly, edge_quadrature, element_quadrature,
-                                gram_orthonormalize, l2_project,
-                                make_quadrature, monomial_exponents,
+                                gram_orthonormalize, monomial_exponents,
                                 roly_family)
 from ddrplate.spaces import Discretization
 
@@ -71,13 +70,11 @@ def test_quadrature_exactness_on_hexagon_against_finer_rule():
         assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-14)
 
 
-def test_make_quadrature_dispatch():
-    rule = make_quadrature(UNIT_TRI, UNIT_TRI.elements[0], 3)
+def test_element_and_edge_quadrature_weights():
+    rule = element_quadrature(UNIT_TRI, UNIT_TRI.elements[0], 3)
     assert np.sum(rule.weights) == pytest.approx(0.5, rel=1e-14)
-    rule = make_quadrature(UNIT_TRI, UNIT_TRI.edges[0], 3)
+    rule = edge_quadrature(UNIT_TRI, UNIT_TRI.edges[0], 3)
     assert np.sum(rule.weights) == pytest.approx(UNIT_TRI.edges[0].length, rel=1e-14)
-    with pytest.raises(TypeError):
-        make_quadrature(UNIT_TRI, object(), 3)
 
 
 @pytest.mark.parametrize("l", range(6))
@@ -138,6 +135,17 @@ def hexa_ctx():
     return Discretization(hexa, 2).elem_ctxs[0]
 
 
+def _project_P(ctx, f, l):
+    """Coefficients of the L2 projection of f onto P^l(T)."""
+    return ctx.integrate(np.asarray(f(ctx.qpoints))[:, None] * ctx.phi[:, :dim_P(l)])
+
+
+def _project_onto(vals_at_q, ctx, basis):
+    """Coefficients of the L2 projection of a vector field onto an
+    orthonormal vector family given by its values at the quadrature points."""
+    return np.einsum("q,qc,qnc->n", ctx.qweights, vals_at_q, basis)
+
+
 def test_projection_reproduces_polynomials(hexa_ctx):
     ctx = hexa_ctx
     xt = ctx.element.center
@@ -145,14 +153,15 @@ def test_projection_reproduces_polynomials(hexa_ctx):
     def lin(x):
         return x[:, 0] - xt[0]
 
-    coef = l2_project(ctx, lin, "P", 1)
+    coef = _project_P(ctx, lin, 1)
     vals = ctx.phi[:, :dim_P(1)] @ coef
     assert np.abs(vals - lin(ctx.qpoints)).max() < 1e-12
 
     # constants lie in Roly^0 = rot P^1
     c = np.array([0.7, -0.3])
-    coef = l2_project(ctx, lambda x: np.tile(c, (len(x), 1)), "Roly", 0)
     n0 = dim_roly(0)
+    coef = _project_onto(np.tile(c, (len(ctx.qpoints), 1)), ctx,
+                         ctx.roly_vals[:, :n0])
     vals = np.einsum("n,qnc->qc", coef, ctx.roly_vals[:, :n0])
     assert np.abs(vals - c).max() < 1e-12
 
@@ -160,8 +169,9 @@ def test_projection_reproduces_polynomials(hexa_ctx):
     def crly(x):
         return (x - xt) * 0.9
 
-    coef = l2_project(ctx, crly, "cRoly", 1)
-    vals = np.einsum("n,qnc->qc", coef, ctx.croly_vals[:, :dim_croly(1)])
+    basis = ctx.croly_vals[:, :dim_croly(1)]
+    coef = _project_onto(crly(ctx.qpoints), ctx, basis)
+    vals = np.einsum("n,qnc->qc", coef, basis)
     assert np.abs(vals - crly(ctx.qpoints)).max() < 1e-12
 
 
@@ -171,9 +181,9 @@ def test_projector_idempotence_and_orthogonality(hexa_ctx, rng):
     def f(x):
         return np.sin(x[:, 0]) * np.cos(2 * x[:, 1])
 
-    coef = l2_project(ctx, f, "P", 2)
+    coef = _project_P(ctx, f, 2)
     proj_vals = ctx.phi[:, :dim_P(2)] @ coef
-    coef2 = l2_project(ctx, lambda x: ctx.scal.eval(x)[:, :dim_P(2)] @ coef, "P", 2)
+    coef2 = _project_P(ctx, lambda x: ctx.scal.eval(x)[:, :dim_P(2)] @ coef, 2)
     assert np.abs(coef - coef2).max() < 1e-12
     resid = f(ctx.qpoints) - proj_vals
     against = ctx.integrate(resid[:, None] * ctx.phi[:, :dim_P(2)])
@@ -205,10 +215,6 @@ def test_vector_decomposition_against_lstsq_oracle(hexa_ctx, rng):
     oracle_joint = lstsq_projection_oracle(ctx.qpoints, ctx.qweights, joint, fq)
     # the joint fit reproduces the full field (direct sum spans vP^2)
     assert np.abs(oracle_joint - fq).max() < 1e-10
-    with pytest.raises(ValueError):
-        l2_project(ctx, f, "weird", 2)
-    with pytest.raises(ValueError):
-        l2_project(ctx, f, "Roly", 2)   # context carries Roly^{k-1} = Roly^1
 
 
 def test_edge_family_derivative_matrix():
@@ -239,13 +245,13 @@ def test_trace_recovery_matches_conditions(rng):
     assert np.abs(moments - dofs[:k]).max() < 1e-12
 
 
-def test_build_roly_bases_pair():
-    from ddrplate.polyspace import build_roly_bases
+def test_roly_and_croly_pair():
     hexa = hexagon()
     el = hexa.elements[0]
     rule = element_quadrature(hexa, el, 8)
     fam = ScalarFamily(el.center, el.diameter, 3, rule.points, rule.weights)
-    roly, croly = build_roly_bases(fam, 2, rule.points, rule.weights)
+    roly = roly_family(fam, 2, rule.points, rule.weights)
+    croly = CRolyFamily(fam, 2, rule.points, rule.weights)
     assert roly.n == dim_roly(2) == 9
     assert croly.n == dim_croly(2) == 3
     assert roly.n + croly.n == 12

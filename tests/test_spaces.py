@@ -25,8 +25,8 @@ def test_dof_dimension_formulas(cache, k):
                             + mesh.n_edges * k + mesh.n_vertices)
         for el in mesh.elements:
             n_e = len(el.edges)
-            assert sp_t.local_dim(el) == sp_t.elem_dim + n_e * 2 * (k + 1)
-            assert sp_u.local_dim(el) == dim_P(k - 1) + n_e * k + n_e
+            assert len(sp_t.local_dofs(el)) == sp_t.elem_dim + n_e * 2 * (k + 1)
+            assert len(sp_u.local_dofs(el)) == dim_P(k - 1) + n_e * k + n_e
         if k == 0:
             assert sp_t.elem_dim == 0
             assert sp_u.elem_dim == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from ddrplate.errors import ZeroNormError
 from ddrplate.mesh import build_mesh, triangular_mesh
@@ -25,7 +26,27 @@ def test_material_validation():
         MaterialParams(t=0.0)
     with pytest.raises(ValueError):
         MaterialParams(E=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            MaterialParams(E=bad)
+        with pytest.raises(ValueError):
+            MaterialParams(kappa0=bad)
+    with pytest.raises(ValueError):
+        MaterialParams(t=1e-300)     # t^2 underflows to 0
     assert MaterialParams(nu=0.0).beta1 == 0.0
+
+
+def bending_matrix(system, material):
+    """Bending form a_h from the assembled material-independent pieces."""
+    return (material.beta0 * (system.H_gs + system.H_sj)
+            + material.beta1 * system.H_d).tocsr()
+
+
+def shear_matrix(system, material):
+    """Shear form b_h on (rotation, displacement) pairs."""
+    c = material.shear_over_t2
+    return sps.bmat([[c * system.M_theta, -c * system.MG],
+                     [-c * system.MG.T, c * system.GMG]], format="csr")
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +65,7 @@ def test_rigid_motion_annihilates_ah(small_system):
     system = small_system
     disc = system.disc
     mat = MaterialParams()
-    a = system.ah_matrix(mat)
+    a = bending_matrix(system, mat)
     iv = interpolate_theta(
         disc, lambda x: np.stack([1.0 - 2.0 * x[:, 1], -0.5 + 2.0 * x[:, 0]], -1)).values
     val = iv @ (a @ iv)
@@ -54,24 +75,34 @@ def test_rigid_motion_annihilates_ah(small_system):
 def test_ah_symmetry_and_nu_zero(small_system):
     system = small_system
     mat = MaterialParams(nu=0.3)
-    a = system.ah_matrix(mat)
+    a = bending_matrix(system, mat)
     assert abs(a - a.T).max() <= 1e-12 * abs(a).max()
     m0 = MaterialParams(nu=0.0)
-    a0 = system.ah_matrix(m0)
+    a0 = bending_matrix(system, m0)
     ref = (m0.beta0 * (system.H_gs + system.H_sj)).tocsr()
     assert abs(a0 - ref).max() == 0.0
+
+
+def test_full_matrix_is_ah_plus_bh(small_system, k0_system):
+    for system in (small_system, k0_system):
+        mat = MaterialParams(nu=0.25, t=1e-2)
+        a = bending_matrix(system, mat)
+        pad = sps.block_diag([a, sps.csr_matrix((system.n_u, system.n_u))])
+        ref = (pad + shear_matrix(system, mat)).tocsr()
+        K = system.full_matrix(mat)
+        assert abs(K - ref).max() <= 1e-14 * abs(ref).max()
 
 
 def test_bh_kernel_and_scaling(small_system, rng):
     system = small_system
     mat = MaterialParams(t=0.2)
-    b = system.bh_matrix(mat)
+    b = shear_matrix(system, mat)
     w = rng.standard_normal(system.n_u)
     vec = np.concatenate([system.G @ w, w])
     out = b @ vec
     scale = abs(b).max() * np.abs(vec).max()
     assert np.abs(out).max() < 1e-11 * scale
-    b_half = system.bh_matrix(MaterialParams(t=0.1))
+    b_half = shear_matrix(system, MaterialParams(t=0.1))
     assert abs(b_half - 4.0 * b).max() <= 1e-12 * abs(b_half).max()
 
 
@@ -82,14 +113,14 @@ def test_bh_ignores_normal_dofs(small_system, rng):
     vec = np.zeros(system.n_theta + system.n_u)
     for e in range(system.disc.mesh.n_edges):
         vec[sp.edge_normal_slots(e)] = rng.standard_normal(system.disc.k + 1)
-    out = system.bh_matrix(mat) @ vec
-    scale = abs(system.bh_matrix(mat)).max() * np.abs(vec).max()
+    out = shear_matrix(system, mat) @ vec
+    scale = abs(shear_matrix(system, mat)).max() * np.abs(vec).max()
     assert np.abs(out).max() <= 1e-12 * scale
 
 
 def test_bh_is_psd(small_system, rng):
     system = small_system
-    b = system.bh_matrix(MaterialParams())
+    b = shear_matrix(system, MaterialParams())
     for _ in range(50):
         v = rng.standard_normal(system.n_theta + system.n_u)
         assert v @ (b @ v) >= -1e-10 * (v @ v)
