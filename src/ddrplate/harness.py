@@ -118,7 +118,7 @@ def solve_case(system: PlateSystem, material: MaterialParams, solution_name: str
     u_i = interpolate_u(disc, sol.u)
     load = system.load_vector(sol.f)
     dir_vals = (None if sol.homogeneous_bc
-                else dirichlet_values_from_interpolates(system, theta_i, u_i))
+                else dirichlet_values_from_interpolates(theta_i, u_i))
     theta_h, u_h, report = system.solve(material, load, dir_vals)
     error = system.relative_error(material, theta_h, u_h, theta_i, u_i)
     return error, report, (theta_h, u_h, theta_i, u_i)

@@ -36,23 +36,6 @@ class HHOLocalPack:
     sT: np.ndarray    # (n_theta, n_theta) stabilisation bilinear form
 
 
-def build_embedding(ctx: ElementContext, pack: LocalOperatorPack) -> np.ndarray:
-    """Injection of the rotation DOFs into the hybrid space
-    (P_T eta, (eta_E)_E); one-to-one by the potential projection identities."""
-    k = ctx.k
-    np_k = dim_P(k)
-    _, _, sl_t, sl_n, n_theta = _theta_slices(ctx)
-    n_edge = len(ctx.edges) * 2 * (k + 1)
-    out = np.zeros((2 * np_k + n_edge, n_theta))
-    out[:2 * np_k] = pack.PT
-    row = 2 * np_k
-    for j in range(len(ctx.edges)):
-        out[row:row + k + 1, sl_t[j]] = np.eye(k + 1)
-        out[row + k + 1:row + 2 * (k + 1), sl_n[j]] = np.eye(k + 1)
-        row += 2 * (k + 1)
-    return out
-
-
 def build_tensor_gradient(ctx: ElementContext, pack: LocalOperatorPack):
     """Full tensor gradient, its symmetric part and the divergence."""
     k = ctx.k
@@ -62,10 +45,9 @@ def build_tensor_gradient(ctx: ElementContext, pack: LocalOperatorPack):
 
     G = np.zeros((4, np_k, n_theta))
     pt_blocks = [pack.PT[:np_k], pack.PT[np_k:]]
-    for a in range(2):
-        for b in range(2):
-            vb = np.einsum("q,qm,qi->mi", w, ctx.grad[:, :np_k, b],
-                           ctx.phi[:, :np_k])
+    for b in range(2):
+        vb = np.einsum("q,qm,qi->mi", w, ctx.grad[:, :np_k, b], ctx.phi[:, :np_k])
+        for a in range(2):
             G[2 * a + b] -= vb @ pt_blocks[a]
     for j, led in enumerate(ctx.edges):
         cs = pack.scalar_cross[j][:np_k, :k + 1]
@@ -92,7 +74,7 @@ def build_reconstruction(ctx: ElementContext, pack: LocalOperatorPack) -> np.nda
     w = ctx.qweights
     _, _, sl_t, sl_n, n_theta = _theta_slices(ctx)
     grad = ctx.grad[:, :np_k1, :]
-    hess = ctx.hess[:, :np_k1, :]
+    hess = ctx.scal.eval_hess(ctx.qpoints)[:, :np_k1, :]
     lap = hess[..., 0] + hess[..., 2]
     pt_blocks = [pack.PT[:np_k], pack.PT[np_k:]]
 
@@ -113,7 +95,7 @@ def build_reconstruction(ctx: ElementContext, pack: LocalOperatorPack) -> np.nda
     for j, led in enumerate(ctx.edges):
         ec = led.ctx
         t, n = ec.edge.tangent, ec.edge.normal
-        ge = led.grad[:, :np_k1, :]
+        ge = ctx.scal.eval_grad(ec.points)[:, :np_k1, :]
         gn1 = ge @ led.n_out                       # grad psi_j . n_out
         gt = np.einsum("qja,a->qj", ge, t)
         gnE = np.einsum("qja,a->qj", ge, n)
@@ -167,7 +149,7 @@ def build_reconstruction(ctx: ElementContext, pack: LocalOperatorPack) -> np.nda
     return sol
 
 
-def local_theta_interpolation(ctx: ElementContext) -> np.ndarray:
+def local_theta_interpolation(ctx: ElementContext, pack: LocalOperatorPack) -> np.ndarray:
     """Interpolation of a vP^{k+1}(T) field (component-major coefficients)
     onto the local rotation DOFs."""
     k = ctx.k
@@ -182,13 +164,9 @@ def local_theta_interpolation(ctx: ElementContext) -> np.ndarray:
     if n_croly:
         J[sl_cR] = np.einsum("q,qra,qm->ram", w, ctx.croly_vals[:, :n_croly],
                              ctx.phi[:, :np_k1]).reshape(n_croly, 2 * np_k1)
-    for j, led in enumerate(ctx.edges):
-        ec = led.ctx
-        cs = np.einsum("q,qm,qc->cm", ec.weights, led.phi[:, :np_k1],
-                       ec.psi[:, :k + 1])
-        t, n = ec.edge.tangent, ec.edge.normal
-        J[sl_t[j]] = np.concatenate([t[0] * cs, t[1] * cs], axis=1)
-        J[sl_n[j]] = np.concatenate([n[0] * cs, n[1] * cs], axis=1)
+    for j in range(len(ctx.edges)):
+        rest = _edge_restriction(ctx, pack, j, k + 1, np_k1)
+        J[sl_t[j]], J[sl_n[j]] = rest[:k + 1], rest[k + 1:]
     return J
 
 
@@ -216,16 +194,15 @@ def build_stabilisation(ctx: ElementContext, pack: LocalOperatorPack,
     pad[:np_k, :np_k] = np.eye(np_k)
     pad[np_k1:np_k1 + np_k, np_k:] = np.eye(np_k)
     defect = P1 - pad @ pack.PT                     # vP^{k+1} coefficients
-    delta_T = pack.PT @ (local_theta_interpolation(ctx) @ defect)
+    delta_T = pack.PT @ (local_theta_interpolation(ctx, pack) @ defect)
+    vp_k = np.r_[0:np_k, np_k1:np_k1 + np_k]        # vP^k columns of vP^{k+1}
     sT = np.zeros((n_theta, n_theta))
     for j in range(len(ctx.edges)):
         rest_k1 = _edge_restriction(ctx, pack, j, k + 1, np_k1)
-        rest_k = _edge_restriction(ctx, pack, j, k + 1, np_k)
-        picks = np.zeros((2 * (k + 1), n_theta))
-        picks[:k + 1, sl_t[j]] = np.eye(k + 1)
-        picks[k + 1:, sl_n[j]] = np.eye(k + 1)
-        delta_TE = rest_k1 @ P1 - picks
-        diff = delta_TE - rest_k @ delta_T
+        delta_TE = rest_k1 @ P1
+        delta_TE[:k + 1, sl_t[j]] -= np.eye(k + 1)
+        delta_TE[k + 1:, sl_n[j]] -= np.eye(k + 1)
+        diff = delta_TE - rest_k1[:, vp_k] @ delta_T
         sT += (diff.T @ diff) / ctx.element.diameter
     return 0.5 * (sT + sT.T)
 
@@ -242,21 +219,16 @@ def build_hho_packs(disc: Discretization, packs: list[LocalOperatorPack]) -> lis
 
 
 def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack],
-                            hho_packs: list[HHOLocalPack],
-                            edge_ids=None) -> sps.csr_matrix:
+                            hho_packs: list[HHOLocalPack]) -> sps.csr_matrix:
     """k = 0 jump bilinear form: h_E^{-1} integrals of the jumps of the p^1
     reconstructions over edges (the trace itself on boundary edges)."""
     if disc.k != 0:
         raise ValueError("jump penalisation is defined for k = 0 only")
     sp_t = disc.theta_space
     np_1 = dim_P(1)
-    mesh = disc.mesh
-    if edge_ids is None:
-        edge_ids = range(mesh.n_edges)
 
     def blocks():
-        for eid in edge_ids:
-            edge = mesh.edges[eid]
+        for eid, edge in enumerate(disc.mesh.edges):
             mats, dofs = [], []
             for t_id in sorted(edge.elements):
                 ctx = disc.elem_ctxs[t_id]

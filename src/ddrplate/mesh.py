@@ -25,12 +25,6 @@ _LENGTH_TOL = 1e-14
 
 
 @dataclass(frozen=True)
-class Vertex:
-    id: int
-    x: np.ndarray  # shape (2,)
-
-
-@dataclass(frozen=True)
 class Edge:
     id: int
     vertices: tuple[int, int]  # sorted pair (a, b), a < b
@@ -56,7 +50,6 @@ class Element:
 @dataclass
 class PolygonalMesh:
     vertex_coords: np.ndarray        # (n_vertices, 2)
-    vertices: list[Vertex]
     edges: list[Edge]
     elements: list[Element]
     boundary_edges: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
@@ -66,7 +59,7 @@ class PolygonalMesh:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.vertex_coords)
 
     @property
     def n_edges(self) -> int:
@@ -173,7 +166,6 @@ def build_mesh(vertex_coords: np.ndarray, cell_loops: list[list[int]]) -> Polygo
     used = {v for loop in cell_loops for v in loop}
     if len(used) != n_v:
         raise TopologyError("every vertex must belong to at least one cell")
-    vertices = [Vertex(i, coords[i]) for i in range(n_v)]
 
     loops: list[list[int]] = []
     for c, loop in enumerate(cell_loops):
@@ -197,7 +189,7 @@ def build_mesh(vertex_coords: np.ndarray, cell_loops: list[list[int]]) -> Polygo
             key = (min(a, b), max(a, b))
             pair_cells.setdefault(key, []).append(c)
 
-    edge_ids: dict[tuple[int, int], int] = {}
+    pair_edge: dict[tuple[int, int], int] = {}
     edges: list[Edge] = []
     for eid, key in enumerate(sorted(pair_cells)):
         cells = pair_cells[key]
@@ -210,7 +202,7 @@ def build_mesh(vertex_coords: np.ndarray, cell_loops: list[list[int]]) -> Polygo
             raise GeometryError(f"edge {key} has zero length")
         t = vec / length
         n = np.array([t[1], -t[0]])
-        edge_ids[key] = eid
+        pair_edge[key] = eid
         edges.append(Edge(eid, key, t, n, length, len(cells) == 1, tuple(cells)))
 
     elements: list[Element] = []
@@ -222,7 +214,7 @@ def build_mesh(vertex_coords: np.ndarray, cell_loops: list[list[int]]) -> Polygo
         eids, omegas = [], []
         for j in range(len(loop)):
             a, b = loop[j], loop[(j + 1) % len(loop)]
-            eid = edge_ids[(min(a, b), max(a, b))]
+            eid = pair_edge[(min(a, b), max(a, b))]
             eids.append(eid)
             # ccw traversal a->b agrees with t_E iff a is the lower vertex id
             omegas.append(1 if a < b else -1)
@@ -235,7 +227,6 @@ def build_mesh(vertex_coords: np.ndarray, cell_loops: list[list[int]]) -> Polygo
     bverts = sorted({v for e in edges if e.boundary for v in e.vertices})
     mesh = PolygonalMesh(
         vertex_coords=coords,
-        vertices=vertices,
         edges=edges,
         elements=elements,
         boundary_edges=boundary,

@@ -55,7 +55,6 @@ def monomial_exponents(l: int) -> np.ndarray:
 class QuadratureRule:
     points: np.ndarray   # (nq, 2)
     weights: np.ndarray  # (nq,)
-    degree: int
 
 
 @lru_cache(maxsize=64)
@@ -94,22 +93,22 @@ def element_quadrature(mesh: PolygonalMesh, element: Element, degree: int) -> Qu
         p, w = triangle_rule(element.center, loop[j], loop[(j + 1) % len(loop)], degree)
         pts.append(p)
         wts.append(w)
-    return QuadratureRule(np.vstack(pts), np.concatenate(wts), degree)
+    return QuadratureRule(np.vstack(pts), np.concatenate(wts))
 
 
 def edge_quadrature(mesh: PolygonalMesh, edge: Edge, degree: int) -> QuadratureRule:
-    s, w, _ = edge_reference_rule(edge, degree)
+    s, w = edge_reference_rule(edge, degree)
     mid = mesh.edge_midpoint(edge)
     pts = mid[None, :] + 0.5 * edge.length * s[:, None] * edge.tangent[None, :]
-    return QuadratureRule(pts, w, degree)
+    return QuadratureRule(pts, w)
 
 
-def edge_reference_rule(edge: Edge, degree: int) -> tuple[np.ndarray, np.ndarray, int]:
+def edge_reference_rule(edge: Edge, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule in the reference coordinate s in [-1, 1]; weights
     carry the arc-length factor h_E/2."""
     n = max(1, -(-(degree + 1) // 2))    # ceil((d+1)/2)
     s, w = roots_legendre(n)
-    return s, 0.5 * edge.length * w, n
+    return s, 0.5 * edge.length * w
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +153,8 @@ class ScalarFamily:
         gram = (raw * qweights[:, None]).T @ raw
         self.transform = gram_orthonormalize(gram)
 
-    def dim(self, l: int | None = None) -> int:
-        return dim_P(self.lmax if l is None else l)
+    def dim(self) -> int:
+        return dim_P(self.lmax)
 
     def _powers(self, u: np.ndarray) -> np.ndarray:
         out = np.empty((u.shape[0], self.lmax + 1))
@@ -190,17 +189,14 @@ class ScalarFamily:
         hyy = (ay * (ay - 1) / h2) * p1[:, ax] * p2[:, np.maximum(ay - 2, 0)]
         return np.stack([hxx, hxy, hyy], axis=-1)
 
-    def eval(self, x: np.ndarray, l: int | None = None) -> np.ndarray:
-        n = self.dim(l)
-        return self._raw(x) @ self.transform[:n].T
+    def eval(self, x: np.ndarray) -> np.ndarray:
+        return self._raw(x) @ self.transform.T
 
-    def eval_grad(self, x: np.ndarray, l: int | None = None) -> np.ndarray:
-        n = self.dim(l)
-        return np.einsum("qmc,nm->qnc", self._raw_grad(x), self.transform[:n])
+    def eval_grad(self, x: np.ndarray) -> np.ndarray:
+        return np.einsum("qmc,nm->qnc", self._raw_grad(x), self.transform)
 
-    def eval_hess(self, x: np.ndarray, l: int | None = None) -> np.ndarray:
-        n = self.dim(l)
-        return np.einsum("qmc,nm->qnc", self._raw_hess(x), self.transform[:n])
+    def eval_hess(self, x: np.ndarray) -> np.ndarray:
+        return np.einsum("qmc,nm->qnc", self._raw_hess(x), self.transform)
 
 class VectorSubspaceFamily:
     """Orthonormalized family of an explicit vector-polynomial subspace."""
@@ -215,14 +211,10 @@ class VectorSubspaceFamily:
         else:
             self.transform = np.zeros((0, 0))
 
-    def dim(self, n: int | None = None) -> int:
-        return self.n if n is None else n
-
-    def eval(self, x: np.ndarray, n: int | None = None) -> np.ndarray:
-        m = self.dim(n)
-        if self.n == 0 or m == 0:
+    def eval(self, x: np.ndarray) -> np.ndarray:
+        if self.n == 0:
             return np.zeros((np.atleast_2d(x).shape[0], 0, 2))
-        return np.einsum("qic,ni->qnc", self._raw_eval(x), self.transform[:m])
+        return np.einsum("qic,ni->qnc", self._raw_eval(x), self.transform)
 
 
 def roly_family(scal: ScalarFamily, l: int, qpoints, qweights) -> VectorSubspaceFamily:
@@ -250,16 +242,15 @@ class CRolyFamily(VectorSubspaceFamily):
 
         super().__init__(raw, n, qpoints, qweights)
 
-    def eval_div(self, x: np.ndarray, n: int | None = None) -> np.ndarray:
+    def eval_div(self, x: np.ndarray) -> np.ndarray:
         """div((x - x_T) m) = 2 m + (x - x_T) . grad m."""
-        m = self.dim(n)
-        if m == 0:
+        if self.n == 0:
             return np.zeros((np.atleast_2d(x).shape[0], 0))
         vals = self.scal._raw(x)[:, :self.n]
         grads = self.scal._raw_grad(x)[:, :self.n, :]
         rel = np.atleast_2d(x) - self.scal.center[None, :]
         raw_div = 2.0 * vals + np.einsum("qc,qnc->qn", rel, grads)
-        return raw_div @ self.transform[:m].T
+        return raw_div @ self.transform.T
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +299,11 @@ class EdgeContext:
     dmat: np.ndarray       # derivative representation
     trace: np.ndarray      # (ndeg, ndeg): [moments(k), v_a, v_b] -> coefficients
 
-    @property
-    def k(self) -> int:
-        return self.family.ndeg - 2
-
 
 def build_edge_context(mesh: PolygonalMesh, edge: Edge, k: int, quad_degree: int) -> EdgeContext:
     ndeg = k + 2                      # trace space P^{k+1}(E)
     fam = EdgeFamily(edge, ndeg)
-    s, w, _ = edge_reference_rule(edge, quad_degree)
+    s, w = edge_reference_rule(edge, quad_degree)
     mid = mesh.edge_midpoint(edge)
     pts = mid[None, :] + 0.5 * edge.length * s[:, None] * edge.tangent[None, :]
     psi = fam.eval_s(s)
@@ -338,7 +325,6 @@ class LocalEdgeData:
     omega: int
     n_out: np.ndarray        # outward normal omega * n_E
     phi: np.ndarray          # element scalar family at edge quad points
-    grad: np.ndarray         # gradients of the scalar family there
     local_vertices: tuple[int, int]   # positions of edge (a, b) in the cell loop
 
 
@@ -356,7 +342,6 @@ class ElementContext:
                                  self.qpoints, self.qweights)
         self.phi = self.scal.eval(self.qpoints)
         self.grad = self.scal.eval_grad(self.qpoints)
-        self.hess = self.scal.eval_hess(self.qpoints)
         self.roly = roly_family(self.scal, k - 1, self.qpoints, self.qweights)
         self.roly_vals = self.roly.eval(self.qpoints)
         self.croly = CRolyFamily(self.scal, k + 2, self.qpoints, self.qweights)
@@ -372,7 +357,6 @@ class ElementContext:
                 omega=om,
                 n_out=om * ctx.edge.normal,
                 phi=self.scal.eval(ctx.points),
-                grad=self.scal.eval_grad(ctx.points),
                 local_vertices=(loop.index(a), loop.index(b)),
             ))
 

@@ -139,7 +139,6 @@ class Discretization:
             raise ValueError("degree k must be >= 0")
         self.mesh = mesh
         self.k = k
-        self.quad_boost = quad_boost
         self.edge_ctxs: list[EdgeContext] = [
             build_edge_context(mesh, e, k, 2 * k + 4 + quad_boost) for e in mesh.edges]
         self.elem_ctxs: list[ElementContext] = [
@@ -147,13 +146,6 @@ class Discretization:
             for el in mesh.elements]
         self.theta_space = ThetaSpace(mesh, k)
         self.u_space = USpace(mesh, k)
-
-
-def _edge_field_moments(ctx: EdgeContext, eta, n_members: int) -> np.ndarray:
-    vals = np.asarray(eta(ctx.points), dtype=float)
-    if vals.ndim == 1:
-        return ctx.weights @ (vals[:, None] * ctx.psi[:, :n_members])
-    return np.einsum("q,qc,qn->nc", ctx.weights, vals, ctx.psi[:, :n_members])
 
 
 def interpolate_theta(disc: Discretization, eta, tangential_only: bool = False) -> ThetaVector:
@@ -190,7 +182,7 @@ def interpolate_theta_tangential(disc: Discretization, eta) -> ThetaVector:
     return interpolate_theta(disc, eta, tangential_only=True)
 
 
-def interpolate_u(disc: Discretization, v, vertex_values: np.ndarray | None = None) -> UVector:
+def interpolate_u(disc: Discretization, v) -> UVector:
     """DDR interpolate of a C0 scalar field: P^{k-1} projections inside
     elements, k moments per edge, nodal values at vertices."""
     sp = disc.u_space
@@ -203,11 +195,11 @@ def interpolate_u(disc: Discretization, v, vertex_values: np.ndarray | None = No
                 vals[:, None] * ctx.phi[:, :sp.elem_dim])
     if sp.edge_dim:
         for ctx in disc.edge_ctxs:
+            vals = np.asarray(v(ctx.points), dtype=float)
             off = sp.edge_offset(ctx.edge.id)
-            out[off:off + sp.edge_dim] = _edge_field_moments(ctx, v, sp.edge_dim)
-    if vertex_values is None:
-        vertex_values = np.asarray(v(disc.mesh.vertex_coords), dtype=float)
-    out[sp.vertex_offset(0):] = vertex_values
+            out[off:off + sp.edge_dim] = ctx.weights @ (
+                vals[:, None] * ctx.psi[:, :sp.edge_dim])
+    out[sp.vertex_offset(0):] = np.asarray(v(disc.mesh.vertex_coords), dtype=float)
     return UVector(sp, out)
 
 

@@ -23,6 +23,7 @@ from .spaces import (Discretization, ThetaVector, UVector, assemble,
                      boundary_dof_sets)
 
 _GS_METRIC = np.array([1.0, 2.0, 1.0])   # contraction weights for [11, 12, 22]
+_RESIDUAL_TOL = 1e-10                      # solver backward-error gate
 
 
 @dataclass(frozen=True)
@@ -131,11 +132,12 @@ class PlateSystem:
     # -- solve ---------------------------------------------------------------
 
     def solve(self, material: MaterialParams, load: np.ndarray,
-              dirichlet_values: np.ndarray | None = None,
-              residual_tol: float = 1e-10) -> tuple[ThetaVector, UVector, SolveReport]:
-        """Eliminate Dirichlet DOFs (values from the interpolated exact traces
-        for non-homogeneous runs, zero for the clamped case), solve the
-        reduced symmetric system and verify the residual."""
+              dirichlet_values: np.ndarray | None = None
+              ) -> tuple[ThetaVector, UVector, SolveReport]:
+        """Eliminate Dirichlet DOFs (their entries of ``dirichlet_values``,
+        the interpolated exact traces for non-homogeneous runs, or zero for
+        the clamped case), solve the reduced symmetric system and verify the
+        residual."""
         K = self.full_matrix(material)
         sym_defect = _symmetric_defect(K)
         n = self.n_theta + self.n_u
@@ -176,16 +178,16 @@ class PlateSystem:
                 return float(np.linalg.norm(r) / max(den, 1e-300))
 
             for _ in range(8):
-                if backward_error(xf) <= 0.01 * residual_tol:
+                if backward_error(xf) <= 0.01 * _RESIDUAL_TOL:
                     break
                 xf = xf + prec_solve(rhs - Kff @ xf)
             if not np.all(np.isfinite(xf)):
                 raise SolverFailure("solver produced non-finite values")
             x[free] = xf
             report.residual = backward_error(xf)
-            if report.residual > residual_tol:
+            if report.residual > _RESIDUAL_TOL:
                 raise SolverFailure(
-                    f"solver residual {report.residual:.3e} above {residual_tol:.1e}")
+                    f"solver residual {report.residual:.3e} above {_RESIDUAL_TOL:.1e}")
         theta = ThetaVector(self.disc.theta_space, x[:self.n_theta])
         u = UVector(self.disc.u_space, x[self.n_theta:])
         return theta, u, report
@@ -225,9 +227,7 @@ def _symmetric_defect(K: sps.csr_matrix) -> float:
     return float(abs(d).max() / denom)
 
 
-def dirichlet_values_from_interpolates(system: PlateSystem, theta_i: ThetaVector,
-                                       u_i: UVector) -> np.ndarray:
-    out = np.concatenate([theta_i.values, u_i.values])
-    vals = np.zeros_like(out)
-    vals[system.dirichlet_mask] = out[system.dirichlet_mask]
-    return vals
+def dirichlet_values_from_interpolates(theta_i: ThetaVector, u_i: UVector) -> np.ndarray:
+    """Full DOF vector of the interpolates; ``solve`` reads its Dirichlet
+    entries."""
+    return np.concatenate([theta_i.values, u_i.values])

@@ -7,6 +7,8 @@ functionals with a fresh quadrature four degrees finer, and the derivative
 oracle uses Richardson-extrapolated central differences.
 """
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from ddrplate.mesh import load_mesh, triangular_mesh
 from ddrplate.operators import build_packs
 from ddrplate.spaces import Discretization
 
-ASSETS = "src/ddrplate/assets/meshes"
+ASSETS = resources.files("ddrplate") / "assets" / "meshes"
 
 
 @pytest.fixture(scope="session")
@@ -27,8 +29,8 @@ def rng():
 def meshes():
     return {
         "tri": triangular_mesh(2),
-        "hexa": load_mesh(f"{ASSETS}/hexa_01.json"),
-        "locref": load_mesh(f"{ASSETS}/locref_01.json"),
+        "hexa": load_mesh(str(ASSETS / "hexa_01.json")),
+        "locref": load_mesh(str(ASSETS / "locref_01.json")),
     }
 
 

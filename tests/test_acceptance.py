@@ -105,7 +105,7 @@ def test_criterion_1b_projection_identities(cache):
                 # vP^{k-1} projection of potential-of-interpolate vs direct
                 if np_km1 == 0:
                     continue
-                J = local_theta_interpolation(ctx)
+                J = local_theta_interpolation(ctx, pack)
                 ptj = pack.PT @ J
                 np_k = dim_P(k)
                 trunc_pt = np.vstack([ptj[:np_km1], ptj[np_k:np_k + np_km1]])
@@ -123,8 +123,9 @@ def test_criterion_1c_stabilisation_consistency(cache, rng):
     for family in FAMILIES:
         for k in DEGREES:
             disc = cache.disc(family, k)
-            for ctx, hho in zip(disc.elem_ctxs, cache.hho(family, k)):
-                J = local_theta_interpolation(ctx)
+            for ctx, pack, hho in zip(disc.elem_ctxs, cache.packs(family, k),
+                                      cache.hho(family, k)):
+                J = local_theta_interpolation(ctx, pack)
                 c = rng.standard_normal(J.shape[1])
                 ieta = J @ c
                 res = hho.sT @ ieta
@@ -161,8 +162,9 @@ def test_criterion_1e_reconstruction_exactness(cache):
         for k in DEGREES:
             disc = cache.disc(family, k)
             np_k1 = dim_P(k + 1)
-            for ctx, hho in zip(disc.elem_ctxs, cache.hho(family, k)):
-                J = local_theta_interpolation(ctx)
+            for ctx, pack, hho in zip(disc.elem_ctxs, cache.packs(family, k),
+                                      cache.hho(family, k)):
+                J = local_theta_interpolation(ctx, pack)
                 defect = hho.P1 @ J - np.eye(2 * np_k1)
                 worst = max(worst, np.abs(defect).max())
     ok = worst <= 1e-10

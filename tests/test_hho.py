@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import refined_quadrature
-from ddrplate.hho import (build_embedding, build_jump_penalisation,
+from ddrplate.hho import (_edge_restriction, build_jump_penalisation,
                           build_reconstruction, build_stabilisation,
                           build_tensor_gradient, local_theta_interpolation)
+from ddrplate.operators import _theta_slices
 from ddrplate.polyspace import dim_P
 from ddrplate.spaces import interpolate_theta
 
@@ -25,6 +26,14 @@ def _poly_vector(coefs, l):
 # embedding
 
 
+def _embedding(ctx, pack):
+    """Injection of the rotation DOFs into the hybrid space: the potential
+    P_T on top of the identity on the edge DOFs, which follow the element
+    blocks in the local layout."""
+    _, sl_cR, _, _, n_theta = _theta_slices(ctx)
+    return np.vstack([pack.PT, np.eye(n_theta)[sl_cR.stop:]])
+
+
 @pytest.mark.parametrize("k", range(4))
 def test_embedding_element_part_reproduces_polynomials(cache, rng, k):
     disc = cache.disc("tri", k)
@@ -35,7 +44,7 @@ def test_embedding_element_part_reproduces_polynomials(cache, rng, k):
     np_k = dim_P(k)
     ctx = disc.elem_ctxs[0]
     pack = cache.packs("tri", k)[0]
-    emb = build_embedding(ctx, pack)
+    emb = _embedding(ctx, pack)
     out = emb @ iv[sp.local_dofs(ctx.element)]
     vals = np.stack([ctx.phi[:, :np_k] @ out[:np_k],
                      ctx.phi[:, :np_k] @ out[np_k:2 * np_k]], axis=-1)
@@ -49,7 +58,7 @@ def test_embedding_element_part_reproduces_polynomials(cache, rng, k):
 def test_embedding_is_injective(cache, family, k):
     disc = cache.disc(family, k)
     for ctx, pack in zip(disc.elem_ctxs[:4], cache.packs(family, k)[:4]):
-        emb = build_embedding(ctx, pack)
+        emb = _embedding(ctx, pack)
         assert np.linalg.matrix_rank(emb, tol=1e-10) == pack.n_theta
 
 
@@ -204,8 +213,6 @@ def test_difference_operators_vanish_on_interpolates(cache, rng, k):
     """delta_T(I eta) = 0 and delta_TE(I eta) = 0 for eta in vP^{k+1}: the
     reconstruction defect is annihilated by the potential-of-interpolate
     projector and by the edge projections."""
-    from ddrplate.hho import _edge_restriction
-    from ddrplate.operators import _theta_slices
     disc = cache.disc("tri", k)
     coefs = rng.standard_normal((2, dim_P(k + 1)))
     eta = _poly_vector(coefs, k + 1)
@@ -219,7 +226,7 @@ def test_difference_operators_vanish_on_interpolates(cache, rng, k):
         pad[:np_k, :np_k] = np.eye(np_k)
         pad[np_k1:np_k1 + np_k, np_k:] = np.eye(np_k)
         defect = (hho.P1 - pad @ pack.PT) @ loc
-        delta_T = pack.PT @ (local_theta_interpolation(ctx) @ defect)
+        delta_T = pack.PT @ (local_theta_interpolation(ctx, pack) @ defect)
         scale = np.linalg.norm(loc) + 1
         assert np.abs(delta_T).max() < 1e-10 * scale
         _, _, sl_t, sl_n, n_theta = _theta_slices(ctx)
@@ -244,16 +251,22 @@ def test_jump_rejects_higher_degree(cache):
 
 def test_jump_vanishes_on_affine_interior(cache):
     """Interior jumps of the degree-1 reconstructions of an affine
-    interpolate vanish: both neighbours reconstruct the field exactly."""
+    interpolate vanish: both neighbours reconstruct the field exactly, so
+    their edge restrictions agree on every interior edge."""
     disc = cache.disc("locref", 0)
-    J = build_jump_penalisation(disc, cache.packs("locref", 0),
-                                cache.hho("locref", 0),
-                                edge_ids=disc.mesh.interior_edges)
+    packs, hho = cache.packs("locref", 0), cache.hho("locref", 0)
     iv = interpolate_theta(
         disc, lambda x: np.stack([0.2 + x[:, 0] - 2 * x[:, 1],
                                   -1.0 + 3 * x[:, 0] + x[:, 1]], -1)).values
-    val = iv @ (J @ iv)
-    assert abs(val) < 1e-12 * (iv @ iv)
+    sp = disc.theta_space
+    for eid in disc.mesh.interior_edges:
+        sides = []
+        for t_id in disc.mesh.edges[eid].elements:
+            ctx = disc.elem_ctxs[t_id]
+            j = ctx.element.edges.index(eid)
+            rest = _edge_restriction(ctx, packs[t_id], j, 2, dim_P(1))
+            sides.append(rest @ hho[t_id].P1 @ iv[sp.local_dofs(ctx.element)])
+        assert np.abs(sides[0] - sides[1]).max() < 1e-12 * np.abs(iv).max()
 
 
 def test_jump_positive_for_localized_vector(cache, rng):

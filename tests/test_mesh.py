@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import ASSETS
 from ddrplate.errors import GeometryError, ParseError, TopologyError
 from ddrplate.mesh import (build_mesh, load_mesh, save_mesh, triangular_mesh,
                            uniform_refine)
@@ -99,7 +100,7 @@ def test_uniform_refine_counts():
     fine = uniform_refine(triangular_mesh(2))
     assert fine.n_elements == 24
     assert abs(fine.domain_area() - 1.0) < 1e-12
-    hexa = load_mesh("src/ddrplate/assets/meshes/hexa_01.json")
+    hexa = load_mesh(str(ASSETS / "hexa_01.json"))
     area = hexa.domain_area()
     fine = uniform_refine(hexa)
     assert fine.n_elements == sum(len(el.edges) for el in hexa.elements)
@@ -168,7 +169,7 @@ def test_inradius_ratio_metadata(meshes):
 def test_bundled_families_are_valid():
     for fam, sizes in (("hexa", 4), ("locref", 4)):
         for i in range(1, sizes + 1):
-            mesh = load_mesh(f"src/ddrplate/assets/meshes/{fam}_{i:02d}.json")
+            mesh = load_mesh(str(ASSETS / f"{fam}_{i:02d}.json"))
             assert abs(mesh.domain_area() - 1.0) < 1e-10
 
 

@@ -32,6 +32,15 @@ def test_dof_dimension_formulas(cache, k):
             assert sp_u.elem_dim == 0
 
 
+def test_quad_boost_refines_element_and_edge_rules():
+    mesh = triangular_mesh(2)
+    base, boosted = Discretization(mesh, 1), Discretization(mesh, 1, quad_boost=2)
+    for ctx, fine in zip(base.elem_ctxs, boosted.elem_ctxs):
+        assert len(fine.qweights) > len(ctx.qweights)
+    for ec, fine in zip(base.edge_ctxs, boosted.edge_ctxs):
+        assert len(fine.weights) > len(ec.weights)
+
+
 def test_boundary_sets_unit_square_k0():
     mesh = build_mesh(*UNIT_SQUARE)
     disc = Discretization(mesh, 0)

@@ -243,7 +243,7 @@ def test_dirichlet_lift_keeps_interpolated_traces(k0_system):
 
     ti = interpolate_theta(disc, theta_fn)
     ui = interpolate_u(disc, lambda x: x[:, 0] + x[:, 1])
-    vals = dirichlet_values_from_interpolates(system, ti, ui)
+    vals = dirichlet_values_from_interpolates(ti, ui)
     load = system.load_vector(lambda x: np.ones(len(x)))
     theta, u, rep = system.solve(MaterialParams(), load, vals)
     full = np.concatenate([ti.values, ui.values])
