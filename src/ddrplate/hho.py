@@ -8,6 +8,11 @@ average closures, and a least-squares edge stabilisation built from
 difference operators. For k = 0 an extra jump penalisation couples the
 per-element reconstructions across edges.
 
+Every element moment is read from the DDR pack (derivative masses D, element
+moments, cross masses), and nothing here evaluates a basis function. The
+strain reconstruction is algebra on the symmetric gradient GS and D, exact
+because grad P^{k+1} lies in P^k.
+
 Tensor coefficient layout: row blocks (1,1), (1,2), (2,1), (2,2), each a set
 of scalar coefficients; the symmetric gradient is stored as [(1,1), sym(1,2),
 (2,2)] with contraction metric (1, 2, 1).
@@ -21,8 +26,8 @@ import numpy as np
 import scipy.sparse as sps
 
 from .errors import SingularLocalSystem
-from .operators import LocalOperatorPack, _theta_slices
-from .polyspace import ElementContext, dim_P, dim_croly, dim_roly
+from .operators import LocalOperatorPack, _edge_restriction, _theta_slices, _vp_k
+from .polyspace import ElementContext, dim_P
 from .spaces import Discretization, assemble
 
 _TINY = 1e-300
@@ -40,13 +45,12 @@ def build_tensor_gradient(ctx: ElementContext, pack: LocalOperatorPack):
     """Full tensor gradient, its symmetric part and the divergence."""
     k = ctx.k
     np_k = dim_P(k)
-    w = ctx.qweights
     _, _, sl_t, sl_n, n_theta = _theta_slices(ctx)
 
     G = np.zeros((4, np_k, n_theta))
     pt_blocks = [pack.PT[:np_k], pack.PT[np_k:]]
     for b in range(2):
-        vb = np.einsum("q,qm,qi->mi", w, ctx.grad[:, :np_k, b], ctx.phi[:, :np_k])
+        vb = pack.D[b][:np_k]
         for a in range(2):
             G[2 * a + b] -= vb @ pt_blocks[a]
     for j, led in enumerate(ctx.edges):
@@ -65,78 +69,52 @@ def build_tensor_gradient(ctx: ElementContext, pack: LocalOperatorPack):
     return G, GS, DD
 
 
-def build_reconstruction(ctx: ElementContext, pack: LocalOperatorPack) -> np.ndarray:
-    """Degree k+1 strain reconstruction: symmetric-gradient moments plus the
-    skew-average closure and the translation closure (element average for
-    k >= 1, boundary average for k = 0)."""
+def build_reconstruction(ctx: ElementContext, pack: LocalOperatorPack,
+                         GS: np.ndarray) -> np.ndarray:
+    """Degree k+1 strain reconstruction: (eps(p), eps(v))_T = (GS eta, eps(v))_T
+    for v in vP^{k+1}, plus the skew-average closure and the translation
+    closure (element average for k >= 1, boundary average for k = 0). Both
+    sides are exact in the derivative masses D, since grad P^{k+1} lies in P^k."""
     k = ctx.k
     np_k, np_k1 = dim_P(k), dim_P(k + 1)
-    w = ctx.qweights
     _, _, sl_t, sl_n, n_theta = _theta_slices(ctx)
-    grad = ctx.grad[:, :np_k1, :]
-    hess = ctx.scal.eval_hess(ctx.qpoints)[:, :np_k1, :]
-    lap = hess[..., 0] + hess[..., 2]
-    pt_blocks = [pack.PT[:np_k], pack.PT[np_k:]]
+    D = pack.D
+    DDt = np.einsum("ajm,bim->abji", D, D)         # D_a D_b^T
+    stiff = DDt[0, 0] + DDt[1, 1]                  # int_T grad phi_j . grad phi_m
 
-    # stiffness of the symmetric gradient on vP^{k+1}
-    k1 = np.einsum("q,qja,qma->jm", w, grad, grad)
-    k2 = np.einsum("q,qmb,qja->bjam", w, grad, grad)
-    K = 0.5 * (np.einsum("jm,ab->bjam", k1, np.eye(2)) + k2)
-    K = K.reshape(2 * np_k1, 2 * np_k1)
-
-    rhs = np.zeros((2, np_k1, n_theta))
-    hess_ab = [[hess[..., 0], hess[..., 1]], [hess[..., 1], hess[..., 2]]]
-    for b in range(2):
-        for a in range(2):
-            wab = 0.5 * np.einsum(
-                "q,qj,qi->ji", w,
-                (lap if a == b else 0.0) + hess_ab[a][b], ctx.phi[:, :np_k])
-            rhs[b] -= wab @ pt_blocks[a]
-    for j, led in enumerate(ctx.edges):
-        ec = led.ctx
-        t, n = ec.edge.tangent, ec.edge.normal
-        ge = ctx.scal.eval_grad(ec.points)[:, :np_k1, :]
-        gn1 = ge @ led.n_out                       # grad psi_j . n_out
-        gt = np.einsum("qja,a->qj", ge, t)
-        gnE = np.einsum("qja,a->qj", ge, n)
-        for b in range(2):
-            tang = 0.5 * (t[b] * gn1 + led.n_out[b] * gt)
-            norm = 0.5 * (n[b] * gn1 + led.n_out[b] * gnE)
-            rhs[b][:, sl_t[j]] += np.einsum("q,qj,qc->jc", ec.weights, tang,
-                                            ec.psi[:, :k + 1])
-            rhs[b][:, sl_n[j]] += np.einsum("q,qj,qc->jc", ec.weights, norm,
-                                            ec.psi[:, :k + 1])
-    rhs = rhs.reshape(2 * np_k1, n_theta)
+    # stiffness of the symmetric gradient on vP^{k+1}; block (b, a)
+    K = 0.5 * np.block([[stiff + DDt[0, 0], DDt[1, 0]],
+                        [DDt[0, 1], stiff + DDt[1, 1]]])
+    # symmetric gradient tested against eps(phi_j e_b): sum_d D_d GS_bd
+    gs = [GS[:np_k], GS[np_k:2 * np_k], GS[2 * np_k:]]
+    rhs = np.vstack([D[0] @ gs[0] + D[1] @ gs[1], D[0] @ gs[1] + D[1] @ gs[2]])
 
     # skew closure: int (d2 p1 - d1 p2)/2 fixed by the edge unknowns
-    g_int = ctx.integrate(grad)                    # (np_k1, 2)
-    skew_row = 0.5 * np.concatenate([g_int[:, 1], -g_int[:, 0]])
+    phi_int = ctx.integrate(ctx.phi[:, :np_k1])
+    g_int = D @ phi_int[:np_k]                     # (2, np_k1): int_T d_a phi_j
+    skew_row = 0.5 * np.concatenate([g_int[1], -g_int[0]])
     skew_rhs = np.zeros(n_theta)
     for j, led in enumerate(ctx.edges):
-        ec = led.ctx
-        psi_int = ec.weights @ ec.psi[:, :k + 1]
-        skew_rhs[sl_t[j]] += -0.5 * led.omega * psi_int
+        # int_E psi_c = sqrt(h_E) delta_c0
+        skew_rhs[sl_t[j].start] = -0.5 * led.omega * np.sqrt(led.ctx.edge.length)
 
     # translation closure
     clos = np.zeros((2, 2 * np_k1))
     clos_rhs = np.zeros((2, n_theta))
     if k >= 1:
-        phi_int = ctx.integrate(ctx.phi[:, :np_k1])
         for a in range(2):
             clos[a, a * np_k1:(a + 1) * np_k1] = phi_int
-            clos_rhs[a] = phi_int[:np_k] @ pt_blocks[a]
+            clos_rhs[a] = phi_int[:np_k] @ pack.PT[a * np_k:(a + 1) * np_k]
     else:
+        # boundary averages: int_E phi_m = sqrt(h_E) (phi_m, psi_0)_E
         bnd_int = np.zeros(np_k1)
         for j, led in enumerate(ctx.edges):
-            bnd_int += led.ctx.weights @ led.phi[:, :np_k1]
+            root_h = np.sqrt(led.ctx.edge.length)
+            bnd_int += root_h * pack.scalar_cross[j][:np_k1, 0]
+            clos_rhs[:, sl_t[j].start] = root_h * led.ctx.edge.tangent
+            clos_rhs[:, sl_n[j].start] = root_h * led.ctx.edge.normal
         for a in range(2):
             clos[a, a * np_k1:(a + 1) * np_k1] = bnd_int
-            for j, led in enumerate(ctx.edges):
-                ec = led.ctx
-                psi_int = ec.weights @ ec.psi[:, :k + 1]
-                t, n = ec.edge.tangent, ec.edge.normal
-                clos_rhs[a][sl_t[j]] += t[a] * psi_int
-                clos_rhs[a][sl_n[j]] += n[a] * psi_int
 
     lhs = np.vstack([K, skew_row[None, :], clos])
     rhs_full = np.vstack([rhs, skew_rhs[None, :], clos_rhs])
@@ -154,32 +132,13 @@ def local_theta_interpolation(ctx: ElementContext, pack: LocalOperatorPack) -> n
     onto the local rotation DOFs."""
     k = ctx.k
     np_k1 = dim_P(k + 1)
-    w = ctx.qweights
-    sl_R, sl_cR, sl_t, sl_n, n_theta = _theta_slices(ctx)
-    n_roly, n_croly = dim_roly(k - 1), dim_croly(k)
+    _, _, sl_t, sl_n, n_theta = _theta_slices(ctx)
     J = np.zeros((n_theta, 2 * np_k1))
-    if n_roly:
-        J[sl_R] = np.einsum("q,qra,qm->ram", w, ctx.roly_vals,
-                            ctx.phi[:, :np_k1]).reshape(n_roly, 2 * np_k1)
-    if n_croly:
-        J[sl_cR] = np.einsum("q,qra,qm->ram", w, ctx.croly_vals[:, :n_croly],
-                             ctx.phi[:, :np_k1]).reshape(n_croly, 2 * np_k1)
+    J[:len(pack.moments)] = pack.moments
     for j in range(len(ctx.edges)):
-        rest = _edge_restriction(ctx, pack, j, k + 1, np_k1)
+        rest = _edge_restriction(ctx, pack.scalar_cross, j, k + 1, np_k1)
         J[sl_t[j]], J[sl_n[j]] = rest[:k + 1], rest[k + 1:]
     return J
-
-
-def _edge_restriction(ctx: ElementContext, pack: LocalOperatorPack, j: int,
-                      n_members: int, n_coef: int) -> np.ndarray:
-    """Frame coefficients [tangential, normal] on edge j of a vector
-    polynomial given by component-major coefficients over n_coef scalars."""
-    cs = pack.scalar_cross[j][:n_coef, :n_members]
-    t = ctx.edges[j].ctx.edge.tangent
-    n = ctx.edges[j].ctx.edge.normal
-    top = np.concatenate([t[0] * cs.T, t[1] * cs.T], axis=1)
-    bot = np.concatenate([n[0] * cs.T, n[1] * cs.T], axis=1)
-    return np.vstack([top, bot])
 
 
 def build_stabilisation(ctx: ElementContext, pack: LocalOperatorPack,
@@ -188,17 +147,15 @@ def build_stabilisation(ctx: ElementContext, pack: LocalOperatorPack,
     of the reconstruction against the potential, delta_TE the defect against
     the edge unknowns; weight h_T^{-1} per edge."""
     k = ctx.k
-    np_k, np_k1 = dim_P(k), dim_P(k + 1)
+    np_k1 = dim_P(k + 1)
     _, _, sl_t, sl_n, n_theta = _theta_slices(ctx)
-    pad = np.zeros((2 * np_k1, 2 * np_k))
-    pad[:np_k, :np_k] = np.eye(np_k)
-    pad[np_k1:np_k1 + np_k, np_k:] = np.eye(np_k)
-    defect = P1 - pad @ pack.PT                     # vP^{k+1} coefficients
+    vp_k = _vp_k(k)
+    defect = P1.copy()                              # vP^{k+1} coefficients
+    defect[vp_k] -= pack.PT
     delta_T = pack.PT @ (local_theta_interpolation(ctx, pack) @ defect)
-    vp_k = np.r_[0:np_k, np_k1:np_k1 + np_k]        # vP^k columns of vP^{k+1}
     sT = np.zeros((n_theta, n_theta))
     for j in range(len(ctx.edges)):
-        rest_k1 = _edge_restriction(ctx, pack, j, k + 1, np_k1)
+        rest_k1 = _edge_restriction(ctx, pack.scalar_cross, j, k + 1, np_k1)
         delta_TE = rest_k1 @ P1
         delta_TE[:k + 1, sl_t[j]] -= np.eye(k + 1)
         delta_TE[k + 1:, sl_n[j]] -= np.eye(k + 1)
@@ -209,7 +166,7 @@ def build_stabilisation(ctx: ElementContext, pack: LocalOperatorPack,
 
 def build_hho_pack(ctx: ElementContext, pack: LocalOperatorPack) -> HHOLocalPack:
     _, GS, DD = build_tensor_gradient(ctx, pack)
-    P1 = build_reconstruction(ctx, pack)
+    P1 = build_reconstruction(ctx, pack, GS)
     sT = build_stabilisation(ctx, pack, P1)
     return HHOLocalPack(GS, DD, P1, sT)
 
@@ -233,7 +190,8 @@ def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack]
             for t_id in sorted(edge.elements):
                 ctx = disc.elem_ctxs[t_id]
                 j = ctx.element.edges.index(eid)
-                rest = _edge_restriction(ctx, packs[t_id], j, disc.k + 2, np_1)
+                rest = _edge_restriction(ctx, packs[t_id].scalar_cross, j,
+                                         disc.k + 2, np_1)
                 mats.append(rest @ hho_packs[t_id].P1)
                 dofs.append(sp_t.local_dofs(ctx.element))
             if len(mats) == 2:

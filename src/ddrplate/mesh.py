@@ -153,6 +153,15 @@ def _star_center(coords: np.ndarray) -> np.ndarray:
     return best
 
 
+def _as_index(v, what: str) -> int:
+    """A vertex index or count as int; ParseError unless v is a finite
+    integer (an integral float such as 3.0 is accepted)."""
+    numeric = isinstance(v, (int, float, np.integer, np.floating))
+    if isinstance(v, (bool, np.bool_)) or not numeric or not float(v).is_integer():
+        raise ParseError(f"{what} {v!r} is not an integer")
+    return int(v)
+
+
 def build_mesh(vertex_coords: np.ndarray, cell_loops: list[list[int]]) -> PolygonalMesh:
     """Assemble a validated mesh from vertex coordinates and ccw cell loops.
 
@@ -162,14 +171,17 @@ def build_mesh(vertex_coords: np.ndarray, cell_loops: list[list[int]]) -> Polygo
     coords = np.asarray(vertex_coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise ParseError("vertices must be an (n, 2) array")
+    if not np.all(np.isfinite(coords)):
+        raise ParseError("vertex coordinates must be finite")
     n_v = coords.shape[0]
+    cell_loops = [[_as_index(v, f"cell {c} vertex") for v in loop]
+                  for c, loop in enumerate(cell_loops)]
     used = {v for loop in cell_loops for v in loop}
     if len(used) != n_v:
         raise TopologyError("every vertex must belong to at least one cell")
 
     loops: list[list[int]] = []
     for c, loop in enumerate(cell_loops):
-        loop = [int(v) for v in loop]
         if len(loop) < 3:
             raise TopologyError(f"cell {c} has fewer than 3 vertices")
         if any(v < 0 or v >= n_v for v in loop):
@@ -309,21 +321,24 @@ def _load_typ2(path: str) -> PolygonalMesh:
 
     def take(n):
         nonlocal pos
+        if n < 0:
+            raise ParseError(f"typ2 mesh {path}: negative count {n}")
         if pos + n > len(nums):
             raise ParseError(f"truncated typ2 mesh {path}")
         out = nums[pos:pos + n]
         pos += n
         return out
 
-    n_v = int(take(1)[0])
+    n_v = _as_index(take(1)[0], f"typ2 mesh {path}: vertex count")
     if n_v <= 0:
         raise ParseError(f"typ2 mesh {path}: invalid vertex count")
     verts = np.array(take(2 * n_v)).reshape(n_v, 2)
-    n_c = int(take(1)[0])
+    n_c = _as_index(take(1)[0], f"typ2 mesh {path}: cell count")
     cells = []
-    for _ in range(n_c):
-        m = int(take(1)[0])
-        cells.append([int(v) - 1 for v in take(m)])
+    for c in range(n_c):
+        m = _as_index(take(1)[0], f"typ2 mesh {path}: cell {c} size")
+        cells.append([_as_index(v, f"typ2 mesh {path}: cell {c} vertex") - 1
+                      for v in take(m)])
     return build_mesh(verts, cells)
 
 

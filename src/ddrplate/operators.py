@@ -43,11 +43,30 @@ class LocalOperatorPack:
     RT: np.ndarray                   # (np_k, n_theta)
     PT: np.ndarray                   # (2 np_k, n_theta)
     M_theta: np.ndarray              # (n_theta, n_theta) local L2 product
-    # projections from vP^k coefficients onto Roly^{k-1} / cRoly^k
-    proj_roly: np.ndarray            # (n_roly, 2 np_k)
-    proj_croly: np.ndarray           # (n_croly_k, 2 np_k)
+    # element moments, each integrated once
+    D: np.ndarray                    # (2, np_{k+1}, np_k): int_T d_d phi_j phi_m
+    moments: np.ndarray              # (n_roly + n_croly, 2 np_{k+1}): Roly^{k-1}/cRoly^k
+                                     # moments of component-major vP^{k+1}
     # element-basis x edge-basis cross masses, per local edge: (dim_P(k+2), k+2)
     scalar_cross: list[np.ndarray]
+
+
+def _vp_k(k: int) -> np.ndarray:
+    """Positions of the vP^k coefficients among the component-major vP^{k+1} ones."""
+    np_k, np_k1 = dim_P(k), dim_P(k + 1)
+    return np.r_[0:np_k, np_k1:np_k1 + np_k]
+
+
+def _edge_restriction(ctx: ElementContext, cross: list[np.ndarray], j: int,
+                      n_members: int, n_coef: int) -> np.ndarray:
+    """Frame coefficients [tangential, normal] on edge j of a vector
+    polynomial given by component-major coefficients over n_coef scalars."""
+    cs = cross[j][:n_coef, :n_members]
+    t = ctx.edges[j].ctx.edge.tangent
+    n = ctx.edges[j].ctx.edge.normal
+    top = np.concatenate([t[0] * cs.T, t[1] * cs.T], axis=1)
+    bot = np.concatenate([n[0] * cs.T, n[1] * cs.T], axis=1)
+    return np.vstack([top, bot])
 
 
 def _theta_slices(ctx: ElementContext):
@@ -80,12 +99,20 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
     w = ctx.qweights
     np_k, np_k1 = dim_P(k), dim_P(k + 1)
     phi = ctx.phi
-    grad = ctx.grad
-    rot = np.stack([grad[..., 1], -grad[..., 0]], axis=-1)
 
     sl_R, sl_cR, sl_t, sl_n, n_theta = _theta_slices(ctx)
     nc, sl_m, vertex0, n_u = _u_layout(ctx)
     n_roly, n_croly = dim_roly(k - 1), dim_croly(k)
+
+    # --- element moments; grad phi_j lies in P^k for j < np_{k+1}, so D holds
+    # its exact coefficients, and Roly^{k-1}, cRoly^k lie in vP^k
+    grad = ctx.scal.eval_grad(ctx.qpoints)[:, :np_k1]
+    D = np.einsum("q,qjd,qm->djm", w, grad, phi[:, :np_k])
+    elem_vals = np.concatenate([ctx.roly_vals, ctx.croly_vals[:, :n_croly]], axis=1)
+    moments = np.einsum("q,qra,qm->ram", w, elem_vals, phi[:, :np_k1]
+                        ).reshape(n_roly + n_croly, 2 * np_k1)
+    proj = moments[:, _vp_k(k)]                    # the same moments of vP^k
+    rot = np.concatenate([D[1], -D[0]], axis=1)    # int_T rot phi_j . phi_m e_a
 
     # --- edge trace matrices and scalar cross masses
     trace: list[np.ndarray] = []
@@ -102,9 +129,7 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
     # --- transverse displacement gradient G_T
     GT = np.zeros((2 * np_k, n_u))
     for a in range(2):
-        if nc:
-            GT[a * np_k:(a + 1) * np_k, :nc] = -np.einsum(
-                "q,qi,qj->ij", w, grad[:, :np_k, a], phi[:, :nc])
+        GT[a * np_k:(a + 1) * np_k, :nc] = -D[a][:np_k, :nc]
         for j, led in enumerate(ctx.edges):
             GT[a * np_k:(a + 1) * np_k, :] += led.n_out[a] * (
                 cross[j][:np_k] @ trace[j])
@@ -128,23 +153,14 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
 
     # --- scalar rotor R_T
     RT = np.zeros((np_k, n_theta))
-    if n_roly:
-        RT[:, sl_R] = np.einsum("q,qma,qra->mr", w, rot[:, :np_k], ctx.roly_vals)
+    RT[:, sl_R] = rot[:np_k] @ proj[:n_roly].T
     for j, led in enumerate(ctx.edges):
         RT[:, sl_t[j]] += led.omega * cross[j][:np_k, :k + 1]
 
     # --- rotation potential P_T: square system over cRoly^k + rot P^{k+1}
-    n_tests = n_croly + np_k1 - 1
-    assert n_tests == 2 * np_k
-    A = np.zeros((n_tests, 2 * np_k))
-    B = np.zeros((n_tests, n_theta))
-    if n_croly:
-        A[:n_croly] = np.einsum("q,qra,qi->rai", w,
-                                ctx.croly_vals[:, :n_croly], phi[:, :np_k]
-                                ).reshape(n_croly, 2 * np_k)
-        B[:n_croly, sl_cR] = np.eye(n_croly)
-    A[n_croly:] = np.einsum("q,qma,qi->mai", w, rot[:, 1:np_k1], phi[:, :np_k]
-                            ).reshape(np_k1 - 1, 2 * np_k)
+    A = np.vstack([proj[n_roly:], rot[1:]])
+    B = np.zeros((2 * np_k, n_theta))
+    B[:n_croly, sl_cR] = np.eye(n_croly)
     B[n_croly:n_croly + np_k - 1] += RT[1:np_k]
     for j, led in enumerate(ctx.edges):
         B[n_croly:, sl_t[j]] -= led.omega * cross[j][1:np_k1, :k + 1]
@@ -156,25 +172,15 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
     # --- local DDR L2 product on the rotation space
     S = np.zeros((n_theta, n_theta))
     for j, led in enumerate(ctx.edges):
-        ec = led.ctx
-        t = ec.edge.tangent
         # tangential trace of P_T eta on the edge, in the edge family
-        pt_edge = np.einsum("qm,mn->qn", led.phi[:, :np_k],
-                            t[0] * PT[:np_k] + t[1] * PT[np_k:])
-        w1 = np.einsum("q,qc,qn->cn", ec.weights, ec.psi[:, :k + 1], pt_edge)
+        w1 = _edge_restriction(ctx, cross, j, k + 1, np_k)[:k + 1] @ PT
         w1[:, sl_t[j]] -= np.eye(k + 1)
-        S += ec.edge.length * (w1.T @ w1)
+        S += led.ctx.edge.length * (w1.T @ w1)
     M = PT.T @ PT + S
-
-    # --- subspace projections of vP^k fields (used by the global gradient)
-    proj_roly = np.einsum("q,qra,qi->rai", w, ctx.roly_vals, phi[:, :np_k]
-                          ).reshape(n_roly, 2 * np_k) if n_roly else np.zeros((0, 2 * np_k))
-    proj_croly = A[:n_croly].copy()
 
     return LocalOperatorPack(
         n_theta=n_theta, n_u=n_u, trace=trace, GT=GT, PU=PU, RT=RT, PT=PT,
-        M_theta=0.5 * (M + M.T), proj_roly=proj_roly, proj_croly=proj_croly,
-        scalar_cross=cross)
+        M_theta=0.5 * (M + M.T), D=D, moments=moments, scalar_cross=cross)
 
 
 def build_packs(disc: Discretization) -> list[LocalOperatorPack]:
@@ -188,14 +194,13 @@ def build_global_gradient(disc: Discretization, packs: list[LocalOperatorPack]) 
     exact from the trace coefficients."""
     sp_t, sp_u = disc.theta_space, disc.u_space
     k = disc.k
+    vp_k = _vp_k(k)
 
     def blocks():
         for ctx, pack in zip(disc.elem_ctxs, packs):
-            u_idx = sp_u.local_dofs(ctx.element)
             off = sp_t.elem_offset(ctx.element.id)
-            yield (np.arange(off, off + sp_t.n_roly), u_idx, pack.proj_roly @ pack.GT)
-            yield (np.arange(off + sp_t.n_roly, off + sp_t.elem_dim), u_idx,
-                   pack.proj_croly @ pack.GT)
+            yield (np.arange(off, off + sp_t.elem_dim), sp_u.local_dofs(ctx.element),
+                   pack.moments[:, vp_k] @ pack.GT)
         for ec in disc.edge_ctxs:
             e = ec.edge
             u_cols = np.concatenate([

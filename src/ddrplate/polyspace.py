@@ -96,13 +96,6 @@ def element_quadrature(mesh: PolygonalMesh, element: Element, degree: int) -> Qu
     return QuadratureRule(np.vstack(pts), np.concatenate(wts))
 
 
-def edge_quadrature(mesh: PolygonalMesh, edge: Edge, degree: int) -> QuadratureRule:
-    s, w = edge_reference_rule(edge, degree)
-    mid = mesh.edge_midpoint(edge)
-    pts = mid[None, :] + 0.5 * edge.length * s[:, None] * edge.tangent[None, :]
-    return QuadratureRule(pts, w)
-
-
 def edge_reference_rule(edge: Edge, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule in the reference coordinate s in [-1, 1]; weights
     carry the arc-length factor h_E/2."""
@@ -179,24 +172,12 @@ class ScalarFamily:
         gy = (ay / self.h) * p1[:, ax] * p2[:, np.maximum(ay - 1, 0)]
         return np.stack([gx, gy], axis=-1)
 
-    def _raw_hess(self, x: np.ndarray) -> np.ndarray:
-        """Second derivatives stacked as (..., 3) = (d11, d12, d22)."""
-        p1, p2 = self._tables(x)
-        ax, ay = self.exps[:, 0], self.exps[:, 1]
-        h2 = self.h * self.h
-        hxx = (ax * (ax - 1) / h2) * p1[:, np.maximum(ax - 2, 0)] * p2[:, ay]
-        hxy = (ax * ay / h2) * p1[:, np.maximum(ax - 1, 0)] * p2[:, np.maximum(ay - 1, 0)]
-        hyy = (ay * (ay - 1) / h2) * p1[:, ax] * p2[:, np.maximum(ay - 2, 0)]
-        return np.stack([hxx, hxy, hyy], axis=-1)
-
     def eval(self, x: np.ndarray) -> np.ndarray:
         return self._raw(x) @ self.transform.T
 
     def eval_grad(self, x: np.ndarray) -> np.ndarray:
         return np.einsum("qmc,nm->qnc", self._raw_grad(x), self.transform)
 
-    def eval_hess(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("qmc,nm->qnc", self._raw_hess(x), self.transform)
 
 class VectorSubspaceFamily:
     """Orthonormalized family of an explicit vector-polynomial subspace."""
@@ -341,7 +322,6 @@ class ElementContext:
         self.scal = ScalarFamily(element.center, element.diameter, k + 2,
                                  self.qpoints, self.qweights)
         self.phi = self.scal.eval(self.qpoints)
-        self.grad = self.scal.eval_grad(self.qpoints)
         self.roly = roly_family(self.scal, k - 1, self.qpoints, self.qweights)
         self.roly_vals = self.roly.eval(self.qpoints)
         self.croly = CRolyFamily(self.scal, k + 2, self.qpoints, self.qweights)

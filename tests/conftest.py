@@ -118,8 +118,9 @@ def refined_quadrature(ctx, extra=4):
 
 
 def refined_edge_quadrature(ctx, led, extra=4):
-    from ddrplate.polyspace import edge_quadrature
-    rule = edge_quadrature(ctx.mesh, led.ctx.edge, 2 * ctx.k + 4 + extra)
+    """Fresh edge rule, four degrees finer than the production one."""
+    from ddrplate.polyspace import build_edge_context
+    rule = build_edge_context(ctx.mesh, led.ctx.edge, ctx.k, 2 * ctx.k + 4 + extra)
     return rule.points, rule.weights
 
 

@@ -12,7 +12,7 @@ from ddrplate.harness import (PROPERTY_TEST_SEED, RunConfig, run_convergence,
                               solve_case)
 from ddrplate.hho import local_theta_interpolation
 from ddrplate.mesh import triangular_mesh
-from ddrplate.operators import build_global_gradient
+from ddrplate.operators import _vp_k, build_global_gradient
 from ddrplate.polyspace import dim_P
 from ddrplate.solutions import analytical_solution, get_solution, seminorm_probe
 from ddrplate.spaces import (Discretization, interpolate_theta,
@@ -100,7 +100,7 @@ def test_criterion_1b_projection_identities(cache):
                 comp = np.zeros((sp.elem_dim, pack.n_theta))
                 comp[:sp.n_roly, :sp.n_roly] = np.eye(sp.n_roly)
                 comp[sp.n_roly:, sp.n_roly:sp.elem_dim] = np.eye(sp.n_croly)
-                lhs = np.vstack([pack.proj_roly, pack.proj_croly]) @ pack.PT
+                lhs = pack.moments[:, _vp_k(k)] @ pack.PT
                 worst = max(worst, np.abs(lhs - comp).max() if comp.size else 0.0)
                 # vP^{k-1} projection of potential-of-interpolate vs direct
                 if np_km1 == 0:

@@ -32,6 +32,15 @@ def test_cli_typed_errors(tmp_path, capsys):
     code = main(["--mesh-dir", str(tmp_path / "void"), "--refinements", "2"])
     assert code == 1
     assert "ParseError" in capsys.readouterr().err
+    # a cell entry that is not a vertex index
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "m.json").write_text(
+        '{"vertices": [[0, 0], [1, 0], [0, 1]], "cells": [[0, 1, "x"]]}')
+    code = main(["--mesh-dir", str(bad), "--refinements", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "ParseError" in err and "Traceback" not in err
     # a directory holding fewer meshes than requested is refused, as the
     # bundled families are
     for i, n in enumerate((4, 8)):

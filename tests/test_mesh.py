@@ -139,6 +139,16 @@ def test_load_errors(tmp_path):
         load_mesh(str(incomplete))
     with pytest.raises(ParseError):
         load_mesh(str(bad), fmt="nope")
+    # every vertex index must be a finite integer and every coordinate finite
+    verts = [[0, 0], [1, 0], [0, 1]]
+    for cells in ([[0, 1, "x"]], [[0, 1, None]], [[0, 1, 2.5]]):
+        bad.write_text(json.dumps({"vertices": verts, "cells": cells}))
+        with pytest.raises(ParseError):
+            load_mesh(str(bad))
+    bad.write_text(json.dumps({"vertices": [[0, 0], [1, None], [0, 1]],
+                               "cells": [[0, 1, 2]]}))
+    with pytest.raises(ParseError):
+        load_mesh(str(bad))
 
 
 def test_typ2_reader(tmp_path):
@@ -158,6 +168,12 @@ cells
     mesh = load_mesh(str(path), fmt="typ2")
     assert mesh.n_elements == 2
     assert abs(mesh.domain_area() - 1.0) < 1e-14
+    # counts and indices that are not finite integers
+    for old, new in (("cells\n2", "cells\nnan"), ("3 1 3 4", "3 1 3 4.5"),
+                     ("3 1 3 4", "-3 1 3 4")):
+        path.write_text(content.replace(old, new))
+        with pytest.raises(ParseError):
+            load_mesh(str(path), fmt="typ2")
 
 
 def test_inradius_ratio_metadata(meshes):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import refined_edge_quadrature, refined_quadrature
 from ddrplate.mesh import triangular_mesh
-from ddrplate.operators import (assemble_theta_product,
+from ddrplate.operators import (_vp_k, assemble_theta_product,
                                 build_global_gradient, build_packs)
 from ddrplate.polyspace import dim_P
 from ddrplate.spaces import (Discretization, interpolate_theta,
@@ -306,11 +306,32 @@ def test_potential_projection_identities(cache, rng, family, k):
     for ctx, pack in zip(disc.elem_ctxs, cache.packs(family, k)):
         eta = rng.standard_normal(pack.n_theta)
         pt = pack.PT @ eta
+        proj = pack.moments[:, _vp_k(k)]     # Roly^{k-1}/cRoly^k moments of vP^k
         if sp.n_roly:
-            assert np.abs(pack.proj_roly @ pt - eta[:sp.n_roly]).max() < 1e-10
+            assert np.abs(proj[:sp.n_roly] @ pt - eta[:sp.n_roly]).max() < 1e-10
         if sp.n_croly:
-            assert np.abs(pack.proj_croly @ pt
+            assert np.abs(proj[sp.n_roly:] @ pt
                           - eta[sp.n_roly:sp.n_roly + sp.n_croly]).max() < 1e-10
+
+
+@pytest.mark.parametrize("family", ["tri", "hexa", "locref"])
+@pytest.mark.parametrize("k", range(4))
+def test_element_tables_against_refined_quadrature(cache, family, k):
+    """The derivative masses reproduce grad phi_j (j < dim P^{k+1}) exactly
+    from phi_{< dim P^k}, the premise of the algebraic strain reconstruction,
+    and the element-moment table matches a finer rule."""
+    disc = cache.disc(family, k)
+    np_k, np_k1 = dim_P(k), dim_P(k + 1)
+    ctx, pack = disc.elem_ctxs[-1], cache.packs(family, k)[-1]
+    qp, qw = refined_quadrature(ctx)
+    grad = ctx.scal.eval_grad(qp)[:, :np_k1]
+    recon = np.einsum("djm,qm->qjd", pack.D, ctx.scal.eval(qp)[:, :np_k])
+    assert np.abs(recon - grad).max() <= 1e-12 * np.abs(grad).max()
+    n_croly = disc.theta_space.n_croly
+    vals = np.concatenate([ctx.roly.eval(qp), ctx.croly.eval(qp)[:, :n_croly]], axis=1)
+    moments = np.einsum("q,qra,qm->ram", qw, vals, ctx.scal.eval(qp)[:, :np_k1]
+                        ).reshape(vals.shape[1], 2 * np_k1)
+    assert np.abs(pack.moments - moments).max(initial=0.0) < 1e-12
 
 
 @pytest.mark.parametrize("k", range(4))

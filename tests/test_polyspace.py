@@ -6,8 +6,8 @@ import pytest
 from conftest import lstsq_projection_oracle
 from ddrplate.errors import SingularGram
 from ddrplate.mesh import build_mesh, triangular_mesh
-from ddrplate.polyspace import (CRolyFamily, ScalarFamily, dim_P, dim_croly,
-                                dim_roly, edge_quadrature, element_quadrature,
+from ddrplate.polyspace import (CRolyFamily, ScalarFamily, build_edge_context,
+                                dim_P, dim_croly, dim_roly, element_quadrature,
                                 gram_orthonormalize, monomial_exponents,
                                 roly_family)
 from ddrplate.spaces import Discretization
@@ -35,7 +35,7 @@ def test_quadrature_closed_forms():
 
     bottom = next(e for e in UNIT_SQUARE.edges
                   if np.allclose(UNIT_SQUARE.edge_midpoint(e), [0.5, 0.0]))
-    er = edge_quadrature(UNIT_SQUARE, bottom, 3)
+    er = build_edge_context(UNIT_SQUARE, bottom, 0, 3)
     assert er.weights @ er.points[:, 0] ** 3 == pytest.approx(0.25, rel=1e-14)
 
     hexa = hexagon()
@@ -73,7 +73,7 @@ def test_quadrature_exactness_on_hexagon_against_finer_rule():
 def test_element_and_edge_quadrature_weights():
     rule = element_quadrature(UNIT_TRI, UNIT_TRI.elements[0], 3)
     assert np.sum(rule.weights) == pytest.approx(0.5, rel=1e-14)
-    rule = edge_quadrature(UNIT_TRI, UNIT_TRI.edges[0], 3)
+    rule = build_edge_context(UNIT_TRI, UNIT_TRI.edges[0], 0, 3)
     assert np.sum(rule.weights) == pytest.approx(UNIT_TRI.edges[0].length, rel=1e-14)
 
 

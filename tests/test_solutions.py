@@ -179,8 +179,6 @@ def test_seminorm_probe_zero_field():
     assert seminorm_probe(sol, 0) == 0.0
     with pytest.raises(ValueError):
         seminorm_probe(sol, 2)
-    with pytest.raises(ValueError):
-        seminorm_probe(sol, 0, field="theta")
 
 
 def test_seminorm_probe_l2_stable_in_t():
