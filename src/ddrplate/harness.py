@@ -2,9 +2,9 @@
 
 A run builds the discretization once per (mesh, degree); material and
 thickness only enter through scalar factors, so sweeps over t reuse every
-local operator. Emitted data files are deterministic: wall times and
-configuration echo go to a JSON metadata sidecar, the rate tables hold only
-reproducible numbers.
+local operator. Emitted data files are deterministic: wall times, the
+configuration echo and a solver record per mesh go to a JSON metadata
+sidecar, the rate tables hold only reproducible numbers.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ class ConvergenceRecord:
     error: float
     rate: float | None
     time: float
+    solver: dict | None = None     # RunResult.solver; metadata sidecar only
 
 
 @dataclass
@@ -80,6 +81,7 @@ class RunResult:
     error: float
     time: float
     solver_residual: float
+    solver: dict                   # the solve as run_metadata.json records it
 
 
 def _asset_mesh_paths(family: str) -> list[Path]:
@@ -136,8 +138,10 @@ def run_single(config: RunConfig, mesh: PolygonalMesh | None = None,
     except DdrError as exc:
         raise type(exc)(f"[mesh {mesh_name}] {exc}") from exc
     elapsed = time.perf_counter() - t0
+    solver = {"n_free": report.n_free, "factor_nnz": report.factor_nnz,
+              "refinement_steps": report.refinement_steps, "residual": report.residual}
     return RunResult(mesh_name, mesh.h, int(system.free.size), error, elapsed,
-                     report.residual)
+                     report.residual, solver)
 
 
 def compute_rates(records: list[ConvergenceRecord]) -> list[ConvergenceRecord]:
@@ -158,7 +162,8 @@ def run_convergence(config: RunConfig) -> list[ConvergenceRecord]:
     records = []
     for name, mesh in seq:
         res = run_single(config, mesh, name)
-        records.append(ConvergenceRecord(res.h, res.dofs, res.error, None, res.time))
+        records.append(ConvergenceRecord(res.h, res.dofs, res.error, None, res.time,
+                                         res.solver))
     compute_rates(records)
     if config.out_dir is not None:
         write_outputs(config, records)
@@ -216,6 +221,7 @@ def write_outputs(config: RunConfig, records: list[ConvergenceRecord]) -> list[P
     meta = {
         "config": {k: v for k, v in vars(config).items()},
         "wall_times": [r.time for r in records],
+        "solver": [r.solver for r in records],
         "property_test_seed": PROPERTY_TEST_SEED,
     }
     mp = out / "run_metadata.json"

@@ -124,7 +124,8 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
         tr[:, vertex0 + led.local_vertices[0]] = ec.trace[:, k]
         tr[:, vertex0 + led.local_vertices[1]] = ec.trace[:, k + 1]
         trace.append(tr)
-        cross.append(np.einsum("q,qm,qc->mc", ec.weights, led.phi, ec.psi))
+        cross.append(np.einsum("q,qm,qc->mc", ec.weights, ctx.scal.eval(ec.points),
+                               ec.psi))
 
     # --- transverse displacement gradient G_T
     GT = np.zeros((2 * np_k, n_u))
@@ -187,29 +188,47 @@ def build_packs(disc: Discretization) -> list[LocalOperatorPack]:
     return [build_local_pack(ctx) for ctx in disc.elem_ctxs]
 
 
-def build_global_gradient(disc: Discretization, packs: list[LocalOperatorPack]) -> sps.csr_matrix:
+def build_global_gradient(disc: Discretization, packs: list[LocalOperatorPack]
+                          ) -> tuple[sps.csr_matrix, list[tuple]]:
     """Global discrete gradient: rotation-space coefficients of the gradient
     of a displacement vector. Element blocks are the Roly/cRoly projections
     of G_T; edge blocks are the tangential derivative of the skeleton trace,
-    exact from the trace coefficients."""
+    exact from the trace coefficients.
+
+    Also returns, per cell, the rows of G on the cell's rotation DOFs as an
+    ``assemble`` triple (rotation DOFs, displacement DOFs, dense block in the
+    local layouts). Those rows read only the cell's displacement DOFs and the
+    normal edge slots are zero rows, so local L2 products times these blocks
+    sum to M G and G^T M G exactly."""
     sp_t, sp_u = disc.theta_space, disc.u_space
     k = disc.k
     vp_k = _vp_k(k)
-
-    def blocks():
-        for ctx, pack in zip(disc.elem_ctxs, packs):
-            off = sp_t.elem_offset(ctx.element.id)
-            yield (np.arange(off, off + sp_t.elem_dim), sp_u.local_dofs(ctx.element),
-                   pack.moments[:, vp_k] @ pack.GT)
-        for ec in disc.edge_ctxs:
-            e = ec.edge
-            u_cols = np.concatenate([
-                np.arange(sp_u.edge_offset(e.id), sp_u.edge_offset(e.id) + k),
-                [sp_u.vertex_offset(e.vertices[0]), sp_u.vertex_offset(e.vertices[1])],
-            ]).astype(int)
-            yield sp_t.edge_tangential_slots(e.id), u_cols, (ec.dmat @ ec.trace)[:k + 1]
-
-    return assemble(blocks(), (sp_t.dim, sp_u.dim))
+    edge = [(ec.dmat @ ec.trace)[:k + 1] for ec in disc.edge_ctxs]
+    blocks, cells = [], []
+    for ctx, pack in zip(disc.elem_ctxs, packs):
+        el = ctx.element
+        off = sp_t.elem_offset(el.id)
+        u_dofs = sp_u.local_dofs(el)
+        block = pack.moments[:, vp_k] @ pack.GT
+        blocks.append((np.arange(off, off + sp_t.elem_dim), u_dofs, block))
+        rows = np.zeros((pack.n_theta, pack.n_u))
+        rows[:sp_t.elem_dim] = block
+        vertex0 = sp_u.elem_dim + len(ctx.edges) * k
+        for j, led in enumerate(ctx.edges):
+            t0 = sp_t.elem_dim + j * sp_t.edge_dim
+            m0 = sp_u.elem_dim + j * k
+            a, b = led.local_vertices
+            rows[t0:t0 + k + 1, [*range(m0, m0 + k), vertex0 + a, vertex0 + b]] = \
+                edge[led.ctx.edge.id]
+        cells.append((sp_t.local_dofs(el), u_dofs, rows))
+    for ec, block in zip(disc.edge_ctxs, edge):
+        e = ec.edge
+        u_cols = np.concatenate([
+            np.arange(sp_u.edge_offset(e.id), sp_u.edge_offset(e.id) + k),
+            [sp_u.vertex_offset(e.vertices[0]), sp_u.vertex_offset(e.vertices[1])],
+        ]).astype(int)
+        blocks.append((sp_t.edge_tangential_slots(e.id), u_cols, block))
+    return assemble(blocks, (sp_t.dim, sp_u.dim)), cells
 
 
 def assemble_theta_product(disc: Discretization, packs: list[LocalOperatorPack]) -> sps.csr_matrix:

@@ -305,7 +305,6 @@ class LocalEdgeData:
     ctx: EdgeContext
     omega: int
     n_out: np.ndarray        # outward normal omega * n_E
-    phi: np.ndarray          # element scalar family at edge quad points
     local_vertices: tuple[int, int]   # positions of edge (a, b) in the cell loop
 
 
@@ -336,7 +335,6 @@ class ElementContext:
                 ctx=ctx,
                 omega=om,
                 n_out=om * ctx.edge.normal,
-                phi=self.scal.eval(ctx.points),
                 local_vertices=(loop.index(a), loop.index(b)),
             ))
 

@@ -97,15 +97,24 @@ def assemble(blocks, shape: tuple[int, int]) -> sps.csr_matrix:
     ``blocks`` yields ``(row_idx, col_idx, dense_block)`` triples. Entries
     are summed in the order given, so the same blocks in the same order give
     the same matrix bit for bit."""
-    rows, cols, vals = [], [], []
-    for r_idx, c_idx, block in blocks:
-        # row-major order of the block, as np.meshgrid(..., indexing="ij")
-        rows.append(np.repeat(r_idx, len(c_idx)))
-        cols.append(np.tile(c_idx, len(r_idx)))
+    r_idx, c_idx, vals = [], [], []
+    for r, c, block in blocks:
+        r_idx.append(r)
+        c_idx.append(c)
         vals.append(np.asarray(block).ravel())
     if not vals:
         return sps.csr_matrix(shape)
-    data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    # row-major order of each block, as np.meshgrid(..., indexing="ij"): entry
+    # e of a block sits in its row e // n_c and column e % n_c; the index
+    # arithmetic runs once over all blocks
+    n_r = np.array([len(r) for r in r_idx])
+    n_c = np.array([len(c) for c in c_idx])
+    size = n_r * n_c
+    pos = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    rows = np.repeat(np.concatenate(r_idx), np.repeat(n_c, n_r))
+    cols = np.concatenate(c_idx)[np.repeat(np.cumsum(n_c) - n_c, size)
+                                 + pos % np.repeat(n_c, size)]
+    data = (np.concatenate(vals), (rows, cols))
     return sps.coo_matrix(data, shape=shape).tocsr()
 
 

@@ -71,6 +71,8 @@ class SolveReport:
     residual: float
     n_free: int
     symmetric_defect: float
+    refinement_steps: int = 0     # corrections applied after the first solve
+    factor_nnz: int = 0           # nonzeros of L + U (SuperLU's count)
 
 
 class PlateSystem:
@@ -82,11 +84,11 @@ class PlateSystem:
         hho = build_hho_packs(disc, packs)
         # the displacement reconstructions are all the load vector needs
         self.PU = [pack.PU for pack in packs]
-        sp_t, sp_u = disc.theta_space, disc.u_space
-        self.n_theta, self.n_u = sp_t.dim, sp_u.dim
+        self.n_theta, self.n_u = disc.theta_space.dim, disc.u_space.dim
 
+        self.G, cell_G = build_global_gradient(disc, packs)
         np_k = dim_P(disc.k)
-        idx = [sp_t.local_dofs(ctx.element) for ctx in disc.elem_ctxs]
+        idx = [t_dofs for t_dofs, _, _ in cell_G]
         h_gs = (sum(_GS_METRIC[b] * p.GS[b * np_k:(b + 1) * np_k].T
                     @ p.GS[b * np_k:(b + 1) * np_k] for b in range(3)) for p in hho)
         shape = (self.n_theta, self.n_theta)
@@ -94,11 +96,16 @@ class PlateSystem:
         self.H_sj = assemble(zip(idx, idx, (p.sT for p in hho)), shape)
         self.H_d = assemble(zip(idx, idx, (p.DD.T @ p.DD for p in hho)), shape)
         if disc.k == 0:
-            self.H_sj = self.H_sj + build_jump_penalisation(disc, packs, hho)
+            self.H_sj = _structural_sum(
+                [self.H_sj, build_jump_penalisation(disc, packs, hho)])
         self.M_theta = assemble_theta_product(disc, packs)
-        self.G = build_global_gradient(disc, packs)
-        self.MG = (self.M_theta @ self.G).tocsr()
-        self.GMG = (self.G.T @ self.MG).tocsr()
+        # M G and G^T M G from the cell blocks: a sparse product would drop
+        # the entries that cancel to 0.0 and let round-off pick the pattern
+        MG = [(t_dofs, u_dofs, p.M_theta @ g)
+              for (t_dofs, u_dofs, g), p in zip(cell_G, packs)]
+        self.MG = assemble(MG, (self.n_theta, self.n_u))
+        self.GMG = assemble(((u_dofs, u_dofs, g.T @ mg) for (_, u_dofs, g), (_, _, mg)
+                             in zip(cell_G, MG)), (self.n_u, self.n_u))
 
         th_d, u_d = boundary_dof_sets(disc)
         dir_mask = np.zeros(self.n_theta + self.n_u, dtype=bool)
@@ -112,10 +119,10 @@ class PlateSystem:
     def full_matrix(self, material: MaterialParams) -> sps.csr_matrix:
         """Global matrix of a_h + b_h: bending (beta0, beta1) plus the shear
         coupling kappa/t^2 between rotations and displacement gradients."""
-        a = (material.beta0 * (self.H_gs + self.H_sj)
-             + material.beta1 * self.H_d).tocsr()
         c = material.shear_over_t2
-        return sps.bmat([[a + c * self.M_theta, -c * self.MG],
+        a = _structural_sum([material.beta0 * self.H_gs, material.beta0 * self.H_sj,
+                             material.beta1 * self.H_d, c * self.M_theta])
+        return sps.bmat([[a, -c * self.MG],
                          [-c * self.MG.T, c * self.GMG]], format="csr")
 
     def load_vector(self, f) -> np.ndarray:
@@ -148,19 +155,27 @@ class PlateSystem:
         report = SolveReport(residual=0.0, n_free=free.size,
                              symmetric_defect=sym_defect)
         if free.size:
-            Kff = K[free][:, free].tocsc()
-            rhs = load[free] - K[free] @ x
+            Kf = K[free]
+            Kff = Kf[:, free].tocsc()
+            rhs = load[free] - Kf @ x
             # symmetric Jacobi equilibration tames the kappa/t^2 block scaling
             # of very thin plates; iterative refinement then recovers a
-            # machine-accurate residual from the equilibrated factorization
+            # machine-accurate residual from the equilibrated factorization.
+            # The entries are scaled on Kff's own pattern, so no product drops
+            # an entry that underflows or cancels.
             d = np.sqrt(np.abs(Kff.diagonal()))
             d[d <= 0] = 1.0
             dinv = 1.0 / d
-            Ks = sps.diags(dinv) @ Kff @ sps.diags(dinv)
+            Ks = Kff.copy()
+            Ks.data *= dinv[Ks.indices] * np.repeat(dinv, np.diff(Ks.indptr))
+            # K_ff is symmetric positive definite: a minimum-degree ordering of
+            # A^T + A applied to rows and columns alike, with diagonal pivots
             try:
-                lu = splu(Ks.tocsc())
+                lu = splu(Ks, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True})
             except Exception as exc:
                 raise SolverFailure(f"sparse factorization failed: {exc}") from exc
+            report.factor_nnz = int(lu.nnz)
 
             def prec_solve(r):
                 return dinv * lu.solve(dinv * r)
@@ -181,6 +196,7 @@ class PlateSystem:
                 if backward_error(xf) <= 0.01 * _RESIDUAL_TOL:
                     break
                 xf = xf + prec_solve(rhs - Kff @ xf)
+                report.refinement_steps += 1
             if not np.all(np.isfinite(xf)):
                 raise SolverFailure("solver produced non-finite values")
             x[free] = xf
@@ -215,6 +231,23 @@ class PlateSystem:
         num = self.energy_norm(material, theta.values - theta_ref.values,
                                u.values - u_ref.values)
         return num / den
+
+
+def _structural_sum(terms: list[sps.csr_matrix]) -> sps.csr_matrix:
+    """Sum of CSR matrices on the union of their stored patterns; unlike
+    ``+``, it keeps the entries that cancel to 0.0, so the pattern does not
+    depend on round-off."""
+    first = terms[0]
+    shape = first.shape
+    if all(np.array_equal(t.indptr, first.indptr)
+           and np.array_equal(t.indices, first.indices) for t in terms[1:]):
+        # one shared pattern (the cell-assembled matrices at k >= 1)
+        return sps.csr_matrix((sum(t.data for t in terms), first.indices.copy(),
+                               first.indptr.copy()), shape=shape)
+    coo = [sps.coo_matrix(t) for t in terms]
+    data = (np.concatenate([m.data for m in coo]),
+            (np.concatenate([m.row for m in coo]), np.concatenate([m.col for m in coo])))
+    return sps.coo_matrix(data, shape=shape).tocsr()
 
 
 def _inf_norm(K: sps.spmatrix) -> float:

@@ -66,7 +66,7 @@ def test_criterion_1a_commutation(cache, rng):
     for family in FAMILIES:
         for k in DEGREES:
             disc = cache.disc(family, k)
-            G = build_global_gradient(disc, cache.packs(family, k))
+            G, _ = build_global_gradient(disc, cache.packs(family, k))
             cases = [
                 (lambda x: np.ones(len(x)), lambda x: np.zeros((len(x), 2))),
                 (lambda x: x[:, 0], lambda x: np.tile([1.0, 0.0], (len(x), 1))),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,19 @@ def test_convergence_outputs_are_bitwise_reproducible(tmp_path):
     for name in ("data_rates.dat", "data_rates.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     assert (out1 / "run_metadata.json").exists()
+
+
+def test_metadata_records_the_solver_per_mesh(tmp_path):
+    records = run_convergence(RunConfig(mesh_family="tri", refinements=2, degree=0,
+                                        thickness=1e-3, out_dir=str(tmp_path)))
+    meta = json.loads((tmp_path / "run_metadata.json").read_text())
+    assert len(meta["solver"]) == len(records)
+    for rec, solver in zip(records, meta["solver"]):
+        assert set(solver) == {"n_free", "factor_nnz", "refinement_steps", "residual"}
+        assert solver["n_free"] == rec.dofs
+        assert solver["factor_nnz"] >= rec.dofs
+        assert 0 <= solver["refinement_steps"] <= 8
+        assert solver["residual"] <= 1e-10
 
 
 def test_convergence_from_mesh_dir(tmp_path):

@@ -181,7 +181,7 @@ def test_reconstruction_defining_equation_oracle(cache, rng, k):
 @pytest.mark.parametrize("k", range(4))
 def test_commutation_with_tangential_interpolate(cache, rng, family, k):
     disc = cache.disc(family, k)
-    G = build_global_gradient(disc, cache.packs(family, k))
+    G, _ = build_global_gradient(disc, cache.packs(family, k))
     cases = [
         (lambda x: np.ones(len(x)), lambda x: np.zeros((len(x), 2))),
         (lambda x: x[:, 0], lambda x: np.tile([1.0, 0.0], (len(x), 1))),
@@ -218,16 +218,28 @@ def _eval_exps(gcoef, exps, x):
 
 def test_gradient_of_constant_is_zero(cache):
     disc = cache.disc("tri", 1)
-    G = build_global_gradient(disc, cache.packs("tri", 1))
+    G, _ = build_global_gradient(disc, cache.packs("tri", 1))
     out = G @ interpolate_u(disc, lambda x: np.full(len(x), 3.0)).values
     assert np.abs(out).max() < 1e-13
+
+
+@pytest.mark.parametrize("family", ["tri", "hexa", "locref"])
+def test_cell_blocks_are_the_rows_of_the_global_gradient(cache, family):
+    """Each cell block is G on the cell's rotation rows, and those rows read
+    no displacement DOF outside the cell."""
+    disc = cache.disc(family, 2)
+    G, cells = build_global_gradient(disc, cache.packs(family, 2))
+    for t_dofs, u_dofs, block in cells:
+        rows = G[t_dofs]
+        assert np.array_equal(rows[:, u_dofs].toarray(), block)
+        assert rows.nnz == rows[:, u_dofs].nnz
 
 
 def test_edge_block_differentiates_the_trace(rng):
     """On one edge, a quadratic trace s -> s^2 must map to the coefficients
     of its arc-length derivative times the tangent."""
     disc = Discretization(triangular_mesh(1), 1)
-    G = build_global_gradient(disc, build_packs(disc))
+    G, _ = build_global_gradient(disc, build_packs(disc))
     sp_u, sp_t = disc.u_space, disc.theta_space
     ec = disc.edge_ctxs[0]
     vec = np.zeros(sp_u.dim)
@@ -414,7 +426,7 @@ def test_potential_of_gradient_is_element_gradient(cache, rng, k):
     the element gradient G_T: matrix identity on every element."""
     disc = cache.disc("hexa", k)
     sp_t, sp_u = disc.theta_space, disc.u_space
-    G = build_global_gradient(disc, cache.packs("hexa", k))
+    G, _ = build_global_gradient(disc, cache.packs("hexa", k))
     for ctx, pack in zip(disc.elem_ctxs, cache.packs("hexa", k)):
         t_idx = sp_t.local_dofs(ctx.element)
         u_idx = sp_u.local_dofs(ctx.element)

@@ -1,10 +1,13 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from ddrplate.errors import ZeroNormError
-from ddrplate.mesh import build_mesh, triangular_mesh
-from ddrplate.spaces import (Discretization, ThetaVector, UVector,
+import ddrplate.system
+from ddrplate.errors import SolverFailure, ZeroNormError
+from ddrplate.mesh import build_mesh, load_mesh, triangular_mesh
+from ddrplate.spaces import (Discretization, ThetaVector, UVector, assemble,
                              interpolate_theta, interpolate_u)
 from ddrplate.system import (MaterialParams, PlateSystem,
                              dirichlet_values_from_interpolates)
@@ -173,6 +176,9 @@ def test_galerkin_residual_and_coercivity(k0_system, rng):
     load = system.load_vector(lambda x: np.sin(np.pi * x[:, 0]) * x[:, 1])
     theta, u, rep = system.solve(mat, load)
     assert rep.residual <= 1e-10
+    assert rep.n_free == system.free.size
+    assert rep.factor_nnz >= rep.n_free          # at least the pivots
+    assert 0 <= rep.refinement_steps <= 8
     K = system.full_matrix(mat)
     x = np.concatenate([theta.values, u.values])
     res = (K @ x - load)[system.free]
@@ -263,3 +269,107 @@ def test_high_degree_solution_accuracy():
     err4, _, _ = solve_case(PlateSystem(Discretization(triangular_mesh(4), 3)),
                             MaterialParams(t=0.1), "polynomial")
     assert err4 < 0.2 * err2       # measured: 3.1e-1 -> 2.0e-2
+
+
+def test_singular_matrix_raises_solver_failure(k0_system, monkeypatch):
+    """A free DOF whose row and column are zero makes K_ff singular: the
+    factorization error surfaces as the typed SolverFailure."""
+    system = k0_system
+    dof = system.free[0]
+    full = PlateSystem.full_matrix
+
+    def zeroed(self, material):
+        K = full(self, material).tocsr()
+        K.data[K.indices == dof] = 0.0
+        K.data[K.indptr[dof]:K.indptr[dof + 1]] = 0.0
+        return K
+
+    monkeypatch.setattr(PlateSystem, "full_matrix", zeroed)
+    load = system.load_vector(lambda x: np.ones(len(x)))
+    with pytest.raises(SolverFailure, match="factorization"):
+        system.solve(MaterialParams(), load)
+
+
+_THICKNESSES = (1e-1, 1e-3, 1e-5)
+_FACTOR_CASES = [("tri", k) for k in range(4)] + [("hexa", 1)]
+
+
+@pytest.fixture(scope="module")
+def factorizations():
+    """Per case (tri n = 8 at k = 0..3, hexa_02 at k = 1): the system and,
+    per thickness, the matrix handed to ``splu`` and its factorization."""
+    hexa = load_mesh(str(resources.files("ddrplate") / "assets" / "meshes"
+                         / "hexa_02.json"))
+    meshes = {"tri": triangular_mesh(8), "hexa": hexa}
+    captured = []
+    splu = ddrplate.system.splu
+
+    def recording_splu(A, **kwargs):
+        lu = splu(A, **kwargs)
+        captured.append((A, lu))
+        return lu
+
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ddrplate.system, "splu", recording_splu)
+        for family, k in _FACTOR_CASES:
+            system = PlateSystem(Discretization(meshes[family], k))
+            load = system.load_vector(lambda x: np.sin(np.pi * x[:, 0]) * x[:, 1])
+            runs = []
+            for t in _THICKNESSES:
+                captured.clear()
+                _, _, rep = system.solve(MaterialParams(t=t), load)
+                assert rep.residual <= 1e-10
+                runs.append(captured[0])
+            out[family, k] = system, runs
+    return out
+
+
+def _structural_pattern(system):
+    """Free-DOF pattern of K from the mesh alone: each cell couples all its
+    rotation and displacement DOFs, and at k = 0 the jump penalisation
+    (in H_sj) couples neighbouring cells."""
+    disc = system.disc
+    n = system.n_theta + system.n_u
+    blocks = []
+    for ctx in disc.elem_ctxs:
+        dofs = np.concatenate([disc.theta_space.local_dofs(ctx.element),
+                               system.n_theta + disc.u_space.local_dofs(ctx.element)])
+        blocks.append((dofs, dofs, np.ones((dofs.size, dofs.size))))
+    sj = system.H_sj.copy()
+    sj.data[:] = 1.0
+    pattern = assemble(blocks, (n, n)) + sps.block_diag(
+        [sj, sps.csr_matrix((system.n_u, system.n_u))], format="csr")
+    return pattern[system.free][:, system.free].tocsc()
+
+
+@pytest.mark.parametrize("case", _FACTOR_CASES, ids=lambda c: f"{c[0]}-k{c[1]}")
+def test_factored_pattern_is_the_structural_one(factorizations, case):
+    """At every thickness the matrix handed to the factorization stores the
+    structural pattern: no entry that cancels or underflows to 0.0 is
+    dropped, so round-off cannot change the ordering."""
+    system, runs = factorizations[case]
+    pattern = _structural_pattern(system)
+    for A, _ in runs:
+        assert np.array_equal(A.indptr, pattern.indptr)
+        assert np.array_equal(A.indices, pattern.indices)
+
+
+@pytest.mark.parametrize("case", _FACTOR_CASES, ids=lambda c: f"{c[0]}-k{c[1]}")
+def test_local_block_products_match_sparse_products(factorizations, case):
+    system, _ = factorizations[case]
+    MG = system.M_theta @ system.G
+    GMG = system.G.T @ MG
+    assert abs(system.MG - MG).max() <= 1e-14 * abs(MG).max()
+    assert abs(system.GMG - GMG).max() <= 1e-14 * abs(GMG).max()
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_factorization_uses_diagonal_pivots_of_an_spd_matrix(factorizations, k):
+    """K_ff is symmetric positive definite for t >= 1e-5, which the
+    symmetric ordering with diagonal pivoting relies on: no row is swapped
+    and every pivot is positive."""
+    _, runs = factorizations["tri", k]
+    for _, lu in runs:
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert lu.U.diagonal().min() > 0.0
