@@ -139,7 +139,8 @@ def run_single(config: RunConfig, mesh: PolygonalMesh | None = None,
         raise type(exc)(f"[mesh {mesh_name}] {exc}") from exc
     elapsed = time.perf_counter() - t0
     solver = {"n_free": report.n_free, "factor_nnz": report.factor_nnz,
-              "refinement_steps": report.refinement_steps, "residual": report.residual}
+              "refinement_steps": report.refinement_steps, "residual": report.residual,
+              "local_cond": report.local_cond}
     return RunResult(mesh_name, mesh.h, int(system.free.size), error, elapsed,
                      report.residual, solver)
 

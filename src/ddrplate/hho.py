@@ -11,7 +11,8 @@ per-element reconstructions across edges.
 Every element moment is read from the DDR pack (derivative masses D, element
 moments, cross masses), and nothing here evaluates a basis function. The
 strain reconstruction is algebra on the symmetric gradient GS and D, exact
-because grad P^{k+1} lies in P^k.
+because grad P^{k+1} lies in P^k. Like the DDR packs, every table is built
+for a whole cell group at once and stacked along a leading cell axis.
 
 Tensor coefficient layout: row blocks (1,1), (1,2), (2,1), (2,2), each a set
 of scalar coefficients; the symmetric gradient is stored as [(1,1), sym(1,2),
@@ -27,14 +28,19 @@ import scipy.sparse as sps
 
 from .errors import SingularLocalSystem
 from .operators import LocalOperatorPack, _edge_restriction, _theta_slices, _vp_k
-from .polyspace import ElementContext, dim_P
+from .polyspace import ElementContext, dim_P, failing_cell
 from .spaces import Discretization, assemble
 
 _TINY = 1e-300
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
 @dataclass
 class HHOLocalPack:
+    """HHO tables of one cell group; every array has a leading cell axis."""
     GS: np.ndarray    # (3 np_k, n_theta) symmetric gradient [11, 12, 22]
     DD: np.ndarray    # (np_k, n_theta) divergence
     P1: np.ndarray    # (2 np_{k+1}, n_theta) strain reconstruction
@@ -47,24 +53,25 @@ def build_tensor_gradient(ctx: ElementContext, pack: LocalOperatorPack):
     np_k = dim_P(k)
     _, _, sl_t, sl_n, n_theta = _theta_slices(ctx)
 
-    G = np.zeros((4, np_k, n_theta))
-    pt_blocks = [pack.PT[:np_k], pack.PT[np_k:]]
+    G = np.zeros((ctx.n_cells, 4, np_k, n_theta))
+    pt_blocks = [pack.PT[:, :np_k], pack.PT[:, np_k:]]
     for b in range(2):
-        vb = pack.D[b][:np_k]
+        vb = pack.D[:, b, :np_k]
         for a in range(2):
-            G[2 * a + b] -= vb @ pt_blocks[a]
-    for j, led in enumerate(ctx.edges):
-        cs = pack.scalar_cross[j][:np_k, :k + 1]
-        t, n = led.ctx.edge.tangent, led.ctx.edge.normal
+            G[:, 2 * a + b] -= vb @ pt_blocks[a]
+    for j in range(ctx.n_vertices):
+        cs = pack.scalar_cross[:, j, :np_k, :k + 1]
+        t, n = ctx.tangent[:, j], ctx.normal[:, j]
+        n_out = ctx.n_out[:, j]
         for a in range(2):
             for b in range(2):
-                G[2 * a + b][:, sl_t[j]] += led.n_out[b] * t[a] * cs
-                G[2 * a + b][:, sl_n[j]] += led.n_out[b] * n[a] * cs
-    G = G.reshape(4 * np_k, n_theta)
+                G[:, 2 * a + b, :, sl_t[j]] += (n_out[:, b] * t[:, a])[:, None, None] * cs
+                G[:, 2 * a + b, :, sl_n[j]] += (n_out[:, b] * n[:, a])[:, None, None] * cs
+    G = G.reshape(ctx.n_cells, 4 * np_k, n_theta)
 
-    g11, g12 = G[:np_k], G[np_k:2 * np_k]
-    g21, g22 = G[2 * np_k:3 * np_k], G[3 * np_k:]
-    GS = np.vstack([g11, 0.5 * (g12 + g21), g22])
+    g11, g12 = G[:, :np_k], G[:, np_k:2 * np_k]
+    g21, g22 = G[:, 2 * np_k:3 * np_k], G[:, 3 * np_k:]
+    GS = np.concatenate([g11, 0.5 * (g12 + g21), g22], axis=1)
     DD = g11 + g22
     return G, GS, DD
 
@@ -74,57 +81,64 @@ def build_reconstruction(ctx: ElementContext, pack: LocalOperatorPack,
     """Degree k+1 strain reconstruction: (eps(p), eps(v))_T = (GS eta, eps(v))_T
     for v in vP^{k+1}, plus the skew-average closure and the translation
     closure (element average for k >= 1, boundary average for k = 0). Both
-    sides are exact in the derivative masses D, since grad P^{k+1} lies in P^k."""
+    sides are exact in the derivative masses D, since grad P^{k+1} lies in P^k.
+    The stacked least-squares systems are solved through their SVDs."""
     k = ctx.k
+    n_cells = ctx.n_cells
     np_k, np_k1 = dim_P(k), dim_P(k + 1)
     _, _, sl_t, sl_n, n_theta = _theta_slices(ctx)
     D = pack.D
-    DDt = np.einsum("ajm,bim->abji", D, D)         # D_a D_b^T
-    stiff = DDt[0, 0] + DDt[1, 1]                  # int_T grad phi_j . grad phi_m
+    DDt = D[:, :, None] @ _t(D)[:, None]          # [a, b] = D_a D_b^T
+    stiff = DDt[:, 0, 0] + DDt[:, 1, 1]            # int_T grad phi_j . grad phi_m
 
     # stiffness of the symmetric gradient on vP^{k+1}; block (b, a)
-    K = 0.5 * np.block([[stiff + DDt[0, 0], DDt[1, 0]],
-                        [DDt[0, 1], stiff + DDt[1, 1]]])
+    K = 0.5 * np.concatenate([
+        np.concatenate([stiff + DDt[:, 0, 0], DDt[:, 1, 0]], axis=2),
+        np.concatenate([DDt[:, 0, 1], stiff + DDt[:, 1, 1]], axis=2)], axis=1)
     # symmetric gradient tested against eps(phi_j e_b): sum_d D_d GS_bd
-    gs = [GS[:np_k], GS[np_k:2 * np_k], GS[2 * np_k:]]
-    rhs = np.vstack([D[0] @ gs[0] + D[1] @ gs[1], D[0] @ gs[1] + D[1] @ gs[2]])
+    gs = [GS[:, :np_k], GS[:, np_k:2 * np_k], GS[:, 2 * np_k:]]
+    D0, D1 = D[:, 0], D[:, 1]
+    rhs = np.concatenate([D0 @ gs[0] + D1 @ gs[1], D0 @ gs[1] + D1 @ gs[2]], axis=1)
 
     # skew closure: int (d2 p1 - d1 p2)/2 fixed by the edge unknowns
-    phi_int = ctx.integrate(ctx.phi[:, :np_k1])
-    g_int = D @ phi_int[:np_k]                     # (2, np_k1): int_T d_a phi_j
-    skew_row = 0.5 * np.concatenate([g_int[1], -g_int[0]])
-    skew_rhs = np.zeros(n_theta)
-    for j, led in enumerate(ctx.edges):
+    phi_int = ctx.integrate(ctx.phi[:, :, :np_k1])
+    g_int = (D @ phi_int[:, None, :np_k, None])[..., 0]     # (n_cells, 2, np_k1)
+    skew_row = 0.5 * np.concatenate([g_int[:, 1], -g_int[:, 0]], axis=1)
+    skew_rhs = np.zeros((n_cells, n_theta))
+    root_h = np.sqrt(ctx.length)
+    for j in range(ctx.n_vertices):
         # int_E psi_c = sqrt(h_E) delta_c0
-        skew_rhs[sl_t[j].start] = -0.5 * led.omega * np.sqrt(led.ctx.edge.length)
+        skew_rhs[:, sl_t[j].start] = -0.5 * ctx.omega[:, j] * root_h[:, j]
 
     # translation closure
-    clos = np.zeros((2, 2 * np_k1))
-    clos_rhs = np.zeros((2, n_theta))
+    clos = np.zeros((n_cells, 2, 2 * np_k1))
+    clos_rhs = np.zeros((n_cells, 2, n_theta))
     if k >= 1:
         for a in range(2):
-            clos[a, a * np_k1:(a + 1) * np_k1] = phi_int
-            clos_rhs[a] = phi_int[:np_k] @ pack.PT[a * np_k:(a + 1) * np_k]
+            clos[:, a, a * np_k1:(a + 1) * np_k1] = phi_int
+            clos_rhs[:, a] = (phi_int[:, None, :np_k] @ pack.PT[:, a * np_k:(a + 1) * np_k]
+                              )[:, 0]
     else:
         # boundary averages: int_E phi_m = sqrt(h_E) (phi_m, psi_0)_E
-        bnd_int = np.zeros(np_k1)
-        for j, led in enumerate(ctx.edges):
-            root_h = np.sqrt(led.ctx.edge.length)
-            bnd_int += root_h * pack.scalar_cross[j][:np_k1, 0]
-            clos_rhs[:, sl_t[j].start] = root_h * led.ctx.edge.tangent
-            clos_rhs[:, sl_n[j].start] = root_h * led.ctx.edge.normal
+        bnd_int = np.zeros((n_cells, np_k1))
+        for j in range(ctx.n_vertices):
+            bnd_int += root_h[:, j, None] * pack.scalar_cross[:, j, :np_k1, 0]
+            clos_rhs[:, :, sl_t[j].start] = root_h[:, j, None] * ctx.tangent[:, j]
+            clos_rhs[:, :, sl_n[j].start] = root_h[:, j, None] * ctx.normal[:, j]
         for a in range(2):
-            clos[a, a * np_k1:(a + 1) * np_k1] = bnd_int
+            clos[:, a, a * np_k1:(a + 1) * np_k1] = bnd_int
 
-    lhs = np.vstack([K, skew_row[None, :], clos])
-    rhs_full = np.vstack([rhs, skew_rhs[None, :], clos_rhs])
-    scale = np.maximum(np.abs(lhs).max(axis=1), _TINY)
-    sol, _, rank, _ = np.linalg.lstsq(lhs / scale[:, None],
-                                      rhs_full / scale[:, None], rcond=None)
-    if rank < 2 * np_k1:
+    lhs = np.concatenate([K, skew_row[:, None, :], clos], axis=1)
+    rhs_full = np.concatenate([rhs, skew_rhs[:, None, :], clos_rhs], axis=1)
+    scale = np.maximum(np.abs(lhs).max(axis=2), _TINY)[..., None]
+    u, s, vt = np.linalg.svd(lhs / scale, full_matrices=False)
+    # the rank as lstsq counts it: singular values above eps * max(m, n) * s_max
+    cutoff = np.finfo(float).eps * max(lhs.shape[1:]) * s[:, :1]
+    bad = (s > cutoff).sum(axis=1) < 2 * np_k1
+    if bad.any():
         raise SingularLocalSystem(
-            f"element {ctx.element.id}: strain reconstruction rank deficient")
-    return sol
+            f"{failing_cell(bad, ctx.ids)}strain reconstruction rank deficient")
+    return _t(vt) @ ((_t(u) @ (rhs_full / scale)) / s[:, :, None])
 
 
 def local_theta_interpolation(ctx: ElementContext, pack: LocalOperatorPack) -> np.ndarray:
@@ -133,11 +147,11 @@ def local_theta_interpolation(ctx: ElementContext, pack: LocalOperatorPack) -> n
     k = ctx.k
     np_k1 = dim_P(k + 1)
     _, _, sl_t, sl_n, n_theta = _theta_slices(ctx)
-    J = np.zeros((n_theta, 2 * np_k1))
-    J[:len(pack.moments)] = pack.moments
-    for j in range(len(ctx.edges)):
-        rest = _edge_restriction(ctx, pack.scalar_cross, j, k + 1, np_k1)
-        J[sl_t[j]], J[sl_n[j]] = rest[:k + 1], rest[k + 1:]
+    J = np.zeros((ctx.n_cells, n_theta, 2 * np_k1))
+    J[:, :pack.moments.shape[1]] = pack.moments
+    rest = _edge_restriction(ctx, pack.scalar_cross, k + 1, np_k1)
+    for j in range(ctx.n_vertices):
+        J[:, sl_t[j]], J[:, sl_n[j]] = rest[:, j, :k + 1], rest[:, j, k + 1:]
     return J
 
 
@@ -151,17 +165,18 @@ def build_stabilisation(ctx: ElementContext, pack: LocalOperatorPack,
     _, _, sl_t, sl_n, n_theta = _theta_slices(ctx)
     vp_k = _vp_k(k)
     defect = P1.copy()                              # vP^{k+1} coefficients
-    defect[vp_k] -= pack.PT
+    defect[:, vp_k] -= pack.PT
     delta_T = pack.PT @ (local_theta_interpolation(ctx, pack) @ defect)
-    sT = np.zeros((n_theta, n_theta))
-    for j in range(len(ctx.edges)):
-        rest_k1 = _edge_restriction(ctx, pack.scalar_cross, j, k + 1, np_k1)
-        delta_TE = rest_k1 @ P1
-        delta_TE[:k + 1, sl_t[j]] -= np.eye(k + 1)
-        delta_TE[k + 1:, sl_n[j]] -= np.eye(k + 1)
-        diff = delta_TE - rest_k1[:, vp_k] @ delta_T
-        sT += (diff.T @ diff) / ctx.element.diameter
-    return 0.5 * (sT + sT.T)
+    rest_k1 = _edge_restriction(ctx, pack.scalar_cross, k + 1, np_k1)
+    delta_TE = rest_k1 @ P1[:, None]
+    for j in range(ctx.n_vertices):
+        delta_TE[:, j, :k + 1, sl_t[j]] -= np.eye(k + 1)
+        delta_TE[:, j, k + 1:, sl_n[j]] -= np.eye(k + 1)
+    diffs = delta_TE - rest_k1[..., vp_k] @ delta_T[:, None]
+    sT = np.zeros((ctx.n_cells, n_theta, n_theta))
+    for j in range(ctx.n_vertices):
+        sT += (_t(diffs[:, j]) @ diffs[:, j]) / ctx.diameter[:, None, None]
+    return 0.5 * (sT + _t(sT))
 
 
 def build_hho_pack(ctx: ElementContext, pack: LocalOperatorPack) -> HHOLocalPack:
@@ -172,33 +187,53 @@ def build_hho_pack(ctx: ElementContext, pack: LocalOperatorPack) -> HHOLocalPack
 
 
 def build_hho_packs(disc: Discretization, packs: list[LocalOperatorPack]) -> list[HHOLocalPack]:
+    """One stacked HHO pack per cell group of ``disc.elem_ctxs``."""
     return [build_hho_pack(ctx, pack) for ctx, pack in zip(disc.elem_ctxs, packs)]
 
 
 def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack],
                             hho_packs: list[HHOLocalPack]) -> sps.csr_matrix:
     """k = 0 jump bilinear form: h_E^{-1} integrals of the jumps of the p^1
-    reconstructions over edges (the trace itself on boundary edges)."""
+    reconstructions over edges (the trace itself on boundary edges).
+
+    The edges are stacked by the cell groups of their (one or two) cells,
+    lower cell id first, and summed in edge-id order."""
     if disc.k != 0:
         raise ValueError("jump penalisation is defined for k = 0 only")
     sp_t = disc.theta_space
     np_1 = dim_P(1)
+    # per group: restriction of the p^1 reconstruction to each local edge
+    mats = [_edge_restriction(ctx, pack.scalar_cross, disc.k + 2, np_1) @ hp.P1[:, None]
+            for ctx, pack, hp in zip(disc.elem_ctxs, packs, hho_packs)]
+    dofs = [sp_t.local_dofs(ctx) for ctx in disc.elem_ctxs]
+    # one (edge, cell, local edge) incidence per row, by edge and then cell id
+    edge_of = np.concatenate([ctx.edge_ids.ravel() for ctx in disc.elem_ctxs])
+    cell_of = np.concatenate([np.repeat(ctx.ids, ctx.n_vertices) for ctx in disc.elem_ctxs])
+    local = np.concatenate([np.tile(np.arange(ctx.n_vertices), ctx.n_cells)
+                            for ctx in disc.elem_ctxs])
+    order = np.lexsort((cell_of, edge_of))
+    edge_of, cell_of, local = edge_of[order], cell_of[order], local[order]
+    group, pos = disc.locate(cell_of)
+    first = np.flatnonzero(np.r_[True, edge_of[1:] != edge_of[:-1]])
+    two = np.r_[first[1:], len(edge_of)] - first == 2
+    lengths = disc.edge_ctx.length
 
-    def blocks():
-        for eid, edge in enumerate(disc.mesh.edges):
-            mats, dofs = [], []
-            for t_id in sorted(edge.elements):
-                ctx = disc.elem_ctxs[t_id]
-                j = ctx.element.edges.index(eid)
-                rest = _edge_restriction(ctx, packs[t_id].scalar_cross, j,
-                                         disc.k + 2, np_1)
-                mats.append(rest @ hho_packs[t_id].P1)
-                dofs.append(sp_t.local_dofs(ctx.element))
-            if len(mats) == 2:
-                big = np.concatenate([mats[0], -mats[1]], axis=1)
-                idx = np.concatenate([dofs[0], dofs[1]])
+    blocks, keys = [], []
+    for g0 in range(len(mats)):
+        for g1 in [None] + list(range(len(mats))):
+            if g1 is None:
+                sel = first[(group[first] == g0) & ~two]
+                side = [(g0, sel, 1.0)]
             else:
-                big, idx = mats[0], dofs[0]
-            yield idx, idx, (big.T @ big) / edge.length
-
-    return assemble(blocks(), (sp_t.dim, sp_t.dim))
+                sel = first[(group[first] == g0) & two]
+                sel = sel[group[sel + 1] == g1]
+                side = [(g0, sel, 1.0), (g1, sel + 1, -1.0)]
+            if not len(sel):
+                continue
+            big = np.concatenate([sgn * mats[g][pos[rows], local[rows]]
+                                  for g, rows, sgn in side], axis=2)
+            idx = np.concatenate([dofs[g][pos[rows]] for g, rows, _ in side], axis=1)
+            eids = edge_of[sel]
+            blocks.append((idx, idx, (_t(big) @ big) / lengths[eids][:, None, None]))
+            keys.append(eids)
+    return assemble(blocks, (sp_t.dim, sp_t.dim), keys)

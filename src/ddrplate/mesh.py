@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -84,26 +85,30 @@ class PolygonalMesh:
         return self.vertex_coords[list(element.vertices)]
 
 
-def _polygon_area_center(coords: np.ndarray) -> tuple[float, np.ndarray]:
-    """Signed shoelace area and centroid of a closed polygon loop."""
-    x, y = coords[:, 0], coords[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+def _polygon_area_center(coords: np.ndarray, ids=None) -> tuple[np.ndarray, np.ndarray]:
+    """Signed shoelace areas and centroids of closed polygon loops (..., nv, 2);
+    ``ids`` names the stacked loops in errors."""
+    x, y = coords[..., 0], coords[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
     cross = x * yn - xn * y
-    area = 0.5 * float(np.sum(cross))
-    if abs(area) < 1e-300:
-        raise GeometryError("zero-area polygon")
-    cx = float(np.sum((x + xn) * cross)) / (6.0 * area)
-    cy = float(np.sum((y + yn) * cross)) / (6.0 * area)
-    return area, np.array([cx, cy])
+    area = 0.5 * np.sum(cross, axis=-1)
+    bad = np.abs(area) < 1e-300
+    if np.any(bad):
+        where = "" if ids is None else f"cell {ids[np.argmax(bad)]}: "
+        raise GeometryError(f"{where}zero-area polygon")
+    cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * area)
+    cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * area)
+    return area, np.stack([cx, cy], axis=-1)
 
 
-def _fan_is_positive(coords: np.ndarray, center: np.ndarray, tol: float = 1e-12) -> bool:
-    """Every fan triangle (center, v_i, v_{i+1}) of a ccw loop has positive area."""
-    a = coords - center
-    b = np.roll(coords, -1, axis=0) - center
-    areas = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-    scale = np.max(np.abs(coords)) + 1.0
-    return bool(np.all(areas > tol * scale**2))
+def _fan_is_positive(coords: np.ndarray, center: np.ndarray, tol: float = 1e-12):
+    """Every fan triangle (center, v_i, v_{i+1}) of a ccw loop has positive
+    area; loops (..., nv, 2) and centers (..., 2) give one answer each."""
+    a = coords - center[..., None, :]
+    b = np.roll(coords, -1, axis=-2) - center[..., None, :]
+    areas = 0.5 * (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
+    scale = np.max(np.abs(coords), axis=(-2, -1)) + 1.0
+    return np.all(areas > tol * scale[..., None] ** 2, axis=-1)
 
 
 def _point_in_polygon(coords: np.ndarray, p: np.ndarray) -> bool:
@@ -119,22 +124,19 @@ def _point_in_polygon(coords: np.ndarray, p: np.ndarray) -> bool:
     return inside
 
 
-def _min_dist_to_boundary(coords: np.ndarray, p: np.ndarray) -> float:
+def _min_dist_to_boundary(coords: np.ndarray, p: np.ndarray):
+    """Distance from points p (..., 2) to the boundaries of loops (..., nv, 2)."""
     a = coords
-    b = np.roll(coords, -1, axis=0)
-    ab = b - a
-    ap = p[None, :] - a
-    t = np.clip(np.einsum("ij,ij->i", ap, ab) / np.einsum("ij,ij->i", ab, ab), 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return float(np.min(np.linalg.norm(proj - p[None, :], axis=1)))
+    ab = np.roll(coords, -1, axis=-2) - a
+    ap = p[..., None, :] - a
+    t = np.clip((ap * ab).sum(axis=-1) / (ab * ab).sum(axis=-1), 0.0, 1.0)
+    proj = a + t[..., None] * ab
+    return np.min(np.linalg.norm(proj - p[..., None, :], axis=-1), axis=-1)
 
 
-def _star_center(coords: np.ndarray) -> np.ndarray:
-    """Centroid when the cell is star-shaped w.r.t. it, else the best inner
+def _sampled_star_center(coords: np.ndarray) -> np.ndarray:
+    """For a cell that is not star-shaped w.r.t. its centroid: the best inner
     point found by sampling (largest inscribed-ball center estimate)."""
-    _, centroid = _polygon_area_center(coords)
-    if _fan_is_positive(coords, centroid):
-        return centroid
     lo, hi = coords.min(axis=0), coords.max(axis=0)
     best, best_r = None, -1.0
     n = 24
@@ -151,6 +153,15 @@ def _star_center(coords: np.ndarray) -> np.ndarray:
     if best is None:
         raise GeometryError("cell is not star-shaped w.r.t. any sampled interior point")
     return best
+
+
+def cell_groups(loops):
+    """Cell ids of each vertex count, by increasing count, with their loops
+    as an (n_cells, nv) array."""
+    sizes = np.array([len(loop) for loop in loops])
+    for nv in np.unique(sizes):
+        ids = np.flatnonzero(sizes == nv)
+        yield ids, np.array([loops[c] for c in ids], dtype=int)
 
 
 def _as_index(v, what: str) -> int:
@@ -180,7 +191,6 @@ def build_mesh(vertex_coords: np.ndarray, cell_loops: list[list[int]]) -> Polygo
     if len(used) != n_v:
         raise TopologyError("every vertex must belong to at least one cell")
 
-    loops: list[list[int]] = []
     for c, loop in enumerate(cell_loops):
         if len(loop) < 3:
             raise TopologyError(f"cell {c} has fewer than 3 vertices")
@@ -188,11 +198,11 @@ def build_mesh(vertex_coords: np.ndarray, cell_loops: list[list[int]]) -> Polygo
             raise ParseError(f"cell {c} references an unknown vertex")
         if len(set(loop)) != len(loop):
             raise TopologyError(f"cell {c} repeats a vertex in its loop")
-        pts = coords[loop]
-        area, _ = _polygon_area_center(pts)
-        if area < 0:
-            loop = loop[::-1]
-        loops.append(loop)
+    loops = list(cell_loops)
+    for ids, idx in cell_groups(loops):
+        area, _ = _polygon_area_center(coords[idx], ids)
+        for c in ids[area < 0]:
+            loops[c] = loops[c][::-1]
 
     pair_cells: dict[tuple[int, int], list[int]] = {}
     for c, loop in enumerate(loops):
@@ -200,39 +210,47 @@ def build_mesh(vertex_coords: np.ndarray, cell_loops: list[list[int]]) -> Polygo
             a, b = loop[j], loop[(j + 1) % len(loop)]
             key = (min(a, b), max(a, b))
             pair_cells.setdefault(key, []).append(c)
+    keys = sorted(pair_cells)
+    for key in keys:
+        if len(pair_cells[key]) > 2:
+            raise TopologyError(f"edge {key} referenced by {len(pair_cells[key])} cells")
 
-    pair_edge: dict[tuple[int, int], int] = {}
-    edges: list[Edge] = []
-    for eid, key in enumerate(sorted(pair_cells)):
-        cells = pair_cells[key]
-        if len(cells) > 2:
-            raise TopologyError(f"edge {key} referenced by {len(cells)} cells")
-        a, b = key
-        vec = coords[b] - coords[a]
-        length = float(np.linalg.norm(vec))
-        if length < _LENGTH_TOL:
-            raise GeometryError(f"edge {key} has zero length")
-        t = vec / length
-        n = np.array([t[1], -t[0]])
-        pair_edge[key] = eid
-        edges.append(Edge(eid, key, t, n, length, len(cells) == 1, tuple(cells)))
+    pairs = np.array(keys, dtype=int).reshape(-1, 2)
+    vec = coords[pairs[:, 1]] - coords[pairs[:, 0]]
+    lengths = np.linalg.norm(vec, axis=1)
+    short = lengths < _LENGTH_TOL
+    if short.any():
+        raise GeometryError(f"edge {keys[np.argmax(short)]} has zero length")
+    tangents = vec / lengths[:, None]
+    normals = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
+    pair_edge = {key: eid for eid, key in enumerate(keys)}
+    edges = [Edge(eid, key, tangents[eid], normals[eid], float(lengths[eid]),
+                  len(pair_cells[key]) == 1, tuple(pair_cells[key]))
+             for eid, key in enumerate(keys)]
+
+    # cell geometry, one vertex count at a time
+    areas, diams, rhos = (np.empty(len(loops)) for _ in range(3))
+    centers = np.empty((len(loops), 2))
+    for ids, idx in cell_groups(loops):
+        pts = coords[idx]
+        areas[ids], center = _polygon_area_center(pts, ids)
+        for i in np.flatnonzero(~_fan_is_positive(pts, center)):
+            center[i] = _sampled_star_center(pts[i])
+        diams[ids] = np.max(np.linalg.norm(pts[:, :, None] - pts[:, None], axis=-1),
+                            axis=(1, 2))
+        rhos[ids] = _min_dist_to_boundary(pts, center) / diams[ids]
+        centers[ids] = center
 
     elements: list[Element] = []
     for c, loop in enumerate(loops):
-        pts = coords[loop]
-        area, _ = _polygon_area_center(pts)
-        center = _star_center(pts)
-        diam = float(np.max(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)))
         eids, omegas = [], []
         for j in range(len(loop)):
             a, b = loop[j], loop[(j + 1) % len(loop)]
-            eid = pair_edge[(min(a, b), max(a, b))]
-            eids.append(eid)
+            eids.append(pair_edge[(min(a, b), max(a, b))])
             # ccw traversal a->b agrees with t_E iff a is the lower vertex id
             omegas.append(1 if a < b else -1)
-        rho = _min_dist_to_boundary(pts, center) / diam
         elements.append(Element(c, tuple(loop), tuple(eids), tuple(omegas),
-                                diam, area, center, rho))
+                                float(diams[c]), float(areas[c]), centers[c], float(rhos[c])))
 
     boundary = np.array([e.id for e in edges if e.boundary], dtype=int)
     interior = np.array([e.id for e in edges if not e.boundary], dtype=int)
@@ -244,34 +262,42 @@ def build_mesh(vertex_coords: np.ndarray, cell_loops: list[list[int]]) -> Polygo
         boundary_edges=boundary,
         interior_edges=interior,
         boundary_vertices=np.array(bverts, dtype=int),
-        h=max(el.diameter for el in elements),
+        h=float(diams.max()),
     )
     _validate(mesh)
     return mesh
 
 
 def _validate(mesh: PolygonalMesh) -> None:
-    for el in mesh.elements:
-        if el.area <= 0:
-            raise GeometryError(f"element {el.id} has non-positive area")
-        for eid, om in zip(el.edges, el.orientations):
-            edge = mesh.edges[eid]
-            out = (mesh.edge_midpoint(edge) - el.center) @ (om * edge.normal)
-            if out <= 0:
-                raise GeometryError(
-                    f"element {el.id}, edge {eid}: omega*n_E is not outward")
-    for edge in mesh.edges:
-        n_inc = len(edge.elements)
-        if edge.boundary and n_inc != 1:
-            raise TopologyError(f"boundary edge {edge.id} has {n_inc} elements")
-        if not edge.boundary:
-            if n_inc != 2:
-                raise TopologyError(f"interior edge {edge.id} has {n_inc} elements")
-            oms = [mesh.elements[c].orientations[mesh.elements[c].edges.index(edge.id)]
-                   for c in edge.elements]
-            if oms[0] + oms[1] != 0:
-                raise TopologyError(
-                    f"interior edge {edge.id}: incident orientations do not cancel")
+    els = mesh.elements
+    area = np.array([el.area for el in els])
+    if np.any(area <= 0):
+        raise GeometryError(f"element {np.argmax(area <= 0)} has non-positive area")
+    # one row per (element, local edge), in element order
+    sizes = np.array([len(el.edges) for el in els])
+    cell = np.repeat(np.arange(len(els)), sizes)
+    eid = np.fromiter(chain.from_iterable(el.edges for el in els), int, sizes.sum())
+    om = np.fromiter(chain.from_iterable(el.orientations for el in els), float, sizes.sum())
+    centers = np.array([el.center for el in els])
+    normals = np.array([e.normal for e in mesh.edges])
+    ends = mesh.vertex_coords[np.array([e.vertices for e in mesh.edges])]
+    mid = 0.5 * (ends[:, 0] + ends[:, 1])
+    out = ((mid[eid] - centers[cell]) * (om[:, None] * normals[eid])).sum(axis=1)
+    if np.any(out <= 0):
+        i = np.argmax(out <= 0)
+        raise GeometryError(
+            f"element {cell[i]}, edge {eid[i]}: omega*n_E is not outward")
+    n_inc = np.bincount(eid, minlength=mesh.n_edges)
+    boundary = np.array([e.boundary for e in mesh.edges])
+    wrong = np.where(boundary, n_inc != 1, n_inc != 2)
+    if wrong.any():
+        e = np.argmax(wrong)
+        kind = "boundary" if boundary[e] else "interior"
+        raise TopologyError(f"{kind} edge {e} has {n_inc[e]} elements")
+    unbalanced = ~boundary & (np.bincount(eid, om, mesh.n_edges) != 0)
+    if unbalanced.any():
+        raise TopologyError(
+            f"interior edge {np.argmax(unbalanced)}: incident orientations do not cancel")
 
 
 def load_mesh(path: str, fmt: str = "json") -> PolygonalMesh:

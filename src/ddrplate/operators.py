@@ -1,8 +1,11 @@
 """Element-local DDR operators on the discrete rotation/displacement spaces.
 
 All operators are dense matrices acting on local DOF vectors and producing
-coefficients against the orthonormal element bases. Vector-valued coefficient
-layout is component-major: [all x-component coefficients, all y-component].
+coefficients against the orthonormal element bases. They are built for a
+whole group of cells with the same vertex count at once and stored as
+stacks with a leading cell axis, in the order of ``ElementContext.ids``.
+Vector-valued coefficient layout is component-major: [all x-component
+coefficients, all y-component].
 
 Sign conventions (see mesh.py): omega_TE * n_E is the outward normal and
 omega_TE = +1 when t_E runs counterclockwise around the element, so
@@ -25,7 +28,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from .errors import SingularLocalSystem
-from .polyspace import ElementContext, dim_P, dim_croly, dim_roly
+from .polyspace import ElementContext, dim_P, dim_croly, dim_roly, failing_cell, mass
 from .spaces import Discretization, assemble
 
 _COND_LIMIT = 1e12
@@ -33,10 +36,11 @@ _COND_LIMIT = 1e12
 
 @dataclass
 class LocalOperatorPack:
+    """Local operators of one cell group; every array has a leading cell axis."""
     n_theta: int
     n_u: int
     # displacement side
-    trace: list[np.ndarray]          # per local edge: (k+2, n_u)
+    trace: np.ndarray                # (nv, k+2, n_u) per cell: skeleton trace per local edge
     GT: np.ndarray                   # (2 np_k, n_u)
     PU: np.ndarray                   # (np_{k+1}, n_u)
     # rotation side
@@ -47,8 +51,9 @@ class LocalOperatorPack:
     D: np.ndarray                    # (2, np_{k+1}, np_k): int_T d_d phi_j phi_m
     moments: np.ndarray              # (n_roly + n_croly, 2 np_{k+1}): Roly^{k-1}/cRoly^k
                                      # moments of component-major vP^{k+1}
-    # element-basis x edge-basis cross masses, per local edge: (dim_P(k+2), k+2)
-    scalar_cross: list[np.ndarray]
+    # element-basis x edge-basis cross masses per local edge: (nv, dim_P(k+2), k+2)
+    scalar_cross: np.ndarray
+    cond: float                      # largest condition number of the P_U and P_T systems
 
 
 def _vp_k(k: int) -> np.ndarray:
@@ -57,16 +62,17 @@ def _vp_k(k: int) -> np.ndarray:
     return np.r_[0:np_k, np_k1:np_k1 + np_k]
 
 
-def _edge_restriction(ctx: ElementContext, cross: list[np.ndarray], j: int,
+def _edge_restriction(ctx: ElementContext, cross: np.ndarray,
                       n_members: int, n_coef: int) -> np.ndarray:
-    """Frame coefficients [tangential, normal] on edge j of a vector
-    polynomial given by component-major coefficients over n_coef scalars."""
-    cs = cross[j][:n_coef, :n_members]
-    t = ctx.edges[j].ctx.edge.tangent
-    n = ctx.edges[j].ctx.edge.normal
-    top = np.concatenate([t[0] * cs.T, t[1] * cs.T], axis=1)
-    bot = np.concatenate([n[0] * cs.T, n[1] * cs.T], axis=1)
-    return np.vstack([top, bot])
+    """Frame coefficients [tangential, normal] on every local edge of a
+    vector polynomial given by component-major coefficients over n_coef
+    scalars: (n_cells, nv, 2 n_members, 2 n_coef)."""
+    cs = np.swapaxes(cross[:, :, :n_coef, :n_members], -1, -2)
+    t = ctx.tangent[..., None, None]
+    n = ctx.normal[..., None, None]
+    top = np.concatenate([t[:, :, 0] * cs, t[:, :, 1] * cs], axis=-1)
+    bot = np.concatenate([n[:, :, 0] * cs, n[:, :, 1] * cs], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
 
 
 def _theta_slices(ctx: ElementContext):
@@ -76,27 +82,35 @@ def _theta_slices(ctx: ElementContext):
     sl_R = slice(0, n_roly)
     sl_cR = slice(n_roly, elem_dim)
     tang, norm = [], []
-    for j in range(len(ctx.edges)):
+    for j in range(ctx.n_vertices):
         base = elem_dim + j * 2 * (k + 1)
         tang.append(slice(base, base + k + 1))
         norm.append(slice(base + k + 1, base + 2 * (k + 1)))
-    n_theta = elem_dim + len(ctx.edges) * 2 * (k + 1)
+    n_theta = elem_dim + ctx.n_vertices * 2 * (k + 1)
     return sl_R, sl_cR, tang, norm, n_theta
 
 
 def _u_layout(ctx: ElementContext):
     k = ctx.k
     nc = dim_P(k - 1)
-    n_edges = len(ctx.edges)
-    moments = [slice(nc + j * k, nc + (j + 1) * k) for j in range(n_edges)]
-    vertex0 = nc + n_edges * k
-    n_u = vertex0 + len(ctx.element.vertices)
-    return nc, moments, vertex0, n_u
+    nv = ctx.n_vertices
+    moments = [slice(nc + j * k, nc + (j + 1) * k) for j in range(nv)]
+    vertex0 = nc + nv * k
+    return nc, moments, vertex0, vertex0 + nv
+
+
+def _check_cond(ctx: ElementContext, mats: np.ndarray, what: str) -> np.ndarray:
+    cond = np.linalg.cond(mats)
+    bad = ~(cond <= _COND_LIMIT)
+    if bad.any():
+        raise SingularLocalSystem(f"{failing_cell(bad, ctx.ids)}{what} ill-conditioned")
+    return cond
 
 
 def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
     k = ctx.k
     w = ctx.qweights
+    n_cells, nv = ctx.n_cells, ctx.n_vertices
     np_k, np_k1 = dim_P(k), dim_P(k + 1)
     phi = ctx.phi
 
@@ -106,85 +120,80 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
 
     # --- element moments; grad phi_j lies in P^k for j < np_{k+1}, so D holds
     # its exact coefficients, and Roly^{k-1}, cRoly^k lie in vP^k
-    grad = ctx.scal.eval_grad(ctx.qpoints)[:, :np_k1]
-    D = np.einsum("q,qjd,qm->djm", w, grad, phi[:, :np_k])
-    elem_vals = np.concatenate([ctx.roly_vals, ctx.croly_vals[:, :n_croly]], axis=1)
-    moments = np.einsum("q,qra,qm->ram", w, elem_vals, phi[:, :np_k1]
-                        ).reshape(n_roly + n_croly, 2 * np_k1)
-    proj = moments[:, _vp_k(k)]                    # the same moments of vP^k
-    rot = np.concatenate([D[1], -D[0]], axis=1)    # int_T rot phi_j . phi_m e_a
+    grad = np.moveaxis(ctx.scal.eval_grad(ctx.qpoints)[:, :, :np_k1], -1, 2)
+    D = mass(w, grad, phi[:, :, :np_k]).reshape(n_cells, 2, np_k1, np_k)
+    del grad
+    elem_vals = np.concatenate([ctx.roly_vals, ctx.croly_vals[:, :, :n_croly]], axis=2)
+    moments = mass(w, elem_vals, phi[:, :, :np_k1]).reshape(
+        n_cells, n_roly + n_croly, 2 * np_k1)
+    proj = moments[:, :, _vp_k(k)]                       # the same moments of vP^k
+    rot = np.concatenate([D[:, 1], -D[:, 0]], axis=2)    # int_T rot phi_j . phi_m e_a
 
     # --- edge trace matrices and scalar cross masses
-    trace: list[np.ndarray] = []
-    cross: list[np.ndarray] = []
-    for j, led in enumerate(ctx.edges):
-        ec = led.ctx
-        tr = np.zeros((k + 2, n_u))
-        tr[:, sl_m[j]] = ec.trace[:, :k]
-        tr[:, vertex0 + led.local_vertices[0]] = ec.trace[:, k]
-        tr[:, vertex0 + led.local_vertices[1]] = ec.trace[:, k + 1]
-        trace.append(tr)
-        cross.append(np.einsum("q,qm,qc->mc", ec.weights, ctx.scal.eval(ec.points),
-                               ec.psi))
+    ec = ctx.edge_ctx
+    e_pts, e_w, e_psi = (a[ctx.edge_ids] for a in (ec.points, ec.weights, ec.psi))
+    e_tr = ec.trace[ctx.edge_ids]
+    cells = np.arange(n_cells)
+    trace = np.zeros((n_cells, nv, k + 2, n_u))
+    for j in range(nv):
+        trace[:, j, :, sl_m[j]] = e_tr[:, j, :, :k]
+        for end in range(2):
+            trace[cells, j, :, vertex0 + ctx.local_vertices[:, j, end]] = e_tr[:, j, :, k + end]
+    cross = mass(e_w, ctx.at_edges(e_pts, ctx.scal.eval), e_psi)
 
     # --- transverse displacement gradient G_T
-    GT = np.zeros((2 * np_k, n_u))
+    GT = np.zeros((n_cells, 2 * np_k, n_u))
+    ct = cross[:, :, :np_k] @ trace
     for a in range(2):
-        GT[a * np_k:(a + 1) * np_k, :nc] = -D[a][:np_k, :nc]
-        for j, led in enumerate(ctx.edges):
-            GT[a * np_k:(a + 1) * np_k, :] += led.n_out[a] * (
-                cross[j][:np_k] @ trace[j])
+        GT[:, a * np_k:(a + 1) * np_k, :nc] = -D[:, a, :np_k, :nc]
+        for j in range(nv):
+            GT[:, a * np_k:(a + 1) * np_k, :] += ctx.n_out[:, j, a, None, None] * ct[:, j]
 
     # --- displacement reconstruction P_U (tested against cRoly^{k+2})
-    div_cr = ctx.croly.eval_div(ctx.qpoints)
-    lhs = np.einsum("q,qj,qi->ji", w, div_cr, phi[:, :np_k1])
-    rhs = np.zeros((np_k1, n_u))
-    cr_on_vpk = np.einsum("q,qja,qi->jai", w, ctx.croly_vals, phi[:, :np_k]
-                          ).reshape(np_k1, 2 * np_k)
-    rhs -= cr_on_vpk @ GT
-    for j, led in enumerate(ctx.edges):
-        cr_edge = ctx.croly.eval(led.ctx.points)
-        cr_n = np.einsum("q,qja,a,qc->jc", led.ctx.weights, cr_edge,
-                         led.n_out, led.ctx.psi)
-        rhs += cr_n @ trace[j]
-    if np.linalg.cond(lhs) > _COND_LIMIT:
-        raise SingularLocalSystem(
-            f"element {ctx.element.id}: div cRoly^{{k+2}} -> P^{{k+1}} map ill-conditioned")
+    lhs = mass(w, ctx.croly.eval_div(ctx.qpoints), phi[:, :, :np_k1])
+    cr_on_vpk = mass(w, ctx.croly_vals, phi[:, :, :np_k]).reshape(n_cells, np_k1, 2 * np_k)
+    rhs = -(cr_on_vpk @ GT)
+    cr_edge = ctx.at_edges(e_pts, ctx.croly.eval)
+    cr_n = mass(e_w, (cr_edge @ ctx.n_out[:, :, None, :, None])[..., 0], e_psi)
+    for j in range(nv):
+        rhs += cr_n[:, j] @ trace[:, j]
+    cond_u = _check_cond(ctx, lhs, "div cRoly^{k+2} -> P^{k+1} map")
     PU = np.linalg.solve(lhs, rhs)
 
     # --- scalar rotor R_T
-    RT = np.zeros((np_k, n_theta))
-    RT[:, sl_R] = rot[:np_k] @ proj[:n_roly].T
-    for j, led in enumerate(ctx.edges):
-        RT[:, sl_t[j]] += led.omega * cross[j][:np_k, :k + 1]
+    RT = np.zeros((n_cells, np_k, n_theta))
+    RT[:, :, sl_R] = rot[:, :np_k] @ np.swapaxes(proj[:, :n_roly], -1, -2)
+    omega = ctx.omega[:, :, None, None]
+    for j in range(nv):
+        RT[:, :, sl_t[j]] += omega[:, j] * cross[:, j, :np_k, :k + 1]
 
     # --- rotation potential P_T: square system over cRoly^k + rot P^{k+1}
-    A = np.vstack([proj[n_roly:], rot[1:]])
-    B = np.zeros((2 * np_k, n_theta))
-    B[:n_croly, sl_cR] = np.eye(n_croly)
-    B[n_croly:n_croly + np_k - 1] += RT[1:np_k]
-    for j, led in enumerate(ctx.edges):
-        B[n_croly:, sl_t[j]] -= led.omega * cross[j][1:np_k1, :k + 1]
-    if np.linalg.cond(A) > _COND_LIMIT:
-        raise SingularLocalSystem(
-            f"element {ctx.element.id}: rotation potential system ill-conditioned")
+    A = np.concatenate([proj[:, n_roly:], rot[:, 1:]], axis=1)
+    B = np.zeros((n_cells, 2 * np_k, n_theta))
+    B[:, :n_croly, sl_cR] = np.eye(n_croly)
+    B[:, n_croly:n_croly + np_k - 1] += RT[:, 1:np_k]
+    for j in range(nv):
+        B[:, n_croly:, sl_t[j]] -= omega[:, j] * cross[:, j, 1:np_k1, :k + 1]
+    cond_t = _check_cond(ctx, A, "rotation potential system")
     PT = np.linalg.solve(A, B)
 
-    # --- local DDR L2 product on the rotation space
-    S = np.zeros((n_theta, n_theta))
-    for j, led in enumerate(ctx.edges):
-        # tangential trace of P_T eta on the edge, in the edge family
-        w1 = _edge_restriction(ctx, cross, j, k + 1, np_k)[:k + 1] @ PT
-        w1[:, sl_t[j]] -= np.eye(k + 1)
-        S += led.ctx.edge.length * (w1.T @ w1)
-    M = PT.T @ PT + S
+    # --- local DDR L2 product on the rotation space: tangential trace of
+    # P_T eta on each edge, in the edge family, against the edge unknown
+    w1 = _edge_restriction(ctx, cross, k + 1, np_k)[:, :, :k + 1] @ PT[:, None]
+    S = np.zeros((n_cells, n_theta, n_theta))
+    for j in range(nv):
+        w1[:, j, :, sl_t[j]] -= np.eye(k + 1)
+        S += ctx.length[:, j, None, None] * (np.swapaxes(w1[:, j], -1, -2) @ w1[:, j])
+    M = np.swapaxes(PT, -1, -2) @ PT + S
 
     return LocalOperatorPack(
         n_theta=n_theta, n_u=n_u, trace=trace, GT=GT, PU=PU, RT=RT, PT=PT,
-        M_theta=0.5 * (M + M.T), D=D, moments=moments, scalar_cross=cross)
+        M_theta=0.5 * (M + np.swapaxes(M, -1, -2)), D=D, moments=moments,
+        scalar_cross=cross, cond=float(max(cond_u.max(), cond_t.max())))
 
 
 def build_packs(disc: Discretization) -> list[LocalOperatorPack]:
+    """One stacked pack per cell group of ``disc.elem_ctxs``."""
     return [build_local_pack(ctx) for ctx in disc.elem_ctxs]
 
 
@@ -195,45 +204,45 @@ def build_global_gradient(disc: Discretization, packs: list[LocalOperatorPack]
     of G_T; edge blocks are the tangential derivative of the skeleton trace,
     exact from the trace coefficients.
 
-    Also returns, per cell, the rows of G on the cell's rotation DOFs as an
-    ``assemble`` triple (rotation DOFs, displacement DOFs, dense block in the
-    local layouts). Those rows read only the cell's displacement DOFs and the
-    normal edge slots are zero rows, so local L2 products times these blocks
-    sum to M G and G^T M G exactly."""
+    Also returns, per cell group, the rows of G on each cell's rotation DOFs
+    as an ``assemble`` stack (rotation DOFs, displacement DOFs, dense blocks
+    in the local layouts). Those rows read only the cell's displacement DOFs
+    and the normal edge slots are zero rows, so local L2 products times these
+    blocks sum to M G and G^T M G exactly."""
     sp_t, sp_u = disc.theta_space, disc.u_space
     k = disc.k
     vp_k = _vp_k(k)
-    edge = [(ec.dmat @ ec.trace)[:k + 1] for ec in disc.edge_ctxs]
-    blocks, cells = [], []
+    ec = disc.edge_ctx
+    edge = (ec.dmat @ ec.trace)[:, :k + 1]
+    blocks, keys, cells = [], [], []
     for ctx, pack in zip(disc.elem_ctxs, packs):
-        el = ctx.element
-        off = sp_t.elem_offset(el.id)
-        u_dofs = sp_u.local_dofs(el)
-        block = pack.moments[:, vp_k] @ pack.GT
-        blocks.append((np.arange(off, off + sp_t.elem_dim), u_dofs, block))
-        rows = np.zeros((pack.n_theta, pack.n_u))
-        rows[:sp_t.elem_dim] = block
-        vertex0 = sp_u.elem_dim + len(ctx.edges) * k
-        for j, led in enumerate(ctx.edges):
+        u_dofs = sp_u.local_dofs(ctx)
+        block = pack.moments[:, :, vp_k] @ pack.GT
+        blocks.append((sp_t.elem_offset(ctx.ids)[:, None] + np.arange(sp_t.elem_dim),
+                       u_dofs, block))
+        keys.append(ctx.ids)
+        rows = np.zeros((ctx.n_cells, pack.n_theta, pack.n_u))
+        rows[:, :sp_t.elem_dim] = block
+        vertex0 = sp_u.elem_dim + ctx.n_vertices * k
+        for j in range(ctx.n_vertices):
             t0 = sp_t.elem_dim + j * sp_t.edge_dim
             m0 = sp_u.elem_dim + j * k
-            a, b = led.local_vertices
-            rows[t0:t0 + k + 1, [*range(m0, m0 + k), vertex0 + a, vertex0 + b]] = \
-                edge[led.ctx.edge.id]
-        cells.append((sp_t.local_dofs(el), u_dofs, rows))
-    for ec, block in zip(disc.edge_ctxs, edge):
-        e = ec.edge
-        u_cols = np.concatenate([
-            np.arange(sp_u.edge_offset(e.id), sp_u.edge_offset(e.id) + k),
-            [sp_u.vertex_offset(e.vertices[0]), sp_u.vertex_offset(e.vertices[1])],
-        ]).astype(int)
-        blocks.append((sp_t.edge_tangential_slots(e.id), u_cols, block))
-    return assemble(blocks, (sp_t.dim, sp_u.dim)), cells
+            cols = np.concatenate([np.broadcast_to(np.arange(m0, m0 + k), (ctx.n_cells, k)),
+                                   vertex0 + ctx.local_vertices[:, j]], axis=1)
+            rows[np.arange(ctx.n_cells)[:, None, None],
+                 np.arange(t0, t0 + k + 1)[None, :, None],
+                 cols[:, None, :]] = edge[ctx.edge_ids[:, j]]
+        cells.append((sp_t.local_dofs(ctx), u_dofs, rows))
+    u_cols = np.concatenate([sp_u.edge_offset(ec.ids)[:, None] + np.arange(k),
+                             sp_u.vertex_offset(ec.vertices)], axis=1)
+    blocks.append((sp_t.edge_tangential_slots(ec.ids), u_cols, edge))
+    keys.append(disc.mesh.n_elements + ec.ids)
+    return assemble(blocks, (sp_t.dim, sp_u.dim), keys), cells
 
 
 def assemble_theta_product(disc: Discretization, packs: list[LocalOperatorPack]) -> sps.csr_matrix:
     """Global DDR L2 product matrix on the rotation space."""
     sp_t = disc.theta_space
-    idx = [sp_t.local_dofs(ctx.element) for ctx in disc.elem_ctxs]
-    return assemble(((i, i, pack.M_theta) for i, pack in zip(idx, packs)),
-                    (sp_t.dim, sp_t.dim))
+    idx = [sp_t.local_dofs(ctx) for ctx in disc.elem_ctxs]
+    return assemble([(i, i, pack.M_theta) for i, pack in zip(idx, packs)],
+                    (sp_t.dim, sp_t.dim), [ctx.ids for ctx in disc.elem_ctxs])

@@ -11,8 +11,10 @@ k moments per edge (coefficients 0..k-1 against the orthonormal edge family).
 
 Global ordering: all element blocks (by element id), then all edge blocks (by
 edge id), then the vertex block -- deterministic, so assembled matrices are
-reproducible bit for bit. All global matrices are summed from dense local
-blocks by ``assemble``.
+reproducible bit for bit. The cells are grouped by vertex count, one
+``ElementContext`` per group; local layouts, interpolation and assembly work
+on whole groups, and all global matrices are summed by ``assemble`` from
+stacks of dense local blocks in cell-id order.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sps
 
-from .mesh import Element, PolygonalMesh
+from .mesh import PolygonalMesh, cell_groups
 from .polyspace import (ElementContext, EdgeContext, build_edge_context,
-                        dim_P, dim_croly, dim_roly)
+                        dim_P, dim_croly, dim_roly, mass)
 
 
 class ThetaSpace:
@@ -37,28 +39,25 @@ class ThetaSpace:
         self.edge_dim = 2 * (k + 1)
         self.dim = mesh.n_elements * self.elem_dim + mesh.n_edges * self.edge_dim
 
-    def elem_offset(self, i: int) -> int:
+    def elem_offset(self, i):
         return i * self.elem_dim
 
-    def edge_offset(self, e: int) -> int:
+    def edge_offset(self, e):
         return self.mesh.n_elements * self.elem_dim + e * self.edge_dim
 
-    def edge_tangential_slots(self, e: int) -> np.ndarray:
-        off = self.edge_offset(e)
-        return np.arange(off, off + self.k + 1)
+    def edge_tangential_slots(self, e) -> np.ndarray:
+        """Tangential slots of edge e, or of each edge in an array: (..., k+1)."""
+        return self.edge_offset(np.asarray(e))[..., None] + np.arange(self.k + 1)
 
-    def edge_normal_slots(self, e: int) -> np.ndarray:
-        off = self.edge_offset(e) + self.k + 1
-        return np.arange(off, off + self.k + 1)
+    def edge_normal_slots(self, e) -> np.ndarray:
+        return self.edge_tangential_slots(e) + self.k + 1
 
-    def local_dofs(self, element: Element) -> np.ndarray:
-        """Global indices in the local layout [R, cR, (edge t, edge n) ...]."""
-        idx = [np.arange(self.elem_offset(element.id),
-                         self.elem_offset(element.id) + self.elem_dim)]
-        for e in element.edges:
-            off = self.edge_offset(e)
-            idx.append(np.arange(off, off + self.edge_dim))
-        return np.concatenate(idx).astype(int)
+    def local_dofs(self, ctx: ElementContext) -> np.ndarray:
+        """Global indices (n_cells, n_theta) in the local layout
+        [R, cR, (edge t, edge n) ...]."""
+        elem = self.elem_offset(ctx.ids)[:, None] + np.arange(self.elem_dim)
+        edges = self.edge_offset(ctx.edge_ids)[..., None] + np.arange(self.edge_dim)
+        return np.concatenate([elem, edges.reshape(ctx.n_cells, -1)], axis=1)
 
 
 class USpace:
@@ -70,52 +69,62 @@ class USpace:
         self.dim = (mesh.n_elements * self.elem_dim + mesh.n_edges * self.edge_dim
                     + mesh.n_vertices)
 
-    def elem_offset(self, i: int) -> int:
+    def elem_offset(self, i):
         return i * self.elem_dim
 
-    def edge_offset(self, e: int) -> int:
+    def edge_offset(self, e):
         return self.mesh.n_elements * self.elem_dim + e * self.edge_dim
 
-    def vertex_offset(self, v: int) -> int:
+    def vertex_offset(self, v):
         return (self.mesh.n_elements * self.elem_dim
                 + self.mesh.n_edges * self.edge_dim + v)
 
-    def local_dofs(self, element: Element) -> np.ndarray:
-        """Global indices in the local layout [cell, edge moments..., vertex values...]."""
-        idx = [np.arange(self.elem_offset(element.id),
-                         self.elem_offset(element.id) + self.elem_dim)]
-        for e in element.edges:
-            off = self.edge_offset(e)
-            idx.append(np.arange(off, off + self.edge_dim))
-        idx.append(np.array([self.vertex_offset(v) for v in element.vertices], dtype=int))
-        return np.concatenate(idx).astype(int)
+    def local_dofs(self, ctx: ElementContext) -> np.ndarray:
+        """Global indices (n_cells, n_u) in the local layout
+        [cell, edge moments..., vertex values...]."""
+        elem = self.elem_offset(ctx.ids)[:, None] + np.arange(self.elem_dim)
+        edges = self.edge_offset(ctx.edge_ids)[..., None] + np.arange(self.edge_dim)
+        return np.concatenate([elem, edges.reshape(ctx.n_cells, -1),
+                               self.vertex_offset(ctx.vertices)], axis=1)
 
 
-def assemble(blocks, shape: tuple[int, int]) -> sps.csr_matrix:
-    """Sum dense blocks into a sparse matrix.
+def _key_order(keys: list[np.ndarray], sizes: list[int]) -> np.ndarray | None:
+    """Permutation that puts the entries of stacked blocks (block i of stack
+    s holds sizes[s] consecutive entries) in stable order of the block keys;
+    None when they already are."""
+    key = np.concatenate(keys)
+    if np.all(key[1:] >= key[:-1]):
+        return None
+    size = np.concatenate([np.full(len(kk), s) for kk, s in zip(keys, sizes)])
+    start = np.cumsum(size) - size
+    order = np.argsort(key, kind="stable")
+    size = size[order]
+    return (np.repeat(start[order] - (np.cumsum(size) - size), size)
+            + np.arange(size.sum()))
 
-    ``blocks`` yields ``(row_idx, col_idx, dense_block)`` triples. Entries
-    are summed in the order given, so the same blocks in the same order give
-    the same matrix bit for bit."""
-    r_idx, c_idx, vals = [], [], []
+
+def assemble(blocks, shape: tuple[int, int], keys=None) -> sps.csr_matrix:
+    """Sum stacks of dense blocks into a sparse matrix.
+
+    ``blocks`` yields ``(rows, cols, vals)`` stacks: (n, n_r) and (n, n_c)
+    index arrays and (n, n_r, n_c) blocks. ``keys`` gives one (n,) array per
+    stack, such as cell ids. Blocks are summed in stable key order (in the
+    order given without keys), each in row-major order, so the same blocks
+    give the same matrix bit for bit however they are stacked."""
+    r_idx, c_idx, vals, sizes = [], [], [], []
     for r, c, block in blocks:
-        r_idx.append(r)
-        c_idx.append(c)
+        n_r, n_c = r.shape[1], c.shape[1]
+        r_idx.append(np.repeat(r, n_c, axis=1).ravel())
+        c_idx.append(np.tile(c, (1, n_r)).ravel())
         vals.append(np.asarray(block).ravel())
+        sizes.append(n_r * n_c)
     if not vals:
         return sps.csr_matrix(shape)
-    # row-major order of each block, as np.meshgrid(..., indexing="ij"): entry
-    # e of a block sits in its row e // n_c and column e % n_c; the index
-    # arithmetic runs once over all blocks
-    n_r = np.array([len(r) for r in r_idx])
-    n_c = np.array([len(c) for c in c_idx])
-    size = n_r * n_c
-    pos = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-    rows = np.repeat(np.concatenate(r_idx), np.repeat(n_c, n_r))
-    cols = np.concatenate(c_idx)[np.repeat(np.cumsum(n_c) - n_c, size)
-                                 + pos % np.repeat(n_c, size)]
-    data = (np.concatenate(vals), (rows, cols))
-    return sps.coo_matrix(data, shape=shape).tocsr()
+    rows, cols, data = (np.concatenate(a) for a in (r_idx, c_idx, vals))
+    perm = None if keys is None else _key_order(list(keys), sizes)
+    if perm is not None:
+        rows, cols, data = rows[perm], cols[perm], data[perm]
+    return sps.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
 
 
 @dataclass
@@ -141,20 +150,36 @@ class UVector:
 
 
 class Discretization:
-    """Mesh + degree bundle: spaces and per-entity bases/quadrature."""
+    """Mesh + degree bundle: spaces, one stacked context per cell vertex
+    count (``elem_ctxs``, by increasing count) and one for all edges."""
 
     def __init__(self, mesh: PolygonalMesh, k: int, quad_boost: int = 0):
         if k < 0:
             raise ValueError("degree k must be >= 0")
         self.mesh = mesh
         self.k = k
-        self.edge_ctxs: list[EdgeContext] = [
-            build_edge_context(mesh, e, k, 2 * k + 4 + quad_boost) for e in mesh.edges]
+        self.edge_ctx: EdgeContext = build_edge_context(mesh, mesh.edges, k,
+                                                        2 * k + 4 + quad_boost)
         self.elem_ctxs: list[ElementContext] = [
-            ElementContext(mesh, el, k, self.edge_ctxs, quad_boost)
-            for el in mesh.elements]
+            ElementContext(mesh, [mesh.elements[c] for c in ids], k, self.edge_ctx, quad_boost)
+            for ids, _ in cell_groups([el.vertices for el in mesh.elements])]
         self.theta_space = ThetaSpace(mesh, k)
         self.u_space = USpace(mesh, k)
+
+    def locate(self, cell_ids) -> tuple[np.ndarray, np.ndarray]:
+        """Group index and position within the group of each cell id."""
+        group = np.empty(self.mesh.n_elements, dtype=int)
+        pos = np.empty(self.mesh.n_elements, dtype=int)
+        for g, ctx in enumerate(self.elem_ctxs):
+            group[ctx.ids] = g
+            pos[ctx.ids] = np.arange(ctx.n_cells)
+        return group[cell_ids], pos[cell_ids]
+
+
+def at_points(fn, points: np.ndarray) -> np.ndarray:
+    """A field evaluated once on stacked points (..., 2), reshaped to match."""
+    vals = np.asarray(fn(points.reshape(-1, 2)), dtype=float)
+    return vals.reshape(points.shape[:-1] + vals.shape[1:])
 
 
 def interpolate_theta(disc: Discretization, eta, tangential_only: bool = False) -> ThetaVector:
@@ -166,24 +191,22 @@ def interpolate_theta(disc: Discretization, eta, tangential_only: bool = False) 
     k = disc.k
     out = np.zeros(sp.dim)
     for ctx in disc.elem_ctxs:
-        vals = np.asarray(eta(ctx.qpoints), dtype=float)
-        off = sp.elem_offset(ctx.element.id)
-        if sp.n_roly:
-            out[off:off + sp.n_roly] = np.einsum(
-                "q,qc,qnc->n", ctx.qweights, vals, ctx.roly_vals)
-        if sp.n_croly:
-            out[off + sp.n_roly:off + sp.elem_dim] = np.einsum(
-                "q,qc,qnc->n", ctx.qweights, vals,
-                ctx.croly_vals[:, :sp.n_croly, :])
-    for ctx in disc.edge_ctxs:
-        vals = np.asarray(eta(ctx.points), dtype=float)
-        tang = vals @ ctx.edge.tangent
-        out[sp.edge_tangential_slots(ctx.edge.id)] = ctx.weights @ (
-            tang[:, None] * ctx.psi[:, :k + 1])
-        if not tangential_only:
-            norm = vals @ ctx.edge.normal
-            out[sp.edge_normal_slots(ctx.edge.id)] = ctx.weights @ (
-                norm[:, None] * ctx.psi[:, :k + 1])
+        if not sp.elem_dim:
+            continue
+        # the two components count as extra quadrature points
+        vals = at_points(eta, ctx.qpoints).reshape(ctx.n_cells, -1, 1)
+        basis = np.concatenate([ctx.roly_vals, ctx.croly_vals[:, :, :sp.n_croly]], axis=2)
+        basis = np.swapaxes(basis, -1, -2).reshape(ctx.n_cells, -1, sp.elem_dim)
+        elem = sp.elem_offset(ctx.ids)[:, None] + np.arange(sp.elem_dim)
+        out[elem] = mass(np.repeat(ctx.qweights, 2, axis=1), vals, basis)[:, 0]
+    ec = disc.edge_ctx
+    vals = at_points(eta, ec.points)
+    frames = [(ec.tangent, sp.edge_tangential_slots(ec.ids))]
+    if not tangential_only:
+        frames.append((ec.normal, sp.edge_normal_slots(ec.ids)))
+    for direction, slots in frames:
+        comp = (vals @ direction[:, :, None])[..., 0]
+        out[slots] = mass(ec.weights, comp[..., None], ec.psi[:, :, :k + 1])[:, 0]
     return ThetaVector(sp, out)
 
 
@@ -196,18 +219,17 @@ def interpolate_u(disc: Discretization, v) -> UVector:
     elements, k moments per edge, nodal values at vertices."""
     sp = disc.u_space
     out = np.zeros(sp.dim)
-    for ctx in disc.elem_ctxs:
-        if sp.elem_dim:
-            vals = np.asarray(v(ctx.qpoints), dtype=float)
-            off = sp.elem_offset(ctx.element.id)
-            out[off:off + sp.elem_dim] = ctx.integrate(
-                vals[:, None] * ctx.phi[:, :sp.elem_dim])
+    if sp.elem_dim:
+        for ctx in disc.elem_ctxs:
+            vals = at_points(v, ctx.qpoints)
+            elem = sp.elem_offset(ctx.ids)[:, None] + np.arange(sp.elem_dim)
+            out[elem] = mass(ctx.qweights, vals[..., None],
+                             ctx.phi[:, :, :sp.elem_dim])[:, 0]
     if sp.edge_dim:
-        for ctx in disc.edge_ctxs:
-            vals = np.asarray(v(ctx.points), dtype=float)
-            off = sp.edge_offset(ctx.edge.id)
-            out[off:off + sp.edge_dim] = ctx.weights @ (
-                vals[:, None] * ctx.psi[:, :sp.edge_dim])
+        ec = disc.edge_ctx
+        vals = at_points(v, ec.points)
+        slots = sp.edge_offset(ec.ids)[:, None] + np.arange(sp.edge_dim)
+        out[slots] = mass(ec.weights, vals[..., None], ec.psi[:, :, :sp.edge_dim])[:, 0]
     out[sp.vertex_offset(0):] = np.asarray(v(disc.mesh.vertex_coords), dtype=float)
     return UVector(sp, out)
 
@@ -218,12 +240,8 @@ def boundary_dof_sets(disc: Discretization) -> tuple[np.ndarray, np.ndarray]:
     displacement space."""
     sp_t, sp_u = disc.theta_space, disc.u_space
     mesh = disc.mesh
-    th = [np.arange(sp_t.edge_offset(e), sp_t.edge_offset(e) + sp_t.edge_dim)
-          for e in mesh.boundary_edges]
-    uu = [np.arange(sp_u.edge_offset(e), sp_u.edge_offset(e) + sp_u.edge_dim)
-          for e in mesh.boundary_edges]
-    uu.append(np.array([sp_u.vertex_offset(v) for v in mesh.boundary_vertices],
-                       dtype=int))
-    th_idx = np.sort(np.concatenate(th)) if th else np.array([], dtype=int)
-    uu_idx = np.sort(np.concatenate(uu)) if uu else np.array([], dtype=int)
-    return th_idx.astype(int), uu_idx.astype(int)
+    bnd = np.asarray(mesh.boundary_edges, dtype=int)
+    th = sp_t.edge_offset(bnd)[:, None] + np.arange(sp_t.edge_dim)
+    uu = sp_u.edge_offset(bnd)[:, None] + np.arange(sp_u.edge_dim)
+    verts = sp_u.vertex_offset(np.asarray(mesh.boundary_vertices, dtype=int))
+    return np.sort(th.ravel()), np.sort(np.concatenate([uu.ravel(), verts]))

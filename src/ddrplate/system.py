@@ -18,9 +18,9 @@ from scipy.sparse.linalg import splu
 from .errors import SolverFailure, ZeroNormError
 from .hho import build_hho_packs, build_jump_penalisation
 from .operators import assemble_theta_product, build_global_gradient, build_packs
-from .polyspace import dim_P
+from .polyspace import dim_P, mass
 from .spaces import (Discretization, ThetaVector, UVector, assemble,
-                     boundary_dof_sets)
+                     at_points, boundary_dof_sets)
 
 _GS_METRIC = np.array([1.0, 2.0, 1.0])   # contraction weights for [11, 12, 22]
 _RESIDUAL_TOL = 1e-10                      # solver backward-error gate
@@ -73,6 +73,7 @@ class SolveReport:
     symmetric_defect: float
     refinement_steps: int = 0     # corrections applied after the first solve
     factor_nnz: int = 0           # nonzeros of L + U (SuperLU's count)
+    local_cond: float = 0.0       # worst condition number of the local solves
 
 
 class PlateSystem:
@@ -84,17 +85,21 @@ class PlateSystem:
         hho = build_hho_packs(disc, packs)
         # the displacement reconstructions are all the load vector needs
         self.PU = [pack.PU for pack in packs]
+        # worst condition number of the local P_U and P_T systems
+        self.local_cond = max(pack.cond for pack in packs)
         self.n_theta, self.n_u = disc.theta_space.dim, disc.u_space.dim
 
         self.G, cell_G = build_global_gradient(disc, packs)
         np_k = dim_P(disc.k)
+        keys = [ctx.ids for ctx in disc.elem_ctxs]
         idx = [t_dofs for t_dofs, _, _ in cell_G]
-        h_gs = (sum(_GS_METRIC[b] * p.GS[b * np_k:(b + 1) * np_k].T
-                    @ p.GS[b * np_k:(b + 1) * np_k] for b in range(3)) for p in hho)
+        h_gs = (sum(_GS_METRIC[b] * np.swapaxes(p.GS[:, b * np_k:(b + 1) * np_k], -1, -2)
+                    @ p.GS[:, b * np_k:(b + 1) * np_k] for b in range(3)) for p in hho)
         shape = (self.n_theta, self.n_theta)
-        self.H_gs = assemble(zip(idx, idx, h_gs), shape)
-        self.H_sj = assemble(zip(idx, idx, (p.sT for p in hho)), shape)
-        self.H_d = assemble(zip(idx, idx, (p.DD.T @ p.DD for p in hho)), shape)
+        self.H_gs = assemble(zip(idx, idx, h_gs), shape, keys)
+        self.H_sj = assemble(zip(idx, idx, (p.sT for p in hho)), shape, keys)
+        self.H_d = assemble(zip(idx, idx, (np.swapaxes(p.DD, -1, -2) @ p.DD for p in hho)),
+                            shape, keys)
         if disc.k == 0:
             self.H_sj = _structural_sum(
                 [self.H_sj, build_jump_penalisation(disc, packs, hho)])
@@ -103,9 +108,10 @@ class PlateSystem:
         # the entries that cancel to 0.0 and let round-off pick the pattern
         MG = [(t_dofs, u_dofs, p.M_theta @ g)
               for (t_dofs, u_dofs, g), p in zip(cell_G, packs)]
-        self.MG = assemble(MG, (self.n_theta, self.n_u))
-        self.GMG = assemble(((u_dofs, u_dofs, g.T @ mg) for (_, u_dofs, g), (_, _, mg)
-                             in zip(cell_G, MG)), (self.n_u, self.n_u))
+        self.MG = assemble(MG, (self.n_theta, self.n_u), keys)
+        self.GMG = assemble([(u_dofs, u_dofs, np.swapaxes(g, -1, -2) @ mg)
+                             for (_, u_dofs, g), (_, _, mg) in zip(cell_G, MG)],
+                            (self.n_u, self.n_u), keys)
 
         th_d, u_d = boundary_dof_sets(disc)
         dir_mask = np.zeros(self.n_theta + self.n_u, dtype=bool)
@@ -128,12 +134,16 @@ class PlateSystem:
     def load_vector(self, f) -> np.ndarray:
         """l_h(v) = sum_T int_T f * (displacement reconstruction of v)."""
         sp_u = self.disc.u_space
-        out = np.zeros(self.n_theta + self.n_u)
         np_k1 = dim_P(self.disc.k + 1)
+        idx, vals = [], []
         for ctx, PU in zip(self.disc.elem_ctxs, self.PU):
-            fv = np.asarray(f(ctx.qpoints), dtype=float)
-            coef = ctx.integrate(fv[:, None] * ctx.phi[:, :np_k1])
-            out[self.n_theta + sp_u.local_dofs(ctx.element)] += PU.T @ coef
+            fv = at_points(f, ctx.qpoints)
+            coef = mass(ctx.qweights, fv[..., None], ctx.phi[:, :, :np_k1])
+            idx.append(sp_u.local_dofs(ctx).ravel())
+            vals.append((coef @ PU)[:, 0].ravel())
+        out = np.zeros(self.n_theta + self.n_u)
+        out[self.n_theta:] = np.bincount(np.concatenate(idx), np.concatenate(vals),
+                                         self.n_u)
         return out
 
     # -- solve ---------------------------------------------------------------
@@ -153,7 +163,7 @@ class PlateSystem:
             x[self.dirichlet_mask] = dirichlet_values[self.dirichlet_mask]
         free = self.free
         report = SolveReport(residual=0.0, n_free=free.size,
-                             symmetric_defect=sym_defect)
+                             symmetric_defect=sym_defect, local_cond=self.local_cond)
         if free.size:
             Kf = K[free]
             Kff = Kf[:, free].tocsc()

@@ -5,9 +5,15 @@ projection oracle solves a weighted least-squares problem on raw scaled
 monomials, the defining-equation oracles rebuild the right-hand-side
 functionals with a fresh quadrature four degrees finer, and the derivative
 oracle uses Richardson-extrapolated central differences.
+
+The library stacks every local table by cell group; ``cells`` and ``cell``
+give per-cell views of those stacks for the oracles, with basis families
+rebuilt from the cell's own quadrature.
 """
 
+import dataclasses
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ import pytest
 from ddrplate.harness import PROPERTY_TEST_SEED
 from ddrplate.mesh import load_mesh, triangular_mesh
 from ddrplate.operators import build_packs
+from ddrplate.polyspace import CRolyFamily, EdgeFamily, ScalarFamily, roly_family
 from ddrplate.spaces import Discretization
 
 ASSETS = resources.files("ddrplate") / "assets" / "meshes"
@@ -110,34 +117,91 @@ def fd_jacobian_vector(f, x, h=1e-4):
     return np.stack(cols, axis=-1)
 
 
+# ---------------------------------------------------------------------------
+# per-cell views of the stacked tables
+
+
+def edge_view(edge_ctx, mesh, e):
+    """Edge e of the stacked edge context."""
+    return SimpleNamespace(
+        edge=mesh.edges[e], family=EdgeFamily(edge_ctx.length[e], edge_ctx.family.ndeg),
+        s=edge_ctx.s, points=edge_ctx.points[e], weights=edge_ctx.weights[e],
+        psi=edge_ctx.psi[e], dmat=edge_ctx.dmat[e], trace=edge_ctx.trace[e])
+
+
+class CellView:
+    """Cell ``c`` of a stacked ElementContext of ``disc``."""
+
+    def __init__(self, disc, ctx, c):
+        self.group, self.c = ctx, c
+        self.theta_dofs = disc.theta_space.local_dofs(ctx)[c]
+        self.u_dofs = disc.u_space.local_dofs(ctx)[c]
+        self.k, self.mesh, self.n_vertices = ctx.k, ctx.mesh, ctx.n_vertices
+        self.element = ctx.mesh.elements[ctx.ids[c]]
+        self.qpoints, self.qweights = ctx.qpoints[c], ctx.qweights[c]
+        self.phi = ctx.phi[c]
+        self.roly_vals, self.croly_vals = ctx.roly_vals[c], ctx.croly_vals[c]
+        self.scal = ScalarFamily(self.element.center, self.element.diameter, ctx.k + 2,
+                                 self.qpoints, self.qweights)
+        self.roly = roly_family(self.scal, ctx.k - 1, self.qpoints, self.qweights)
+        self.croly = CRolyFamily(self.scal, ctx.k + 2, self.qpoints, self.qweights)
+        self.edges = [SimpleNamespace(ctx=edge_view(ctx.edge_ctx, ctx.mesh, e),
+                                      n_out=ctx.n_out[c, j], omega=ctx.omega[c, j])
+                      for j, e in enumerate(ctx.edge_ids[c])]
+
+    def integrate(self, vals):
+        return np.tensordot(self.qweights, vals, axes=(0, 0))
+
+
+def _take(stack, c):
+    """Cell c of a stacked pack (a dataclass of stacks) or of a stacked array."""
+    if dataclasses.is_dataclass(stack):
+        return SimpleNamespace(**{
+            f.name: getattr(stack, f.name)[c] if isinstance(getattr(stack, f.name), np.ndarray)
+            else getattr(stack, f.name) for f in dataclasses.fields(stack)})
+    return stack[c]
+
+
+def cell(disc, cell_id, *stacks):
+    """Views of cell ``cell_id``: its context, then its entry of each list
+    of per-group stacks (packs or arrays)."""
+    group, pos = disc.locate(cell_id)
+    views = [CellView(disc, disc.elem_ctxs[group], pos)]
+    views += [_take(s[group], pos) for s in stacks]
+    return views[0] if not stacks else tuple(views)
+
+
+def cells(disc, *stacks, limit=None):
+    """``cell`` for every cell id in order (the first ``limit`` ones)."""
+    n = disc.mesh.n_elements if limit is None else min(limit, disc.mesh.n_elements)
+    for cell_id in range(n):
+        yield cell(disc, cell_id, *stacks)
+
+
+def per_group(fn, disc, *stacks):
+    """``fn(ctx, *group_items)`` for every cell group, as a list of stacks."""
+    return [fn(ctx, *items) for ctx, *items in zip(disc.elem_ctxs, *stacks)]
+
+
 def refined_quadrature(ctx, extra=4):
     """Fresh element rule, four degrees finer than the production one."""
     from ddrplate.polyspace import element_quadrature
-    rule = element_quadrature(ctx.mesh, ctx.element, 2 * ctx.k + 6 + extra)
-    return rule.points, rule.weights
+    rule = element_quadrature(ctx.mesh, [ctx.element], 2 * ctx.k + 6 + extra)
+    return rule.points[0], rule.weights[0]
 
 
 def refined_edge_quadrature(ctx, led, extra=4):
     """Fresh edge rule, four degrees finer than the production one."""
     from ddrplate.polyspace import build_edge_context
-    rule = build_edge_context(ctx.mesh, led.ctx.edge, ctx.k, 2 * ctx.k + 4 + extra)
-    return rule.points, rule.weights
-
-
-def theta_field_values(ctx, pack, sp, coeffs, points):
-    """Evaluate the rotation potential field of a local DOF vector."""
-    from ddrplate.polyspace import dim_P
-    np_k = dim_P(ctx.k)
-    pot = pack.PT @ coeffs
-    phi = ctx.scal.eval(points)[:, :np_k]
-    return np.stack([phi @ pot[:np_k], phi @ pot[np_k:]], axis=-1)
+    rule = build_edge_context(ctx.mesh, [led.ctx.edge], ctx.k, 2 * ctx.k + 4 + extra)
+    return rule.points[0], rule.weights[0]
 
 
 def edge_dof_values(disc, edge_id, coeffs, s):
     """Evaluate the vector edge polynomial stored in a global rotation vector
     at reference coordinates s."""
     sp = disc.theta_space
-    ec = disc.edge_ctxs[edge_id]
+    ec = edge_view(disc.edge_ctx, disc.mesh, edge_id)
     psi = ec.family.eval_s(s)[:, :disc.k + 1]
     tang = psi @ coeffs[sp.edge_tangential_slots(edge_id)]
     norm = psi @ coeffs[sp.edge_normal_slots(edge_id)]
@@ -147,6 +211,6 @@ def edge_dof_values(disc, edge_id, coeffs, s):
 
 def u_trace_values(disc, pack, element, u_local, j, s):
     """Evaluate the reconstructed skeleton trace on local edge j."""
-    ec = disc.elem_ctxs[element.id].edges[j].ctx
+    ec = edge_view(disc.edge_ctx, disc.mesh, element.edges[j])
     coef = pack.trace[j] @ u_local
     return ec.family.eval_s(s) @ coef

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import fd_gradient_scalar, fd_jacobian_vector
+from conftest import cells, fd_gradient_scalar, fd_jacobian_vector, per_group
 from ddrplate.harness import (PROPERTY_TEST_SEED, RunConfig, run_convergence,
                               solve_case)
 from ddrplate.hho import local_theta_interpolation
@@ -95,7 +95,9 @@ def test_criterion_1b_projection_identities(cache):
             disc = cache.disc(family, k)
             sp = disc.theta_space
             np_km1, np_k1 = dim_P(k - 1), dim_P(k + 1)
-            for ctx, pack in zip(disc.elem_ctxs, cache.packs(family, k)):
+            packs = cache.packs(family, k)
+            Js = per_group(local_theta_interpolation, disc, packs)
+            for ctx, pack, J in cells(disc, packs, Js):
                 # potential projections return the element components
                 comp = np.zeros((sp.elem_dim, pack.n_theta))
                 comp[:sp.n_roly, :sp.n_roly] = np.eye(sp.n_roly)
@@ -105,7 +107,6 @@ def test_criterion_1b_projection_identities(cache):
                 # vP^{k-1} projection of potential-of-interpolate vs direct
                 if np_km1 == 0:
                     continue
-                J = local_theta_interpolation(ctx, pack)
                 ptj = pack.PT @ J
                 np_k = dim_P(k)
                 trunc_pt = np.vstack([ptj[:np_km1], ptj[np_k:np_k + np_km1]])
@@ -123,9 +124,8 @@ def test_criterion_1c_stabilisation_consistency(cache, rng):
     for family in FAMILIES:
         for k in DEGREES:
             disc = cache.disc(family, k)
-            for ctx, pack, hho in zip(disc.elem_ctxs, cache.packs(family, k),
-                                      cache.hho(family, k)):
-                J = local_theta_interpolation(ctx, pack)
+            Js = per_group(local_theta_interpolation, disc, cache.packs(family, k))
+            for ctx, J, hho in cells(disc, Js, cache.hho(family, k)):
                 c = rng.standard_normal(J.shape[1])
                 ieta = J @ c
                 res = hho.sT @ ieta
@@ -162,9 +162,8 @@ def test_criterion_1e_reconstruction_exactness(cache):
         for k in DEGREES:
             disc = cache.disc(family, k)
             np_k1 = dim_P(k + 1)
-            for ctx, pack, hho in zip(disc.elem_ctxs, cache.packs(family, k),
-                                      cache.hho(family, k)):
-                J = local_theta_interpolation(ctx, pack)
+            Js = per_group(local_theta_interpolation, disc, cache.packs(family, k))
+            for ctx, J, hho in cells(disc, Js, cache.hho(family, k)):
                 defect = hho.P1 @ J - np.eye(2 * np_k1)
                 worst = max(worst, np.abs(defect).max())
     ok = worst <= 1e-10

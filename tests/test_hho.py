@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import refined_quadrature
-from ddrplate.hho import (build_jump_penalisation, build_tensor_gradient,
-                          local_theta_interpolation)
-from ddrplate.operators import _edge_restriction, _theta_slices, _vp_k
+from conftest import cell, cells, per_group, refined_quadrature
+from ddrplate.errors import SingularLocalSystem
+from ddrplate.hho import (build_hho_pack, build_jump_penalisation,
+                          build_tensor_gradient, local_theta_interpolation)
+from ddrplate.operators import (_edge_restriction, _theta_slices, _vp_k,
+                                build_local_pack)
 from ddrplate.polyspace import dim_P
-from ddrplate.spaces import interpolate_theta
+from ddrplate.spaces import Discretization, interpolate_theta
 
 
 def _exps(l):
@@ -41,10 +43,9 @@ def test_embedding_element_part_reproduces_polynomials(cache, rng, k):
     iv = interpolate_theta(disc, w).values
     sp = disc.theta_space
     np_k = dim_P(k)
-    ctx = disc.elem_ctxs[0]
-    pack = cache.packs("tri", k)[0]
+    ctx, pack = cell(disc, 0, cache.packs("tri", k))
     emb = _embedding(ctx, pack)
-    out = emb @ iv[sp.local_dofs(ctx.element)]
+    out = emb @ iv[ctx.theta_dofs]
     vals = np.stack([ctx.phi[:, :np_k] @ out[:np_k],
                      ctx.phi[:, :np_k] @ out[np_k:2 * np_k]], axis=-1)
     exact = w(ctx.qpoints)
@@ -56,7 +57,7 @@ def test_embedding_element_part_reproduces_polynomials(cache, rng, k):
 @pytest.mark.parametrize("k", range(4))
 def test_embedding_is_injective(cache, family, k):
     disc = cache.disc(family, k)
-    for ctx, pack in zip(disc.elem_ctxs[:4], cache.packs(family, k)[:4]):
+    for ctx, pack in cells(disc, cache.packs(family, k), limit=4):
         emb = _embedding(ctx, pack)
         assert np.linalg.matrix_rank(emb, tol=1e-10) == pack.n_theta
 
@@ -79,9 +80,10 @@ def test_tensor_gradient_commutes_with_projection(cache, rng, k):
         deg = 2 if coefs.shape[1] == 6 else k + 1
         eta = _poly_vector(coefs, deg)
         iv = interpolate_theta(disc, eta).values
-        for ctx, pack in zip(disc.elem_ctxs[:3], cache.packs("hexa", k)[:3]):
-            full, _, _ = build_tensor_gradient(ctx, pack)
-            g = full @ iv[sp.local_dofs(ctx.element)]
+        grads = per_group(lambda c, p: build_tensor_gradient(c, p)[0], disc,
+                          cache.packs("hexa", k))
+        for ctx, full in cells(disc, grads, limit=3):
+            g = full @ iv[ctx.theta_dofs]
             qp, qw = refined_quadrature(ctx)
             phi = ctx.scal.eval(qp)[:, :np_k]
             grad_eta = _poly_jacobian(coefs, deg, qp)
@@ -114,8 +116,8 @@ def test_rigid_rotation_has_zero_symmetric_gradient(cache):
             iv = interpolate_theta(
                 disc, lambda x: np.stack([-x[:, 1], x[:, 0]], -1)).values
             sp = disc.theta_space
-            for ctx, hho in zip(disc.elem_ctxs, cache.hho(family, k)):
-                gs = hho.GS @ iv[sp.local_dofs(ctx.element)]
+            for ctx, hho in cells(disc, cache.hho(family, k)):
+                gs = hho.GS @ iv[ctx.theta_dofs]
                 assert np.abs(gs).max() < 1e-12
 
 
@@ -123,18 +125,19 @@ def test_constant_field_has_zero_gradient(cache):
     disc = cache.disc("tri", 2)
     iv = interpolate_theta(disc, lambda x: np.tile([0.3, 0.9], (len(x), 1))).values
     sp = disc.theta_space
-    for ctx, pack in zip(disc.elem_ctxs, cache.packs("tri", 2)):
-        full, _, _ = build_tensor_gradient(ctx, pack)
-        assert np.abs(full @ iv[sp.local_dofs(ctx.element)]).max() < 1e-12
+    grads = per_group(lambda c, p: build_tensor_gradient(c, p)[0], disc,
+                      cache.packs("tri", 2))
+    for ctx, full in cells(disc, grads):
+        assert np.abs(full @ iv[ctx.theta_dofs]).max() < 1e-12
 
 
 def test_trace_of_gradient_is_divergence(cache):
     for k in range(4):
         disc = cache.disc("hexa", k)
         np_k = dim_P(k)
-        for ctx, pack, hp in zip(disc.elem_ctxs, cache.packs("hexa", k),
-                                 cache.hho("hexa", k)):
-            full, _, _ = build_tensor_gradient(ctx, pack)
+        grads = per_group(lambda c, p: build_tensor_gradient(c, p)[0], disc,
+                          cache.packs("hexa", k))
+        for ctx, full, hp in cells(disc, grads, cache.hho("hexa", k)):
             tr = full[:np_k] + full[3 * np_k:]
             assert np.abs(tr - hp.DD).max() == 0.0
 
@@ -152,8 +155,8 @@ def test_reconstruction_reproduces_degree_k1(cache, rng, family, k):
     iv = interpolate_theta(disc, eta).values
     sp = disc.theta_space
     np_k1 = dim_P(k + 1)
-    for ctx, hho in zip(disc.elem_ctxs, cache.hho(family, k)):
-        rec = hho.P1 @ iv[sp.local_dofs(ctx.element)]
+    for ctx, hho in cells(disc, cache.hho(family, k)):
+        rec = hho.P1 @ iv[ctx.theta_dofs]
         vals = np.stack([ctx.phi[:, :np_k1] @ rec[:np_k1],
                          ctx.phi[:, :np_k1] @ rec[np_k1:]], axis=-1)
         exact = eta(ctx.qpoints)
@@ -166,8 +169,8 @@ def test_reconstruction_reproduces_rigid_motion(cache):
         disc, lambda x: np.stack([1.0 - 0.5 * x[:, 1], 2.0 + 0.5 * x[:, 0]], -1)).values
     sp = disc.theta_space
     np_1 = dim_P(1)
-    for ctx, hho in zip(disc.elem_ctxs, cache.hho("hexa", 0)):
-        rec = hho.P1 @ iv[sp.local_dofs(ctx.element)]
+    for ctx, hho in cells(disc, cache.hho("hexa", 0)):
+        rec = hho.P1 @ iv[ctx.theta_dofs]
         vals = np.stack([ctx.phi[:, :np_1] @ rec[:np_1],
                          ctx.phi[:, :np_1] @ rec[np_1:]], axis=-1)
         exact = np.stack([1.0 - 0.5 * ctx.qpoints[:, 1],
@@ -187,8 +190,8 @@ def test_stabilisation_polynomial_consistency(cache, rng, family, k):
     eta = _poly_vector(coefs, k + 1)
     iv = interpolate_theta(disc, eta).values
     sp = disc.theta_space
-    for ctx, hho in zip(disc.elem_ctxs, cache.hho(family, k)):
-        loc = iv[sp.local_dofs(ctx.element)]
+    for ctx, hho in cells(disc, cache.hho(family, k)):
+        loc = iv[ctx.theta_dofs]
         res = hho.sT @ loc
         for _ in range(5):
             xi = rng.standard_normal(len(loc))
@@ -200,7 +203,7 @@ def test_stabilisation_polynomial_consistency(cache, rng, family, k):
 def test_stabilisation_psd(cache, rng):
     disc = cache.disc("hexa", 1)
     sp = disc.theta_space
-    for ctx, hho in zip(disc.elem_ctxs[:3], cache.hho("hexa", 1)[:3]):
+    for ctx, hho in cells(disc, cache.hho("hexa", 1), limit=3):
         n = hho.sT.shape[0]
         for _ in range(100):
             v = rng.standard_normal(n)
@@ -218,17 +221,21 @@ def test_difference_operators_vanish_on_interpolates(cache, rng, k):
     iv = interpolate_theta(disc, eta).values
     sp = disc.theta_space
     np_k1 = dim_P(k + 1)
-    for ctx, pack, hho in zip(disc.elem_ctxs[:3], cache.packs("tri", k)[:3],
-                              cache.hho("tri", k)[:3]):
-        loc = iv[sp.local_dofs(ctx.element)]
+    packs = cache.packs("tri", k)
+    Js = per_group(local_theta_interpolation, disc, packs)
+    rests = per_group(lambda c, p: _edge_restriction(c, p.scalar_cross, k + 1, np_k1),
+                      disc, packs)
+    for ctx, pack, hho, J, rest in cells(disc, packs, cache.hho("tri", k), Js, rests,
+                                         limit=3):
+        loc = iv[ctx.theta_dofs]
         defect = hho.P1 @ loc
         defect[_vp_k(k)] -= pack.PT @ loc
-        delta_T = pack.PT @ (local_theta_interpolation(ctx, pack) @ defect)
+        delta_T = pack.PT @ (J @ defect)
         scale = np.linalg.norm(loc) + 1
         assert np.abs(delta_T).max() < 1e-10 * scale
         _, _, sl_t, sl_n, n_theta = _theta_slices(ctx)
         for j in range(len(ctx.edges)):
-            rest_k1 = _edge_restriction(ctx, pack.scalar_cross, j, k + 1, np_k1)
+            rest_k1 = rest[j]
             picks = np.zeros((2 * (k + 1), n_theta))
             picks[:k + 1, sl_t[j]] = np.eye(k + 1)
             picks[k + 1:, sl_n[j]] = np.eye(k + 1)
@@ -255,14 +262,14 @@ def test_jump_vanishes_on_affine_interior(cache):
     iv = interpolate_theta(
         disc, lambda x: np.stack([0.2 + x[:, 0] - 2 * x[:, 1],
                                   -1.0 + 3 * x[:, 0] + x[:, 1]], -1)).values
-    sp = disc.theta_space
+    rests = per_group(lambda c, p: _edge_restriction(c, p.scalar_cross, 2, dim_P(1)),
+                      disc, packs)
     for eid in disc.mesh.interior_edges:
         sides = []
         for t_id in disc.mesh.edges[eid].elements:
-            ctx = disc.elem_ctxs[t_id]
+            ctx, hp, rest = cell(disc, t_id, hho, rests)
             j = ctx.element.edges.index(eid)
-            rest = _edge_restriction(ctx, packs[t_id].scalar_cross, j, 2, dim_P(1))
-            sides.append(rest @ hho[t_id].P1 @ iv[sp.local_dofs(ctx.element)])
+            sides.append(rest[j] @ hp.P1 @ iv[ctx.theta_dofs])
         assert np.abs(sides[0] - sides[1]).max() < 1e-12 * np.abs(iv).max()
 
 
@@ -280,3 +287,15 @@ def test_jump_symmetry(cache):
     J = build_jump_penalisation(cache.disc("hexa", 0), cache.packs("hexa", 0),
                                 cache.hho("hexa", 0))
     assert abs(J - J.T).max() <= 1e-13 * abs(J).max()
+
+
+def test_rank_deficient_reconstruction_names_the_cell(meshes):
+    """Zero derivative masses on one cell leave only the three closure rows
+    of its strain-reconstruction system; the rank check names that cell."""
+    disc = Discretization(meshes["hexa"], 1)
+    ctx = disc.elem_ctxs[0]
+    assert ctx.ids[1] != 1
+    pack = build_local_pack(ctx)
+    pack.D[1] = 0.0
+    with pytest.raises(SingularLocalSystem, match=f"element {ctx.ids[1]}: strain"):
+        build_hho_pack(ctx, pack)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import refined_edge_quadrature, refined_quadrature
-from ddrplate.mesh import triangular_mesh
+from conftest import (ASSETS, cell, cells, edge_view, refined_edge_quadrature,
+                      refined_quadrature)
+from ddrplate.errors import SingularLocalSystem
+from ddrplate.mesh import build_mesh, load_mesh, triangular_mesh
 from ddrplate.operators import (_vp_k, assemble_theta_product,
-                                build_global_gradient, build_packs)
+                                build_global_gradient, build_local_pack, build_packs)
 from ddrplate.polyspace import dim_P
 from ddrplate.spaces import (Discretization, interpolate_theta,
                              interpolate_theta_tangential, interpolate_u)
@@ -53,8 +55,8 @@ def test_gradient_exact_on_affine(cache, k):
     iu = interpolate_u(disc, lambda x: 0.3 + x @ b).values
     sp_u = disc.u_space
     np_k = dim_P(k)
-    for ctx, pack in zip(disc.elem_ctxs, cache.packs("hexa", k)):
-        g = pack.GT @ iu[sp_u.local_dofs(ctx.element)]
+    for ctx, pack in cells(disc, cache.packs("hexa", k)):
+        g = pack.GT @ iu[ctx.u_dofs]
         vals = np.stack([ctx.phi[:, :np_k] @ g[:np_k],
                          ctx.phi[:, :np_k] @ g[np_k:]], axis=-1)
         assert np.abs(vals - b).max() < 1e-12
@@ -65,8 +67,8 @@ def test_gradient_kills_constants(cache):
         disc = cache.disc("tri", k)
         iu = interpolate_u(disc, lambda x: np.full(len(x), 2.5)).values
         sp_u = disc.u_space
-        for ctx, pack in zip(disc.elem_ctxs, cache.packs("tri", k)):
-            g = pack.GT @ iu[sp_u.local_dofs(ctx.element)]
+        for ctx, pack in cells(disc, cache.packs("tri", k)):
+            g = pack.GT @ iu[ctx.u_dofs]
             assert np.abs(g).max() < 1e-12
 
 
@@ -76,8 +78,7 @@ def test_gradient_defining_equation_oracle(cache, rng, k):
     re-assembled right-hand side (finer quadrature, raw monomials) for random
     test fields eta in vP^k."""
     disc = cache.disc("hexa", k)
-    ctx = disc.elem_ctxs[0]
-    pack = cache.packs("hexa", k)[0]
+    ctx, pack = cell(disc, 0, cache.packs("hexa", k))
     np_k = dim_P(k)
     v_loc = rng.standard_normal(pack.n_u)
     g = pack.GT @ v_loc
@@ -131,8 +132,8 @@ def test_reconstruction_polynomial_exactness(cache, rng, k):
     iu = interpolate_u(disc, w).values
     sp_u = disc.u_space
     np_k1 = dim_P(k + 1)
-    for ctx, pack in zip(disc.elem_ctxs, cache.packs("locref", k)):
-        pu = pack.PU @ iu[sp_u.local_dofs(ctx.element)]
+    for ctx, pack in cells(disc, cache.packs("locref", k)):
+        pu = pack.PU @ iu[ctx.u_dofs]
         vals = ctx.phi[:, :np_k1] @ pu
         exact = w(ctx.qpoints)
         assert np.abs(vals - exact).max() < 1e-11 * (np.abs(exact).max() + 1)
@@ -142,8 +143,8 @@ def test_reconstruction_of_one(cache):
     disc = cache.disc("hexa", 1)
     iu = interpolate_u(disc, lambda x: np.ones(len(x))).values
     sp_u = disc.u_space
-    for ctx, pack in zip(disc.elem_ctxs, cache.packs("hexa", 1)):
-        pu = pack.PU @ iu[sp_u.local_dofs(ctx.element)]
+    for ctx, pack in cells(disc, cache.packs("hexa", 1)):
+        pu = pack.PU @ iu[ctx.u_dofs]
         vals = ctx.phi[:, :dim_P(2)] @ pu
         assert np.abs(vals - 1.0).max() < 1e-12
 
@@ -151,8 +152,7 @@ def test_reconstruction_of_one(cache):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_reconstruction_defining_equation_oracle(cache, rng, k):
     disc = cache.disc("hexa", k)
-    ctx = disc.elem_ctxs[0]
-    pack = cache.packs("hexa", k)[0]
+    ctx, pack = cell(disc, 0, cache.packs("hexa", k))
     v_loc = rng.standard_normal(pack.n_u)
     pu = pack.PU @ v_loc
     gt = pack.GT @ v_loc
@@ -228,11 +228,12 @@ def test_cell_blocks_are_the_rows_of_the_global_gradient(cache, family):
     """Each cell block is G on the cell's rotation rows, and those rows read
     no displacement DOF outside the cell."""
     disc = cache.disc(family, 2)
-    G, cells = build_global_gradient(disc, cache.packs(family, 2))
-    for t_dofs, u_dofs, block in cells:
-        rows = G[t_dofs]
-        assert np.array_equal(rows[:, u_dofs].toarray(), block)
-        assert rows.nnz == rows[:, u_dofs].nnz
+    G, blocks = build_global_gradient(disc, cache.packs(family, 2))
+    for stack in blocks:
+        for t_dofs, u_dofs, block in zip(*stack):
+            rows = G[t_dofs]
+            assert np.array_equal(rows[:, u_dofs].toarray(), block)
+            assert rows.nnz == rows[:, u_dofs].nnz
 
 
 def test_edge_block_differentiates_the_trace(rng):
@@ -241,7 +242,7 @@ def test_edge_block_differentiates_the_trace(rng):
     disc = Discretization(triangular_mesh(1), 1)
     G, _ = build_global_gradient(disc, build_packs(disc))
     sp_u, sp_t = disc.u_space, disc.theta_space
-    ec = disc.edge_ctxs[0]
+    ec = edge_view(disc.edge_ctx, disc.mesh, 0)
     vec = np.zeros(sp_u.dim)
     # set DOFs so the trace on edge 0 is s^2 in the reference coordinate
     coef_target = np.zeros(ec.family.ndeg)
@@ -269,8 +270,8 @@ def test_rotor_of_constant_vanishes(cache, k):
     disc = cache.disc("hexa", k)
     iv = interpolate_theta(disc, lambda x: np.tile([1.3, -0.2], (len(x), 1))).values
     sp = disc.theta_space
-    for ctx, pack in zip(disc.elem_ctxs, cache.packs("hexa", k)):
-        r = pack.RT @ iv[sp.local_dofs(ctx.element)]
+    for ctx, pack in cells(disc, cache.packs("hexa", k)):
+        r = pack.RT @ iv[ctx.theta_dofs]
         assert np.abs(r).max() < 1e-12
 
 
@@ -284,8 +285,8 @@ def test_rotor_matches_scalar_rot_of_polynomials(cache, rng, k):
     iv = interpolate_theta(disc, eta).values
     sp = disc.theta_space
     np_k = dim_P(k)
-    for ctx, pack in zip(disc.elem_ctxs[:3], cache.packs("tri", k)[:3]):
-        r = pack.RT @ iv[sp.local_dofs(ctx.element)]
+    for ctx, pack in cells(disc, cache.packs("tri", k), limit=3):
+        r = pack.RT @ iv[ctx.theta_dofs]
         qp, qw = refined_quadrature(ctx)
         rot_exact = _scalar_rot(coefs, k + 1)(qp)
         for m in range(np_k):
@@ -315,7 +316,7 @@ def _scalar_rot(coefs, l):
 def test_potential_projection_identities(cache, rng, family, k):
     disc = cache.disc(family, k)
     sp = disc.theta_space
-    for ctx, pack in zip(disc.elem_ctxs, cache.packs(family, k)):
+    for ctx, pack in cells(disc, cache.packs(family, k)):
         eta = rng.standard_normal(pack.n_theta)
         pt = pack.PT @ eta
         proj = pack.moments[:, _vp_k(k)]     # Roly^{k-1}/cRoly^k moments of vP^k
@@ -334,7 +335,7 @@ def test_element_tables_against_refined_quadrature(cache, family, k):
     and the element-moment table matches a finer rule."""
     disc = cache.disc(family, k)
     np_k, np_k1 = dim_P(k), dim_P(k + 1)
-    ctx, pack = disc.elem_ctxs[-1], cache.packs(family, k)[-1]
+    ctx, pack = cell(disc, disc.mesh.n_elements - 1, cache.packs(family, k))
     qp, qw = refined_quadrature(ctx)
     grad = ctx.scal.eval_grad(qp)[:, :np_k1]
     recon = np.einsum("djm,qm->qjd", pack.D, ctx.scal.eval(qp)[:, :np_k])
@@ -354,8 +355,8 @@ def test_potential_is_projector_on_vpk(cache, rng, k):
     iv = interpolate_theta(disc, w).values
     sp = disc.theta_space
     np_k = dim_P(k)
-    for ctx, pack in zip(disc.elem_ctxs, cache.packs("hexa", k)):
-        pt = pack.PT @ iv[sp.local_dofs(ctx.element)]
+    for ctx, pack in cells(disc, cache.packs("hexa", k)):
+        pt = pack.PT @ iv[ctx.theta_dofs]
         vals = np.stack([ctx.phi[:, :np_k] @ pt[:np_k],
                          ctx.phi[:, :np_k] @ pt[np_k:]], axis=-1)
         exact = w(ctx.qpoints)
@@ -372,8 +373,8 @@ def test_potential_recovering_projection_degree_km1(cache, rng, k):
     iv = interpolate_theta(disc, eta).values
     sp = disc.theta_space
     np_k, np_km1 = dim_P(k), dim_P(k - 1)
-    for ctx, pack in zip(disc.elem_ctxs[:4], cache.packs("tri", k)[:4]):
-        pt = pack.PT @ iv[sp.local_dofs(ctx.element)]
+    for ctx, pack in cells(disc, cache.packs("tri", k), limit=4):
+        pt = pack.PT @ iv[ctx.theta_dofs]
         vals = np.stack([ctx.phi[:, :np_k] @ pt[:np_k],
                          ctx.phi[:, :np_k] @ pt[np_k:]], axis=-1)
         got = ctx.integrate(vals[:, None, :] * ctx.phi[:, :np_km1, None])
@@ -403,8 +404,8 @@ def test_product_of_interpolated_constant(cache):
     c = np.array([0.6, 0.8])
     iv = interpolate_theta(disc, lambda x: np.tile(c, (len(x), 1))).values
     sp = disc.theta_space
-    for ctx, pack in zip(disc.elem_ctxs, cache.packs("hexa", 1)):
-        loc = iv[sp.local_dofs(ctx.element)]
+    for ctx, pack in cells(disc, cache.packs("hexa", 1)):
+        loc = iv[ctx.theta_dofs]
         val = loc @ (pack.M_theta @ loc)
         assert val == pytest.approx(ctx.element.area * (c @ c), rel=1e-12)
         # stabilisation vanishes: the potential of an interpolated constant
@@ -427,9 +428,9 @@ def test_potential_of_gradient_is_element_gradient(cache, rng, k):
     disc = cache.disc("hexa", k)
     sp_t, sp_u = disc.theta_space, disc.u_space
     G, _ = build_global_gradient(disc, cache.packs("hexa", k))
-    for ctx, pack in zip(disc.elem_ctxs, cache.packs("hexa", k)):
-        t_idx = sp_t.local_dofs(ctx.element)
-        u_idx = sp_u.local_dofs(ctx.element)
+    for ctx, pack in cells(disc, cache.packs("hexa", k)):
+        t_idx = ctx.theta_dofs
+        u_idx = ctx.u_dofs
         uGT_local = np.asarray(G[np.ix_(t_idx, u_idx)].todense())
         lhs = pack.PT @ uGT_local
         scale = np.abs(pack.GT).max() + 1
@@ -476,8 +477,7 @@ def _rot_of_raw(coefs, l):
 @pytest.mark.parametrize("k", range(4))
 def test_rotor_defining_equation_oracle(cache, rng, k):
     disc = cache.disc("hexa", k)
-    ctx = disc.elem_ctxs[0]
-    pack = cache.packs("hexa", k)[0]
+    ctx, pack = cell(disc, 0, cache.packs("hexa", k))
     sp = disc.theta_space
     loc = rng.standard_normal(pack.n_theta)
     r = pack.RT @ loc
@@ -500,8 +500,7 @@ def test_rotor_defining_equation_oracle(cache, rng, k):
 @pytest.mark.parametrize("k", range(4))
 def test_potential_defining_equation_oracle(cache, rng, k):
     disc = cache.disc("locref", k)
-    ctx = disc.elem_ctxs[0]
-    pack = cache.packs("locref", k)[0]
+    ctx, pack = cell(disc, 0, cache.packs("locref", k))
     sp = disc.theta_space
     loc = rng.standard_normal(pack.n_theta)
     pt = pack.PT @ loc
@@ -532,3 +531,59 @@ def test_potential_defining_equation_oracle(cache, rng, k):
             tang = _theta_edge_tangential_fn(disc, ctx, j, loc)(ep)
             rhs -= led.omega * (ew @ (tang * q(ep)))
         assert abs(lhs - rhs) < 1e-11 * (abs(lhs) + abs(rhs) + 1)
+
+
+# ---------------------------------------------------------------------------
+# failures name the offending cell of a stack
+
+
+def _hexa_group(k):
+    """A fresh hexa_01 discretization and its 4-vertex cell group, whose
+    second cell (position 1) has a cell id other than 1."""
+    disc = Discretization(load_mesh(str(ASSETS / "hexa_01.json")), k)
+    ctx = disc.elem_ctxs[0]
+    assert ctx.n_vertices == 4 and ctx.ids[1] != 1
+    return disc, ctx
+
+
+def test_singular_displacement_reconstruction_names_the_cell():
+    """Zero quadrature weights on one cell make its div cRoly^{k+2} mass
+    matrix vanish; the condition check names that cell."""
+    _, ctx = _hexa_group(1)
+    ctx.qweights[1] = 0.0
+    with pytest.raises(SingularLocalSystem, match=f"element {ctx.ids[1]}: div cRoly"):
+        build_local_pack(ctx)
+
+
+def test_singular_rotation_potential_names_the_cell():
+    """Zero cRoly^k values on one cell leave its P_U system intact and make
+    the rotation-potential system singular."""
+    _, ctx = _hexa_group(1)
+    ctx.croly_vals[1] = 0.0
+    with pytest.raises(SingularLocalSystem, match=f"element {ctx.ids[1]}: rotation potential"):
+        build_local_pack(ctx)
+
+
+def test_cell_order_does_not_change_local_tables():
+    """hexa_02 (three vertex-count groups) with its cell list reversed: every
+    cell's tables match the unreversed build, so the batches do not mix
+    cells."""
+    from ddrplate.hho import build_hho_packs
+    mesh = load_mesh(str(ASSETS / "hexa_02.json"))
+    rev = build_mesh(mesh.vertex_coords, [list(el.vertices) for el in mesh.elements][::-1])
+    builds = []
+    for m in (mesh, rev):
+        disc = Discretization(m, 1)
+        assert len(disc.elem_ctxs) == 3
+        packs = build_packs(disc)
+        builds.append((disc, packs, build_hho_packs(disc, packs)))
+    n = mesh.n_elements
+    (disc, *stacks), (disc_r, *stacks_r) = builds
+    for cid in range(n):
+        _, pack, hp = cell(disc, cid, *stacks)
+        _, pack_r, hp_r = cell(disc_r, n - 1 - cid, *stacks_r)
+        for ref, got in ((pack, pack_r), (hp, hp_r)):
+            for name in ("GT", "PT", "M_theta", "GS", "P1", "sT"):
+                if hasattr(ref, name):
+                    a, b = getattr(ref, name), getattr(got, name)
+                    assert np.abs(a - b).max() <= 1e-13 * np.abs(a).max()

@@ -3,13 +3,13 @@ from math import factorial
 import numpy as np
 import pytest
 
-from conftest import lstsq_projection_oracle
+from conftest import cell, edge_view, lstsq_projection_oracle
 from ddrplate.errors import SingularGram
 from ddrplate.mesh import build_mesh, triangular_mesh
-from ddrplate.polyspace import (CRolyFamily, ScalarFamily, build_edge_context,
-                                dim_P, dim_croly, dim_roly, element_quadrature,
-                                gram_orthonormalize, monomial_exponents,
-                                roly_family)
+from ddrplate.polyspace import (CRolyFamily, QuadratureRule, ScalarFamily,
+                                build_edge_context, dim_P, dim_croly, dim_roly,
+                                element_quadrature, gram_orthonormalize,
+                                monomial_exponents, roly_family)
 from ddrplate.spaces import Discretization
 
 UNIT_TRI = build_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [[0, 1, 2]])
@@ -23,37 +23,41 @@ def hexagon():
     return build_mesh(verts, [list(range(6))])
 
 
+def single_cell_rule(mesh, degree):
+    """Fan rule of a one-cell mesh, without the cell axis."""
+    rule = element_quadrature(mesh, mesh.elements, degree)
+    return QuadratureRule(rule.points[0], rule.weights[0])
+
+
 def tri_monomial_integral(a, b):
     """int over the unit triangle of x^a y^b."""
     return factorial(a) * factorial(b) / factorial(a + b + 2)
 
 
 def test_quadrature_closed_forms():
-    rule = element_quadrature(UNIT_TRI, UNIT_TRI.elements[0], 2)
+    rule = single_cell_rule(UNIT_TRI, 2)
     val = rule.weights @ (rule.points[:, 0] * rule.points[:, 1])
     assert val == pytest.approx(1.0 / 24.0, rel=1e-14)
 
     bottom = next(e for e in UNIT_SQUARE.edges
                   if np.allclose(UNIT_SQUARE.edge_midpoint(e), [0.5, 0.0]))
-    er = build_edge_context(UNIT_SQUARE, bottom, 0, 3)
-    assert er.weights @ er.points[:, 0] ** 3 == pytest.approx(0.25, rel=1e-14)
+    er = build_edge_context(UNIT_SQUARE, [bottom], 0, 3)
+    assert er.weights[0] @ er.points[0, :, 0] ** 3 == pytest.approx(0.25, rel=1e-14)
 
     hexa = hexagon()
-    rule = element_quadrature(hexa, hexa.elements[0], 0)
+    rule = single_cell_rule(hexa, 0)
     area = 3.0 * np.sqrt(3.0) / 2.0
     assert np.sum(rule.weights) == pytest.approx(area, rel=1e-13)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 4, 7, 10])
 def test_quadrature_monomial_exactness(degree):
-    mesh, el = UNIT_TRI, UNIT_TRI.elements[0]
-    rule = element_quadrature(mesh, el, degree)
+    rule = single_cell_rule(UNIT_TRI, degree)
     for a, b in monomial_exponents(degree):
         val = rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** b)
         exact = tri_monomial_integral(a, b)
         assert val == pytest.approx(exact, rel=1e-12)
-    mesh, el = UNIT_SQUARE, UNIT_SQUARE.elements[0]
-    rule = element_quadrature(mesh, el, degree)
+    rule = single_cell_rule(UNIT_SQUARE, degree)
     for a, b in monomial_exponents(degree):
         val = rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** b)
         assert val == pytest.approx(1.0 / ((a + 1) * (b + 1)), rel=1e-12)
@@ -61,9 +65,8 @@ def test_quadrature_monomial_exactness(degree):
 
 def test_quadrature_exactness_on_hexagon_against_finer_rule():
     hexa = hexagon()
-    el = hexa.elements[0]
-    coarse = element_quadrature(hexa, el, 6)
-    fine = element_quadrature(hexa, el, 12)
+    coarse = single_cell_rule(hexa, 6)
+    fine = single_cell_rule(hexa, 12)
     for a, b in monomial_exponents(6):
         v1 = coarse.weights @ (coarse.points[:, 0] ** a * coarse.points[:, 1] ** b)
         v2 = fine.weights @ (fine.points[:, 0] ** a * fine.points[:, 1] ** b)
@@ -71,10 +74,10 @@ def test_quadrature_exactness_on_hexagon_against_finer_rule():
 
 
 def test_element_and_edge_quadrature_weights():
-    rule = element_quadrature(UNIT_TRI, UNIT_TRI.elements[0], 3)
+    rule = single_cell_rule(UNIT_TRI, 3)
     assert np.sum(rule.weights) == pytest.approx(0.5, rel=1e-14)
-    rule = build_edge_context(UNIT_TRI, UNIT_TRI.edges[0], 0, 3)
-    assert np.sum(rule.weights) == pytest.approx(UNIT_TRI.edges[0].length, rel=1e-14)
+    rule = build_edge_context(UNIT_TRI, UNIT_TRI.edges[:1], 0, 3)
+    assert np.sum(rule.weights[0]) == pytest.approx(UNIT_TRI.edges[0].length, rel=1e-14)
 
 
 @pytest.mark.parametrize("l", range(6))
@@ -86,7 +89,7 @@ def test_subspace_dimensions(l):
 
 def test_rot_convention_and_divergence_free():
     el = UNIT_TRI.elements[0]
-    rule = element_quadrature(UNIT_TRI, el, 8)
+    rule = single_cell_rule(UNIT_TRI, 8)
     fam = ScalarFamily(el.center, el.diameter, 3, rule.points, rule.weights)
     # raw member with exponents (0,1) is (x2 - c2)/h; its rot must align with (1,0)
     raw_grad = fam._raw_grad(rule.points)
@@ -109,7 +112,7 @@ def test_rot_convention_and_divergence_free():
 def test_orthonormality_of_families():
     hexa = hexagon()
     el = hexa.elements[0]
-    rule = element_quadrature(hexa, el, 10)
+    rule = single_cell_rule(hexa, 10)
     fam = ScalarFamily(el.center, el.diameter, 4, rule.points, rule.weights)
     vals = fam.eval(rule.points)
     gram = (vals * rule.weights[:, None]).T @ vals
@@ -124,7 +127,7 @@ def test_singular_gram_raises():
     with pytest.raises(SingularGram):
         gram_orthonormalize(np.array([[1.0, 1.0], [1.0, 1.0]]))
     el = UNIT_TRI.elements[0]
-    rule = element_quadrature(UNIT_TRI, el, 0)   # 3 fan points, P^2 has 6 dofs
+    rule = single_cell_rule(UNIT_TRI, 0)   # 3 fan points, P^2 has 6 dofs
     with pytest.raises(SingularGram):
         ScalarFamily(el.center, el.diameter, 2, rule.points, rule.weights)
 
@@ -132,7 +135,7 @@ def test_singular_gram_raises():
 @pytest.fixture(scope="module")
 def hexa_ctx():
     hexa = hexagon()
-    return Discretization(hexa, 2).elem_ctxs[0]
+    return cell(Discretization(hexa, 2), 0)
 
 
 def _project_P(ctx, f, l):
@@ -220,7 +223,7 @@ def test_vector_decomposition_against_lstsq_oracle(hexa_ctx, rng):
 def test_edge_family_derivative_matrix():
     mesh = triangular_mesh(1)
     disc = Discretization(mesh, 2)
-    ec = disc.edge_ctxs[0]
+    ec = edge_view(disc.edge_ctx, mesh, 0)
     # derivative of each member against finite differences along the edge
     s = np.linspace(-0.8, 0.8, 5)
     eps = 1e-6
@@ -234,7 +237,7 @@ def test_edge_family_derivative_matrix():
 def test_trace_recovery_matches_conditions(rng):
     mesh = triangular_mesh(1)
     disc = Discretization(mesh, 2)
-    ec = disc.edge_ctxs[0]
+    ec = edge_view(disc.edge_ctx, mesh, 0)
     k = disc.k
     dofs = rng.standard_normal(k + 2)          # [moments, v_a, v_b]
     coef = ec.trace @ dofs
@@ -248,7 +251,7 @@ def test_trace_recovery_matches_conditions(rng):
 def test_roly_and_croly_pair():
     hexa = hexagon()
     el = hexa.elements[0]
-    rule = element_quadrature(hexa, el, 8)
+    rule = single_cell_rule(hexa, 8)
     fam = ScalarFamily(el.center, el.diameter, 3, rule.points, rule.weights)
     roly = roly_family(fam, 2, rule.points, rule.weights)
     croly = CRolyFamily(fam, 2, rule.points, rule.weights)

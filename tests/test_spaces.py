@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from conftest import edge_dof_values, lstsq_projection_oracle, u_trace_values
+from conftest import cell, cells, edge_dof_values, lstsq_projection_oracle, u_trace_values
 from ddrplate.mesh import build_mesh, triangular_mesh
 from ddrplate.polyspace import dim_P
 from ddrplate.spaces import (Discretization, assemble, boundary_dof_sets,
@@ -24,10 +24,12 @@ def test_dof_dimension_formulas(cache, k):
                             + mesh.n_edges * 2 * (k + 1))
         assert sp_u.dim == (mesh.n_elements * dim_P(k - 1)
                             + mesh.n_edges * k + mesh.n_vertices)
-        for el in mesh.elements:
-            n_e = len(el.edges)
-            assert len(sp_t.local_dofs(el)) == sp_t.elem_dim + n_e * 2 * (k + 1)
-            assert len(sp_u.local_dofs(el)) == dim_P(k - 1) + n_e * k + n_e
+        assert sum(ctx.n_cells for ctx in disc.elem_ctxs) == mesh.n_elements
+        for ctx in disc.elem_ctxs:
+            n_e = ctx.n_vertices
+            assert sp_t.local_dofs(ctx).shape == (ctx.n_cells,
+                                                  sp_t.elem_dim + n_e * 2 * (k + 1))
+            assert sp_u.local_dofs(ctx).shape == (ctx.n_cells, dim_P(k - 1) + n_e * k + n_e)
         if k == 0:
             assert sp_t.elem_dim == 0
             assert sp_u.elem_dim == 0
@@ -37,9 +39,8 @@ def test_quad_boost_refines_element_and_edge_rules():
     mesh = triangular_mesh(2)
     base, boosted = Discretization(mesh, 1), Discretization(mesh, 1, quad_boost=2)
     for ctx, fine in zip(base.elem_ctxs, boosted.elem_ctxs):
-        assert len(fine.qweights) > len(ctx.qweights)
-    for ec, fine in zip(base.edge_ctxs, boosted.edge_ctxs):
-        assert len(fine.weights) > len(ec.weights)
+        assert fine.qweights.shape[1] > ctx.qweights.shape[1]
+    assert boosted.edge_ctx.weights.shape[1] > base.edge_ctx.weights.shape[1]
 
 
 def test_boundary_sets_unit_square_k0():
@@ -68,7 +69,7 @@ def test_interpolate_constant_field(cache):
     # element Roly component is the Roly projection of the constant, which
     # reproduces it (constants lie in Roly^0 subset of Roly^{k-1})
     sp = disc.theta_space
-    ctx = disc.elem_ctxs[0]
+    ctx = cell(disc, 0)
     r = vec[sp.elem_offset(0):sp.elem_offset(0) + sp.n_roly]
     vals = np.einsum("n,qnc->qc", r, ctx.roly_vals)
     assert np.abs(vals - c).max() < 1e-12
@@ -108,7 +109,7 @@ def test_interpolate_matches_lstsq_oracle(rng):
 
     vec = interpolate_theta(disc, eta).values
     sp = disc.theta_space
-    ctx = disc.elem_ctxs[0]
+    ctx = cell(disc, 0)
     fq = eta(ctx.qpoints)
     raw_roly = ctx.roly._raw_eval(ctx.qpoints)
     oracle = lstsq_projection_oracle(ctx.qpoints, ctx.qweights, raw_roly, fq)
@@ -154,7 +155,7 @@ def test_interpolate_u_constant(cache):
     vec = interpolate_u(disc, lambda x: np.ones(len(x))).values
     sp = disc.u_space
     assert np.allclose(vec[sp.vertex_offset(0):], 1.0, atol=1e-15)
-    for ctx in disc.elem_ctxs:
+    for ctx in cells(disc):
         off = sp.elem_offset(ctx.element.id)
         ref = ctx.integrate(ctx.phi[:, :sp.elem_dim])
         assert np.abs(vec[off:off + sp.elem_dim] - ref).max() < 1e-13
@@ -173,13 +174,12 @@ def test_skeleton_trace_reproduces_degree_k1(cache, rng, k):
                            for a, b in _exps(k + 1)], axis=1)
         return vander @ coefs
 
-    from ddrplate.operators import build_local_pack
     vec = interpolate_u(disc, v).values
     sp = disc.u_space
     s = np.array([-0.7, 0.1, 0.6])
     el = disc.mesh.elements[0]
-    pack = build_local_pack(disc.elem_ctxs[0])
-    u_loc = vec[sp.local_dofs(el)]
+    ctx, pack = cell(disc, 0, cache.packs("hexa", k))
+    u_loc = vec[ctx.u_dofs]
     for j, eid in enumerate(el.edges):
         edge = disc.mesh.edges[eid]
         mid = disc.mesh.edge_midpoint(edge)
@@ -200,12 +200,11 @@ def test_skeleton_continuity_at_vertices(cache, rng):
     """Traces reconstructed on two edges sharing a vertex agree there: the
     vertex DOF is shared by construction."""
     disc = cache.disc("tri", 2)
-    from ddrplate.operators import build_local_pack
     sp = disc.u_space
     vec = rng.standard_normal(sp.dim)
     el = disc.mesh.elements[0]
-    pack = build_local_pack(disc.elem_ctxs[0])
-    u_loc = vec[sp.local_dofs(el)]
+    ctx, pack = cell(disc, 0, cache.packs("tri", 2))
+    u_loc = vec[ctx.u_dofs]
     for j, eid in enumerate(el.edges):
         edge = disc.mesh.edges[eid]
         ends = u_trace_values(disc, pack, el, u_loc, j, np.array([-1.0, 1.0]))
@@ -228,7 +227,14 @@ def test_assemble_matches_blockwise_reference(rng):
         vals.append(block.ravel())
     ref = sps.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(9, 7)).tocsr()
-    got = assemble(blocks, (9, 7))
+    got = assemble([(r[None], c[None], b[None]) for r, c, b in blocks], (9, 7))
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+    # the two (3, 4) blocks stacked together, the rest in reverse order:
+    # the keys restore the summation order
+    pair = tuple(np.stack([blocks[0][i], blocks[5][i]]) for i in range(3))
+    rest = [(r[None], c[None], b[None]) for r, c, b in blocks[4:0:-1]]
+    keyed = assemble([pair, *rest], (9, 7), [np.array([0, 5]), *np.arange(4, 0, -1)[:, None]])
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(keyed, attr), getattr(ref, attr))
     assert assemble([], (9, 7)).nnz == 0

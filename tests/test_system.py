@@ -333,9 +333,9 @@ def _structural_pattern(system):
     n = system.n_theta + system.n_u
     blocks = []
     for ctx in disc.elem_ctxs:
-        dofs = np.concatenate([disc.theta_space.local_dofs(ctx.element),
-                               system.n_theta + disc.u_space.local_dofs(ctx.element)])
-        blocks.append((dofs, dofs, np.ones((dofs.size, dofs.size))))
+        dofs = np.concatenate([disc.theta_space.local_dofs(ctx),
+                               system.n_theta + disc.u_space.local_dofs(ctx)], axis=1)
+        blocks.append((dofs, dofs, np.ones((ctx.n_cells, dofs.shape[1], dofs.shape[1]))))
     sj = system.H_sj.copy()
     sj.data[:] = 1.0
     pattern = assemble(blocks, (n, n)) + sps.block_diag(
@@ -373,3 +373,13 @@ def test_factorization_uses_diagonal_pivots_of_an_spd_matrix(factorizations, k):
     for _, lu in runs:
         assert np.array_equal(lu.perm_r, lu.perm_c)
         assert lu.U.diagonal().min() > 0.0
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_worst_local_conditioning_is_reported(factorizations, k):
+    """The largest condition number of the local P_U and P_T systems is kept
+    on the system and carried by every solve report."""
+    system, _ = factorizations["tri", k]
+    assert 1.0 <= system.local_cond < np.inf
+    _, _, rep = system.solve(MaterialParams(), np.zeros(system.n_theta + system.n_u))
+    assert rep.local_cond == system.local_cond
