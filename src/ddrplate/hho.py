@@ -24,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
 
 from .errors import SingularLocalSystem
 from .operators import LocalOperatorPack, _edge_restriction, _theta_slices, _vp_k
 from .polyspace import ElementContext, dim_P, failing_cell
-from .spaces import Discretization, assemble
+from .spaces import Discretization
 
 _TINY = 1e-300
 
@@ -192,20 +191,20 @@ def build_hho_packs(disc: Discretization, packs: list[LocalOperatorPack]) -> lis
 
 
 def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack],
-                            hho_packs: list[HHOLocalPack]) -> sps.csr_matrix:
+                            hho_packs: list[HHOLocalPack]) -> tuple[list, list]:
     """k = 0 jump bilinear form: h_E^{-1} integrals of the jumps of the p^1
     reconstructions over edges (the trace itself on boundary edges).
 
-    The edges are stacked by the cell groups of their (one or two) cells,
-    lower cell id first, and summed in edge-id order."""
+    Returns ``assemble`` stacks of edge blocks on the rotation DOFs of the
+    edge's (one or two) cells, lower cell id first, and their edge ids as
+    keys, so the blocks are summed in edge-id order."""
     if disc.k != 0:
         raise ValueError("jump penalisation is defined for k = 0 only")
-    sp_t = disc.theta_space
     np_1 = dim_P(1)
     # per group: restriction of the p^1 reconstruction to each local edge
     mats = [_edge_restriction(ctx, pack.scalar_cross, disc.k + 2, np_1) @ hp.P1[:, None]
             for ctx, pack, hp in zip(disc.elem_ctxs, packs, hho_packs)]
-    dofs = [sp_t.local_dofs(ctx) for ctx in disc.elem_ctxs]
+    dofs = [disc.theta_space.local_dofs(ctx) for ctx in disc.elem_ctxs]
     # one (edge, cell, local edge) incidence per row, by edge and then cell id
     edge_of = np.concatenate([ctx.edge_ids.ravel() for ctx in disc.elem_ctxs])
     cell_of = np.concatenate([np.repeat(ctx.ids, ctx.n_vertices) for ctx in disc.elem_ctxs])
@@ -236,4 +235,4 @@ def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack]
             eids = edge_of[sel]
             blocks.append((idx, idx, (_t(big) @ big) / lengths[eids][:, None, None]))
             keys.append(eids)
-    return assemble(blocks, (sp_t.dim, sp_t.dim), keys)
+    return blocks, keys

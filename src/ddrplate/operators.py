@@ -123,7 +123,7 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
     grad = np.moveaxis(ctx.scal.eval_grad(ctx.qpoints)[:, :, :np_k1], -1, 2)
     D = mass(w, grad, phi[:, :, :np_k]).reshape(n_cells, 2, np_k1, np_k)
     del grad
-    elem_vals = np.concatenate([ctx.roly_vals, ctx.croly_vals[:, :, :n_croly]], axis=2)
+    elem_vals = np.concatenate([ctx.roly_vals, ctx.croly_vals], axis=2)
     moments = mass(w, elem_vals, phi[:, :, :np_k1]).reshape(
         n_cells, n_roly + n_croly, 2 * np_k1)
     proj = moments[:, :, _vp_k(k)]                       # the same moments of vP^k
@@ -151,8 +151,7 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
 
     # --- displacement reconstruction P_U (tested against cRoly^{k+2})
     lhs = mass(w, ctx.croly.eval_div(ctx.qpoints), phi[:, :, :np_k1])
-    cr_on_vpk = mass(w, ctx.croly_vals, phi[:, :, :np_k]).reshape(n_cells, np_k1, 2 * np_k)
-    rhs = -(cr_on_vpk @ GT)
+    rhs = -(ctx.croly_moments @ GT)
     cr_edge = ctx.at_edges(e_pts, ctx.croly.eval)
     cr_n = mass(e_w, (cr_edge @ ctx.n_out[:, :, None, :, None])[..., 0], e_psi)
     for j in range(nv):
@@ -167,13 +166,17 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
     for j in range(nv):
         RT[:, :, sl_t[j]] += omega[:, j] * cross[:, j, :np_k, :k + 1]
 
-    # --- rotation potential P_T: square system over cRoly^k + rot P^{k+1}
-    A = np.concatenate([proj[:, n_roly:], rot[:, 1:]], axis=1)
+    # --- rotation potential P_T: square system over cRoly^k + rot P^{k+1};
+    # the rot rows scale like 1/h_T, so both sides of them are taken times
+    # h_T, which keeps the condition number of A independent of the mesh size
+    h = ctx.diameter[:, None, None]
+    A = np.concatenate([proj[:, n_roly:], h * rot[:, 1:]], axis=1)
     B = np.zeros((n_cells, 2 * np_k, n_theta))
     B[:, :n_croly, sl_cR] = np.eye(n_croly)
     B[:, n_croly:n_croly + np_k - 1] += RT[:, 1:np_k]
     for j in range(nv):
         B[:, n_croly:, sl_t[j]] -= omega[:, j] * cross[:, j, 1:np_k1, :k + 1]
+    B[:, n_croly:] *= h
     cond_t = _check_cond(ctx, A, "rotation potential system")
     PT = np.linalg.solve(A, B)
 

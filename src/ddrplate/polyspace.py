@@ -340,8 +340,9 @@ class ElementContext:
     vertex count, stacked along a leading cell axis in cell-id order.
 
     Local edge j of a cell joins its loop vertices j and j+1; the per-edge
-    tables carry a second axis over j. Only tables that interpolation and
-    the load vector read are kept; the build derives the rest on the fly.
+    tables carry a second axis over j. Only the tables that interpolation,
+    the load vector and the local build read are kept; the build derives the
+    rest on the fly.
     """
 
     def __init__(self, mesh: PolygonalMesh, elements: list[Element], k: int,
@@ -372,11 +373,18 @@ class ElementContext:
         self.qpoints, self.qweights = rule.points, rule.weights
         self.scal = ScalarFamily(center, self.diameter, k + 2,
                                  self.qpoints, self.qweights, self.ids)
-        self.phi = self.scal.eval(self.qpoints)
+        # P^{k+1} and cRoly^k are the most that the build and the later
+        # readers take of the two families; of the rest of cRoly^{k+2} the
+        # build reads only its moments against vP^k, taken here while the
+        # whole family is evaluated
+        self.phi = self.scal.eval(self.qpoints)[..., :dim_P(k + 1)].copy()
         self.roly = roly_family(self.scal, k - 1, self.qpoints, self.qweights, self.ids)
         self.roly_vals = self.roly.eval(self.qpoints)
         self.croly = CRolyFamily(self.scal, k + 2, self.qpoints, self.qweights, self.ids)
-        self.croly_vals = self.croly.eval(self.qpoints)
+        croly_vals = self.croly.eval(self.qpoints)
+        self.croly_vals = croly_vals[:, :, :dim_croly(k)].copy()
+        self.croly_moments = mass(self.qweights, croly_vals, self.phi[:, :, :dim_P(k)]
+                                  ).reshape(self.n_cells, self.croly.n, -1)
 
     @property
     def n_cells(self) -> int:

@@ -96,7 +96,7 @@ def _p_derivs(x: np.ndarray):
     """x^3 (x-1)^3 and its first four derivatives, via s = x^2 - x."""
     s = x * x - x
     ds = 2.0 * x - 1.0
-    p = s ** 3
+    p = s * s * s        # s <= 0 on [0, 1]: a power of a negative base is slow
     p1 = 3.0 * s * s * ds
     p2 = 6.0 * s * (5.0 * s + 1.0)
     p3 = (60.0 * s + 6.0) * ds

@@ -13,8 +13,9 @@ Global ordering: all element blocks (by element id), then all edge blocks (by
 edge id), then the vertex block -- deterministic, so assembled matrices are
 reproducible bit for bit. The cells are grouped by vertex count, one
 ``ElementContext`` per group; local layouts, interpolation and assembly work
-on whole groups, and all global matrices are summed by ``assemble`` from
-stacks of dense local blocks in cell-id order.
+on whole groups. Every global matrix is summed from stacks of dense local
+blocks in cell-id order on the pattern of their union (``block_pattern``,
+``sum_blocks``, and ``assemble`` on top of them).
 """
 
 from __future__ import annotations
@@ -103,28 +104,114 @@ def _key_order(keys: list[np.ndarray], sizes: list[int]) -> np.ndarray | None:
             + np.arange(size.sum()))
 
 
-def assemble(blocks, shape: tuple[int, int], keys=None) -> sps.csr_matrix:
-    """Sum stacks of dense blocks into a sparse matrix.
+_LOW32 = 0xFFFFFFFF
 
-    ``blocks`` yields ``(rows, cols, vals)`` stacks: (n, n_r) and (n, n_c)
-    index arrays and (n, n_r, n_c) blocks. ``keys`` gives one (n,) array per
-    stack, such as cell ids. Blocks are summed in stable key order (in the
-    order given without keys), each in row-major order, so the same blocks
-    give the same matrix bit for bit however they are stacked."""
-    r_idx, c_idx, vals, sizes = [], [], [], []
-    for r, c, block in blocks:
-        n_r, n_c = r.shape[1], c.shape[1]
-        r_idx.append(np.repeat(r, n_c, axis=1).ravel())
-        c_idx.append(np.tile(c, (1, n_r)).ravel())
-        vals.append(np.asarray(block).ravel())
-        sizes.append(n_r * n_c)
-    if not vals:
-        return sps.csr_matrix(shape)
-    rows, cols, data = (np.concatenate(a) for a in (r_idx, c_idx, vals))
+
+def block_pattern(index, shape: tuple[int, int]):
+    """CSR pattern of the union of stacks of dense blocks, and the position
+    in it of every block entry.
+
+    ``index`` lists ``(rows, cols)`` stacks: (n, n_r) and (n, n_c) global
+    indices. Every block entry has a place in the pattern, so the pattern
+    depends on the index alone, never on values or their round-off. Rows
+    that lie in the same set of blocks have the same columns, so the columns
+    are merged once per such set (per cell, edge or vertex on a mesh), not
+    once per entry. Returns ``indptr``, ``indices`` (sorted, no duplicates)
+    and, per stack, the (n, n_r, n_c) positions of its entries."""
+    offsets = np.cumsum([0] + [len(r) for r, _ in index])      # global block ids
+    # (row, block) incidences, sorted; a 64-bit key holds a pair of 32-bit ids
+    block = _flat([np.repeat(np.arange(lo, hi), r.shape[1])
+                   for (r, _), lo, hi in zip(index, offsets[:-1], offsets[1:])], np.int64)
+    pairs = np.sort((_flat([r for r, _ in index], np.int64) << 32) | block)
+    pairs = pairs[_starts(pairs)]                # np.unique takes 20x longer here
+    row, block = pairs >> 32, pairs & _LOW32
+    count = np.bincount(row, minlength=shape[0])
+    table = np.full((shape[0], max(count.max(initial=0), 1)), -1)
+    table[row, np.arange(len(row)) - (np.cumsum(count) - count)[row]] = block
+    # number the distinct block sets of the rows
+    order = np.lexsort(table.T[::-1])
+    table = table[order]
+    new = _starts(table)
+    row_set = np.empty(shape[0], dtype=np.int64)
+    row_set[order] = np.cumsum(new) - 1
+    sets = table[new]
+    set_of, pos = np.nonzero(sets >= 0)
+    block = sets[set_of, pos]
+    set_block = (set_of << 32) | block                         # sorted
+    # merge the columns of every set's blocks
+    parts, members = [], []
+    for (r, c), lo, hi in zip(index, offsets[:-1], offsets[1:]):
+        mine = np.flatnonzero((block >= lo) & (block < hi))
+        members.append(mine)
+        parts.append((set_of[mine, None] << 32) | c[block[mine] - lo])
+    key = _flat(parts, np.int64)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = _starts(key)
+    rank = np.empty(len(key), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    merged = key[new]
+    set_start = np.searchsorted(merged, np.arange(len(sets) + 1, dtype=np.int64) << 32)
+    # row r holds the merged columns of its set
+    length = np.diff(set_start)[row_set]
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(length, out=indptr[1:])
+    source = np.repeat(set_start[row_set] - indptr[:-1], length) + np.arange(indptr[-1])
+    idx_dtype = np.int32 if max(indptr[-1], *shape) < 2 ** 31 else np.int64
+    indices = (merged[source] & _LOW32).astype(idx_dtype)
+    # entry (b, i, j): the row's start plus the rank of column j in the set
+    indptr = indptr.astype(idx_dtype)
+    slots, at = [], 0
+    for (r, c), mine, lo in zip(index, members, offsets[:-1]):
+        size = len(mine) * c.shape[1]
+        local = (rank[at:at + size].reshape(len(mine), c.shape[1])
+                 - set_start[set_of[mine], None]).astype(idx_dtype)
+        at += size
+        pair = np.searchsorted(set_block[mine],
+                               (row_set[r] << 32) | (lo + np.arange(len(r)))[:, None])
+        slots.append(indptr[r][..., None] + local[pair])
+    return indptr, indices, slots
+
+
+def sum_blocks(slots, blocks, n_entries: int, keys=None) -> np.ndarray:
+    """Pattern data of stacks of dense blocks, given the pattern positions of
+    their entries (``block_pattern``), one stack per ``slots`` stack.
+
+    ``keys`` gives one (n,) array per stack, such as cell ids. Blocks are
+    summed in stable key order (in the order given without keys), each in
+    row-major order, so the same blocks give the same data bit for bit
+    however they are stacked."""
+    sizes = [int(np.prod(s.shape[1:])) for s in slots]
     perm = None if keys is None else _key_order(list(keys), sizes)
+    slots, vals = _flat(slots, np.intp), _flat(blocks, float)
     if perm is not None:
-        rows, cols, data = rows[perm], cols[perm], data[perm]
-    return sps.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+        slots, vals = slots[perm], vals[perm]
+    return np.bincount(slots, vals, n_entries)
+
+
+def _starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the rows of sorted ``a`` that differ from the row before."""
+    new = np.ones(len(a), dtype=bool)
+    differ = a[1:] != a[:-1]
+    new[1:] = differ if differ.ndim == 1 else differ.any(axis=1)
+    return new
+
+
+def _flat(parts, dtype) -> np.ndarray:
+    """The raveled arrays end to end; a single contiguous one is not copied."""
+    if len(parts) == 1:
+        return np.ravel(parts[0])
+    return np.concatenate([np.ravel(p) for p in parts] + [np.zeros(0, dtype)])
+
+
+def assemble(blocks, shape: tuple[int, int], keys=None) -> sps.csr_matrix:
+    """Sum stacks of dense blocks into a sparse matrix: ``blocks`` yields
+    ``(rows, cols, vals)`` stacks, placed by ``block_pattern`` and summed as
+    by ``sum_blocks``."""
+    blocks = list(blocks)
+    indptr, indices, slots = block_pattern([(r, c) for r, c, _ in blocks], shape)
+    data = sum_blocks(slots, [v for _, _, v in blocks], len(indices), keys)
+    return sps.csr_matrix((data, indices, indptr), shape=shape)
 
 
 @dataclass
@@ -195,7 +282,7 @@ def interpolate_theta(disc: Discretization, eta, tangential_only: bool = False) 
             continue
         # the two components count as extra quadrature points
         vals = at_points(eta, ctx.qpoints).reshape(ctx.n_cells, -1, 1)
-        basis = np.concatenate([ctx.roly_vals, ctx.croly_vals[:, :, :sp.n_croly]], axis=2)
+        basis = np.concatenate([ctx.roly_vals, ctx.croly_vals], axis=2)
         basis = np.swapaxes(basis, -1, -2).reshape(ctx.n_cells, -1, sp.elem_dim)
         elem = sp.elem_offset(ctx.ids)[:, None] + np.arange(sp.elem_dim)
         out[elem] = mass(np.repeat(ctx.qweights, 2, axis=1), vals, basis)[:, 0]

@@ -1,10 +1,11 @@
 """Global assembly, boundary conditions, solve, norms and errors.
 
 The expensive, material-independent pieces (symmetric-gradient and
-divergence stiffness, stabilisation + jump matrix, DDR L2 product, global
-gradient) are assembled once per (mesh, degree) and recombined with scalar
+divergence stiffness, stabilisation + jump, the shear form built from the DDR
+L2 product and the global gradient) are summed once per (mesh, degree) into
+coefficient streams on one sparse pattern and recombined with scalar
 material factors afterwards, so thickness and material sweeps reuse all
-local constructions.
+local constructions and every solve factors the same pattern.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
 from .errors import SolverFailure, ZeroNormError
-from .hho import build_hho_packs, build_jump_penalisation
-from .operators import assemble_theta_product, build_global_gradient, build_packs
+from .hho import _t, build_hho_packs, build_jump_penalisation
+from .operators import build_global_gradient, build_packs
 from .polyspace import dim_P, mass
-from .spaces import (Discretization, ThetaVector, UVector, assemble,
-                     at_points, boundary_dof_sets)
+from .spaces import (Discretization, ThetaVector, UVector, at_points,
+                     block_pattern, boundary_dof_sets, sum_blocks)
 
 _GS_METRIC = np.array([1.0, 2.0, 1.0])   # contraction weights for [11, 12, 22]
 _RESIDUAL_TOL = 1e-10                      # solver backward-error gate
@@ -77,7 +78,16 @@ class SolveReport:
 
 
 class PlateSystem:
-    """Material-independent discrete operators for one mesh and degree."""
+    """Material-independent discrete operators for one mesh and degree.
+
+    The plate matrix is ``beta0 * s0 + beta1 * s1 + (kappa/t^2) * s2`` on one
+    CSR pattern (``indptr``, ``indices``) fixed by the mesh and degree.
+    ``streams`` holds the data of s0 (symmetric-gradient form, stabilisation
+    and, at k = 0, the jump), s1 (divergence form) and s2 (the shear form
+    [I, -G]^T M [I, -G]), all summed from cell blocks. The maps a solve needs
+    onto that pattern (the reduced matrix K_ff in CSC order, its diagonal,
+    the mirror of each entry) are built here too, so a solve only combines
+    and gathers data."""
 
     def __init__(self, disc: Discretization):
         self.disc = disc
@@ -88,48 +98,85 @@ class PlateSystem:
         # worst condition number of the local P_U and P_T systems
         self.local_cond = max(pack.cond for pack in packs)
         self.n_theta, self.n_u = disc.theta_space.dim, disc.u_space.dim
+        n = self.n_theta + self.n_u
 
         self.G, cell_G = build_global_gradient(disc, packs)
+        # cell blocks on [rotation DOFs, displacement DOFs]: the bending forms
+        # live on the leading rotation block, the shear form [I, -G]^T M [I, -G]
+        # on the whole block. M G and G^T M G come from the cell blocks, so no
+        # product drops an entry that cancels to 0.0
         np_k = dim_P(disc.k)
-        keys = [ctx.ids for ctx in disc.elem_ctxs]
-        idx = [t_dofs for t_dofs, _, _ in cell_G]
-        h_gs = (sum(_GS_METRIC[b] * np.swapaxes(p.GS[:, b * np_k:(b + 1) * np_k], -1, -2)
-                    @ p.GS[:, b * np_k:(b + 1) * np_k] for b in range(3)) for p in hho)
-        shape = (self.n_theta, self.n_theta)
-        self.H_gs = assemble(zip(idx, idx, h_gs), shape, keys)
-        self.H_sj = assemble(zip(idx, idx, (p.sT for p in hho)), shape, keys)
-        self.H_d = assemble(zip(idx, idx, (np.swapaxes(p.DD, -1, -2) @ p.DD for p in hho)),
-                            shape, keys)
-        if disc.k == 0:
-            self.H_sj = _structural_sum(
-                [self.H_sj, build_jump_penalisation(disc, packs, hho)])
-        self.M_theta = assemble_theta_product(disc, packs)
-        # M G and G^T M G from the cell blocks: a sparse product would drop
-        # the entries that cancel to 0.0 and let round-off pick the pattern
-        MG = [(t_dofs, u_dofs, p.M_theta @ g)
-              for (t_dofs, u_dofs, g), p in zip(cell_G, packs)]
-        self.MG = assemble(MG, (self.n_theta, self.n_u), keys)
-        self.GMG = assemble([(u_dofs, u_dofs, np.swapaxes(g, -1, -2) @ mg)
-                             for (_, u_dofs, g), (_, _, mg) in zip(cell_G, MG)],
-                            (self.n_u, self.n_u), keys)
+        index, keys, n_rot, bending, shear = [], [], [], ([], []), []
+        for ctx, p, h, (t_dofs, u_dofs, g) in zip(disc.elem_ctxs, packs, hho, cell_G):
+            dofs = np.concatenate([t_dofs, self.n_theta + u_dofs], axis=1)
+            index.append((dofs, dofs))
+            keys.append(ctx.ids)
+            nt = t_dofs.shape[1]
+            n_rot.append(nt)
+            gs = [h.GS[:, b * np_k:(b + 1) * np_k] for b in range(3)]
+            bending[0].append(sum(_GS_METRIC[b] * _t(gs[b]) @ gs[b] for b in range(3)) + h.sT)
+            bending[1].append(_t(h.DD) @ h.DD)
+            mg = p.M_theta @ g
+            block = np.empty(dofs.shape + dofs.shape[1:])
+            block[:, :nt, :nt] = p.M_theta
+            block[:, :nt, nt:] = -mg
+            block[:, nt:, :nt] = -_t(mg)
+            block[:, nt:, nt:] = _t(g) @ mg
+            shear.append(block)
+        # k = 0: the jump joins the bending stream and widens the pattern
+        jump, edge_ids = build_jump_penalisation(disc, packs, hho) if disc.k == 0 else ([], [])
+        self.indptr, self.indices, slots = block_pattern(
+            index + [(dofs, dofs) for dofs, _, _ in jump], (n, n))
+        nnz = len(self.indices)
+        cells = slots[:len(index)]
+        rot = [s[:, :nt, :nt] for s, nt in zip(cells, n_rot)]
+        self.streams = [
+            sum_blocks(rot + slots[len(index):], bending[0] + [v for _, _, v in jump], nnz,
+                       keys + [disc.mesh.n_elements + e for e in edge_ids]),
+            sum_blocks(rot, bending[1], nnz, keys),
+            sum_blocks(cells, shear, nnz, keys)]
+        # every block is symmetric: an entry's mirror lies in the same block
+        transpose = np.empty(nnz, dtype=self.indices.dtype)
+        for s in slots:
+            transpose[s] = np.swapaxes(s, 1, 2)
+        del index, bending, shear, jump, slots, cells, rot     # before the maps are built
 
         th_d, u_d = boundary_dof_sets(disc)
-        dir_mask = np.zeros(self.n_theta + self.n_u, dtype=bool)
+        dir_mask = np.zeros(n, dtype=bool)
         dir_mask[th_d] = True
         dir_mask[self.n_theta + u_d] = True
         self.dirichlet_mask = dir_mask
         self.free = np.where(~dir_mask)[0]
+
+        # K_ff: the entries with a free row and a free column. Its CSC layout
+        # equals its CSR one (the pattern is symmetric), each entry replaced
+        # by its mirror
+        is_free = ~dir_mask
+        kept = np.flatnonzero(np.repeat(is_free, np.diff(self.indptr)) & is_free[self.indices])
+        self._ff_indices = (np.cumsum(is_free) - 1)[self.indices[kept]].astype(self.indices.dtype)
+        count = np.diff(np.searchsorted(kept, self.indptr))[is_free]
+        self._ff_indptr = np.zeros(self.free.size + 1, dtype=self.indptr.dtype)
+        np.cumsum(count, out=self._ff_indptr[1:])
+        self._ff_gather = transpose[kept]
+        self._ff_diag = np.flatnonzero(
+            self._ff_indices == np.repeat(np.arange(self.free.size), count))
+        # the entries above the diagonal and their mirrors, for the symmetric defect
+        upper = np.flatnonzero(self.indices > np.repeat(np.arange(n), np.diff(self.indptr)))
+        self._upper = upper.astype(self.indices.dtype)
+        self._lower = transpose[upper]
 
     # -- bilinear forms -----------------------------------------------------
 
     def full_matrix(self, material: MaterialParams) -> sps.csr_matrix:
         """Global matrix of a_h + b_h: bending (beta0, beta1) plus the shear
         coupling kappa/t^2 between rotations and displacement gradients."""
-        c = material.shear_over_t2
-        a = _structural_sum([material.beta0 * self.H_gs, material.beta0 * self.H_sj,
-                             material.beta1 * self.H_d, c * self.M_theta])
-        return sps.bmat([[a, -c * self.MG],
-                         [-c * self.MG.T, c * self.GMG]], format="csr")
+        s0, s1, s2 = self.streams
+        data = material.beta0 * s0
+        term = np.multiply(material.beta1, s1)
+        data += term
+        data += np.multiply(material.shear_over_t2, s2, out=term)
+        n = self.n_theta + self.n_u
+        return sps.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
 
     def load_vector(self, f) -> np.ndarray:
         """l_h(v) = sum_T int_T f * (displacement reconstruction of v)."""
@@ -156,7 +203,12 @@ class PlateSystem:
         the clamped case), solve the reduced symmetric system and verify the
         residual."""
         K = self.full_matrix(material)
-        sym_defect = _symmetric_defect(K)
+        data = K.data
+        defect = data[self._upper]
+        defect -= data[self._lower]
+        sym_defect = float(np.abs(defect, out=defect).max(initial=0.0)
+                           / max(data.max(), -data.min(), 1e-300))
+        del defect
         n = self.n_theta + self.n_u
         x = np.zeros(n)
         if dirichlet_values is not None:
@@ -165,19 +217,22 @@ class PlateSystem:
         report = SolveReport(residual=0.0, n_free=free.size,
                              symmetric_defect=sym_defect, local_cond=self.local_cond)
         if free.size:
-            Kf = K[free]
-            Kff = Kf[:, free].tocsc()
-            rhs = load[free] - Kf @ x
+            rhs = (load - K @ x)[self.free]
+            shape = (free.size, free.size)
+            kff = data[self._ff_gather]
+            Kff = sps.csc_matrix((kff, self._ff_indices, self._ff_indptr), shape=shape)
             # symmetric Jacobi equilibration tames the kappa/t^2 block scaling
             # of very thin plates; iterative refinement then recovers a
             # machine-accurate residual from the equilibrated factorization.
             # The entries are scaled on Kff's own pattern, so no product drops
             # an entry that underflows or cancels.
-            d = np.sqrt(np.abs(Kff.diagonal()))
+            d = np.sqrt(np.abs(kff[self._ff_diag]))
             d[d <= 0] = 1.0
             dinv = 1.0 / d
-            Ks = Kff.copy()
-            Ks.data *= dinv[Ks.indices] * np.repeat(dinv, np.diff(Ks.indptr))
+            scaled = dinv[self._ff_indices]
+            scaled *= np.repeat(dinv, np.diff(self._ff_indptr))
+            scaled *= kff
+            Ks = sps.csc_matrix((scaled, self._ff_indices, self._ff_indptr), shape=shape)
             # K_ff is symmetric positive definite: a minimum-degree ordering of
             # A^T + A applied to rows and columns alike, with diagonal pivots
             try:
@@ -195,22 +250,25 @@ class PlateSystem:
             # ||r||/||b|| is floored at eps*||K||*||x||/||b|| by cancellation
             # in K@x when kappa/t^2 is large, which says nothing about the
             # factorization quality
-            knorm = _inf_norm(Kff)
+            abs_kff = sps.csc_matrix((np.abs(kff), self._ff_indices, self._ff_indptr),
+                                     shape=shape)
+            knorm = float(np.max(abs_kff @ np.ones(free.size)))     # max row sum
 
-            def backward_error(vec):
-                r = rhs - Kff @ vec
+            def backward_error(r, vec):
                 den = knorm * np.linalg.norm(vec) + np.linalg.norm(rhs)
                 return float(np.linalg.norm(r) / max(den, 1e-300))
 
+            r = rhs - Kff @ xf
             for _ in range(8):
-                if backward_error(xf) <= 0.01 * _RESIDUAL_TOL:
+                if backward_error(r, xf) <= 0.01 * _RESIDUAL_TOL:
                     break
-                xf = xf + prec_solve(rhs - Kff @ xf)
+                xf = xf + prec_solve(r)
+                r = rhs - Kff @ xf
                 report.refinement_steps += 1
             if not np.all(np.isfinite(xf)):
                 raise SolverFailure("solver produced non-finite values")
-            x[free] = xf
-            report.residual = backward_error(xf)
+            x[self.free] = xf
+            report.residual = backward_error(r, xf)
             if report.residual > _RESIDUAL_TOL:
                 raise SolverFailure(
                     f"solver residual {report.residual:.3e} above {_RESIDUAL_TOL:.1e}")
@@ -222,52 +280,40 @@ class PlateSystem:
 
     def energy_norm(self, material: MaterialParams, theta: np.ndarray,
                     u: np.ndarray) -> float:
-        eta = np.asarray(theta, dtype=float)
-        v = np.asarray(u, dtype=float)
-        g = self.G @ v
-        d = eta - g
-        val = (material.beta0 * (eta @ (self.H_gs @ eta) + eta @ (self.H_sj @ eta))
-               + material.beta1 * (eta @ (self.H_d @ eta))
-               + material.shear_over_t2 * (d @ (self.M_theta @ d))
-               + material.mu * (eta @ (self.M_theta @ eta) + g @ (self.M_theta @ g)))
-        return float(np.sqrt(max(val, 0.0)))
+        sq = self._energy_squares(material, np.asarray(theta, dtype=float)[:, None],
+                                  np.asarray(u, dtype=float)[:, None])
+        return float(np.sqrt(max(sq[0], 0.0)))
 
     def relative_error(self, material: MaterialParams,
                        theta: ThetaVector, u: UVector,
                        theta_ref: ThetaVector, u_ref: UVector) -> float:
-        den = self.energy_norm(material, theta_ref.values, u_ref.values)
+        sq = self._energy_squares(
+            material, np.stack([theta_ref.values, theta.values - theta_ref.values], axis=1),
+            np.stack([u_ref.values, u.values - u_ref.values], axis=1))
+        den, num = np.sqrt(np.maximum(sq, 0.0))
         if den < 1e-300:
             raise ZeroNormError("exact-solution interpolate has zero energy norm")
-        num = self.energy_norm(material, theta.values - theta_ref.values,
-                               u.values - u_ref.values)
-        return num / den
+        return float(num / den)
 
+    def _energy_squares(self, material: MaterialParams, eta: np.ndarray,
+                        v: np.ndarray) -> np.ndarray:
+        """Squared energy norms of the columns of eta (n_theta, j) and v (n_u, j)."""
+        g = self.G @ v
+        d = eta - g                  # the shear strain, formed before the product
+        end = self.indptr[self.n_theta]
+        s0, s1, s2 = (s[:end] for s in self.streams)
 
-def _structural_sum(terms: list[sps.csr_matrix]) -> sps.csr_matrix:
-    """Sum of CSR matrices on the union of their stored patterns; unlike
-    ``+``, it keeps the entries that cancel to 0.0, so the pattern does not
-    depend on round-off."""
-    first = terms[0]
-    shape = first.shape
-    if all(np.array_equal(t.indptr, first.indptr)
-           and np.array_equal(t.indices, first.indices) for t in terms[1:]):
-        # one shared pattern (the cell-assembled matrices at k >= 1)
-        return sps.csr_matrix((sum(t.data for t in terms), first.indices.copy(),
-                               first.indptr.copy()), shape=shape)
-    coo = [sps.coo_matrix(t) for t in terms]
-    data = (np.concatenate([m.data for m in coo]),
-            (np.concatenate([m.row for m in coo]), np.concatenate([m.col for m in coo])))
-    return sps.coo_matrix(data, shape=shape).tocsr()
+        def form(data, z):
+            # z^T A z per column, for the rotation block A of a stream: its
+            # rows applied to z padded with zero displacements
+            rows = sps.csr_matrix((data, self.indices[:end], self.indptr[:self.n_theta + 1]),
+                                  shape=(self.n_theta, self.n_theta + self.n_u))
+            return (z * (rows @ np.vstack([z, np.zeros((self.n_u, z.shape[1]))]))).sum(axis=0)
 
-
-def _inf_norm(K: sps.spmatrix) -> float:
-    return float(np.max(np.abs(K).sum(axis=1)))
-
-
-def _symmetric_defect(K: sps.csr_matrix) -> float:
-    d = K - K.T
-    denom = max(abs(K).max(), 1e-300)
-    return float(abs(d).max() / denom)
+        j = eta.shape[1]
+        shear = form(s2, np.hstack([d, g]))
+        return (form(material.beta0 * s0 + material.beta1 * s1 + material.mu * s2, eta)
+                + material.shear_over_t2 * shear[:j] + material.mu * shear[j:])
 
 
 def dirichlet_values_from_interpolates(theta_i: ThetaVector, u_i: UVector) -> np.ndarray:

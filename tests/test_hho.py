@@ -8,7 +8,7 @@ from ddrplate.hho import (build_hho_pack, build_jump_penalisation,
 from ddrplate.operators import (_edge_restriction, _theta_slices, _vp_k,
                                 build_local_pack)
 from ddrplate.polyspace import dim_P
-from ddrplate.spaces import Discretization, interpolate_theta
+from ddrplate.spaces import Discretization, assemble, interpolate_theta
 
 
 def _exps(l):
@@ -275,8 +275,9 @@ def test_jump_vanishes_on_affine_interior(cache):
 
 def test_jump_positive_for_localized_vector(cache, rng):
     disc = cache.disc("tri", 0)
-    J = build_jump_penalisation(disc, cache.packs("tri", 0), cache.hho("tri", 0))
     sp = disc.theta_space
+    blocks, keys = build_jump_penalisation(disc, cache.packs("tri", 0), cache.hho("tri", 0))
+    J = assemble(blocks, (sp.dim, sp.dim), keys)
     vec = np.zeros(sp.dim)
     eid = disc.mesh.interior_edges[0]
     vec[sp.edge_tangential_slots(eid)] = 1.0
@@ -284,8 +285,10 @@ def test_jump_positive_for_localized_vector(cache, rng):
 
 
 def test_jump_symmetry(cache):
-    J = build_jump_penalisation(cache.disc("hexa", 0), cache.packs("hexa", 0),
-                                cache.hho("hexa", 0))
+    disc = cache.disc("hexa", 0)
+    n = disc.theta_space.dim
+    blocks, keys = build_jump_penalisation(disc, cache.packs("hexa", 0), cache.hho("hexa", 0))
+    J = assemble(blocks, (n, n), keys)
     assert abs(J - J.T).max() <= 1e-13 * abs(J).max()
 
 

@@ -5,7 +5,7 @@ import scipy.sparse as sps
 from conftest import cell, cells, edge_dof_values, lstsq_projection_oracle, u_trace_values
 from ddrplate.mesh import build_mesh, triangular_mesh
 from ddrplate.polyspace import dim_P
-from ddrplate.spaces import (Discretization, assemble, boundary_dof_sets,
+from ddrplate.spaces import (Discretization, assemble, block_pattern, boundary_dof_sets,
                              interpolate_theta, interpolate_theta_tangential,
                              interpolate_u)
 
@@ -238,3 +238,25 @@ def test_assemble_matches_blockwise_reference(rng):
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(keyed, attr), getattr(ref, attr))
     assert assemble([], (9, 7)).nnz == 0
+
+
+def test_block_pattern_places_every_entry(rng):
+    """Stacks of different shapes whose blocks repeat indices (as the k = 0
+    jump blocks do) and share rows in varying sets: the pattern is the
+    structure of the dense sum, and every entry's position holds its column
+    in its row."""
+    index = [(rng.integers(0, 12, (5, 4)), rng.integers(0, 10, (5, 3))),
+             (rng.integers(0, 12, (7, 2)), rng.integers(0, 10, (7, 6))),
+             (np.zeros((0, 3), dtype=int), np.zeros((0, 2), dtype=int))]
+    indptr, indices, slots = block_pattern(index, (12, 10))
+    dense = np.zeros((12, 10), dtype=bool)
+    for r, c in index:
+        dense[r[:, :, None], c[:, None, :]] = True
+    ref = sps.csr_matrix(dense)
+    assert np.array_equal(indptr, ref.indptr)
+    assert np.array_equal(indices, ref.indices)
+    row_of = np.repeat(np.arange(12), np.diff(indptr))
+    for (r, c), s in zip(index, slots):
+        assert s.shape == r.shape + c.shape[1:]
+        assert np.array_equal(row_of[s], np.broadcast_to(r[:, :, None], s.shape))
+        assert np.array_equal(indices[s], np.broadcast_to(c[:, None, :], s.shape))

@@ -10,6 +10,7 @@ import pytest
 import ddrplate.spaces as spaces
 import ddrplate.system as system
 from conftest import ASSETS
+from ddrplate.harness import solve_case
 from ddrplate.mesh import load_mesh, triangular_mesh
 from ddrplate.solutions import polynomial_solution
 
@@ -55,3 +56,23 @@ def test_one_pack_per_vertex_count(tracing):
     for name in ("operators.local_pack_calls", "hho.local_pack_calls",
                  "polyspace.element_contexts"):
         assert metrics[name] == 3
+
+
+def test_solve_layers_are_measured(tracing):
+    """Two solves on one build: the matrix is combined once per solve, both
+    hand the factorization the same K_ff pattern, and every triangular solve
+    of the factor (one per solve and per refinement step) is counted."""
+    plate = system.PlateSystem(spaces.Discretization(triangular_mesh(8), 1))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        reports = [solve_case(plate, system.MaterialParams(t=t), "polynomial")[1]
+                   for t in (1e-1, 1e-3)]
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics([rep.residual for rep in reports], 0.0)
+    assert tracer.calls["system.matrix_s"] == len(reports)
+    assert len(tracer.kff_nnz) == len(reports)
+    assert tracer.kff_nnz[0] == tracer.kff_nnz[1] > 0
+    assert metrics["system.lu_solves"] == len(reports) + sum(
+        rep.refinement_steps for rep in reports)
