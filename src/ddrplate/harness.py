@@ -138,8 +138,9 @@ def run_single(config: RunConfig, mesh: PolygonalMesh | None = None,
     except DdrError as exc:
         raise type(exc)(f"[mesh {mesh_name}] {exc}") from exc
     elapsed = time.perf_counter() - t0
-    solver = {"n_free": report.n_free, "factor_nnz": report.factor_nnz,
-              "refinement_steps": report.refinement_steps, "residual": report.residual,
+    solver = {"n_free": report.n_free, "kff_nnz": report.kff_nnz,
+              "factor_nnz": report.factor_nnz, "refinement_steps": report.refinement_steps,
+              "residual": report.residual, "backward_errors": report.backward_errors,
               "local_cond": report.local_cond}
     return RunResult(mesh_name, mesh.h, int(system.free.size), error, elapsed,
                      report.residual, solver)

@@ -9,10 +9,11 @@ difference operators. For k = 0 an extra jump penalisation couples the
 per-element reconstructions across edges.
 
 Every element moment is read from the DDR pack (derivative masses D, element
-moments, cross masses), and nothing here evaluates a basis function. The
-strain reconstruction is algebra on the symmetric gradient GS and D, exact
-because grad P^{k+1} lies in P^k. Like the DDR packs, every table is built
-for a whole cell group at once and stacked along a leading cell axis.
+moments, cross masses) or from the monomial Gram matrix of the cell, and
+nothing here evaluates a basis function. The strain reconstruction is
+algebra on the symmetric gradient GS and D, exact because grad P^{k+1} lies
+in P^k. Like the DDR packs, every table is built for a whole cell group at
+once and stacked along a leading cell axis.
 
 Tensor coefficient layout: row blocks (1,1), (1,2), (2,1), (2,2), each a set
 of scalar coefficients; the symmetric gradient is stored as [(1,1), sym(1,2),
@@ -99,8 +100,9 @@ def build_reconstruction(ctx: ElementContext, pack: LocalOperatorPack,
     D0, D1 = D[:, 0], D[:, 1]
     rhs = np.concatenate([D0 @ gs[0] + D1 @ gs[1], D0 @ gs[1] + D1 @ gs[2]], axis=1)
 
-    # skew closure: int (d2 p1 - d1 p2)/2 fixed by the edge unknowns
-    phi_int = ctx.integrate(ctx.phi[:, :, :np_k1])
+    # skew closure: int (d2 p1 - d1 p2)/2 fixed by the edge unknowns; the
+    # first row of the monomial Gram holds the moments int_T m_alpha
+    phi_int = (ctx.scal.coef[:, :np_k1] @ ctx.gram[:, 0, :, None])[..., 0]
     g_int = (D @ phi_int[:, None, :np_k, None])[..., 0]     # (n_cells, 2, np_k1)
     skew_row = 0.5 * np.concatenate([g_int[:, 1], -g_int[:, 0]], axis=1)
     skew_rhs = np.zeros((n_cells, n_theta))

@@ -23,6 +23,8 @@ import numpy as np
 from .errors import GeometryError, ParseError, TopologyError
 
 _LENGTH_TOL = 1e-14
+# largest |coordinate| whose differences still square to a finite number
+_COORD_LIMIT = float(np.sqrt(np.finfo(float).max) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -184,6 +186,10 @@ def build_mesh(vertex_coords: np.ndarray, cell_loops: list[list[int]]) -> Polygo
         raise ParseError("vertices must be an (n, 2) array")
     if not np.all(np.isfinite(coords)):
         raise ParseError("vertex coordinates must be finite")
+    extent = float(np.abs(coords).max(initial=0.0))
+    if extent > _COORD_LIMIT:
+        raise GeometryError(f"vertex coordinates up to {extent:.3g} overflow when squared "
+                            f"(limit {_COORD_LIMIT:.3g})")
     n_v = coords.shape[0]
     cell_loops = [[_as_index(v, f"cell {c} vertex") for v in loop]
                   for c, loop in enumerate(cell_loops)]

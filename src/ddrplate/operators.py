@@ -28,7 +28,8 @@ import numpy as np
 import scipy.sparse as sps
 
 from .errors import SingularLocalSystem
-from .polyspace import ElementContext, dim_P, dim_croly, dim_roly, failing_cell, mass
+from .polyspace import (ElementContext, derivative_map, dim_P, dim_croly, dim_roly,
+                        failing_cell, mass, scaled_monomials)
 from .spaces import Discretization, assemble
 
 _COND_LIMIT = 1e12
@@ -107,29 +108,39 @@ def _check_cond(ctx: ElementContext, mats: np.ndarray, what: str) -> np.ndarray:
     return cond
 
 
+def _vector_moments(coef: np.ndarray, g_phi: np.ndarray, n_phi: int) -> np.ndarray:
+    """Moments of a vector family (component-major monomial coefficients
+    (n_cells, 2, n, N)) against component-major vP^l, l the degree of the
+    first n_phi scalar members, from g_phi = int_T m_alpha phi_m:
+    (n_cells, n, 2 n_phi)."""
+    m = coef @ g_phi[:, None, :coef.shape[-1], :n_phi]
+    return np.swapaxes(m, 1, 2).reshape(coef.shape[0], coef.shape[2], 2 * n_phi)
+
+
 def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
     k = ctx.k
-    w = ctx.qweights
     n_cells, nv = ctx.n_cells, ctx.n_vertices
     np_k, np_k1 = dim_P(k), dim_P(k + 1)
-    phi = ctx.phi
 
     sl_R, sl_cR, sl_t, sl_n, n_theta = _theta_slices(ctx)
     nc, sl_m, vertex0, n_u = _u_layout(ctx)
     n_roly, n_croly = dim_roly(k - 1), dim_croly(k)
 
-    # --- element moments; grad phi_j lies in P^k for j < np_{k+1}, so D holds
-    # its exact coefficients, and Roly^{k-1}, cRoly^k lie in vP^k
-    grad = np.moveaxis(ctx.scal.eval_grad(ctx.qpoints)[:, :, :np_k1], -1, 2)
-    D = mass(w, grad, phi[:, :, :np_k]).reshape(n_cells, 2, np_k1, np_k)
-    del grad
-    elem_vals = np.concatenate([ctx.roly_vals, ctx.croly_vals], axis=2)
-    moments = mass(w, elem_vals, phi[:, :, :np_k1]).reshape(
-        n_cells, n_roly + n_croly, 2 * np_k1)
+    # --- element moments, exact from the monomial Gram: g_phi = int_T m_alpha phi_m.
+    # grad phi_j lies in P^k for j < np_{k+1}, so D holds its exact
+    # coefficients, and Roly^{k-1}, cRoly^k lie in vP^k
+    T = ctx.scal.coef
+    h = ctx.diameter[:, None, None]
+    g_phi = ctx.gram @ np.swapaxes(T[:, :np_k1], -1, -2)
+    dmap = derivative_map(k + 2)
+    D = (T[:, None, :np_k1] @ dmap) @ g_phi[:, None, :np_k1, :np_k] / h[:, None]
+    croly = ctx.croly.coef
+    moments = np.concatenate([_vector_moments(ctx.roly.coef, g_phi, np_k1),
+                              _vector_moments(croly[:, :, :n_croly], g_phi, np_k1)], axis=1)
     proj = moments[:, :, _vp_k(k)]                       # the same moments of vP^k
     rot = np.concatenate([D[:, 1], -D[:, 0]], axis=2)    # int_T rot phi_j . phi_m e_a
 
-    # --- edge trace matrices and scalar cross masses
+    # --- edge trace matrices and cross masses, from the monomial ones
     ec = ctx.edge_ctx
     e_pts, e_w, e_psi = (a[ctx.edge_ids] for a in (ec.points, ec.weights, ec.psi))
     e_tr = ec.trace[ctx.edge_ids]
@@ -139,7 +150,9 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
         trace[:, j, :, sl_m[j]] = e_tr[:, j, :, :k]
         for end in range(2):
             trace[cells, j, :, vertex0 + ctx.local_vertices[:, j, end]] = e_tr[:, j, :, k + end]
-    cross = mass(e_w, ctx.at_edges(e_pts, ctx.scal.eval), e_psi)
+    mono = scaled_monomials(e_pts.reshape(n_cells, -1, 2), ctx.center, ctx.diameter, k + 2)
+    m_cross = mass(e_w, mono.reshape(e_pts.shape[:3] + (-1,)), e_psi)
+    cross = T[:, None] @ m_cross
 
     # --- transverse displacement gradient G_T
     GT = np.zeros((n_cells, 2 * np_k, n_u))
@@ -148,16 +161,6 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
         GT[:, a * np_k:(a + 1) * np_k, :nc] = -D[:, a, :np_k, :nc]
         for j in range(nv):
             GT[:, a * np_k:(a + 1) * np_k, :] += ctx.n_out[:, j, a, None, None] * ct[:, j]
-
-    # --- displacement reconstruction P_U (tested against cRoly^{k+2})
-    lhs = mass(w, ctx.croly.eval_div(ctx.qpoints), phi[:, :, :np_k1])
-    rhs = -(ctx.croly_moments @ GT)
-    cr_edge = ctx.at_edges(e_pts, ctx.croly.eval)
-    cr_n = mass(e_w, (cr_edge @ ctx.n_out[:, :, None, :, None])[..., 0], e_psi)
-    for j in range(nv):
-        rhs += cr_n[:, j] @ trace[:, j]
-    cond_u = _check_cond(ctx, lhs, "div cRoly^{k+2} -> P^{k+1} map")
-    PU = np.linalg.solve(lhs, rhs)
 
     # --- scalar rotor R_T
     RT = np.zeros((n_cells, np_k, n_theta))
@@ -169,7 +172,6 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
     # --- rotation potential P_T: square system over cRoly^k + rot P^{k+1};
     # the rot rows scale like 1/h_T, so both sides of them are taken times
     # h_T, which keeps the condition number of A independent of the mesh size
-    h = ctx.diameter[:, None, None]
     A = np.concatenate([proj[:, n_roly:], h * rot[:, 1:]], axis=1)
     B = np.zeros((n_cells, 2 * np_k, n_theta))
     B[:, :n_croly, sl_cR] = np.eye(n_croly)
@@ -179,6 +181,17 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
     B[:, n_croly:] *= h
     cond_t = _check_cond(ctx, A, "rotation potential system")
     PT = np.linalg.solve(A, B)
+
+    # --- displacement reconstruction P_U (tested against cRoly^{k+2})
+    div = (croly[:, 0] @ dmap[0] + croly[:, 1] @ dmap[1]) / h
+    lhs = div @ g_phi[:, :np_k1, :np_k1]
+    rhs = -(_vector_moments(croly, g_phi, np_k) @ GT)
+    n_out = ctx.n_out[..., None, None]
+    cr_n = (n_out[:, :, 0] * croly[:, None, 0] + n_out[:, :, 1] * croly[:, None, 1]) @ m_cross
+    for j in range(nv):
+        rhs += cr_n[:, j] @ trace[:, j]
+    cond_u = _check_cond(ctx, lhs, "div cRoly^{k+2} -> P^{k+1} map")
+    PU = np.linalg.solve(lhs, rhs)
 
     # --- local DDR L2 product on the rotation space: tangential trace of
     # P_T eta on each edge, in the edge family, against the edge unknown

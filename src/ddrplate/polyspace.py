@@ -1,16 +1,24 @@
-"""Scaled polynomial bases and quadrature on polygons, stacked by cell shape.
+"""Scaled polynomial bases, exact polygon moments and quadrature, stacked by
+cell shape.
 
 Cells with the same vertex count run the same arithmetic, so every table
 here carries a leading cell axis: an ``ElementContext`` holds all the cells
 of one vertex count, and one ``EdgeContext`` holds all the edges. The family
-classes broadcast over any leading axes, so a single cell (no cell axis)
+functions broadcast over any leading axes, so a single cell (no cell axis)
 works too.
 
-Element bases are scaled monomials ((x - x_T)/h_T)^alpha in graded
-lexicographic order, L2-orthonormalized through a Cholesky factorization of
-the quadrature Gram matrix. Because the Cholesky factor is lower triangular
-in the graded order, truncating the orthonormal family to dim P^l yields the
-orthonormal family of P^l: every degree is nested in the next.
+Every element family is polynomial and is stored as coefficients over the
+scaled monomials m_alpha = ((x - x_T)/h_T)^alpha in graded lexicographic
+order. Their integrals come exactly from one vector per cell, the moments
+mu_gamma = int_T m_gamma, which Euler's formula for homogeneous functions
+turns into edge integrals (Chin, Lasserre & Sukumar, Comput. Mech. 56, 2015).
+The monomial Gram matrix G_ab = mu_{a+b} and fixed coefficient maps
+(derivative, rot, product with x - x_T) give every Gram matrix and mass of
+the build. The families are L2-orthonormalized through a Cholesky
+factorization of their Gram matrices. Because the Cholesky factor is lower
+triangular in the graded order, truncating the orthonormal family to dim P^l
+yields the orthonormal family of P^l: every degree is nested in the next.
+The fan quadrature of a cell serves data only (interpolation, load, error).
 
 Edge bases are the closed-form result of the same construction on a segment:
 normalized Legendre polynomials in the reference coordinate s in [-1, 1].
@@ -21,7 +29,7 @@ rotated by -pi/2; Roly^l(T) = rot P^{l+1}(T) and cRoly^l(T) = (x - x_T) P^{l-1}(
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -150,112 +158,140 @@ def gram_orthonormalize(gram: np.ndarray, ids=None) -> np.ndarray:
     return inv / d[..., None, :]
 
 
-class ScalarFamily:
-    """Orthonormal scaled-monomial families, nested by degree; ``center``
-    (..., 2) and ``h`` (...) give one family per leading index."""
-
-    def __init__(self, center: np.ndarray, h, lmax: int,
-                 qpoints: np.ndarray, qweights: np.ndarray, ids=None):
-        self.center = np.asarray(center, dtype=float)
-        self.h = np.asarray(h, dtype=float)
-        self.lmax = lmax
-        self.exps = monomial_exponents(lmax)
-        raw = self._raw(qpoints)
-        self.transform = gram_orthonormalize(mass(qweights, raw, raw), ids)
-
-    def dim(self) -> int:
-        return dim_P(self.lmax)
-
-    def _tables(self, x: np.ndarray):
-        """Powers 0..lmax of both scaled coordinates at points x (..., m, 2)."""
-        u = (x - self.center[..., None, :]) / self.h[..., None, None]
-        out = np.empty(u.shape + (self.lmax + 1,))
-        out[..., 0] = 1.0
-        for p in range(1, self.lmax + 1):
-            out[..., p] = out[..., p - 1] * u
-        return out[..., 0, :], out[..., 1, :]
-
-    def _raw(self, x: np.ndarray) -> np.ndarray:
-        p1, p2 = self._tables(x)
-        ax, ay = self.exps[:, 0], self.exps[:, 1]
-        return p1[..., ax] * p2[..., ay]
-
-    def _raw_grad(self, x: np.ndarray) -> np.ndarray:
-        p1, p2 = self._tables(x)
-        ax, ay = self.exps[:, 0], self.exps[:, 1]
-        h = self.h[..., None, None]
-        gx = (ax / h) * p1[..., np.maximum(ax - 1, 0)] * p2[..., ay]
-        gy = (ay / h) * p1[..., ax] * p2[..., np.maximum(ay - 1, 0)]
-        return np.stack([gx, gy], axis=-1)
-
-    def eval(self, x: np.ndarray) -> np.ndarray:
-        return self._raw(x) @ np.swapaxes(self.transform, -1, -2)
-
-    def eval_grad(self, x: np.ndarray) -> np.ndarray:
-        g = np.swapaxes(self._raw_grad(x), -1, -2) @ np.swapaxes(
-            self.transform, -1, -2)[..., None, :, :]
-        return np.swapaxes(g, -1, -2)
+def _monomial_index(a, b):
+    """Position of m_(a, b) in the graded order."""
+    return (a + b) * (a + b + 1) // 2 + b
 
 
-class VectorSubspaceFamily:
-    """Orthonormalized family of an explicit vector-polynomial subspace."""
-
-    def __init__(self, raw_eval, n_raw: int, qpoints: np.ndarray,
-                 qweights: np.ndarray, ids=None):
-        self._raw_eval = raw_eval
-        self.n = n_raw
-        lead = qweights.shape[:-1]
-        if n_raw:
-            # components as extra quadrature points: (..., 2 nq, n)
-            raw = np.swapaxes(raw_eval(qpoints), -1, -2).reshape(lead + (-1, n_raw))
-            gram = mass(np.repeat(qweights, 2, axis=-1), raw, raw)
-            self.transform = gram_orthonormalize(gram, ids)
-        else:
-            self.transform = np.zeros(lead + (0, 0))
-
-    def eval(self, x: np.ndarray) -> np.ndarray:
-        if self.n == 0:
-            return np.zeros(x.shape[:-1] + (0, 2))
-        return self.transform[..., None, :, :] @ self._raw_eval(x)
+def monomial_table(u: np.ndarray, l: int) -> np.ndarray:
+    """Monomials u^alpha, |alpha| <= l, at points u (..., 2): (..., dim_P(l)),
+    each degree from the one below."""
+    # built monomial-major, so that every product runs over contiguous points
+    out = np.empty((dim_P(l),) + u.shape[:-1])
+    out[:1] = 1.0
+    u1, u2 = np.ascontiguousarray(u[..., 0]), np.ascontiguousarray(u[..., 1])
+    for d in range(1, l + 1):
+        lo, hi = dim_P(d - 2), dim_P(d - 1)
+        out[hi:hi + d] = out[lo:hi] * u1
+        out[hi + d] = out[hi - 1] * u2
+    return np.moveaxis(out, 0, -1)
 
 
-def roly_family(scal: ScalarFamily, l: int, qpoints, qweights,
-                ids=None) -> VectorSubspaceFamily:
+def scaled_monomials(x: np.ndarray, center, h, l: int) -> np.ndarray:
+    """m_alpha, |alpha| <= l, at points x (..., m, 2) of cells with centres
+    (..., 2) and diameters (...): (..., m, dim_P(l))."""
+    center, h = np.asarray(center, dtype=float), np.asarray(h, dtype=float)
+    return monomial_table((x - center[..., None, :]) / h[..., None, None], l)
+
+
+@lru_cache(maxsize=16)
+def derivative_map(l: int) -> np.ndarray:
+    """h_T d_a m_alpha = alpha_a m_{alpha - e_a} on coefficient rows:
+    (2, dim_P(l), dim_P(l - 1))."""
+    out = np.zeros((2, dim_P(l), dim_P(l - 1)))
+    for i, (a, b) in enumerate(monomial_exponents(l)):
+        if a:
+            out[0, i, _monomial_index(a - 1, b)] = a
+        if b:
+            out[1, i, _monomial_index(a, b - 1)] = b
+    out.setflags(write=False)
+    return out
+
+
+def polygon_moments(loops: np.ndarray, center: np.ndarray, h: np.ndarray,
+                    degree: int) -> np.ndarray:
+    """Moments mu_gamma = int_T m_gamma, |gamma| <= degree, of counterclockwise
+    polygons ``loops`` (n_cells, nv, 2) with centres (n_cells, 2) and
+    diameters (n_cells,): (n_cells, dim_P(degree)).
+
+    m_gamma is homogeneous of degree |gamma| about x_T, so
+        mu_gamma = 1/(|gamma| + 2) sum_E ((a_E - x_T) . n_E) int_E m_gamma ds
+    for any point a_E of E and outward unit normal n_E; each edge integral is
+    a Gauss-Legendre rule exact to ``degree``. No star centre is needed."""
+    n_cells = loops.shape[0]
+    u = (loops - center[:, None, :]) / h[:, None, None]
+    v = np.roll(u, -1, axis=1)
+    # (a_E - x_T) . n_E |E| = h^2 (u_a x u_b)
+    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    s, w = roots_legendre(degree // 2 + 1)
+    pts = (0.5 * (1.0 - s)[:, None] * u[:, :, None, :]
+           + 0.5 * (1.0 + s)[:, None] * v[:, :, None, :])
+    weights = (0.5 * h * h)[:, None, None] * cross[:, :, None] * w
+    table = monomial_table(pts.reshape(n_cells, -1, 2), degree)
+    mu = (weights.reshape(n_cells, 1, -1) @ table)[:, 0]
+    return mu / (2.0 + monomial_exponents(degree).sum(axis=1))
+
+
+@lru_cache(maxsize=16)
+def _sum_index(l: int) -> np.ndarray:
+    e = monomial_exponents(l)
+    return _monomial_index(e[:, None, 0] + e[None, :, 0], e[:, None, 1] + e[None, :, 1])
+
+
+def monomial_gram(mu: np.ndarray, l: int) -> np.ndarray:
+    """G_ab = int_T m_a m_b = mu_{a+b}, |a|, |b| <= l, from moments up to
+    degree 2l: (..., dim_P(l), dim_P(l))."""
+    return np.take(mu, _sum_index(l), axis=-1)
+
+
+@dataclass(frozen=True)
+class PolyFamily:
+    """Polynomials as coefficients over the scaled monomials about ``center``
+    (..., 2) with scale ``h`` (...): ``coef`` is (..., n, N) for a scalar
+    family and component-major (..., 2, n, N) for a vector one."""
+    center: np.ndarray
+    h: np.ndarray
+    coef: np.ndarray
+    vector: bool = False
+
+    @property
+    def n(self) -> int:
+        return self.coef.shape[-2]
+
+    def head(self, n: int, l: int) -> "PolyFamily":
+        """The first n members on the monomials of degree <= l (their own
+        degree, for a family nested by degree)."""
+        return replace(self, coef=self.coef[..., :n, :dim_P(l)])
+
+    def values(self, mono: np.ndarray) -> np.ndarray:
+        """Values from a monomial table (..., m, >= N) at m points:
+        (..., m, n), or (..., m, n, 2) for a vector family."""
+        coef = np.swapaxes(self.coef, -1, -2)
+        mono = mono[..., :coef.shape[-2]]
+        if not self.vector:
+            return mono @ coef
+        return np.moveaxis(mono[..., None, :, :] @ coef, -3, -1)
+
+
+def scalar_family(center, h, gram: np.ndarray, ids=None) -> PolyFamily:
+    """Orthonormal scaled-monomial family of P^l, nested by degree, from the
+    monomial Gram matrix over P^l."""
+    return PolyFamily(np.asarray(center), np.asarray(h), gram_orthonormalize(gram, ids))
+
+
+def vector_family(center, h, raw: np.ndarray, gram: np.ndarray, ids=None) -> PolyFamily:
+    """Orthonormalization, in the order given, of the vector polynomials with
+    component-major monomial coefficients ``raw`` (..., 2, n, N), from a
+    monomial Gram matrix over at least P^{deg raw}."""
+    g = gram[..., None, :raw.shape[-1], :raw.shape[-1]]
+    own = (raw @ g @ np.swapaxes(raw, -1, -2)).sum(axis=-3)
+    return PolyFamily(np.asarray(center), np.asarray(h),
+                      gram_orthonormalize(own, ids)[..., None, :, :] @ raw, vector=True)
+
+
+def roly_family(center, h, l: int, gram: np.ndarray, ids=None) -> PolyFamily:
     """Roly^l(T) = rot P^{l+1}(T); members are rot of scaled monomials of
     degree 1..l+1."""
-    n = dim_roly(l)
-
-    def raw(x):
-        g = scal._raw_grad(x)[..., 1:dim_P(l + 1), :]
-        return np.stack([g[..., 1], -g[..., 0]], axis=-1)
-
-    return VectorSubspaceFamily(raw, n, qpoints, qweights, ids)
+    d = derivative_map(l + 1)[:, 1:]
+    raw = np.stack([d[1], -d[0]]) / np.asarray(h)[..., None, None, None]
+    return vector_family(center, h, raw, gram, ids)
 
 
-class CRolyFamily(VectorSubspaceFamily):
-    """cRoly^l(T) = (x - x_T) P^{l-1}(T), nested by degree of the scalar factor."""
-
-    def __init__(self, scal: ScalarFamily, l: int, qpoints, qweights, ids=None):
-        self.scal = scal
-        n = dim_croly(l)
-
-        def raw(x):
-            m = scal._raw(x)[..., :n]
-            return self._rel(x)[..., None, :] * m[..., None]
-
-        super().__init__(raw, n, qpoints, qweights, ids)
-
-    def _rel(self, x: np.ndarray) -> np.ndarray:
-        return x - self.scal.center[..., None, :]
-
-    def eval_div(self, x: np.ndarray) -> np.ndarray:
-        """div((x - x_T) m) = 2 m + (x - x_T) . grad m."""
-        if self.n == 0:
-            return np.zeros(x.shape[:-1] + (0,))
-        vals = self.scal._raw(x)[..., :self.n]
-        grads = self.scal._raw_grad(x)[..., :self.n, :]
-        raw_div = 2.0 * vals + (grads @ self._rel(x)[..., None])[..., 0]
-        return raw_div @ np.swapaxes(self.transform, -1, -2)
+def croly_family(center, h, l: int, gram: np.ndarray, ids=None) -> PolyFamily:
+    """cRoly^l(T) = (x - x_T) P^{l-1}(T), nested by degree of the scalar
+    factor: (x - x_T) m_alpha = h_T (m_{alpha+e_1}, m_{alpha+e_2})."""
+    shift = np.swapaxes(derivative_map(l) != 0, -1, -2)
+    return vector_family(center, h, np.asarray(h)[..., None, None, None] * shift, gram, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +372,16 @@ def build_edge_context(mesh: PolygonalMesh, edges: list[Edge], k: int,
 
 
 class ElementContext:
-    """Quadrature and all orthonormal bases at degree k of the cells of one
-    vertex count, stacked along a leading cell axis in cell-id order.
+    """Moments, orthonormal bases at degree k and data quadrature of the cells
+    of one vertex count, stacked along a leading cell axis in cell-id order.
 
     Local edge j of a cell joins its loop vertices j and j+1; the per-edge
-    tables carry a second axis over j. Only the tables that interpolation,
-    the load vector and the local build read are kept; the build derives the
-    rest on the fly.
+    tables carry a second axis over j. The families are coefficient stacks
+    over the scaled monomials (``scal`` on P^{k+2}, ``roly`` on Roly^{k-1},
+    ``croly`` on cRoly^{k+2}), and ``gram`` is the monomial Gram matrix over
+    P^{k+2} from which the build takes every element integral. The fan rule
+    and the values at its points (``phi`` of P^{k+1}, ``roly_vals``,
+    ``croly_vals`` of cRoly^k) serve the data terms only.
     """
 
     def __init__(self, mesh: PolygonalMesh, elements: list[Element], k: int,
@@ -355,8 +394,8 @@ class ElementContext:
         self.vertices = np.array([el.vertices for el in elements], dtype=int)
         self.edge_ids = np.array([el.edges for el in elements], dtype=int)
         self.omega = np.array([el.orientations for el in elements], dtype=float)
-        self.diameter = np.array([el.diameter for el in elements])
-        center = np.array([el.center for el in elements])
+        self.diameter = h = np.array([el.diameter for el in elements])
+        self.center = center = np.array([el.center for el in elements])
         # outward normal, frame and length of every local edge: (n_cells, nv, ...)
         self.tangent = edge_ctx.tangent[self.edge_ids]
         self.normal = edge_ctx.normal[self.edge_ids]
@@ -371,32 +410,17 @@ class ElementContext:
 
         rule = element_quadrature(mesh, elements, 2 * k + 6 + quad_boost)
         self.qpoints, self.qweights = rule.points, rule.weights
-        self.scal = ScalarFamily(center, self.diameter, k + 2,
-                                 self.qpoints, self.qweights, self.ids)
-        # P^{k+1} and cRoly^k are the most that the build and the later
-        # readers take of the two families; of the rest of cRoly^{k+2} the
-        # build reads only its moments against vP^k, taken here while the
-        # whole family is evaluated
-        self.phi = self.scal.eval(self.qpoints)[..., :dim_P(k + 1)].copy()
-        self.roly = roly_family(self.scal, k - 1, self.qpoints, self.qweights, self.ids)
-        self.roly_vals = self.roly.eval(self.qpoints)
-        self.croly = CRolyFamily(self.scal, k + 2, self.qpoints, self.qweights, self.ids)
-        croly_vals = self.croly.eval(self.qpoints)
-        self.croly_vals = croly_vals[:, :, :dim_croly(k)].copy()
-        self.croly_moments = mass(self.qweights, croly_vals, self.phi[:, :, :dim_P(k)]
-                                  ).reshape(self.n_cells, self.croly.n, -1)
+        mu = polygon_moments(mesh.vertex_coords[self.vertices], center, h, 2 * k + 4)
+        self.gram = monomial_gram(mu, k + 2)
+        self.scal = scalar_family(center, h, self.gram, self.ids)
+        self.roly = roly_family(center, h, k - 1, self.gram, self.ids)
+        self.croly = croly_family(center, h, k + 2, self.gram, self.ids)
+        # P^{k+1} and cRoly^k are the most that the data terms read
+        mono = scaled_monomials(self.qpoints, center, h, k + 1)
+        self.phi = self.scal.head(dim_P(k + 1), k + 1).values(mono)
+        self.roly_vals = self.roly.values(mono)
+        self.croly_vals = self.croly.head(dim_croly(k), k).values(mono)
 
     @property
     def n_cells(self) -> int:
         return len(self.ids)
-
-    def integrate(self, vals: np.ndarray) -> np.ndarray:
-        """Integrate quad-point values (axis 1, after the cell axis) over each cell."""
-        flat = vals.reshape(vals.shape[:2] + (-1,))
-        return (self.qweights[:, None, :] @ flat).reshape(vals.shape[:1] + vals.shape[2:])
-
-    def at_edges(self, edge_pts: np.ndarray, evaluate) -> np.ndarray:
-        """``evaluate`` (a family's eval) at per-edge points (n_cells, nv, nq, 2)."""
-        c, nv, nq = edge_pts.shape[:3]
-        vals = evaluate(edge_pts.reshape(c, nv * nq, 2))
-        return vals.reshape((c, nv, nq) + vals.shape[2:])

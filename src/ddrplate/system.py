@@ -10,7 +10,7 @@ local constructions and every solve factors the same pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sps
@@ -75,6 +75,9 @@ class SolveReport:
     refinement_steps: int = 0     # corrections applied after the first solve
     factor_nnz: int = 0           # nonzeros of L + U (SuperLU's count)
     local_cond: float = 0.0       # worst condition number of the local solves
+    kff_nnz: int = 0              # stored entries of the factored K_ff
+    # backward error after the first solve and after each correction
+    backward_errors: list[float] = field(default_factory=list)
 
 
 class PlateSystem:
@@ -240,7 +243,7 @@ class PlateSystem:
                           options={"SymmetricMode": True})
             except Exception as exc:
                 raise SolverFailure(f"sparse factorization failed: {exc}") from exc
-            report.factor_nnz = int(lu.nnz)
+            report.factor_nnz, report.kff_nnz = int(lu.nnz), int(Ks.nnz)
 
             def prec_solve(r):
                 return dinv * lu.solve(dinv * r)
@@ -259,16 +262,17 @@ class PlateSystem:
                 return float(np.linalg.norm(r) / max(den, 1e-300))
 
             r = rhs - Kff @ xf
-            for _ in range(8):
-                if backward_error(r, xf) <= 0.01 * _RESIDUAL_TOL:
-                    break
+            errors = report.backward_errors
+            errors.append(backward_error(r, xf))
+            while not errors[-1] <= 0.01 * _RESIDUAL_TOL and report.refinement_steps < 8:
                 xf = xf + prec_solve(r)
                 r = rhs - Kff @ xf
                 report.refinement_steps += 1
+                errors.append(backward_error(r, xf))
             if not np.all(np.isfinite(xf)):
                 raise SolverFailure("solver produced non-finite values")
             x[self.free] = xf
-            report.residual = backward_error(r, xf)
+            report.residual = errors[-1]
             if report.residual > _RESIDUAL_TOL:
                 raise SolverFailure(
                     f"solver residual {report.residual:.3e} above {_RESIDUAL_TOL:.1e}")

@@ -7,8 +7,9 @@ functionals with a fresh quadrature four degrees finer, and the derivative
 oracle uses Richardson-extrapolated central differences.
 
 The library stacks every local table by cell group; ``cells`` and ``cell``
-give per-cell views of those stacks for the oracles, with basis families
-rebuilt from the cell's own quadrature.
+give per-cell views of those stacks for the oracles. The library's families
+are coefficients over scaled monomials; their derivatives here come from an
+independent power-rule evaluation of the monomials (``monomial_grads``).
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ import pytest
 from ddrplate.harness import PROPERTY_TEST_SEED
 from ddrplate.mesh import load_mesh, triangular_mesh
 from ddrplate.operators import build_packs
-from ddrplate.polyspace import CRolyFamily, EdgeFamily, ScalarFamily, roly_family
+from ddrplate.polyspace import EdgeFamily, PolyFamily, dim_P, scaled_monomials
 from ddrplate.spaces import Discretization
 
 ASSETS = resources.files("ddrplate") / "assets" / "meshes"
@@ -117,6 +118,48 @@ def fd_jacobian_vector(f, x, h=1e-4):
     return np.stack(cols, axis=-1)
 
 
+def monomial_exponents(l):
+    return [(d - i, i) for d in range(l + 1) for i in range(d + 1)]
+
+
+def monomial_grads(center, h, l, x):
+    """Gradients of the scaled monomials ((x - center)/h)^alpha, |alpha| <= l,
+    at points x (m, 2) by the power rule: (m, dim_P(l), 2)."""
+    u = (np.atleast_2d(x) - center) / h
+    cols = [np.stack([a * u[:, 0] ** max(a - 1, 0) * u[:, 1] ** b,
+                      b * u[:, 0] ** a * u[:, 1] ** max(b - 1, 0)], axis=-1) / h
+            for a, b in monomial_exponents(l)]
+    return np.stack(cols, axis=1)
+
+
+def evaluate(fam, x):
+    """Values of the members of a library family at points x (..., m, 2)."""
+    return fam.values(scaled_monomials(x, fam.center, fam.h, _degree(fam)))
+
+
+class CellFamily(PolyFamily):
+    """A library family of one cell, evaluated at any points."""
+
+    def eval(self, x):
+        return evaluate(self, x)
+
+
+def family_grad(fam, x):
+    """Gradients (m, n, 2) of the members of a scalar library family."""
+    g = monomial_grads(fam.center, fam.h, _degree(fam), x)
+    return np.einsum("mad,na->mnd", g, fam.coef)
+
+
+def family_div(fam, x):
+    """Divergences (m, n) of the members of a vector library family."""
+    g = monomial_grads(fam.center, fam.h, _degree(fam), x)
+    return np.einsum("mad,dna->mn", g, fam.coef)
+
+
+def _degree(fam):
+    return next(l for l in range(-1, 20) if dim_P(l) == fam.coef.shape[-1])
+
+
 # ---------------------------------------------------------------------------
 # per-cell views of the stacked tables
 
@@ -141,10 +184,9 @@ class CellView:
         self.qpoints, self.qweights = ctx.qpoints[c], ctx.qweights[c]
         self.phi = ctx.phi[c]
         self.roly_vals, self.croly_vals = ctx.roly_vals[c], ctx.croly_vals[c]
-        self.scal = ScalarFamily(self.element.center, self.element.diameter, ctx.k + 2,
-                                 self.qpoints, self.qweights)
-        self.roly = roly_family(self.scal, ctx.k - 1, self.qpoints, self.qweights)
-        self.croly = CRolyFamily(self.scal, ctx.k + 2, self.qpoints, self.qweights)
+        self.scal, self.roly, self.croly = (
+            CellFamily(f.center[c], f.h[c], f.coef[c], f.vector)
+            for f in (ctx.scal, ctx.roly, ctx.croly))
         self.edges = [SimpleNamespace(ctx=edge_view(ctx.edge_ctx, ctx.mesh, e),
                                       n_out=ctx.n_out[c, j], omega=ctx.omega[c, j])
                       for j, e in enumerate(ctx.edge_ids[c])]

@@ -106,12 +106,14 @@ def test_metadata_records_the_solver_per_mesh(tmp_path):
     meta = json.loads((tmp_path / "run_metadata.json").read_text())
     assert len(meta["solver"]) == len(records)
     for rec, solver in zip(records, meta["solver"]):
-        assert set(solver) == {"n_free", "factor_nnz", "refinement_steps", "residual",
-                               "local_cond"}
+        assert set(solver) == {"n_free", "kff_nnz", "factor_nnz", "refinement_steps",
+                               "residual", "backward_errors", "local_cond"}
         assert solver["n_free"] == rec.dofs
-        assert solver["factor_nnz"] >= rec.dofs
+        assert rec.dofs <= solver["kff_nnz"] <= solver["factor_nnz"]
         assert 0 <= solver["refinement_steps"] <= 8
         assert solver["residual"] <= 1e-10
+        assert len(solver["backward_errors"]) == solver["refinement_steps"] + 1
+        assert solver["backward_errors"][-1] == solver["residual"]
         assert 1.0 <= solver["local_cond"] < float("inf")
 
 

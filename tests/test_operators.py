@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import (ASSETS, cell, cells, edge_view, refined_edge_quadrature,
-                      refined_quadrature)
+from conftest import (ASSETS, cell, cells, edge_view, family_div, family_grad,
+                      refined_edge_quadrature, refined_quadrature)
 from ddrplate.errors import SingularLocalSystem
 from ddrplate.mesh import build_mesh, load_mesh, triangular_mesh
 from ddrplate.operators import (_vp_k, assemble_theta_product,
@@ -162,7 +162,7 @@ def test_reconstruction_defining_equation_oracle(cache, rng, k):
     pu_vals = phi[:, :np_k1] @ pu
     gt_vals = np.stack([phi[:, :np_k] @ gt[:np_k], phi[:, :np_k] @ gt[np_k:]], axis=-1)
     cr_vals = ctx.croly.eval(qp)
-    cr_div = ctx.croly.eval_div(qp)
+    cr_div = family_div(ctx.croly, qp)
     for j in rng.choice(ctx.croly.n, size=min(ctx.croly.n, 6), replace=False):
         lhs = qw @ (pu_vals * cr_div[:, j])
         rhs = -qw @ np.einsum("qc,qc->q", gt_vals, cr_vals[:, j])
@@ -337,7 +337,7 @@ def test_element_tables_against_refined_quadrature(cache, family, k):
     np_k, np_k1 = dim_P(k), dim_P(k + 1)
     ctx, pack = cell(disc, disc.mesh.n_elements - 1, cache.packs(family, k))
     qp, qw = refined_quadrature(ctx)
-    grad = ctx.scal.eval_grad(qp)[:, :np_k1]
+    grad = family_grad(ctx.scal, qp)[:, :np_k1]
     recon = np.einsum("djm,qm->qjd", pack.D, ctx.scal.eval(qp)[:, :np_k])
     assert np.abs(recon - grad).max() <= 1e-12 * np.abs(grad).max()
     n_croly = disc.theta_space.n_croly
@@ -547,19 +547,20 @@ def _hexa_group(k):
 
 
 def test_singular_displacement_reconstruction_names_the_cell():
-    """Zero quadrature weights on one cell make its div cRoly^{k+2} mass
-    matrix vanish; the condition check names that cell."""
+    """Zero cRoly^{k+2} members beyond cRoly^k on one cell make its
+    div cRoly^{k+2} mass matrix singular and leave the rotation potential
+    intact; the condition check names that cell."""
     _, ctx = _hexa_group(1)
-    ctx.qweights[1] = 0.0
+    ctx.croly.coef[1, :, dim_P(ctx.k - 1):] = 0.0
     with pytest.raises(SingularLocalSystem, match=f"element {ctx.ids[1]}: div cRoly"):
         build_local_pack(ctx)
 
 
 def test_singular_rotation_potential_names_the_cell():
-    """Zero cRoly^k values on one cell leave its P_U system intact and make
-    the rotation-potential system singular."""
+    """Zero cRoly^k members on one cell make its rotation-potential system
+    singular, which is checked first."""
     _, ctx = _hexa_group(1)
-    ctx.croly_vals[1] = 0.0
+    ctx.croly.coef[1, :, :dim_P(ctx.k - 1)] = 0.0
     with pytest.raises(SingularLocalSystem, match=f"element {ctx.ids[1]}: rotation potential"):
         build_local_pack(ctx)
 

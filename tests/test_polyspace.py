@@ -1,15 +1,17 @@
 from math import factorial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import cell, edge_view, lstsq_projection_oracle
+from conftest import (ASSETS, cell, edge_view, evaluate, family_grad, lstsq_projection_oracle,
+                      monomial_grads, refined_quadrature)
 from ddrplate.errors import SingularGram
-from ddrplate.mesh import build_mesh, triangular_mesh
-from ddrplate.polyspace import (CRolyFamily, QuadratureRule, ScalarFamily,
-                                build_edge_context, dim_P, dim_croly, dim_roly,
-                                element_quadrature, gram_orthonormalize,
-                                monomial_exponents, roly_family)
+from ddrplate.mesh import build_mesh, load_mesh, triangular_mesh
+from ddrplate.polyspace import (QuadratureRule, build_edge_context, croly_family,
+                                derivative_map, dim_P, dim_croly, dim_roly,
+                                element_quadrature, gram_orthonormalize, monomial_exponents,
+                                monomial_gram, polygon_moments, roly_family, scalar_family)
 from ddrplate.spaces import Discretization
 
 UNIT_TRI = build_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [[0, 1, 2]])
@@ -21,6 +23,21 @@ def hexagon():
     ang = np.pi / 3 * np.arange(6)
     verts = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     return build_mesh(verts, [list(range(6))])
+
+
+# nonconvex (reflex vertex at (1, 0.8)) but star-shaped w.r.t. its centroid
+DART = build_mesh(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.8], [0.0, 2.0]]),
+                  [[0, 1, 2, 3, 4]])
+SLAB = build_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.02], [0.0, 0.02]]),
+                  [[0, 1, 2, 3]])
+
+
+def cell_gram(mesh, l, cell_id=0):
+    """Centre, diameter and monomial Gram over P^l of one cell, with a cell axis."""
+    el = mesh.elements[cell_id]
+    center, h = el.center[None], np.array([el.diameter])
+    mu = polygon_moments(mesh.element_vertex_coords(el)[None], center, h, 2 * l)
+    return center, h, monomial_gram(mu, l)
 
 
 def single_cell_rule(mesh, degree):
@@ -88,48 +105,134 @@ def test_subspace_dimensions(l):
 
 
 def test_rot_convention_and_divergence_free():
-    el = UNIT_TRI.elements[0]
+    center, h, gram = cell_gram(UNIT_TRI, 3)
     rule = single_cell_rule(UNIT_TRI, 8)
-    fam = ScalarFamily(el.center, el.diameter, 3, rule.points, rule.weights)
-    # raw member with exponents (0,1) is (x2 - c2)/h; its rot must align with (1,0)
-    raw_grad = fam._raw_grad(rule.points)
-    rot = np.stack([raw_grad[..., 1], -raw_grad[..., 0]], axis=-1)
-    member = rot[:, 2, :]          # graded order: [1, x1-like, x2-like]
-    assert np.allclose(member[:, 0], 1.0 / el.diameter, atol=1e-14)
-    assert np.allclose(member[:, 1], 0.0, atol=1e-14)
-    # every Roly member is divergence free: rot members of x1*x2 checked by
-    # finite difference of the orthonormal family
-    roly = roly_family(fam, 2, rule.points, rule.weights)
+    # Roly^0 = rot P^1: the raw members rot m_(1,0) = (0, -1/h) and
+    # rot m_(0,1) = (1/h, 0) are orthogonal, so the orthonormal members keep
+    # their directions
+    roly0 = evaluate(roly_family(center, h, 0, gram), rule.points[None])[0]
+    assert np.allclose(roly0[:, 0, 0], 0.0, atol=1e-14) and (roly0[:, 0, 1] < 0).all()
+    assert np.allclose(roly0[:, 1, 1], 0.0, atol=1e-14) and (roly0[:, 1, 0] > 0).all()
+    # every Roly member is divergence free: checked by finite differences of
+    # the orthonormal family
+    roly = roly_family(center[0], h[0], 2, gram[0])
     eps = 1e-6
     pts = rule.points[:5]
     for i in range(roly.n):
-        dx = (roly.eval(pts + [eps, 0])[:, i, 0] - roly.eval(pts - [eps, 0])[:, i, 0])
-        dy = (roly.eval(pts + [0, eps])[:, i, 1] - roly.eval(pts - [0, eps])[:, i, 1])
+        dx = (evaluate(roly, pts + [eps, 0])[:, i, 0] - evaluate(roly, pts - [eps, 0])[:, i, 0])
+        dy = (evaluate(roly, pts + [0, eps])[:, i, 1] - evaluate(roly, pts - [0, eps])[:, i, 1])
         div = (dx + dy) / (2 * eps)
-        assert np.abs(div).max() < 1e-6 / el.diameter
+        assert np.abs(div).max() < 1e-6 / h[0]
+
+
+@pytest.mark.parametrize("l", range(1, 5))
+def test_derivative_map_matches_power_rule(l):
+    """h d_a m_alpha = alpha_a m_{alpha - e_a}: the coefficient map applied to
+    the orthonormal family equals its gradient by the power rule."""
+    center, h, gram = cell_gram(DART, l)
+    fam = scalar_family(center[0], h[0], gram[0])
+    x = single_cell_rule(DART, 4).points
+    u = (x - center[0]) / h[0]
+    lower = np.stack([u[:, 0] ** a * u[:, 1] ** b for a, b in monomial_exponents(l - 1)], axis=1)
+    want = family_grad(fam, x)
+    for a in range(2):
+        got = lower @ (fam.coef @ derivative_map(l)[a]).T / h[0]
+        assert np.abs(got - want[..., a]).max() <= 1e-12 * np.abs(want).max()
+
+
+MOMENT_MESHES = {
+    "tri4": lambda: triangular_mesh(4),
+    "hexa_02": lambda: load_mesh(str(ASSETS / "hexa_02.json")),
+    "locref_02": lambda: load_mesh(str(ASSETS / "locref_02.json")),
+    "dart": lambda: DART,
+    "slab": lambda: SLAB,
+}
+
+
+@pytest.fixture(scope="module", params=list(MOMENT_MESHES))
+def moment_mesh(request):
+    return MOMENT_MESHES[request.param]()
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_polygon_moments_match_refined_fan_rule(moment_mesh, k):
+    """mu_gamma, |gamma| <= 2k+4, from the edge formula against a fan rule
+    four degrees finer than the production one."""
+    mesh = moment_mesh
+    degree = 2 * k + 4
+    exps = np.array(monomial_exponents(degree))
+    for el in mesh.elements[:12]:
+        center, h = el.center, el.diameter
+        mu = polygon_moments(mesh.element_vertex_coords(el)[None], center[None],
+                             np.array([h]), degree)[0]
+        qp, qw = refined_quadrature(SimpleNamespace(mesh=mesh, element=el, k=k))
+        u = (qp - center) / h
+        want = qw @ (u[:, None, 0] ** exps[:, 0] * u[:, None, 1] ** exps[:, 1])
+        assert mu[0] == pytest.approx(el.area, rel=1e-14)
+        assert np.abs(mu - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_families_are_orthonormal_under_the_fan_rule(moment_mesh, k):
+    """Every family of every cell group, evaluated at the production data
+    rule (exact for their products), is orthonormal. The degree-5 families
+    of k = 3 (P^5, cRoly^5) come from Gram matrices with condition numbers
+    up to 1.4e10 on triangles, and their Cholesky transforms are about 1.5e-12
+    from orthonormal even in exact arithmetic (checked at 40 digits on a
+    tri n=4 cell, for this transform and for one from the fan-rule Gram);
+    under the fan rule they read up to 3.4e-12."""
+    disc = Discretization(moment_mesh, k)
+    for ctx in disc.elem_ctxs:
+        w = ctx.qweights[:, :, None]
+        for fam in (ctx.scal, ctx.roly, ctx.croly):
+            tol = 1e-12 if fam.coef.shape[-1] <= dim_P(4) else 5e-12
+            vals = evaluate(fam, ctx.qpoints)
+            if fam.vector:
+                vals = np.concatenate([vals[..., 0], vals[..., 1]], axis=1)
+                w2 = np.concatenate([w, w], axis=1)
+            else:
+                w2 = w
+            gram = np.swapaxes(vals * w2, 1, 2) @ vals
+            assert np.abs(gram - np.eye(fam.n)).max(initial=0.0) < tol
+        # the data tables are the leading members of the families
+        np_k1 = dim_P(k + 1)
+        assert np.abs(ctx.phi - evaluate(ctx.scal, ctx.qpoints)[..., :np_k1]).max() < 1e-12
+        assert np.abs(ctx.roly_vals - evaluate(ctx.roly, ctx.qpoints)).max(initial=0.0) < 1e-12
+        n_croly = dim_croly(k)
+        assert np.abs(ctx.croly_vals - evaluate(ctx.croly, ctx.qpoints)[:, :, :n_croly]
+                      ).max(initial=0.0) < 1e-12
 
 
 def test_orthonormality_of_families():
     hexa = hexagon()
-    el = hexa.elements[0]
+    center, h, gram = cell_gram(hexa, 4)
     rule = single_cell_rule(hexa, 10)
-    fam = ScalarFamily(el.center, el.diameter, 4, rule.points, rule.weights)
-    vals = fam.eval(rule.points)
-    gram = (vals * rule.weights[:, None]).T @ vals
-    assert np.abs(gram - np.eye(fam.dim())).max() < 1e-12
-    croly = CRolyFamily(fam, 3, rule.points, rule.weights)
-    cv = croly.eval(rule.points)
-    gram = np.einsum("qic,q,qjc->ij", cv, rule.weights, cv)
-    assert np.abs(gram - np.eye(croly.n)).max() < 1e-12
+    fam = scalar_family(center[0], h[0], gram[0])
+    vals = evaluate(fam, rule.points)
+    gram_q = (vals * rule.weights[:, None]).T @ vals
+    assert np.abs(gram_q - np.eye(fam.n)).max() < 1e-12
+    croly = croly_family(center[0], h[0], 3, gram[0])
+    cv = evaluate(croly, rule.points)
+    gram_q = np.einsum("qic,q,qjc->ij", cv, rule.weights, cv)
+    assert np.abs(gram_q - np.eye(croly.n)).max() < 1e-12
 
 
 def test_singular_gram_raises():
     with pytest.raises(SingularGram):
         gram_orthonormalize(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    el = UNIT_TRI.elements[0]
-    rule = single_cell_rule(UNIT_TRI, 0)   # 3 fan points, P^2 has 6 dofs
+    # three collinear vertices: every moment vanishes
+    loop = np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
+    mu = polygon_moments(loop, np.array([[1.0, 0.0]]), np.array([2.0]), 4)
+    assert np.abs(mu).max() == 0.0
     with pytest.raises(SingularGram):
-        ScalarFamily(el.center, el.diameter, 2, rule.points, rule.weights)
+        scalar_family(np.array([[1.0, 0.0]]), np.array([2.0]), monomial_gram(mu, 2))
+    # a 3-point rule cannot tell P^2 members apart
+    el = UNIT_TRI.elements[0]
+    rule = single_cell_rule(UNIT_TRI, 0)
+    u = (rule.points - el.center) / el.diameter
+    raw = np.stack([u[:, 0] ** a * u[:, 1] ** b for a, b in monomial_exponents(2)], axis=1)
+    with pytest.raises(SingularGram):
+        scalar_family(el.center, el.diameter, (raw * rule.weights[:, None]).T @ raw)
 
 
 @pytest.fixture(scope="module")
@@ -205,12 +308,14 @@ def test_vector_decomposition_against_lstsq_oracle(hexa_ctx, rng):
         return np.stack([vals @ coefs[0], vals @ coefs[1]], axis=-1)
 
     fq = f(ctx.qpoints)
-    roly_full = roly_family(ctx.scal, 2, ctx.qpoints, ctx.qweights)
-    rv = roly_full.eval(ctx.qpoints)
+    xt, h = ctx.element.center, ctx.element.diameter
+    roly_full = roly_family(xt, h, 2, ctx.group.gram[ctx.c])
+    rv = evaluate(roly_full, ctx.qpoints)
     r = np.einsum("q,qc,qnc->n", ctx.qweights, fq, rv)
     proj_r = np.einsum("n,qnc->qc", r, rv)
     # oracle: dense least squares on the raw (non-orthonormalized) basis
-    raw_r = roly_full._raw_eval(ctx.qpoints)
+    grads = monomial_grads(xt, h, 3, ctx.qpoints)[:, 1:]
+    raw_r = np.stack([grads[..., 1], -grads[..., 0]], axis=-1)
     oracle_r = lstsq_projection_oracle(ctx.qpoints, ctx.qweights, raw_r, fq)
     assert np.abs(proj_r - oracle_r).max() < 1e-10
     cv = ctx.croly_vals[:, :dim_croly(2)]
@@ -249,12 +354,9 @@ def test_trace_recovery_matches_conditions(rng):
 
 
 def test_roly_and_croly_pair():
-    hexa = hexagon()
-    el = hexa.elements[0]
-    rule = single_cell_rule(hexa, 8)
-    fam = ScalarFamily(el.center, el.diameter, 3, rule.points, rule.weights)
-    roly = roly_family(fam, 2, rule.points, rule.weights)
-    croly = CRolyFamily(fam, 2, rule.points, rule.weights)
+    center, h, gram = cell_gram(hexagon(), 3)
+    roly = roly_family(center, h, 2, gram)
+    croly = croly_family(center, h, 2, gram)
     assert roly.n == dim_roly(2) == 9
     assert croly.n == dim_croly(2) == 3
     assert roly.n + croly.n == 12

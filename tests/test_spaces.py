@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from conftest import cell, cells, edge_dof_values, lstsq_projection_oracle, u_trace_values
+from conftest import (cell, cells, edge_dof_values, lstsq_projection_oracle, monomial_exponents,
+                      monomial_grads, u_trace_values)
 from ddrplate.mesh import build_mesh, triangular_mesh
 from ddrplate.polyspace import dim_P
 from ddrplate.spaces import (Discretization, assemble, block_pattern, boundary_dof_sets,
@@ -111,12 +112,16 @@ def test_interpolate_matches_lstsq_oracle(rng):
     sp = disc.theta_space
     ctx = cell(disc, 0)
     fq = eta(ctx.qpoints)
-    raw_roly = ctx.roly._raw_eval(ctx.qpoints)
+    xt, h = ctx.element.center, ctx.element.diameter
+    grads = monomial_grads(xt, h, disc.k, ctx.qpoints)[:, 1:]
+    raw_roly = np.stack([grads[..., 1], -grads[..., 0]], axis=-1)     # rot m_alpha
     oracle = lstsq_projection_oracle(ctx.qpoints, ctx.qweights, raw_roly, fq)
     r = vec[sp.elem_offset(0):sp.elem_offset(0) + sp.n_roly]
     mine = np.einsum("n,qnc->qc", r, ctx.roly_vals)
     assert np.abs(mine - oracle).max() < 1e-10
-    raw_croly = ctx.croly._raw_eval(ctx.qpoints)[:, :sp.n_croly]
+    rel = ctx.qpoints - xt
+    raw_croly = rel[:, None, :] * np.stack(
+        [((rel / h) ** e).prod(axis=1) for e in monomial_exponents(disc.k - 1)], axis=1)[..., None]
     oracle = lstsq_projection_oracle(ctx.qpoints, ctx.qweights, raw_croly, fq)
     c = vec[sp.elem_offset(0) + sp.n_roly:sp.elem_offset(0) + sp.elem_dim]
     mine = np.einsum("n,qnc->qc", c, ctx.croly_vals[:, :sp.n_croly])

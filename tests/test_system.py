@@ -186,6 +186,11 @@ def test_galerkin_residual_and_coercivity(k0_system, rng):
     assert rep.factor_nnz >= rep.n_free          # at least the pivots
     assert 0 <= rep.refinement_steps <= 8
     K = system.full_matrix(mat)
+    assert rep.kff_nnz == K[system.free][:, system.free].nnz
+    # one backward error per solve with the factor, the last one reported
+    assert len(rep.backward_errors) == rep.refinement_steps + 1
+    assert rep.backward_errors[-1] == rep.residual
+    assert all(e > 1e-12 for e in rep.backward_errors[:-1])
     x = np.concatenate([theta.values, u.values])
     res = (K @ x - load)[system.free]
     assert np.linalg.norm(res) <= 1e-10 * max(np.linalg.norm(load), 1.0) * \
