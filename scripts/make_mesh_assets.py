@@ -18,7 +18,7 @@ from scipy.spatial import Voronoi
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ddrplate.mesh import build_mesh  # noqa: E402
+from ddrplate.mesh import _min_dist_to_boundary, build_mesh, cell_groups  # noqa: E402
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "ddrplate" / "assets" / "meshes"
 
@@ -114,7 +114,11 @@ def write(name: str, coords: np.ndarray, cells) -> None:
     path = OUT / f"{name}.json"
     path.write_text(json.dumps(data))
     hs = mesh.h
-    rho = min(el.inradius_ratio for el in mesh.elements)
+    # inradius ratio: distance from x_T to the cell boundary over h_T
+    rho = min(float(np.min(_min_dist_to_boundary(mesh.vertex_coords[mesh.cell_vertices[slots]],
+                                                 mesh.cell_center[ids])
+                           / mesh.cell_diameter[ids]))
+              for ids, slots in cell_groups(mesh.cell_offsets))
     print(f"{name}: {mesh.n_elements} cells, {mesh.n_edges} edges, "
           f"h = {hs:.4f}, min inradius ratio = {rho:.3f}")
 

@@ -53,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"wall time = {res.time:.2f} s")
             if config.out_dir is not None:
                 write_outputs(config, [ConvergenceRecord(
-                    res.h, res.dofs, res.error, None, res.time, res.solver)])
+                    res.h, res.dofs, res.error, None, res.time, res.solver, res.stages)])
         else:
             records = run_convergence(config)
             print("MeshSize      Error         DOFs     Rate")

@@ -71,6 +71,7 @@ class ConvergenceRecord:
     rate: float | None
     time: float
     solver: dict | None = None     # RunResult.solver; metadata sidecar only
+    stages: dict | None = None     # RunResult.stages; metadata sidecar only
 
 
 @dataclass
@@ -82,6 +83,7 @@ class RunResult:
     time: float
     solver_residual: float
     solver: dict                   # the solve as run_metadata.json records it
+    stages: dict                   # stage wall times and sizes (dofs: Dirichlet ones too)
 
 
 def _asset_mesh_paths(family: str) -> list[Path]:
@@ -130,20 +132,25 @@ def run_single(config: RunConfig, mesh: PolygonalMesh | None = None,
                mesh_name: str = "mesh") -> RunResult:
     if mesh is None:
         mesh_name, mesh = mesh_sequence(config)[0]
-    t0 = time.perf_counter()
+    t = [time.perf_counter()]
     try:
         disc = Discretization(mesh, config.degree, config.quad_boost)
+        t.append(time.perf_counter())
         system = PlateSystem(disc)
+        t.append(time.perf_counter())
         error, report, _ = solve_case(system, config.material(), config.solution)
     except DdrError as exc:
         raise type(exc)(f"[mesh {mesh_name}] {exc}") from exc
-    elapsed = time.perf_counter() - t0
+    t.append(time.perf_counter())
     solver = {"n_free": report.n_free, "kff_nnz": report.kff_nnz,
               "factor_nnz": report.factor_nnz, "refinement_steps": report.refinement_steps,
               "residual": report.residual, "backward_errors": report.backward_errors,
-              "local_cond": report.local_cond}
-    return RunResult(mesh_name, mesh.h, int(system.free.size), error, elapsed,
-                     report.residual, solver)
+              "local_cond": report.local_cond, "ordering": report.ordering}
+    stages = {"discretization_s": t[1] - t[0], "plate_system_s": t[2] - t[1],
+              "solve_s": t[3] - t[2], "cells": mesh.n_elements, "edges": mesh.n_edges,
+              "dofs": system.n_theta + system.n_u}
+    return RunResult(mesh_name, mesh.h, int(system.free.size), error, t[3] - t[0],
+                     report.residual, solver, stages)
 
 
 def compute_rates(records: list[ConvergenceRecord]) -> list[ConvergenceRecord]:
@@ -165,7 +172,7 @@ def run_convergence(config: RunConfig) -> list[ConvergenceRecord]:
     for name, mesh in seq:
         res = run_single(config, mesh, name)
         records.append(ConvergenceRecord(res.h, res.dofs, res.error, None, res.time,
-                                         res.solver))
+                                         res.solver, res.stages))
     compute_rates(records)
     if config.out_dir is not None:
         write_outputs(config, records)
@@ -224,6 +231,7 @@ def write_outputs(config: RunConfig, records: list[ConvergenceRecord]) -> list[P
         "config": {k: v for k, v in vars(config).items()},
         "wall_times": [r.time for r in records],
         "solver": [r.solver for r in records],
+        "stages": [r.stages for r in records],
         "property_test_seed": PROPERTY_TEST_SEED,
     }
     mp = out / "run_metadata.json"

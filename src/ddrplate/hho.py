@@ -102,7 +102,7 @@ def build_reconstruction(ctx: ElementContext, pack: LocalOperatorPack,
 
     # skew closure: int (d2 p1 - d1 p2)/2 fixed by the edge unknowns; the
     # first row of the monomial Gram holds the moments int_T m_alpha
-    phi_int = (ctx.scal.coef[:, :np_k1] @ ctx.gram[:, 0, :, None])[..., 0]
+    phi_int = (ctx.scal.coef @ ctx.gram[:, 0, :np_k1, None])[..., 0]
     g_int = (D @ phi_int[:, None, :np_k, None])[..., 0]     # (n_cells, 2, np_k1)
     skew_row = 0.5 * np.concatenate([g_int[:, 1], -g_int[:, 0]], axis=1)
     skew_rhs = np.zeros((n_cells, n_theta))
@@ -208,16 +208,15 @@ def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack]
             for ctx, pack, hp in zip(disc.elem_ctxs, packs, hho_packs)]
     dofs = [disc.theta_space.local_dofs(ctx) for ctx in disc.elem_ctxs]
     # one (edge, cell, local edge) incidence per row, by edge and then cell id
-    edge_of = np.concatenate([ctx.edge_ids.ravel() for ctx in disc.elem_ctxs])
-    cell_of = np.concatenate([np.repeat(ctx.ids, ctx.n_vertices) for ctx in disc.elem_ctxs])
-    local = np.concatenate([np.tile(np.arange(ctx.n_vertices), ctx.n_cells)
-                            for ctx in disc.elem_ctxs])
-    order = np.lexsort((cell_of, edge_of))
-    edge_of, cell_of, local = edge_of[order], cell_of[order], local[order]
+    mesh = disc.mesh
+    order = np.argsort(mesh.cell_edges, kind="stable")     # the flat rows are by cell
+    cell_of = np.repeat(np.arange(mesh.n_elements), np.diff(mesh.cell_offsets))[order]
+    local = order - mesh.cell_offsets[cell_of]
+    edge_of = mesh.cell_edges[order]
     group, pos = disc.locate(cell_of)
     first = np.flatnonzero(np.r_[True, edge_of[1:] != edge_of[:-1]])
     two = np.r_[first[1:], len(edge_of)] - first == 2
-    lengths = disc.edge_ctx.length
+    lengths = mesh.edge_length
 
     blocks, keys = [], []
     for g0 in range(len(mats)):

@@ -15,7 +15,8 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -25,10 +26,14 @@ from .errors import GeometryError, ParseError, TopologyError
 _LENGTH_TOL = 1e-14
 # largest |coordinate| whose differences still square to a finite number
 _COORD_LIMIT = float(np.sqrt(np.finfo(float).max) / 2.0)
+# largest cell diameter h_T whose h_T^4-scaled cRoly Gram entries (at most
+# pi/2 h_T^4, and their symmetrised sum) stay finite
+_DIAMETER_LIMIT = float((np.finfo(float).max / 4.0) ** 0.25)
 
 
 @dataclass(frozen=True)
 class Edge:
+    """Read-only record of one edge, built from the mesh arrays."""
     id: int
     vertices: tuple[int, int]  # sorted pair (a, b), a < b
     tangent: np.ndarray        # unit vector from a to b
@@ -40,6 +45,7 @@ class Edge:
 
 @dataclass(frozen=True)
 class Element:
+    """Read-only record of one cell, built from the mesh arrays."""
     id: int
     vertices: tuple[int, ...]        # boundary loop, counterclockwise
     edges: tuple[int, ...]           # edges[j] joins vertices[j], vertices[j+1]
@@ -47,18 +53,35 @@ class Element:
     diameter: float
     area: float
     center: np.ndarray               # x_T
-    inradius_ratio: float            # measured min dist(x_T, edges) / h_T
 
 
-@dataclass
+@dataclass(eq=False)
 class PolygonalMesh:
+    """A validated mesh stored as arrays.
+
+    The counterclockwise loop of cell c is
+    ``cell_vertices[cell_offsets[c]:cell_offsets[c + 1]]``; local edge j
+    joins loop vertices j and j + 1, and ``cell_edges`` and
+    ``cell_orientations`` hold its edge id and omega_TE flat in the same
+    order. ``elements`` and ``edges`` are read-only records of the same
+    data, built on first access.
+    """
     vertex_coords: np.ndarray        # (n_vertices, 2)
-    edges: list[Edge]
-    elements: list[Element]
-    boundary_edges: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-    interior_edges: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-    boundary_vertices: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-    h: float = 0.0
+    cell_offsets: np.ndarray         # (n_cells + 1,)
+    cell_vertices: np.ndarray        # (n_incidences,) loops, end to end
+    cell_edges: np.ndarray           # (n_incidences,)
+    cell_orientations: np.ndarray    # (n_incidences,) +1 or -1
+    cell_area: np.ndarray            # (n_cells,)
+    cell_diameter: np.ndarray        # (n_cells,) h_T
+    cell_center: np.ndarray          # (n_cells, 2) x_T
+    edge_vertices: np.ndarray        # (n_edges, 2) sorted pairs (a, b), a < b
+    edge_tangent: np.ndarray         # (n_edges, 2)
+    edge_normal: np.ndarray          # (n_edges, 2)
+    edge_length: np.ndarray          # (n_edges,)
+    boundary_edges: np.ndarray
+    interior_edges: np.ndarray
+    boundary_vertices: np.ndarray
+    h: float
 
     @property
     def n_vertices(self) -> int:
@@ -66,25 +89,52 @@ class PolygonalMesh:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_length)
 
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
+        return len(self.cell_area)
 
-    def edge_endpoints(self, edge: Edge) -> tuple[np.ndarray, np.ndarray]:
-        a, b = edge.vertices
-        return self.vertex_coords[a], self.vertex_coords[b]
+    @cached_property
+    def elements(self) -> list[Element]:
+        off, v, e, o = (a.tolist() for a in (self.cell_offsets, self.cell_vertices,
+                                             self.cell_edges, self.cell_orientations))
+        return [Element(c, tuple(v[a:b]), tuple(e[a:b]), tuple(o[a:b]),
+                        float(self.cell_diameter[c]), float(self.cell_area[c]),
+                        self.cell_center[c])
+                for c, (a, b) in enumerate(zip(off[:-1], off[1:]))]
 
-    def edge_midpoint(self, edge: Edge) -> np.ndarray:
-        a, b = self.edge_endpoints(edge)
-        return 0.5 * (a + b)
+    @cached_property
+    def edges(self) -> list[Edge]:
+        order = np.argsort(self.cell_edges, kind="stable")    # the cells of each edge, by id
+        cell_of = np.repeat(np.arange(self.n_elements), np.diff(self.cell_offsets))
+        count = np.bincount(self.cell_edges, minlength=self.n_edges)
+        return [Edge(e, tuple(self.edge_vertices[e].tolist()), self.edge_tangent[e],
+                     self.edge_normal[e], float(self.edge_length[e]), len(cells) == 1,
+                     tuple(cells.tolist()))
+                for e, cells in enumerate(np.split(cell_of[order], np.cumsum(count)[:-1]))]
 
-    def domain_area(self) -> float:
-        return float(sum(el.area for el in self.elements))
 
-    def element_vertex_coords(self, element: Element) -> np.ndarray:
-        return self.vertex_coords[list(element.vertices)]
+def loop_slots(offsets: np.ndarray, ids) -> np.ndarray:
+    """Positions (n, nv) in the flat cell arrays of the loops of cells
+    ``ids``, which share one vertex count; ``offsets`` is ``cell_offsets``."""
+    ids = np.asarray(ids)
+    return offsets[ids, None] + np.arange(offsets[ids[0] + 1] - offsets[ids[0]])
+
+
+def cell_groups(offsets: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Cell ids of each vertex count, by increasing count, with the
+    positions of their loops (``loop_slots``)."""
+    sizes = np.diff(offsets)
+    groups = (np.flatnonzero(sizes == nv) for nv in np.unique(sizes))
+    return [(ids, loop_slots(offsets, ids)) for ids in groups]
+
+
+def _loop_next(offsets: np.ndarray) -> np.ndarray:
+    """Flat position of the next loop vertex after every loop position."""
+    nxt = np.arange(1, offsets[-1] + 1)
+    nxt[offsets[1:] - 1] = offsets[:-1]
+    return nxt
 
 
 def _polygon_area_center(coords: np.ndarray, ids=None) -> tuple[np.ndarray, np.ndarray]:
@@ -113,57 +163,26 @@ def _fan_is_positive(coords: np.ndarray, center: np.ndarray, tol: float = 1e-12)
     return np.all(areas > tol * scale[..., None] ** 2, axis=-1)
 
 
-def _point_in_polygon(coords: np.ndarray, p: np.ndarray) -> bool:
-    x, y = p
-    xs, ys = coords[:, 0], coords[:, 1]
-    xn, yn = np.roll(xs, -1), np.roll(ys, -1)
-    inside = False
-    for x0, y0, x1, y1 in zip(xs, ys, xn, yn):
-        if (y0 > y) != (y1 > y):
-            t = (y - y0) / (y1 - y0)
-            if x < x0 + t * (x1 - x0):
-                inside = not inside
-    return inside
-
-
 def _min_dist_to_boundary(coords: np.ndarray, p: np.ndarray):
     """Distance from points p (..., 2) to the boundaries of loops (..., nv, 2)."""
-    a = coords
-    ab = np.roll(coords, -1, axis=-2) - a
-    ap = p[..., None, :] - a
+    ab = np.roll(coords, -1, axis=-2) - coords
+    ap = p[..., None, :] - coords
     t = np.clip((ap * ab).sum(axis=-1) / (ab * ab).sum(axis=-1), 0.0, 1.0)
-    proj = a + t[..., None] * ab
+    proj = coords + t[..., None] * ab
     return np.min(np.linalg.norm(proj - p[..., None, :], axis=-1), axis=-1)
 
 
-def _sampled_star_center(coords: np.ndarray) -> np.ndarray:
-    """For a cell that is not star-shaped w.r.t. its centroid: the best inner
-    point found by sampling (largest inscribed-ball center estimate)."""
+def _sampled_star_center(coords: np.ndarray, cell: int) -> np.ndarray:
+    """For a cell that is not star-shaped w.r.t. its centroid: of the 23 x 23
+    grid points inside its bounding box that see every edge (and so lie
+    inside), the one farthest from the boundary."""
     lo, hi = coords.min(axis=0), coords.max(axis=0)
-    best, best_r = None, -1.0
-    n = 24
-    for i in range(1, n):
-        for j in range(1, n):
-            p = lo + np.array([i, j]) / n * (hi - lo)
-            if not _point_in_polygon(coords, p):
-                continue
-            if not _fan_is_positive(coords, p):
-                continue
-            r = _min_dist_to_boundary(coords, p)
-            if r > best_r:
-                best, best_r = p, r
-    if best is None:
-        raise GeometryError("cell is not star-shaped w.r.t. any sampled interior point")
-    return best
-
-
-def cell_groups(loops):
-    """Cell ids of each vertex count, by increasing count, with their loops
-    as an (n_cells, nv) array."""
-    sizes = np.array([len(loop) for loop in loops])
-    for nv in np.unique(sizes):
-        ids = np.flatnonzero(sizes == nv)
-        yield ids, np.array([loops[c] for c in ids], dtype=int)
+    ij = np.stack(np.meshgrid(np.arange(1, 24), np.arange(1, 24), indexing="ij"), axis=-1)
+    p = lo + ij.reshape(-1, 2) / 24 * (hi - lo)
+    p = p[_fan_is_positive(coords, p)]
+    if not len(p):
+        raise GeometryError(f"cell {cell} is not star-shaped w.r.t. any sampled interior point")
+    return p[np.argmax(_min_dist_to_boundary(coords, p))]
 
 
 def _as_index(v, what: str) -> int:
@@ -176,10 +195,13 @@ def _as_index(v, what: str) -> int:
 
 
 def build_mesh(vertex_coords: np.ndarray, cell_loops: list[list[int]]) -> PolygonalMesh:
-    """Assemble a validated mesh from vertex coordinates and ccw cell loops.
+    """Assemble a validated mesh from vertex coordinates and cell loops
+    (either orientation).
 
     Edges are derived from consecutive loop pairs, deduplicated by sorted
-    vertex pair and numbered lexicographically.
+    vertex pair and numbered lexicographically. Everything but the index
+    checks of the input runs on flat arrays, one vertex count at a time
+    where the loops are stacked.
     """
     coords = np.asarray(vertex_coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 2:
@@ -191,83 +213,82 @@ def build_mesh(vertex_coords: np.ndarray, cell_loops: list[list[int]]) -> Polygo
         raise GeometryError(f"vertex coordinates up to {extent:.3g} overflow when squared "
                             f"(limit {_COORD_LIMIT:.3g})")
     n_v = coords.shape[0]
-    cell_loops = [[_as_index(v, f"cell {c} vertex") for v in loop]
-                  for c, loop in enumerate(cell_loops)]
-    used = {v for loop in cell_loops for v in loop}
-    if len(used) != n_v:
+    sizes = list(map(len, cell_loops))
+    flat = list(chain.from_iterable(cell_loops))
+    if not set(map(type, flat)) <= {int}:
+        flat = [_as_index(v, f"cell {c} vertex")
+                for c, loop in enumerate(cell_loops) for v in loop]
+    if not sizes:
+        raise TopologyError("mesh has no cells")
+    try:
+        verts = np.array(flat, dtype=np.int64)
+    except OverflowError:           # beyond int64, hence unknown: keep it out of range
+        verts = np.array([min(max(v, -1), n_v) for v in flat], dtype=np.int64)
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    cell_of = np.repeat(np.arange(len(sizes)), sizes)
+
+    unknown = (verts < 0) | (verts >= n_v)
+    if unknown.any():
+        raise ParseError(f"cell {cell_of[np.argmax(unknown)]} references an unknown vertex")
+    if (np.bincount(verts, minlength=n_v) == 0).any():
         raise TopologyError("every vertex must belong to at least one cell")
+    bad = np.diff(offsets) < 3
+    inc = np.sort(cell_of * n_v + verts)
+    bad[inc[1:][inc[1:] == inc[:-1]] // n_v] = True
+    if bad.any():
+        c = np.argmax(bad)
+        raise TopologyError(f"cell {c} has fewer than 3 vertices" if sizes[c] < 3
+                            else f"cell {c} repeats a vertex in its loop")
+    groups = cell_groups(offsets)
+    for ids, slots in groups:
+        area, _ = _polygon_area_center(coords[verts[slots]], ids)
+        cw = slots[area < 0]
+        verts[cw] = verts[cw[:, ::-1]]
 
-    for c, loop in enumerate(cell_loops):
-        if len(loop) < 3:
-            raise TopologyError(f"cell {c} has fewer than 3 vertices")
-        if any(v < 0 or v >= n_v for v in loop):
-            raise ParseError(f"cell {c} references an unknown vertex")
-        if len(set(loop)) != len(loop):
-            raise TopologyError(f"cell {c} repeats a vertex in its loop")
-    loops = list(cell_loops)
-    for ids, idx in cell_groups(loops):
-        area, _ = _polygon_area_center(coords[idx], ids)
-        for c in ids[area < 0]:
-            loops[c] = loops[c][::-1]
-
-    pair_cells: dict[tuple[int, int], list[int]] = {}
-    for c, loop in enumerate(loops):
-        for j in range(len(loop)):
-            a, b = loop[j], loop[(j + 1) % len(loop)]
-            key = (min(a, b), max(a, b))
-            pair_cells.setdefault(key, []).append(c)
-    keys = sorted(pair_cells)
-    for key in keys:
-        if len(pair_cells[key]) > 2:
-            raise TopologyError(f"edge {key} referenced by {len(pair_cells[key])} cells")
-
-    pairs = np.array(keys, dtype=int).reshape(-1, 2)
+    # local edge (a, b) of every loop; edges numbered by sorted pair
+    a, b = verts, verts[_loop_next(offsets)]
+    keys, cell_edges, count = np.unique(np.minimum(a, b) * n_v + np.maximum(a, b),
+                                        return_inverse=True, return_counts=True)
+    pairs = np.stack([keys // n_v, keys % n_v], axis=1)
+    if count.max() > 2:
+        e = np.argmax(count > 2)
+        raise TopologyError(f"edge {tuple(pairs[e].tolist())} referenced by {count[e]} cells")
     vec = coords[pairs[:, 1]] - coords[pairs[:, 0]]
     lengths = np.linalg.norm(vec, axis=1)
     short = lengths < _LENGTH_TOL
     if short.any():
-        raise GeometryError(f"edge {keys[np.argmax(short)]} has zero length")
+        raise GeometryError(f"edge {tuple(pairs[np.argmax(short)].tolist())} has zero length")
     tangents = vec / lengths[:, None]
     normals = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
-    pair_edge = {key: eid for eid, key in enumerate(keys)}
-    edges = [Edge(eid, key, tangents[eid], normals[eid], float(lengths[eid]),
-                  len(pair_cells[key]) == 1, tuple(pair_cells[key]))
-             for eid, key in enumerate(keys)]
 
     # cell geometry, one vertex count at a time
-    areas, diams, rhos = (np.empty(len(loops)) for _ in range(3))
-    centers = np.empty((len(loops), 2))
-    for ids, idx in cell_groups(loops):
-        pts = coords[idx]
+    areas, diams = np.empty(len(sizes)), np.empty(len(sizes))
+    centers = np.empty((len(sizes), 2))
+    for ids, slots in groups:
+        pts = coords[verts[slots]]
         areas[ids], center = _polygon_area_center(pts, ids)
         for i in np.flatnonzero(~_fan_is_positive(pts, center)):
-            center[i] = _sampled_star_center(pts[i])
+            center[i] = _sampled_star_center(pts[i], ids[i])
         diams[ids] = np.max(np.linalg.norm(pts[:, :, None] - pts[:, None], axis=-1),
                             axis=(1, 2))
-        rhos[ids] = _min_dist_to_boundary(pts, center) / diams[ids]
         centers[ids] = center
+    huge = diams > _DIAMETER_LIMIT
+    if huge.any():
+        c = np.argmax(huge)
+        raise GeometryError(f"cell {c}: diameter {diams[c]:.3g} above {_DIAMETER_LIMIT:.3g}, "
+                            "where its h_T^4-scaled Gram matrices overflow")
 
-    elements: list[Element] = []
-    for c, loop in enumerate(loops):
-        eids, omegas = [], []
-        for j in range(len(loop)):
-            a, b = loop[j], loop[(j + 1) % len(loop)]
-            eids.append(pair_edge[(min(a, b), max(a, b))])
-            # ccw traversal a->b agrees with t_E iff a is the lower vertex id
-            omegas.append(1 if a < b else -1)
-        elements.append(Element(c, tuple(loop), tuple(eids), tuple(omegas),
-                                float(diams[c]), float(areas[c]), centers[c], float(rhos[c])))
-
-    boundary = np.array([e.id for e in edges if e.boundary], dtype=int)
-    interior = np.array([e.id for e in edges if not e.boundary], dtype=int)
-    bverts = sorted({v for e in edges if e.boundary for v in e.vertices})
+    boundary = count == 1
     mesh = PolygonalMesh(
-        vertex_coords=coords,
-        edges=edges,
-        elements=elements,
-        boundary_edges=boundary,
-        interior_edges=interior,
-        boundary_vertices=np.array(bverts, dtype=int),
+        vertex_coords=coords, cell_offsets=offsets, cell_vertices=verts,
+        cell_edges=cell_edges, cell_orientations=np.where(a < b, 1, -1),
+        cell_area=areas, cell_diameter=diams, cell_center=centers,
+        edge_vertices=pairs, edge_tangent=tangents, edge_normal=normals,
+        edge_length=lengths,
+        boundary_edges=np.flatnonzero(boundary),
+        interior_edges=np.flatnonzero(~boundary),
+        boundary_vertices=np.unique(pairs[boundary]),
         h=float(diams.max()),
     )
     _validate(mesh)
@@ -275,26 +296,20 @@ def build_mesh(vertex_coords: np.ndarray, cell_loops: list[list[int]]) -> Polygo
 
 
 def _validate(mesh: PolygonalMesh) -> None:
-    els = mesh.elements
-    area = np.array([el.area for el in els])
+    area = mesh.cell_area
     if np.any(area <= 0):
         raise GeometryError(f"element {np.argmax(area <= 0)} has non-positive area")
     # one row per (element, local edge), in element order
-    sizes = np.array([len(el.edges) for el in els])
-    cell = np.repeat(np.arange(len(els)), sizes)
-    eid = np.fromiter(chain.from_iterable(el.edges for el in els), int, sizes.sum())
-    om = np.fromiter(chain.from_iterable(el.orientations for el in els), float, sizes.sum())
-    centers = np.array([el.center for el in els])
-    normals = np.array([e.normal for e in mesh.edges])
-    ends = mesh.vertex_coords[np.array([e.vertices for e in mesh.edges])]
-    mid = 0.5 * (ends[:, 0] + ends[:, 1])
-    out = ((mid[eid] - centers[cell]) * (om[:, None] * normals[eid])).sum(axis=1)
+    cell = np.repeat(np.arange(mesh.n_elements), np.diff(mesh.cell_offsets))
+    eid, om = mesh.cell_edges, mesh.cell_orientations
+    mid = mesh.vertex_coords[mesh.edge_vertices].mean(axis=1)
+    out = ((mid[eid] - mesh.cell_center[cell]) * (om[:, None] * mesh.edge_normal[eid])).sum(axis=1)
     if np.any(out <= 0):
         i = np.argmax(out <= 0)
-        raise GeometryError(
-            f"element {cell[i]}, edge {eid[i]}: omega*n_E is not outward")
+        raise GeometryError(f"element {cell[i]}, edge {eid[i]}: omega*n_E is not outward")
     n_inc = np.bincount(eid, minlength=mesh.n_edges)
-    boundary = np.array([e.boundary for e in mesh.edges])
+    boundary = np.zeros(mesh.n_edges, dtype=bool)
+    boundary[mesh.boundary_edges] = True
     wrong = np.where(boundary, n_inc != 1, n_inc != 2)
     if wrong.any():
         e = np.argmax(wrong)
@@ -375,28 +390,22 @@ def _load_typ2(path: str) -> PolygonalMesh:
 
 
 def save_mesh(mesh: PolygonalMesh, path: str) -> None:
+    loops, off = mesh.cell_vertices.tolist(), mesh.cell_offsets.tolist()
     data = {
         "vertices": [[float(x), float(y)] for x, y in mesh.vertex_coords],
-        "cells": [list(el.vertices) for el in mesh.elements],
+        "cells": [loops[a:b] for a, b in zip(off[:-1], off[1:])],
     }
     with open(path, "w") as f:
         json.dump(data, f)
 
 
 def uniform_refine(mesh: PolygonalMesh) -> PolygonalMesh:
-    """Split every element into its fan of triangles from x_T to each edge."""
-    coords = [tuple(p) for p in mesh.vertex_coords]
-    cells: list[list[int]] = []
-    for el in mesh.elements:
-        pts = mesh.element_vertex_coords(el)
-        if not _fan_is_positive(pts, el.center):
-            raise GeometryError(f"element {el.id} not star-shaped w.r.t. its center")
-        cid = len(coords)
-        coords.append((float(el.center[0]), float(el.center[1])))
-        loop = el.vertices
-        for j in range(len(loop)):
-            cells.append([loop[j], loop[(j + 1) % len(loop)], cid])
-    return build_mesh(np.array(coords), cells)
+    """Split every element into its fan of triangles from x_T to each edge
+    (``build_mesh`` places x_T where every fan triangle has positive area)."""
+    loops = mesh.cell_vertices
+    apex = mesh.n_vertices + np.repeat(np.arange(mesh.n_elements), np.diff(mesh.cell_offsets))
+    cells = np.stack([loops, loops[_loop_next(mesh.cell_offsets)], apex], axis=1)
+    return build_mesh(np.concatenate([mesh.vertex_coords, mesh.cell_center]), cells.tolist())
 
 
 def triangular_mesh(n: int) -> PolygonalMesh:
@@ -405,13 +414,8 @@ def triangular_mesh(n: int) -> PolygonalMesh:
     if n < 1:
         raise ParseError("triangular_mesh requires n >= 1")
     xs = np.linspace(0.0, 1.0, n + 1)
-    verts = np.array([[x, y] for y in xs for x in xs])
-    vid = lambda i, j: j * (n + 1) + i
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append([v00, v10, v11])
-            cells.append([v00, v11, v01])
-    return build_mesh(verts, cells)
+    verts = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)   # vertex j (n+1) + i
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    return build_mesh(verts, np.stack([v00, v10, v11, v00, v11, v01], axis=1)
+                      .reshape(-1, 3).tolist())

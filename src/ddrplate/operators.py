@@ -52,7 +52,7 @@ class LocalOperatorPack:
     D: np.ndarray                    # (2, np_{k+1}, np_k): int_T d_d phi_j phi_m
     moments: np.ndarray              # (n_roly + n_croly, 2 np_{k+1}): Roly^{k-1}/cRoly^k
                                      # moments of component-major vP^{k+1}
-    # element-basis x edge-basis cross masses per local edge: (nv, dim_P(k+2), k+2)
+    # element-basis x edge-basis cross masses per local edge: (nv, dim_P(k+1), k+2)
     scalar_cross: np.ndarray
     cond: float                      # largest condition number of the P_U and P_T systems
 
@@ -131,9 +131,8 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
     # coefficients, and Roly^{k-1}, cRoly^k lie in vP^k
     T = ctx.scal.coef
     h = ctx.diameter[:, None, None]
-    g_phi = ctx.gram @ np.swapaxes(T[:, :np_k1], -1, -2)
-    dmap = derivative_map(k + 2)
-    D = (T[:, None, :np_k1] @ dmap) @ g_phi[:, None, :np_k1, :np_k] / h[:, None]
+    g_phi = ctx.gram[..., :np_k1] @ np.swapaxes(T, -1, -2)
+    D = (T[:, None] @ derivative_map(k + 1)) @ g_phi[:, None, :np_k, :np_k] / h[:, None]
     croly = ctx.croly.coef
     moments = np.concatenate([_vector_moments(ctx.roly.coef, g_phi, np_k1),
                               _vector_moments(croly[:, :, :n_croly], g_phi, np_k1)], axis=1)
@@ -152,7 +151,7 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
             trace[cells, j, :, vertex0 + ctx.local_vertices[:, j, end]] = e_tr[:, j, :, k + end]
     mono = scaled_monomials(e_pts.reshape(n_cells, -1, 2), ctx.center, ctx.diameter, k + 2)
     m_cross = mass(e_w, mono.reshape(e_pts.shape[:3] + (-1,)), e_psi)
-    cross = T[:, None] @ m_cross
+    cross = T[:, None] @ m_cross[:, :, :np_k1]
 
     # --- transverse displacement gradient G_T
     GT = np.zeros((n_cells, 2 * np_k, n_u))
@@ -183,6 +182,7 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
     PT = np.linalg.solve(A, B)
 
     # --- displacement reconstruction P_U (tested against cRoly^{k+2})
+    dmap = derivative_map(k + 2)
     div = (croly[:, 0] @ dmap[0] + croly[:, 1] @ dmap[1]) / h
     lhs = div @ g_phi[:, :np_k1, :np_k1]
     rhs = -(_vector_moments(croly, g_phi, np_k) @ GT)
@@ -249,10 +249,11 @@ def build_global_gradient(disc: Discretization, packs: list[LocalOperatorPack]
                  np.arange(t0, t0 + k + 1)[None, :, None],
                  cols[:, None, :]] = edge[ctx.edge_ids[:, j]]
         cells.append((sp_t.local_dofs(ctx), u_dofs, rows))
-    u_cols = np.concatenate([sp_u.edge_offset(ec.ids)[:, None] + np.arange(k),
-                             sp_u.vertex_offset(ec.vertices)], axis=1)
-    blocks.append((sp_t.edge_tangential_slots(ec.ids), u_cols, edge))
-    keys.append(disc.mesh.n_elements + ec.ids)
+    edges = np.arange(disc.mesh.n_edges)
+    u_cols = np.concatenate([sp_u.edge_offset(edges)[:, None] + np.arange(k),
+                             sp_u.vertex_offset(disc.mesh.edge_vertices)], axis=1)
+    blocks.append((sp_t.edge_tangential_slots(edges), u_cols, edge))
+    keys.append(disc.mesh.n_elements + edges)
     return assemble(blocks, (sp_t.dim, sp_u.dim), keys), cells
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import GeometryError, SingularGram
-from .mesh import Edge, Element, PolygonalMesh
+from .mesh import PolygonalMesh, loop_slots
 
 _RANK_TOL = 1e-12
 
@@ -79,12 +79,6 @@ def mass(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # quadrature
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    points: np.ndarray   # (n_cells, nq, 2)
-    weights: np.ndarray  # (n_cells, nq)
-
-
 @lru_cache(maxsize=64)
 def _reference_triangle_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Conical product rule on the triangle (0,0),(1,0),(0,1), exact for total
@@ -101,26 +95,24 @@ def _reference_triangle_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, (WX * WS).ravel()
 
 
-def element_quadrature(mesh: PolygonalMesh, elements: list[Element],
-                       degree: int) -> QuadratureRule:
-    """Fan sub-triangulation rule of cells with one vertex count: one
-    triangle per edge, apex x_T, in loop order."""
+def element_quadrature(mesh: PolygonalMesh, ids: np.ndarray,
+                       degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fan sub-triangulation rule of cells ``ids`` with one vertex count:
+    one triangle per edge, apex x_T, in loop order. Returns the points
+    (n_cells, nq, 2) and weights (n_cells, nq)."""
     n = max(1, (degree + 2) // 2)    # 2n - 1 >= degree
     ref, wref = _reference_triangle_rule(n)
-    loops = mesh.vertex_coords[np.array([el.vertices for el in elements])]
-    apex = np.array([el.center for el in elements])[:, None, :]
+    loops = mesh.vertex_coords[mesh.cell_vertices[loop_slots(mesh.cell_offsets, ids)]]
+    apex = mesh.cell_center[ids][:, None, :]
     e1 = loops - apex                                 # (n_cells, nv, 2)
     e2 = np.roll(loops, -1, axis=1) - apex
     det = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
     bad = (det <= 0).any(axis=1)
     if bad.any():
-        raise GeometryError(f"{failing_cell(bad, [el.id for el in elements])}"
-                            "fan triangle with non-positive area")
+        raise GeometryError(f"{failing_cell(bad, ids)}fan triangle with non-positive area")
     pts = apex[:, :, None, :] + (ref[:, 0, None] * e1[:, :, None, :]
                                  + ref[:, 1, None] * e2[:, :, None, :])
-    n_cells = len(elements)
-    return QuadratureRule(pts.reshape(n_cells, -1, 2),
-                          (wref * det[:, :, None]).reshape(n_cells, -1))
+    return pts.reshape(len(ids), -1, 2), (wref * det[:, :, None]).reshape(len(ids), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +320,8 @@ class EdgeFamily:
 
 @dataclass
 class EdgeContext:
-    """Quadrature and bases of a set of edges, stacked in the given order."""
-    ids: np.ndarray        # (n_edges,) edge ids
-    vertices: np.ndarray   # (n_edges, 2) sorted vertex pairs (a, b)
-    tangent: np.ndarray    # (n_edges, 2)
-    normal: np.ndarray     # (n_edges, 2)
-    length: np.ndarray     # (n_edges,)
+    """Quadrature and bases of every edge of a mesh, stacked by edge id; the
+    edge geometry itself is read from the mesh arrays."""
     family: EdgeFamily
     s: np.ndarray          # (nq,) reference quad coordinates
     points: np.ndarray     # (n_edges, nq, 2) physical quad points
@@ -343,32 +331,25 @@ class EdgeContext:
     trace: np.ndarray      # (n_edges, ndeg, ndeg): [moments(k), v_a, v_b] -> coefficients
 
 
-def build_edge_context(mesh: PolygonalMesh, edges: list[Edge], k: int,
-                       quad_degree: int) -> EdgeContext:
+def build_edge_context(mesh: PolygonalMesh, k: int, quad_degree: int) -> EdgeContext:
     """Gauss-Legendre rule (exact to ``quad_degree``) and the P^{k+1} trace
-    family of every edge in ``edges``."""
+    family of every edge of ``mesh``."""
     ndeg = k + 2                      # trace space P^{k+1}(E)
-    ids = np.array([e.id for e in edges], dtype=int)
-    tangent = np.array([e.tangent for e in edges]).reshape(-1, 2)
-    normal = np.array([e.normal for e in edges]).reshape(-1, 2)
-    length = np.array([e.length for e in edges], dtype=float)
-    fam = EdgeFamily(length, ndeg)
+    fam = EdgeFamily(mesh.edge_length, ndeg)
     s, w = roots_legendre(max(1, -(-(quad_degree + 1) // 2)))   # ceil((d+1)/2)
-    vertices = np.array([e.vertices for e in edges], dtype=int).reshape(-1, 2)
-    ends = mesh.vertex_coords[vertices]
+    ends = mesh.vertex_coords[mesh.edge_vertices]
     mid = 0.5 * (ends[:, 0] + ends[:, 1])
-    half = 0.5 * length[:, None]
-    pts = mid[:, None, :] + (half * s)[:, :, None] * tangent[:, None, :]
+    half = 0.5 * mesh.edge_length[:, None]
+    pts = mid[:, None, :] + (half * s)[:, :, None] * mesh.edge_tangent[:, None, :]
     # trace recovery: coefficients 0..k-1 equal the moment DOFs; the last two
     # coefficients solve the 2x2 endpoint system
     end_vals = fam.end_values()
-    tr = np.zeros((len(edges), ndeg, ndeg))
+    tr = np.zeros((mesh.n_edges, ndeg, ndeg))
     tr[:, :k, :k] = np.eye(k)
     tail = np.linalg.solve(end_vals[..., k:], np.eye(2))
     tr[:, k:, k:] = tail
     tr[:, k:, :k] = -tail @ end_vals[..., :k]
-    return EdgeContext(ids, vertices, tangent, normal, length, fam, s, pts, half * w,
-                       fam.eval_s(s), fam.deriv_matrix(), tr)
+    return EdgeContext(fam, s, pts, half * w, fam.eval_s(s), fam.deriv_matrix(), tr)
 
 
 class ElementContext:
@@ -377,30 +358,31 @@ class ElementContext:
 
     Local edge j of a cell joins its loop vertices j and j+1; the per-edge
     tables carry a second axis over j. The families are coefficient stacks
-    over the scaled monomials (``scal`` on P^{k+2}, ``roly`` on Roly^{k-1},
+    over the scaled monomials (``scal`` on P^{k+1}, ``roly`` on Roly^{k-1},
     ``croly`` on cRoly^{k+2}), and ``gram`` is the monomial Gram matrix over
     P^{k+2} from which the build takes every element integral. The fan rule
     and the values at its points (``phi`` of P^{k+1}, ``roly_vals``,
     ``croly_vals`` of cRoly^k) serve the data terms only.
     """
 
-    def __init__(self, mesh: PolygonalMesh, elements: list[Element], k: int,
+    def __init__(self, mesh: PolygonalMesh, ids: np.ndarray, k: int,
                  edge_ctx: EdgeContext, quad_boost: int = 0):
         self.mesh = mesh
         self.k = k
         self.edge_ctx = edge_ctx
-        self.ids = np.array([el.id for el in elements], dtype=int)
-        self.n_vertices = nv = len(elements[0].vertices)
-        self.vertices = np.array([el.vertices for el in elements], dtype=int)
-        self.edge_ids = np.array([el.edges for el in elements], dtype=int)
-        self.omega = np.array([el.orientations for el in elements], dtype=float)
-        self.diameter = h = np.array([el.diameter for el in elements])
-        self.center = center = np.array([el.center for el in elements])
+        self.ids = ids = np.asarray(ids)
+        slots = loop_slots(mesh.cell_offsets, ids)
+        self.n_vertices = nv = slots.shape[1]
+        self.vertices = mesh.cell_vertices[slots]
+        self.edge_ids = mesh.cell_edges[slots]
+        self.omega = mesh.cell_orientations[slots].astype(float)
+        self.diameter = h = mesh.cell_diameter[ids]
+        self.center = center = mesh.cell_center[ids]
         # outward normal, frame and length of every local edge: (n_cells, nv, ...)
-        self.tangent = edge_ctx.tangent[self.edge_ids]
-        self.normal = edge_ctx.normal[self.edge_ids]
+        self.tangent = mesh.edge_tangent[self.edge_ids]
+        self.normal = mesh.edge_normal[self.edge_ids]
         self.n_out = self.omega[..., None] * self.normal
-        self.length = edge_ctx.length[self.edge_ids]
+        self.length = mesh.edge_length[self.edge_ids]
         # loop positions of each edge's lower and upper vertex (a, b): omega = +1
         # when the loop runs from a to b
         j = np.arange(nv)
@@ -408,16 +390,16 @@ class ElementContext:
         self.local_vertices = np.stack([np.where(fwd, j, (j + 1) % nv),
                                         np.where(fwd, (j + 1) % nv, j)], axis=-1)
 
-        rule = element_quadrature(mesh, elements, 2 * k + 6 + quad_boost)
-        self.qpoints, self.qweights = rule.points, rule.weights
+        self.qpoints, self.qweights = element_quadrature(mesh, ids, 2 * k + 6 + quad_boost)
         mu = polygon_moments(mesh.vertex_coords[self.vertices], center, h, 2 * k + 4)
         self.gram = monomial_gram(mu, k + 2)
-        self.scal = scalar_family(center, h, self.gram, self.ids)
+        np_k1 = dim_P(k + 1)
+        self.scal = scalar_family(center, h, self.gram[:, :np_k1, :np_k1], self.ids)
         self.roly = roly_family(center, h, k - 1, self.gram, self.ids)
         self.croly = croly_family(center, h, k + 2, self.gram, self.ids)
         # P^{k+1} and cRoly^k are the most that the data terms read
         mono = scaled_monomials(self.qpoints, center, h, k + 1)
-        self.phi = self.scal.head(dim_P(k + 1), k + 1).values(mono)
+        self.phi = self.scal.values(mono)
         self.roly_vals = self.roly.values(mono)
         self.croly_vals = self.croly.head(dim_croly(k), k).values(mono)
 

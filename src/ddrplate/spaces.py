@@ -245,11 +245,10 @@ class Discretization:
             raise ValueError("degree k must be >= 0")
         self.mesh = mesh
         self.k = k
-        self.edge_ctx: EdgeContext = build_edge_context(mesh, mesh.edges, k,
-                                                        2 * k + 4 + quad_boost)
+        self.edge_ctx: EdgeContext = build_edge_context(mesh, k, 2 * k + 4 + quad_boost)
         self.elem_ctxs: list[ElementContext] = [
-            ElementContext(mesh, [mesh.elements[c] for c in ids], k, self.edge_ctx, quad_boost)
-            for ids, _ in cell_groups([el.vertices for el in mesh.elements])]
+            ElementContext(mesh, ids, k, self.edge_ctx, quad_boost)
+            for ids, _ in cell_groups(mesh.cell_offsets)]
         self.theta_space = ThetaSpace(mesh, k)
         self.u_space = USpace(mesh, k)
 
@@ -286,11 +285,12 @@ def interpolate_theta(disc: Discretization, eta, tangential_only: bool = False) 
         basis = np.swapaxes(basis, -1, -2).reshape(ctx.n_cells, -1, sp.elem_dim)
         elem = sp.elem_offset(ctx.ids)[:, None] + np.arange(sp.elem_dim)
         out[elem] = mass(np.repeat(ctx.qweights, 2, axis=1), vals, basis)[:, 0]
-    ec = disc.edge_ctx
+    ec, mesh = disc.edge_ctx, disc.mesh
     vals = at_points(eta, ec.points)
-    frames = [(ec.tangent, sp.edge_tangential_slots(ec.ids))]
+    edges = np.arange(mesh.n_edges)
+    frames = [(mesh.edge_tangent, sp.edge_tangential_slots(edges))]
     if not tangential_only:
-        frames.append((ec.normal, sp.edge_normal_slots(ec.ids)))
+        frames.append((mesh.edge_normal, sp.edge_normal_slots(edges)))
     for direction, slots in frames:
         comp = (vals @ direction[:, :, None])[..., 0]
         out[slots] = mass(ec.weights, comp[..., None], ec.psi[:, :, :k + 1])[:, 0]
@@ -315,7 +315,7 @@ def interpolate_u(disc: Discretization, v) -> UVector:
     if sp.edge_dim:
         ec = disc.edge_ctx
         vals = at_points(v, ec.points)
-        slots = sp.edge_offset(ec.ids)[:, None] + np.arange(sp.edge_dim)
+        slots = sp.edge_offset(np.arange(disc.mesh.n_edges))[:, None] + np.arange(sp.edge_dim)
         out[slots] = mass(ec.weights, vals[..., None], ec.psi[:, :, :sp.edge_dim])[:, 0]
     out[sp.vertex_offset(0):] = np.asarray(v(disc.mesh.vertex_coords), dtype=float)
     return UVector(sp, out)

@@ -10,6 +10,7 @@ local constructions and every solve factors the same pattern.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,10 @@ from .spaces import (Discretization, ThetaVector, UVector, at_points,
 
 _GS_METRIC = np.array([1.0, 2.0, 1.0])   # contraction weights for [11, 12, 22]
 _RESIDUAL_TOL = 1e-10                      # solver backward-error gate
+# K_ff is symmetric positive definite: a minimum-degree ordering of A^T + A
+# applied to rows and columns alike, with diagonal pivots
+_SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                 "options": {"SymmetricMode": True}}
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,7 @@ class SolveReport:
     kff_nnz: int = 0              # stored entries of the factored K_ff
     # backward error after the first solve and after each correction
     backward_errors: list[float] = field(default_factory=list)
+    ordering: dict = field(default_factory=dict)   # the SuperLU options used
 
 
 class PlateSystem:
@@ -236,14 +242,12 @@ class PlateSystem:
             scaled *= np.repeat(dinv, np.diff(self._ff_indptr))
             scaled *= kff
             Ks = sps.csc_matrix((scaled, self._ff_indices, self._ff_indptr), shape=shape)
-            # K_ff is symmetric positive definite: a minimum-degree ordering of
-            # A^T + A applied to rows and columns alike, with diagonal pivots
             try:
-                lu = splu(Ks, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                          options={"SymmetricMode": True})
+                lu = splu(Ks, **_SPLU_OPTIONS)
             except Exception as exc:
                 raise SolverFailure(f"sparse factorization failed: {exc}") from exc
             report.factor_nnz, report.kff_nnz = int(lu.nnz), int(Ks.nnz)
+            report.ordering = copy.deepcopy(_SPLU_OPTIONS)
 
             def prec_solve(r):
                 return dinv * lu.solve(dinv * r)

@@ -18,9 +18,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from ddrplate.harness import PROPERTY_TEST_SEED
-from ddrplate.mesh import load_mesh, triangular_mesh
+from ddrplate.mesh import load_mesh, loop_slots, triangular_mesh
 from ddrplate.operators import build_packs
 from ddrplate.polyspace import EdgeFamily, PolyFamily, dim_P, scaled_monomials
 from ddrplate.spaces import Discretization
@@ -164,10 +165,28 @@ def _degree(fam):
 # per-cell views of the stacked tables
 
 
+def edge_record(mesh, e):
+    """Edge e of the mesh arrays as one record."""
+    a, b = mesh.vertex_coords[mesh.edge_vertices[e]]
+    return SimpleNamespace(id=int(e), vertices=tuple(mesh.edge_vertices[e].tolist()),
+                           tangent=mesh.edge_tangent[e], normal=mesh.edge_normal[e],
+                           length=float(mesh.edge_length[e]), midpoint=0.5 * (a + b))
+
+
+def cell_record(mesh, c):
+    """Cell c of the mesh arrays as one record."""
+    slots = loop_slots(mesh.cell_offsets, [c])[0]
+    return SimpleNamespace(id=int(c), vertices=tuple(mesh.cell_vertices[slots].tolist()),
+                           edges=tuple(mesh.cell_edges[slots].tolist()),
+                           orientations=tuple(mesh.cell_orientations[slots].tolist()),
+                           center=mesh.cell_center[c], diameter=float(mesh.cell_diameter[c]),
+                           area=float(mesh.cell_area[c]))
+
+
 def edge_view(edge_ctx, mesh, e):
     """Edge e of the stacked edge context."""
     return SimpleNamespace(
-        edge=mesh.edges[e], family=EdgeFamily(edge_ctx.length[e], edge_ctx.family.ndeg),
+        edge=edge_record(mesh, e), family=EdgeFamily(mesh.edge_length[e], edge_ctx.family.ndeg),
         s=edge_ctx.s, points=edge_ctx.points[e], weights=edge_ctx.weights[e],
         psi=edge_ctx.psi[e], dmat=edge_ctx.dmat[e], trace=edge_ctx.trace[e])
 
@@ -180,7 +199,7 @@ class CellView:
         self.theta_dofs = disc.theta_space.local_dofs(ctx)[c]
         self.u_dofs = disc.u_space.local_dofs(ctx)[c]
         self.k, self.mesh, self.n_vertices = ctx.k, ctx.mesh, ctx.n_vertices
-        self.element = ctx.mesh.elements[ctx.ids[c]]
+        self.element = cell_record(ctx.mesh, ctx.ids[c])
         self.qpoints, self.qweights = ctx.qpoints[c], ctx.qweights[c]
         self.phi = ctx.phi[c]
         self.roly_vals, self.croly_vals = ctx.roly_vals[c], ctx.croly_vals[c]
@@ -228,15 +247,17 @@ def per_group(fn, disc, *stacks):
 def refined_quadrature(ctx, extra=4):
     """Fresh element rule, four degrees finer than the production one."""
     from ddrplate.polyspace import element_quadrature
-    rule = element_quadrature(ctx.mesh, [ctx.element], 2 * ctx.k + 6 + extra)
-    return rule.points[0], rule.weights[0]
+    points, weights = element_quadrature(ctx.mesh, [ctx.element.id], 2 * ctx.k + 6 + extra)
+    return points[0], weights[0]
 
 
 def refined_edge_quadrature(ctx, led, extra=4):
-    """Fresh edge rule, four degrees finer than the production one."""
-    from ddrplate.polyspace import build_edge_context
-    rule = build_edge_context(ctx.mesh, [led.ctx.edge], ctx.k, 2 * ctx.k + 4 + extra)
-    return rule.points[0], rule.weights[0]
+    """Fresh Gauss-Legendre edge rule, four degrees finer than the production
+    one."""
+    edge = led.ctx.edge
+    s, w = roots_legendre(-(-(2 * ctx.k + 5 + extra) // 2))
+    half = 0.5 * edge.length
+    return edge.midpoint + (half * s)[:, None] * edge.tangent, half * w
 
 
 def edge_dof_values(disc, edge_id, coeffs, s):

@@ -104,10 +104,19 @@ def test_metadata_records_the_solver_per_mesh(tmp_path):
     records = run_convergence(RunConfig(mesh_family="tri", refinements=2, degree=0,
                                         thickness=1e-3, out_dir=str(tmp_path)))
     meta = json.loads((tmp_path / "run_metadata.json").read_text())
-    assert len(meta["solver"]) == len(records)
-    for rec, solver in zip(records, meta["solver"]):
+    assert len(meta["solver"]) == len(meta["stages"]) == len(records)
+    for n, rec, solver, stages in zip((4, 8), records, meta["solver"], meta["stages"]):
         assert set(solver) == {"n_free", "kff_nnz", "factor_nnz", "refinement_steps",
-                               "residual", "backward_errors", "local_cond"}
+                               "residual", "backward_errors", "local_cond", "ordering"}
+        assert solver["ordering"] == {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                                      "options": {"SymmetricMode": True}}
+        assert set(stages) == {"discretization_s", "plate_system_s", "solve_s", "cells",
+                               "edges", "dofs"}
+        assert all(stages[s] > 0.0 for s in ("discretization_s", "plate_system_s", "solve_s"))
+        assert stages["discretization_s"] + stages["plate_system_s"] + stages["solve_s"] \
+            == pytest.approx(rec.time, rel=1e-12)
+        assert (stages["cells"], stages["edges"]) == (2 * n * n, 3 * n * n + 2 * n)
+        assert solver["n_free"] < stages["dofs"]
         assert solver["n_free"] == rec.dofs
         assert rec.dofs <= solver["kff_nnz"] <= solver["factor_nnz"]
         assert 0 <= solver["refinement_steps"] <= 8

@@ -37,7 +37,7 @@ def _u_trace_fn(ctx, pack, j, u_loc):
     coef = pack.trace[j] @ u_loc
 
     def val(points):
-        rel = (points - ctx.mesh.edge_midpoint(ec.edge)) @ ec.edge.tangent
+        rel = (points - ec.edge.midpoint) @ ec.edge.tangent
         s = rel / (0.5 * ec.edge.length)
         return ec.family.eval_s(s) @ coef
 
@@ -450,7 +450,7 @@ def _theta_edge_tangential_fn(disc, ctx, j, loc):
     coef = loc[sl_t[j]]
 
     def val(points):
-        rel = (points - ctx.mesh.edge_midpoint(ec.edge)) @ ec.edge.tangent
+        rel = (points - ec.edge.midpoint) @ ec.edge.tangent
         s = rel / (0.5 * ec.edge.length)
         return ec.family.eval_s(s)[:, :disc.k + 1] @ coef
 

@@ -4,11 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (ASSETS, cell, edge_view, evaluate, family_grad, lstsq_projection_oracle,
-                      monomial_grads, refined_quadrature)
+from conftest import (ASSETS, cell, cell_record, edge_view, evaluate, family_grad,
+                      lstsq_projection_oracle, monomial_grads, refined_quadrature)
 from ddrplate.errors import SingularGram
-from ddrplate.mesh import build_mesh, load_mesh, triangular_mesh
-from ddrplate.polyspace import (QuadratureRule, build_edge_context, croly_family,
+from ddrplate.mesh import build_mesh, load_mesh, loop_slots, triangular_mesh
+from ddrplate.polyspace import (build_edge_context, croly_family,
                                 derivative_map, dim_P, dim_croly, dim_roly,
                                 element_quadrature, gram_orthonormalize, monomial_exponents,
                                 monomial_gram, polygon_moments, roly_family, scalar_family)
@@ -34,16 +34,21 @@ SLAB = build_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.02], [0.0, 0.02]]),
 
 def cell_gram(mesh, l, cell_id=0):
     """Centre, diameter and monomial Gram over P^l of one cell, with a cell axis."""
-    el = mesh.elements[cell_id]
-    center, h = el.center[None], np.array([el.diameter])
-    mu = polygon_moments(mesh.element_vertex_coords(el)[None], center, h, 2 * l)
+    ids = np.array([cell_id])
+    center, h = mesh.cell_center[ids], mesh.cell_diameter[ids]
+    mu = polygon_moments(cell_loop(mesh, cell_id)[None], center, h, 2 * l)
     return center, h, monomial_gram(mu, l)
+
+
+def cell_loop(mesh, c):
+    """Vertex coordinates of the loop of cell c."""
+    return mesh.vertex_coords[mesh.cell_vertices[loop_slots(mesh.cell_offsets, [c])[0]]]
 
 
 def single_cell_rule(mesh, degree):
     """Fan rule of a one-cell mesh, without the cell axis."""
-    rule = element_quadrature(mesh, mesh.elements, degree)
-    return QuadratureRule(rule.points[0], rule.weights[0])
+    points, weights = element_quadrature(mesh, [0], degree)
+    return SimpleNamespace(points=points[0], weights=weights[0])
 
 
 def tri_monomial_integral(a, b):
@@ -56,10 +61,10 @@ def test_quadrature_closed_forms():
     val = rule.weights @ (rule.points[:, 0] * rule.points[:, 1])
     assert val == pytest.approx(1.0 / 24.0, rel=1e-14)
 
-    bottom = next(e for e in UNIT_SQUARE.edges
-                  if np.allclose(UNIT_SQUARE.edge_midpoint(e), [0.5, 0.0]))
-    er = build_edge_context(UNIT_SQUARE, [bottom], 0, 3)
-    assert er.weights[0] @ er.points[0, :, 0] ** 3 == pytest.approx(0.25, rel=1e-14)
+    mid = UNIT_SQUARE.vertex_coords[UNIT_SQUARE.edge_vertices].mean(axis=1)
+    bottom = np.flatnonzero(np.all(np.isclose(mid, [0.5, 0.0]), axis=1))[0]
+    er = build_edge_context(UNIT_SQUARE, 0, 3)
+    assert er.weights[bottom] @ er.points[bottom, :, 0] ** 3 == pytest.approx(0.25, rel=1e-14)
 
     hexa = hexagon()
     rule = single_cell_rule(hexa, 0)
@@ -93,8 +98,8 @@ def test_quadrature_exactness_on_hexagon_against_finer_rule():
 def test_element_and_edge_quadrature_weights():
     rule = single_cell_rule(UNIT_TRI, 3)
     assert np.sum(rule.weights) == pytest.approx(0.5, rel=1e-14)
-    rule = build_edge_context(UNIT_TRI, UNIT_TRI.edges[:1], 0, 3)
-    assert np.sum(rule.weights[0]) == pytest.approx(UNIT_TRI.edges[0].length, rel=1e-14)
+    rule = build_edge_context(UNIT_TRI, 0, 3)
+    assert np.allclose(rule.weights.sum(axis=1), UNIT_TRI.edge_length, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("l", range(6))
@@ -161,14 +166,13 @@ def test_polygon_moments_match_refined_fan_rule(moment_mesh, k):
     mesh = moment_mesh
     degree = 2 * k + 4
     exps = np.array(monomial_exponents(degree))
-    for el in mesh.elements[:12]:
-        center, h = el.center, el.diameter
-        mu = polygon_moments(mesh.element_vertex_coords(el)[None], center[None],
-                             np.array([h]), degree)[0]
-        qp, qw = refined_quadrature(SimpleNamespace(mesh=mesh, element=el, k=k))
+    for c in range(min(12, mesh.n_elements)):
+        center, h = mesh.cell_center[c], mesh.cell_diameter[c]
+        mu = polygon_moments(cell_loop(mesh, c)[None], center[None], np.array([h]), degree)[0]
+        qp, qw = refined_quadrature(SimpleNamespace(mesh=mesh, element=cell_record(mesh, c), k=k))
         u = (qp - center) / h
         want = qw @ (u[:, None, 0] ** exps[:, 0] * u[:, None, 1] ** exps[:, 1])
-        assert mu[0] == pytest.approx(el.area, rel=1e-14)
+        assert mu[0] == pytest.approx(mesh.cell_area[c], rel=1e-14)
         assert np.abs(mu - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -227,12 +231,12 @@ def test_singular_gram_raises():
     with pytest.raises(SingularGram):
         scalar_family(np.array([[1.0, 0.0]]), np.array([2.0]), monomial_gram(mu, 2))
     # a 3-point rule cannot tell P^2 members apart
-    el = UNIT_TRI.elements[0]
+    center, h = UNIT_TRI.cell_center[0], UNIT_TRI.cell_diameter[0]
     rule = single_cell_rule(UNIT_TRI, 0)
-    u = (rule.points - el.center) / el.diameter
+    u = (rule.points - center) / h
     raw = np.stack([u[:, 0] ** a * u[:, 1] ** b for a, b in monomial_exponents(2)], axis=1)
     with pytest.raises(SingularGram):
-        scalar_family(el.center, el.diameter, (raw * rule.weights[:, None]).T @ raw)
+        scalar_family(center, h, (raw * rule.weights[:, None]).T @ raw)
 
 
 @pytest.fixture(scope="module")

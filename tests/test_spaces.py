@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from conftest import (cell, cells, edge_dof_values, lstsq_projection_oracle, monomial_exponents,
-                      monomial_grads, u_trace_values)
+from conftest import (cell, cell_record, cells, edge_dof_values, edge_record,
+                      lstsq_projection_oracle, monomial_exponents, monomial_grads,
+                      u_trace_values)
 from ddrplate.mesh import build_mesh, triangular_mesh
 from ddrplate.polyspace import dim_P
 from ddrplate.spaces import (Discretization, assemble, block_pattern, boundary_dof_sets,
@@ -64,8 +65,8 @@ def test_interpolate_constant_field(cache):
     c = np.array([0.4, -1.1])
     vec = interpolate_theta(disc, lambda x: np.tile(c, (len(x), 1))).values
     s = np.array([-0.5, 0.0, 0.7])
-    for edge in disc.mesh.edges:
-        vals = edge_dof_values(disc, edge.id, vec, s)
+    for e in range(disc.mesh.n_edges):
+        vals = edge_dof_values(disc, e, vec, s)
         assert np.abs(vals - c).max() < 1e-13
     # element Roly component is the Roly projection of the constant, which
     # reproduces it (constants lie in Roly^0 subset of Roly^{k-1})
@@ -89,9 +90,8 @@ def test_interpolate_reproduces_vpk_on_edges(cache, rng, k):
 
     vec = interpolate_theta(disc, eta).values
     s = np.array([-0.9, -0.2, 0.3, 0.8])
-    for edge in disc.mesh.edges:
-        mid = disc.mesh.edge_midpoint(edge)
-        pts = mid[None, :] + 0.5 * edge.length * s[:, None] * edge.tangent[None, :]
+    for edge in (edge_record(disc.mesh, e) for e in range(disc.mesh.n_edges)):
+        pts = edge.midpoint[None, :] + 0.5 * edge.length * s[:, None] * edge.tangent[None, :]
         vals = edge_dof_values(disc, edge.id, vec, s)
         assert np.abs(vals - eta(pts)).max() < 1e-12
 
@@ -138,13 +138,13 @@ def test_tangential_interpolator(cache, rng):
 
     full = interpolate_theta(disc, rough).values
     tang = interpolate_theta_tangential(disc, rough).values
-    for edge in disc.mesh.edges:
-        ts = sp.edge_tangential_slots(edge.id)
-        ns = sp.edge_normal_slots(edge.id)
+    for e in range(disc.mesh.n_edges):
+        ts = sp.edge_tangential_slots(e)
+        ns = sp.edge_normal_slots(e)
         assert np.allclose(full[ts], tang[ts], atol=1e-14)
         assert np.allclose(tang[ns], 0.0, atol=1e-15)
     # per-edge aligned fields
-    edge = disc.mesh.edges[disc.mesh.interior_edges[0]]
+    edge = edge_record(disc.mesh, disc.mesh.interior_edges[0])
     t, n = edge.tangent, edge.normal
     along = interpolate_theta_tangential(disc, lambda x: np.tile(t, (len(x), 1))).values
     ref = interpolate_theta(disc, lambda x: np.tile(t, (len(x), 1))).values
@@ -182,13 +182,12 @@ def test_skeleton_trace_reproduces_degree_k1(cache, rng, k):
     vec = interpolate_u(disc, v).values
     sp = disc.u_space
     s = np.array([-0.7, 0.1, 0.6])
-    el = disc.mesh.elements[0]
+    el = cell_record(disc.mesh, 0)
     ctx, pack = cell(disc, 0, cache.packs("hexa", k))
     u_loc = vec[ctx.u_dofs]
     for j, eid in enumerate(el.edges):
-        edge = disc.mesh.edges[eid]
-        mid = disc.mesh.edge_midpoint(edge)
-        pts = mid[None, :] + 0.5 * edge.length * s[:, None] * edge.tangent[None, :]
+        edge = edge_record(disc.mesh, eid)
+        pts = edge.midpoint[None, :] + 0.5 * edge.length * s[:, None] * edge.tangent[None, :]
         vals = u_trace_values(disc, pack, el, u_loc, j, s)
         assert np.abs(vals - v(pts)).max() < 1e-12
 
@@ -207,11 +206,11 @@ def test_skeleton_continuity_at_vertices(cache, rng):
     disc = cache.disc("tri", 2)
     sp = disc.u_space
     vec = rng.standard_normal(sp.dim)
-    el = disc.mesh.elements[0]
+    el = cell_record(disc.mesh, 0)
     ctx, pack = cell(disc, 0, cache.packs("tri", 2))
     u_loc = vec[ctx.u_dofs]
     for j, eid in enumerate(el.edges):
-        edge = disc.mesh.edges[eid]
+        edge = edge_record(disc.mesh, eid)
         ends = u_trace_values(disc, pack, el, u_loc, j, np.array([-1.0, 1.0]))
         assert ends[0] == pytest.approx(vec[sp.vertex_offset(edge.vertices[0])], abs=1e-12)
         assert ends[1] == pytest.approx(vec[sp.vertex_offset(edge.vertices[1])], abs=1e-12)
