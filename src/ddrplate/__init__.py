@@ -12,8 +12,7 @@ from .mesh import (PolygonalMesh, build_mesh, load_mesh, save_mesh,
 from .solutions import (ExactSolution, analytical_solution,
                         polynomial_solution, seminorm_probe)
 from .spaces import (Discretization, ThetaVector, UVector, boundary_dof_sets,
-                     interpolate_theta, interpolate_theta_tangential,
-                     interpolate_u)
+                     interpolate_theta, interpolate_u)
 from .system import MaterialParams, PlateSystem
 
 __all__ = [
@@ -27,7 +26,7 @@ __all__ = [
     "ExactSolution", "analytical_solution", "polynomial_solution",
     "seminorm_probe",
     "Discretization", "ThetaVector", "UVector", "boundary_dof_sets",
-    "interpolate_theta", "interpolate_theta_tangential", "interpolate_u",
+    "interpolate_theta", "interpolate_u",
     "MaterialParams", "PlateSystem",
 ]
 

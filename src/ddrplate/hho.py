@@ -26,12 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularLocalSystem
-from .operators import LocalOperatorPack, _edge_restriction, _theta_slices, _vp_k
-from .polyspace import ElementContext, dim_P, failing_cell
+from .operators import LocalOperatorPack, _check_cond, _edge_restriction, _theta_slices, _vp_k
+from .polyspace import ElementContext, dim_P
 from .spaces import Discretization
-
-_TINY = 1e-300
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -45,6 +42,7 @@ class HHOLocalPack:
     DD: np.ndarray    # (np_k, n_theta) divergence
     P1: np.ndarray    # (2 np_{k+1}, n_theta) strain reconstruction
     sT: np.ndarray    # (n_theta, n_theta) stabilisation bilinear form
+    cond: float       # largest condition number of the reconstruction systems
 
 
 def build_tensor_gradient(ctx: ElementContext, pack: LocalOperatorPack):
@@ -77,12 +75,17 @@ def build_tensor_gradient(ctx: ElementContext, pack: LocalOperatorPack):
 
 
 def build_reconstruction(ctx: ElementContext, pack: LocalOperatorPack,
-                         GS: np.ndarray) -> np.ndarray:
+                         GS: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Degree k+1 strain reconstruction: (eps(p), eps(v))_T = (GS eta, eps(v))_T
     for v in vP^{k+1}, plus the skew-average closure and the translation
     closure (element average for k >= 1, boundary average for k = 0). Both
     sides are exact in the derivative masses D, since grad P^{k+1} lies in P^k.
-    The stacked least-squares systems are solved through their SVDs."""
+
+    The system is consistent and the three closure rows C remove exactly the
+    rigid-motion kernel of the stiffness K, so K + C^T C is SPD and one square
+    solve of (K + C^T C) P1 = rhs + C^T c gives its solution. Each closure row
+    is scaled to the magnitude of K, which keeps the condition number
+    independent of the mesh size. Returns P1 and the condition numbers."""
     k = ctx.k
     n_cells = ctx.n_cells
     np_k, np_k1 = dim_P(k), dim_P(k + 1)
@@ -100,46 +103,42 @@ def build_reconstruction(ctx: ElementContext, pack: LocalOperatorPack,
     D0, D1 = D[:, 0], D[:, 1]
     rhs = np.concatenate([D0 @ gs[0] + D1 @ gs[1], D0 @ gs[1] + D1 @ gs[2]], axis=1)
 
+    # closure rows C and their right-hand sides c: the skew closure first
+    C = np.zeros((n_cells, 3, 2 * np_k1))
+    c = np.zeros((n_cells, 3, n_theta))
     # skew closure: int (d2 p1 - d1 p2)/2 fixed by the edge unknowns; the
     # first row of the monomial Gram holds the moments int_T m_alpha
     phi_int = (ctx.scal.coef @ ctx.gram[:, 0, :np_k1, None])[..., 0]
     g_int = (D @ phi_int[:, None, :np_k, None])[..., 0]     # (n_cells, 2, np_k1)
-    skew_row = 0.5 * np.concatenate([g_int[:, 1], -g_int[:, 0]], axis=1)
-    skew_rhs = np.zeros((n_cells, n_theta))
+    C[:, 0] = 0.5 * np.concatenate([g_int[:, 1], -g_int[:, 0]], axis=1)
     root_h = np.sqrt(ctx.length)
     for j in range(ctx.n_vertices):
         # int_E psi_c = sqrt(h_E) delta_c0
-        skew_rhs[:, sl_t[j].start] = -0.5 * ctx.omega[:, j] * root_h[:, j]
+        c[:, 0, sl_t[j].start] = -0.5 * ctx.omega[:, j] * root_h[:, j]
 
     # translation closure
-    clos = np.zeros((n_cells, 2, 2 * np_k1))
-    clos_rhs = np.zeros((n_cells, 2, n_theta))
     if k >= 1:
         for a in range(2):
-            clos[:, a, a * np_k1:(a + 1) * np_k1] = phi_int
-            clos_rhs[:, a] = (phi_int[:, None, :np_k] @ pack.PT[:, a * np_k:(a + 1) * np_k]
-                              )[:, 0]
+            C[:, 1 + a, a * np_k1:(a + 1) * np_k1] = phi_int
+            c[:, 1 + a] = (phi_int[:, None, :np_k] @ pack.PT[:, a * np_k:(a + 1) * np_k])[:, 0]
     else:
         # boundary averages: int_E phi_m = sqrt(h_E) (phi_m, psi_0)_E
         bnd_int = np.zeros((n_cells, np_k1))
         for j in range(ctx.n_vertices):
             bnd_int += root_h[:, j, None] * pack.scalar_cross[:, j, :np_k1, 0]
-            clos_rhs[:, :, sl_t[j].start] = root_h[:, j, None] * ctx.tangent[:, j]
-            clos_rhs[:, :, sl_n[j].start] = root_h[:, j, None] * ctx.normal[:, j]
+            c[:, 1:, sl_t[j].start] = root_h[:, j, None] * ctx.tangent[:, j]
+            c[:, 1:, sl_n[j].start] = root_h[:, j, None] * ctx.normal[:, j]
         for a in range(2):
-            clos[:, a, a * np_k1:(a + 1) * np_k1] = bnd_int
+            C[:, 1 + a, a * np_k1:(a + 1) * np_k1] = bnd_int
 
-    lhs = np.concatenate([K, skew_row[:, None, :], clos], axis=1)
-    rhs_full = np.concatenate([rhs, skew_rhs[:, None, :], clos_rhs], axis=1)
-    scale = np.maximum(np.abs(lhs).max(axis=2), _TINY)[..., None]
-    u, s, vt = np.linalg.svd(lhs / scale, full_matrices=False)
-    # the rank as lstsq counts it: singular values above eps * max(m, n) * s_max
-    cutoff = np.finfo(float).eps * max(lhs.shape[1:]) * s[:, :1]
-    bad = (s > cutoff).sum(axis=1) < 2 * np_k1
-    if bad.any():
-        raise SingularLocalSystem(
-            f"{failing_cell(bad, ctx.ids)}strain reconstruction rank deficient")
-    return _t(vt) @ ((_t(u) @ (rhs_full / scale)) / s[:, :, None])
+    # w_i = sqrt(max|K|) / max|C_i|, floored so that a zeroed cell gives no 0/0
+    tiny = np.finfo(float).tiny
+    w = (np.sqrt(np.maximum(np.abs(K).max(axis=(1, 2)), tiny))[:, None]
+         / np.maximum(np.abs(C).max(axis=2), tiny))[..., None]
+    C, c = w * C, w * c
+    A = K + _t(C) @ C
+    cond = _check_cond(ctx, A, "strain reconstruction")
+    return np.linalg.solve(A, rhs + _t(C) @ c), cond
 
 
 def local_theta_interpolation(ctx: ElementContext, pack: LocalOperatorPack) -> np.ndarray:
@@ -167,8 +166,11 @@ def build_stabilisation(ctx: ElementContext, pack: LocalOperatorPack,
     vp_k = _vp_k(k)
     defect = P1.copy()                              # vP^{k+1} coefficients
     defect[:, vp_k] -= pack.PT
-    delta_T = pack.PT @ (local_theta_interpolation(ctx, pack) @ defect)
-    rest_k1 = _edge_restriction(ctx, pack.scalar_cross, k + 1, np_k1)
+    J = local_theta_interpolation(ctx, pack)
+    delta_T = pack.PT @ (J @ defect)
+    # the edge rows of J are the restriction of vP^{k+1} to each local edge
+    rest_k1 = J[:, pack.moments.shape[1]:].reshape(
+        ctx.n_cells, ctx.n_vertices, 2 * (k + 1), 2 * np_k1)
     delta_TE = rest_k1 @ P1[:, None]
     for j in range(ctx.n_vertices):
         delta_TE[:, j, :k + 1, sl_t[j]] -= np.eye(k + 1)
@@ -182,9 +184,9 @@ def build_stabilisation(ctx: ElementContext, pack: LocalOperatorPack,
 
 def build_hho_pack(ctx: ElementContext, pack: LocalOperatorPack) -> HHOLocalPack:
     _, GS, DD = build_tensor_gradient(ctx, pack)
-    P1 = build_reconstruction(ctx, pack, GS)
+    P1, cond = build_reconstruction(ctx, pack, GS)
     sT = build_stabilisation(ctx, pack, P1)
-    return HHOLocalPack(GS, DD, P1, sT)
+    return HHOLocalPack(GS, DD, P1, sT, float(cond.max()))
 
 
 def build_hho_packs(disc: Discretization, packs: list[LocalOperatorPack]) -> list[HHOLocalPack]:

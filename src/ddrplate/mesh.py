@@ -138,9 +138,12 @@ def _loop_next(offsets: np.ndarray) -> np.ndarray:
 
 
 def _polygon_area_center(coords: np.ndarray, ids=None) -> tuple[np.ndarray, np.ndarray]:
-    """Signed shoelace areas and centroids of closed polygon loops (..., nv, 2);
-    ``ids`` names the stacked loops in errors."""
-    x, y = coords[..., 0], coords[..., 1]
+    """Signed shoelace areas and centroids of closed polygon loops (..., nv, 2),
+    evaluated about each loop's first vertex so that a far offset costs no
+    digits; ``ids`` names the stacked loops in errors."""
+    origin = coords[..., 0, :]
+    local = coords - origin[..., None, :]
+    x, y = local[..., 0], local[..., 1]
     xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
     cross = x * yn - xn * y
     area = 0.5 * np.sum(cross, axis=-1)
@@ -150,16 +153,17 @@ def _polygon_area_center(coords: np.ndarray, ids=None) -> tuple[np.ndarray, np.n
         raise GeometryError(f"{where}zero-area polygon")
     cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * area)
     cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * area)
-    return area, np.stack([cx, cy], axis=-1)
+    return area, origin + np.stack([cx, cy], axis=-1)
 
 
 def _fan_is_positive(coords: np.ndarray, center: np.ndarray, tol: float = 1e-12):
     """Every fan triangle (center, v_i, v_{i+1}) of a ccw loop has positive
-    area; loops (..., nv, 2) and centers (..., 2) give one answer each."""
+    area, relative to the squared extent of the loop about the center; loops
+    (..., nv, 2) and centers (..., 2) give one answer each."""
     a = coords - center[..., None, :]
-    b = np.roll(coords, -1, axis=-2) - center[..., None, :]
+    b = np.roll(a, -1, axis=-2)
     areas = 0.5 * (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
-    scale = np.max(np.abs(coords), axis=(-2, -1)) + 1.0
+    scale = np.max(np.abs(a), axis=(-2, -1))
     return np.all(areas > tol * scale[..., None] ** 2, axis=-1)
 
 

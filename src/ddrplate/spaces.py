@@ -297,10 +297,6 @@ def interpolate_theta(disc: Discretization, eta, tangential_only: bool = False) 
     return ThetaVector(sp, out)
 
 
-def interpolate_theta_tangential(disc: Discretization, eta) -> ThetaVector:
-    return interpolate_theta(disc, eta, tangential_only=True)
-
-
 def interpolate_u(disc: Discretization, v) -> UVector:
     """DDR interpolate of a C0 scalar field: P^{k-1} projections inside
     elements, k moments per edge, nodal values at vertices."""

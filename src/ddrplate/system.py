@@ -79,7 +79,7 @@ class SolveReport:
     symmetric_defect: float
     refinement_steps: int = 0     # corrections applied after the first solve
     factor_nnz: int = 0           # nonzeros of L + U (SuperLU's count)
-    local_cond: float = 0.0       # worst condition number of the local solves
+    local_cond: float = 0.0       # worst cond of the local P_T, P_U and P1 solves
     kff_nnz: int = 0              # stored entries of the factored K_ff
     # backward error after the first solve and after each correction
     backward_errors: list[float] = field(default_factory=list)
@@ -104,8 +104,8 @@ class PlateSystem:
         hho = build_hho_packs(disc, packs)
         # the displacement reconstructions are all the load vector needs
         self.PU = [pack.PU for pack in packs]
-        # worst condition number of the local P_U and P_T systems
-        self.local_cond = max(pack.cond for pack in packs)
+        # worst condition number of the local P_T, P_U and strain-reconstruction systems
+        self.local_cond = max(pack.cond for pack in packs + hho)
         self.n_theta, self.n_u = disc.theta_space.dim, disc.u_space.dim
         n = self.n_theta + self.n_u
 
@@ -322,9 +322,3 @@ class PlateSystem:
         shear = form(s2, np.hstack([d, g]))
         return (form(material.beta0 * s0 + material.beta1 * s1 + material.mu * s2, eta)
                 + material.shear_over_t2 * shear[:j] + material.mu * shear[j:])
-
-
-def dirichlet_values_from_interpolates(theta_i: ThetaVector, u_i: UVector) -> np.ndarray:
-    """Full DOF vector of the interpolates; ``solve`` reads its Dirichlet
-    entries."""
-    return np.concatenate([theta_i.values, u_i.values])

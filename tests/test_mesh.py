@@ -351,3 +351,31 @@ def test_cells_whose_grams_overflow_are_refused():
         warnings.simplefilter("error")
         with pytest.raises(GeometryError, match="cell 0: diameter 7.07e\\+77"):
             build_mesh(base.vertex_coords * 1e78, _loops(base))
+
+
+@pytest.mark.parametrize("name", ["tri", "hexa", "locref"])
+@pytest.mark.parametrize("scale, shift", [(1e-6, 0.0), (1e-9, 0.0), (1.0, 1e6)])
+def test_geometry_is_scale_and_translation_invariant(meshes, name, scale, shift):
+    """Tiny and far-offset copies of a mesh build with the same edge
+    numbering, their centres and areas map to the original's, and their
+    local systems are conditioned alike: the fan check is relative to each
+    cell's own extent and the shoelace formula runs about a loop vertex."""
+    base = meshes[name]
+
+    def mapping(x):
+        return scale * x + shift
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh = build_mesh(mapping(base.vertex_coords), _loops(base))
+        h = mesh.cell_diameter
+        s = h / base.cell_diameter
+        assert np.array_equal(mesh.edge_vertices, base.edge_vertices)
+        assert np.array_equal(mesh.cell_edges, base.cell_edges)
+        assert np.all(np.abs(mesh.cell_center - mapping(base.cell_center)).max(axis=1)
+                      <= 1e-9 * h)
+        assert np.all(np.abs(mesh.cell_area - s ** 2 * base.cell_area) <= 1e-9 * h ** 2)
+        for k in (1, 3):
+            cond = PlateSystem(Discretization(mesh, k)).local_cond
+            assert cond == pytest.approx(PlateSystem(Discretization(base, k)).local_cond,
+                                         rel=1e-8)

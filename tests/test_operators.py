@@ -8,8 +8,7 @@ from ddrplate.mesh import build_mesh, load_mesh, triangular_mesh
 from ddrplate.operators import (_vp_k, assemble_theta_product,
                                 build_global_gradient, build_local_pack, build_packs)
 from ddrplate.polyspace import dim_P
-from ddrplate.spaces import (Discretization, interpolate_theta,
-                             interpolate_theta_tangential, interpolate_u)
+from ddrplate.spaces import Discretization, interpolate_theta, interpolate_u
 
 
 def _exps(l):
@@ -195,7 +194,7 @@ def test_commutation_with_tangential_interpolate(cache, rng, family, k):
     cases.append((v, lambda x: _eval_exps(gcoef, gexps, x)))
     for vf, gf in cases:
         lhs = G @ interpolate_u(disc, vf).values
-        rhs = interpolate_theta_tangential(disc, gf).values
+        rhs = interpolate_theta(disc, gf, tangential_only=True).values
         assert np.linalg.norm(lhs - rhs) <= 1e-11 * (np.linalg.norm(rhs) + 1)
 
 

@@ -8,8 +8,7 @@ from conftest import (cell, cell_record, cells, edge_dof_values, edge_record,
 from ddrplate.mesh import build_mesh, triangular_mesh
 from ddrplate.polyspace import dim_P
 from ddrplate.spaces import (Discretization, assemble, block_pattern, boundary_dof_sets,
-                             interpolate_theta, interpolate_theta_tangential,
-                             interpolate_u)
+                             interpolate_theta, interpolate_u)
 
 UNIT_SQUARE = (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
                [[0, 1, 2, 3]])
@@ -137,7 +136,7 @@ def test_tangential_interpolator(cache, rng):
                          np.cos(3 * x[:, 0] - x[:, 1])], axis=-1)
 
     full = interpolate_theta(disc, rough).values
-    tang = interpolate_theta_tangential(disc, rough).values
+    tang = interpolate_theta(disc, rough, tangential_only=True).values
     for e in range(disc.mesh.n_edges):
         ts = sp.edge_tangential_slots(e)
         ns = sp.edge_normal_slots(e)
@@ -146,11 +145,13 @@ def test_tangential_interpolator(cache, rng):
     # per-edge aligned fields
     edge = edge_record(disc.mesh, disc.mesh.interior_edges[0])
     t, n = edge.tangent, edge.normal
-    along = interpolate_theta_tangential(disc, lambda x: np.tile(t, (len(x), 1))).values
+    along = interpolate_theta(disc, lambda x: np.tile(t, (len(x), 1)),
+                              tangential_only=True).values
     ref = interpolate_theta(disc, lambda x: np.tile(t, (len(x), 1))).values
     assert np.allclose(along[sp.edge_tangential_slots(edge.id)],
                        ref[sp.edge_tangential_slots(edge.id)], atol=1e-14)
-    across = interpolate_theta_tangential(disc, lambda x: np.tile(n, (len(x), 1))).values
+    across = interpolate_theta(disc, lambda x: np.tile(n, (len(x), 1)),
+                               tangential_only=True).values
     assert np.abs(across[sp.edge_tangential_slots(edge.id)]).max() < 1e-13
     assert np.abs(across[sp.edge_normal_slots(edge.id)]).max() < 1e-13
 
