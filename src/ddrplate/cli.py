@@ -6,8 +6,8 @@ import argparse
 import sys
 
 from .errors import DdrError
-from .harness import (ConvergenceRecord, RunConfig, run_convergence, run_single,
-                      write_outputs)
+from .harness import (ConvergenceRecord, RunConfig, output_dir, run_convergence,
+                      run_single, write_outputs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,6 +47,8 @@ def main(argv: list[str] | None = None) -> int:
             kappa0=args.kappa0, solution=args.solution,
             quad_boost=args.quad_boost, out_dir=args.out, fmt=args.fmt)
         if config.refinements == 1:
+            if config.out_dir is not None:
+                output_dir(config)       # an unwritable path fails before the solve
             res = run_single(config)
             print(f"mesh {res.mesh_name}: h = {res.h:.6e}, free DOFs = {res.dofs}, "
                   f"E_h = {res.error:.6e}, solver residual = {res.solver_residual:.2e}, "

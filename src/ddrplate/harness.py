@@ -144,7 +144,8 @@ def run_single(config: RunConfig, mesh: PolygonalMesh | None = None,
     except DdrError as exc:
         raise type(exc)(f"[mesh {mesh_name}] {exc}") from exc
     t.append(time.perf_counter())
-    solver = {"n_free": report.n_free, "kff_nnz": report.kff_nnz,
+    solver = {"n_free": report.n_free, "n_factored": report.n_factored,
+              "kff_nnz": report.kff_nnz,
               "factor_nnz": report.factor_nnz, "refinement_steps": report.refinement_steps,
               "residual": report.residual, "backward_errors": report.backward_errors,
               "local_cond": report.local_cond, "ordering": report.ordering}
@@ -170,6 +171,8 @@ def run_convergence(config: RunConfig) -> list[ConvergenceRecord]:
     seq = mesh_sequence(config)
     if len(seq) < 2:
         raise ConfigError("a convergence study needs at least 2 meshes")
+    if config.out_dir is not None:
+        output_dir(config)               # an unwritable path fails before any solve
     records = []
     for name, mesh in seq:
         res = run_single(config, mesh, name)
@@ -217,18 +220,25 @@ def parse_dat(text: str) -> list[ConvergenceRecord]:
     return records
 
 
-def write_outputs(config: RunConfig, records: list[ConvergenceRecord]) -> list[Path]:
+def output_dir(config: RunConfig) -> Path:
+    """The output directory, created if missing; ``ConfigError`` names a
+    path that cannot be one."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: "
+                          f"{exc.strerror or exc}") from exc
+    return out
+
+
+def write_outputs(config: RunConfig, records: list[ConvergenceRecord]) -> list[Path]:
+    out = output_dir(config)
+    files = []
     if config.fmt in ("dat", "both"):
-        p = out / "data_rates.dat"
-        p.write_text(format_dat(records))
-        written.append(p)
+        files.append((out / "data_rates.dat", format_dat(records)))
     if config.fmt in ("csv", "both"):
-        p = out / "data_rates.csv"
-        p.write_text(format_csv(records))
-        written.append(p)
+        files.append((out / "data_rates.csv", format_csv(records)))
     meta = {
         "config": {k: v for k, v in vars(config).items()},
         "wall_times": [r.time for r in records],
@@ -236,7 +246,10 @@ def write_outputs(config: RunConfig, records: list[ConvergenceRecord]) -> list[P
         "stages": [r.stages for r in records],
         "property_test_seed": PROPERTY_TEST_SEED,
     }
-    mp = out / "run_metadata.json"
-    mp.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    written.append(mp)
-    return written
+    files.append((out / "run_metadata.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"))
+    for path, text in files:
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return [path for path, _ in files]

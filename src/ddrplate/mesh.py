@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import GeometryError, ParseError, TopologyError
 
+# an edge shorter than this share of the mesh's extent has zero length
 _LENGTH_TOL = 1e-14
 # largest |coordinate| whose differences still square to a finite number
 _COORD_LIMIT = float(np.sqrt(np.finfo(float).max) / 2.0)
@@ -260,7 +261,7 @@ def build_mesh(vertex_coords: np.ndarray, cell_loops: list[list[int]]) -> Polygo
         raise TopologyError(f"edge {tuple(pairs[e].tolist())} referenced by {count[e]} cells")
     vec = coords[pairs[:, 1]] - coords[pairs[:, 0]]
     lengths = np.linalg.norm(vec, axis=1)
-    short = lengths < _LENGTH_TOL
+    short = lengths <= _LENGTH_TOL * np.ptp(coords, axis=0).max()
     if short.any():
         raise GeometryError(f"edge {tuple(pairs[np.argmax(short)].tolist())} has zero length")
     tangents = vec / lengths[:, None]

@@ -5,7 +5,9 @@ divergence stiffness, stabilisation + jump, the shear form built from the DDR
 L2 product and the global gradient) are summed once per (mesh, degree) into
 coefficient streams on one sparse pattern and recombined with scalar
 material factors afterwards, so thickness and material sweeps reuse all
-local constructions and every solve factors the same pattern.
+local constructions and every solve factors the same pattern. A solve
+eliminates the element-interior DOFs cell by cell (static condensation) and
+factors only the Schur complement on the remaining free DOFs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import SolverFailure, ZeroNormError
 from .hho import _t, build_hho_packs, build_jump_penalisation
 from .operators import build_global_gradient, build_packs
 from .polyspace import dim_P, mass
-from .spaces import (Discretization, ThetaVector, UVector, at_points,
+from .spaces import (Discretization, ThetaVector, UVector, _flat, at_points,
                      block_pattern, boundary_dof_sets, sum_blocks)
 
 _GS_METRIC = np.array([1.0, 2.0, 1.0])   # contraction weights for [11, 12, 22]
@@ -80,10 +82,20 @@ class SolveReport:
     refinement_steps: int = 0     # corrections applied after the first solve
     factor_nnz: int = 0           # nonzeros of L + U (SuperLU's count)
     local_cond: float = 0.0       # worst cond of the local P_T, P_U and P1 solves
-    kff_nnz: int = 0              # stored entries of the factored K_ff
+    kff_nnz: int = 0              # stored entries of the factored matrix
+    n_factored: int = 0           # size of the factored matrix: the free DOFs
+                                  # less the element-interior ones
     # backward error after the first solve and after each correction
     backward_errors: list[float] = field(default_factory=list)
     ordering: dict = field(default_factory=dict)   # the SuperLU options used
+
+
+def _interior_solve(kii: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked K_II^{-1} rhs of the element-interior blocks."""
+    try:
+        return np.linalg.solve(kii, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"element-interior solve failed: {exc}") from exc
 
 
 class PlateSystem:
@@ -94,9 +106,11 @@ class PlateSystem:
     ``streams`` holds the data of s0 (symmetric-gradient form, stabilisation
     and, at k = 0, the jump), s1 (divergence form) and s2 (the shear form
     [I, -G]^T M [I, -G]), all summed from cell blocks. The maps a solve needs
-    onto that pattern (the reduced matrix K_ff in CSC order, its diagonal,
-    the mirror of each entry) are built here too, so a solve only combines
-    and gathers data."""
+    onto that pattern are built here too: the positions of each cell's
+    interior blocks K_II and K_IB, the condensed matrix on the ``factored``
+    DOFs (the free ones less the element interiors) in CSC order with its
+    diagonal, where each Schur-block entry lands in it, and the mirror of
+    each entry. A solve only combines, gathers and eliminates data."""
 
     def __init__(self, disc: Discretization):
         self.disc = disc
@@ -148,27 +162,57 @@ class PlateSystem:
         transpose = np.empty(nnz, dtype=self.indices.dtype)
         for s in slots:
             transpose[s] = np.swapaxes(s, 1, 2)
-        del index, bending, shear, jump, slots, cells, rot     # before the maps are built
+        del bending, shear, jump, slots, rot     # before the maps are built
 
         th_d, u_d = boundary_dof_sets(disc)
         dir_mask = np.zeros(n, dtype=bool)
         dir_mask[th_d] = True
         dir_mask[self.n_theta + u_d] = True
         self.dirichlet_mask = dir_mask
-        self.free = np.where(~dir_mask)[0]
-
-        # K_ff: the entries with a free row and a free column. Its CSC layout
-        # equals its CSR one (the pattern is symmetric), each entry replaced
-        # by its mirror
         is_free = ~dir_mask
-        kept = np.flatnonzero(np.repeat(is_free, np.diff(self.indptr)) & is_free[self.indices])
-        self._ff_indices = (np.cumsum(is_free) - 1)[self.indices[kept]].astype(self.indices.dtype)
-        count = np.diff(np.searchsorted(kept, self.indptr))[is_free]
-        self._ff_indptr = np.zeros(self.free.size + 1, dtype=self.indptr.dtype)
+        self.free = np.flatnonzero(is_free)
+        # the element-interior DOFs (the Roly^{k-1} and cRoly^k slots of the
+        # rotation, the P^{k-1} slots of the displacement) couple only inside
+        # their own cell: a solve eliminates them cell by cell and factors
+        # the Schur complement on the other free DOFs, the factored ones
+        n_el, te, ue = disc.mesh.n_elements, disc.theta_space.elem_dim, disc.u_space.elem_dim
+        factored = is_free.copy()
+        factored[:n_el * te] = False
+        factored[self.n_theta:self.n_theta + n_el * ue] = False
+        self.factored = np.flatnonzero(factored)
+
+        # the condensed matrix sits on the entries with a factored row and
+        # column. Its CSC layout equals its CSR one (the pattern is
+        # symmetric), each entry replaced by its mirror
+        kept = np.flatnonzero(np.repeat(factored, np.diff(self.indptr)) & factored[self.indices])
+        rank = np.cumsum(factored) - 1
+        self._ff_indices = rank[self.indices[kept]].astype(self.indices.dtype)
+        count = np.diff(np.searchsorted(kept, self.indptr))[factored]
+        self._ff_indptr = np.zeros(self.factored.size + 1, dtype=self.indptr.dtype)
         np.cumsum(count, out=self._ff_indptr[1:])
         self._ff_gather = transpose[kept]
         self._ff_diag = np.flatnonzero(
-            self._ff_indices == np.repeat(np.arange(self.free.size), count))
+            self._ff_indices == np.repeat(np.arange(self.factored.size), count))
+        # per cell group: the interior DOFs I, the positions of K_II and K_IB
+        # in the pattern, and the condensed index of each other DOF B, with
+        # one past the last for a Dirichlet one. The B x B entries of the
+        # Schur blocks K_BI K_II^{-1} K_IB are summed into the condensed data
+        # (those of a Dirichlet row or column into one discarded slot)
+        data_at = np.full(nnz, kept.size, dtype=self.indices.dtype)
+        data_at[self._ff_gather] = np.arange(kept.size)
+        rank[~factored] = self.factored.size
+        self._cells, schur_at = [], []
+        for s, (dofs, _), nt in zip(cells, index, n_rot):
+            inner = np.r_[:te, nt:nt + ue]
+            if not inner.size:            # k = 0: no interior DOFs
+                break
+            outer = np.setdiff1d(np.arange(dofs.shape[1]), inner)
+            self._cells.append((dofs[:, inner], s[:, inner[:, None], inner],
+                                s[:, inner[:, None], outer], rank[dofs[:, outer]]))
+            schur_at.append(data_at[s[:, outer[:, None], outer]])
+        self._schur_at = _flat(schur_at, self.indices.dtype)
+        self._schur_rows = _flat([rows for _, _, _, rows in self._cells], np.intp)
+        del index, cells, schur_at, data_at
         # the entries above the diagonal and their mirrors, for the symmetric defect
         upper = np.flatnonzero(self.indices > np.repeat(np.arange(n), np.diff(self.indptr)))
         self._upper = upper.astype(self.indices.dtype)
@@ -209,8 +253,9 @@ class PlateSystem:
               ) -> tuple[ThetaVector, UVector, SolveReport]:
         """Eliminate Dirichlet DOFs (their entries of ``dirichlet_values``,
         the interpolated exact traces for non-homogeneous runs, or zero for
-        the clamped case), solve the reduced symmetric system and verify the
-        residual."""
+        the clamped case), condense the element interiors, factor the Schur
+        complement, back-substitute, and verify the backward error on the
+        full reduced system K_ff."""
         K = self.full_matrix(material)
         data = K.data
         defect = data[self._upper]
@@ -226,56 +271,93 @@ class PlateSystem:
         report = SolveReport(residual=0.0, n_free=free.size,
                              symmetric_defect=sym_defect, local_cond=self.local_cond)
         if free.size:
-            rhs = (load - K @ x)[self.free]
-            shape = (free.size, free.size)
-            kff = data[self._ff_gather]
-            Kff = sps.csc_matrix((kff, self._ff_indices, self._ff_indptr), shape=shape)
-            # symmetric Jacobi equilibration tames the kappa/t^2 block scaling
-            # of very thin plates; iterative refinement then recovers a
-            # machine-accurate residual from the equilibrated factorization.
-            # The entries are scaled on Kff's own pattern, so no product drops
-            # an entry that underflows or cancels.
-            d = np.sqrt(np.abs(kff[self._ff_diag]))
-            d[d <= 0] = 1.0
-            dinv = 1.0 / d
-            scaled = dinv[self._ff_indices]
-            scaled *= np.repeat(dinv, np.diff(self._ff_indptr))
-            scaled *= kff
-            Ks = sps.csc_matrix((scaled, self._ff_indices, self._ff_indptr), shape=shape)
-            try:
-                lu = splu(Ks, **_SPLU_OPTIONS)
-            except Exception as exc:
-                raise SolverFailure(f"sparse factorization failed: {exc}") from exc
-            report.factor_nnz, report.kff_nnz = int(lu.nnz), int(Ks.nnz)
-            report.ordering = copy.deepcopy(_SPLU_OPTIONS)
+            rhs = load - K @ x
+            rhs[self.dirichlet_mask] = 0.0
+            # eliminate the interior DOFs: per group one stacked solve
+            # K_II^{-1} [K_IB | r_I], and the Schur blocks K_BI K_II^{-1} K_IB
+            # subtracted from the condensed matrix by one bincount
+            kc = data[self._ff_gather]
+            interior, ys = [], []
+            for dofs, ii, ib, _ in self._cells:
+                kii, kib = data[ii], data[ib]
+                X = _interior_solve(kii, np.concatenate([kib, rhs[dofs][..., None]], axis=2))
+                interior.append((kii, kib, X[..., :-1]))
+                ys.append(X[..., -1])
+            if interior:
+                schur = _flat([_t(kib) @ xb for _, kib, xb in interior], float)
+                kc -= np.bincount(self._schur_at, schur, kc.size + 1)[:-1]
+                del schur                   # before the factorization
+            n_c = report.n_factored = self.factored.size
+            lu = None
+            if n_c:
+                # symmetric Jacobi equilibration tames the kappa/t^2 block
+                # scaling of very thin plates; iterative refinement then
+                # recovers a machine-accurate residual from the equilibrated
+                # factorization. The entries are scaled on the condensed
+                # pattern, so no product drops an entry that underflows or
+                # cancels.
+                d = np.sqrt(np.abs(kc[self._ff_diag]))
+                d[d <= 0] = 1.0
+                dinv = 1.0 / d
+                scale = dinv[self._ff_indices]
+                scale *= np.repeat(dinv, np.diff(self._ff_indptr))
+                kc *= scale
+                del scale
+                Ks = sps.csc_matrix((kc, self._ff_indices, self._ff_indptr), shape=(n_c, n_c))
+                try:
+                    lu = splu(Ks, **_SPLU_OPTIONS)
+                except Exception as exc:
+                    raise SolverFailure(f"sparse factorization failed: {exc}") from exc
+                report.factor_nnz, report.kff_nnz = int(lu.nnz), int(Ks.nnz)
+                report.ordering = copy.deepcopy(_SPLU_OPTIONS)
 
-            def prec_solve(r):
-                return dinv * lu.solve(dinv * r)
+            def free_solve(r, ys=None):
+                """K_ff^{-1} r on the free DOFs, zero on the others; ``ys``
+                holds K_II^{-1} r_I per group when it is known. The condensed
+                system gives x_B, then x_I = K_II^{-1} (r_I - K_IB x_B)."""
+                if ys is None:
+                    ys = [_interior_solve(kii, r[dofs][..., None])[..., 0]
+                          for (dofs, _, _, _), (kii, _, _) in zip(self._cells, interior)]
+                rc = r[self.factored]
+                if ys:
+                    coupling = _flat([(y[:, None] @ kib)[:, 0]
+                                      for (_, kib, _), y in zip(interior, ys)], float)
+                    rc -= np.bincount(self._schur_rows, coupling, n_c + 1)[:-1]
+                xc = np.zeros(n_c + 1)          # the last entry stands for Dirichlet DOFs
+                if lu is not None:
+                    xc[:-1] = dinv * lu.solve(dinv * rc)
+                out = np.zeros(n)
+                out[self.factored] = xc[:-1]
+                for (dofs, _, _, rows), (_, _, xb), y in zip(self._cells, interior, ys):
+                    out[dofs] = y - (xb @ xc[rows, None])[..., 0]
+                return out
 
-            xf = prec_solve(rhs)
-            # relative residual = normwise backward error; the naive
-            # ||r||/||b|| is floored at eps*||K||*||x||/||b|| by cancellation
-            # in K@x when kappa/t^2 is large, which says nothing about the
-            # factorization quality
-            abs_kff = sps.csc_matrix((np.abs(kff), self._ff_indices, self._ff_indptr),
-                                     shape=shape)
-            knorm = float(np.max(abs_kff @ np.ones(free.size)))     # max row sum
+            x += free_solve(rhs, ys)
+            # relative residual = normwise backward error on the full K_ff;
+            # the naive ||r||/||b|| is floored at eps*||K||*||x||/||b|| by
+            # cancellation in K@x when kappa/t^2 is large, which says nothing
+            # about the factorization quality
+            abs_k = sps.csr_matrix((np.abs(data), K.indices, K.indptr), shape=K.shape)
+            knorm = float(np.max((abs_k @ (~self.dirichlet_mask).astype(float))[free]))
+            del abs_k
+            rhs_norm = np.linalg.norm(rhs)
 
-            def backward_error(r, vec):
-                den = knorm * np.linalg.norm(vec) + np.linalg.norm(rhs)
-                return float(np.linalg.norm(r) / max(den, 1e-300))
+            def residual():
+                r = load - K @ x
+                r[self.dirichlet_mask] = 0.0
+                den = knorm * np.linalg.norm(x[free]) + rhs_norm
+                return r, float(np.linalg.norm(r) / max(den, 1e-300))
 
-            r = rhs - Kff @ xf
+            r, error = residual()
             errors = report.backward_errors
-            errors.append(backward_error(r, xf))
+            errors.append(error)
             while not errors[-1] <= 0.01 * _RESIDUAL_TOL and report.refinement_steps < 8:
-                xf = xf + prec_solve(r)
-                r = rhs - Kff @ xf
+                x += free_solve(r)
+                r, error = residual()
                 report.refinement_steps += 1
-                errors.append(backward_error(r, xf))
-            if not np.all(np.isfinite(xf)):
+                errors.append(error)
+            if not np.all(np.isfinite(x[free])):
                 raise SolverFailure("solver produced non-finite values")
-            x[self.free] = xf
             report.residual = errors[-1]
             if report.residual > _RESIDUAL_TOL:
                 raise SolverFailure(

@@ -61,3 +61,18 @@ def test_cli_thickness_out_of_range(args, capsys):
     code = main(args)
     assert code == 1
     assert "ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("refinements", ["1", "2"])
+def test_cli_unwritable_output_path(tmp_path, capsys, refinements):
+    """An output path below a regular file is a ConfigError naming the
+    path, raised before any solve, not an OSError traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = blocker / "sub"
+    code = main(["--refinements", refinements, "--degree", "0", "--out", str(target)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "ConfigError" in captured.err and str(target) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

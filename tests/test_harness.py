@@ -6,7 +6,8 @@ import pytest
 from ddrplate.errors import ConfigError, DegenerateRate, ParseError
 from ddrplate.harness import (ConvergenceRecord, RunConfig, compute_rates,
                               format_csv, format_dat, mesh_sequence,
-                              parse_dat, run_convergence, run_single)
+                              parse_dat, run_convergence, run_single,
+                              write_outputs)
 
 
 def rec(h, err, dofs=10, t=0.0):
@@ -106,8 +107,9 @@ def test_metadata_records_the_solver_per_mesh(tmp_path):
     meta = json.loads((tmp_path / "run_metadata.json").read_text())
     assert len(meta["solver"]) == len(meta["stages"]) == len(records)
     for n, rec, solver, stages in zip((4, 8), records, meta["solver"], meta["stages"]):
-        assert set(solver) == {"n_free", "kff_nnz", "factor_nnz", "refinement_steps",
-                               "residual", "backward_errors", "local_cond", "ordering"}
+        assert set(solver) == {"n_free", "n_factored", "kff_nnz", "factor_nnz",
+                               "refinement_steps", "residual", "backward_errors",
+                               "local_cond", "ordering"}
         assert solver["ordering"] == {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                                       "options": {"SymmetricMode": True}}
         assert set(stages) == {"discretization_s", "plate_system_s", "solve_s", "cells",
@@ -118,12 +120,32 @@ def test_metadata_records_the_solver_per_mesh(tmp_path):
         assert (stages["cells"], stages["edges"]) == (2 * n * n, 3 * n * n + 2 * n)
         assert solver["n_free"] < stages["dofs"]
         assert solver["n_free"] == rec.dofs
+        assert solver["n_factored"] == solver["n_free"]      # k = 0: no interior DOFs
         assert rec.dofs <= solver["kff_nnz"] <= solver["factor_nnz"]
         assert 0 <= solver["refinement_steps"] <= 8
         assert solver["residual"] <= 1e-10
         assert len(solver["backward_errors"]) == solver["refinement_steps"] + 1
         assert solver["backward_errors"][-1] == solver["residual"]
         assert 1.0 <= solver["local_cond"] < float("inf")
+
+
+def test_metadata_records_the_factored_size(tmp_path):
+    """At k >= 1 the element-interior DOFs are eliminated before the
+    factorization: fewer DOFs are factored than are free."""
+    run_convergence(RunConfig(mesh_family="tri", refinements=2, degree=1,
+                              thickness=1e-3, out_dir=str(tmp_path)))
+    meta = json.loads((tmp_path / "run_metadata.json").read_text())
+    for n, solver in zip((4, 8), meta["solver"]):
+        # per cell dim Roly^0 + dim cRoly^1 + dim P^0 = 2 + 1 + 1 interior DOFs
+        assert solver["n_factored"] == solver["n_free"] - 4 * 2 * n * n
+        assert solver["n_factored"] <= solver["kff_nnz"] <= solver["factor_nnz"]
+
+
+def test_unwritable_output_file_is_a_config_error(tmp_path):
+    (tmp_path / "data_rates.dat").mkdir()          # a directory where a file goes
+    config = RunConfig(refinements=2, out_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match="data_rates.dat"):
+        write_outputs(config, compute_rates([rec(0.25, 2e-2), rec(0.125, 5e-3)]))
 
 
 def test_convergence_from_mesh_dir(tmp_path):

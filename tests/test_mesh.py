@@ -48,6 +48,15 @@ def test_degenerate_geometry_rejected():
         build_mesh(verts, [[0, 1, 2]])
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-14, 1e20])
+def test_coincident_vertices_give_a_zero_length_edge(scale):
+    """Two vertices at one point make a zero-length edge at every scale: the
+    length tolerance is relative to the mesh's extent."""
+    verts = scale * np.array([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    with pytest.raises(GeometryError, match=r"edge \(1, 2\) has zero length"):
+        build_mesh(verts, [[0, 1, 2, 3, 4]])
+
+
 def test_repeated_vertex_in_loop_rejected():
     verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     with pytest.raises(TopologyError):
@@ -354,7 +363,7 @@ def test_cells_whose_grams_overflow_are_refused():
 
 
 @pytest.mark.parametrize("name", ["tri", "hexa", "locref"])
-@pytest.mark.parametrize("scale, shift", [(1e-6, 0.0), (1e-9, 0.0), (1.0, 1e6)])
+@pytest.mark.parametrize("scale, shift", [(1e-6, 0.0), (1e-9, 0.0), (1e-14, 0.0), (1.0, 1e6)])
 def test_geometry_is_scale_and_translation_invariant(meshes, name, scale, shift):
     """Tiny and far-offset copies of a mesh build with the same edge
     numbering, their centres and areas map to the original's, and their
