@@ -200,8 +200,8 @@ def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack]
     reconstructions over edges (the trace itself on boundary edges).
 
     Returns ``assemble`` stacks of edge blocks on the rotation DOFs of the
-    edge's (one or two) cells, lower cell id first, and their edge ids as
-    keys, so the blocks are summed in edge-id order."""
+    edge's (one or two) cells, lower cell id first and each DOF once, and
+    their edge ids as keys, so the blocks are summed in edge-id order."""
     if disc.k != 0:
         raise ValueError("jump penalisation is defined for k = 0 only")
     np_1 = dim_P(1)
@@ -235,6 +235,15 @@ def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack]
             big = np.concatenate([sgn * mats[g][pos[rows], local[rows]]
                                   for g, rows, sgn in side], axis=2)
             idx = np.concatenate([dofs[g][pos[rows]] for g, rows, _ in side], axis=1)
+            if g1 is not None:
+                # the edge's own DOFs belong to both cells: the second cell's
+                # columns of them are added to the first's and dropped
+                n_a = dofs[g0].shape[1]
+                same = idx[:, n_a:, None] == idx[:, None, :n_a]
+                big[..., :n_a] += big[..., n_a:] @ same
+                keep = np.c_[np.ones((len(sel), n_a), dtype=bool), ~same.any(axis=2)]
+                big = _t(_t(big)[keep].reshape(len(sel), -1, big.shape[1]))
+                idx = idx[keep].reshape(len(sel), -1)
             eids = edge_of[sel]
             blocks.append((idx, idx, (_t(big) @ big) / lengths[eids][:, None, None]))
             keys.append(eids)

@@ -7,7 +7,8 @@ coefficient streams on one sparse pattern and recombined with scalar
 material factors afterwards, so thickness and material sweeps reuse all
 local constructions and every solve factors the same pattern. A solve
 eliminates the element-interior DOFs cell by cell (static condensation) and
-factors only the Schur complement on the remaining free DOFs.
+factors only the Schur complement on the remaining free DOFs, which are
+numbered once per mesh and degree by a nested dissection of the mesh.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ from .spaces import (Discretization, ThetaVector, UVector, _flat, at_points,
 
 _GS_METRIC = np.array([1.0, 2.0, 1.0])   # contraction weights for [11, 12, 22]
 _RESIDUAL_TOL = 1e-10                      # solver backward-error gate
-# K_ff is symmetric positive definite: a minimum-degree ordering of A^T + A
-# applied to rows and columns alike, with diagonal pivots
-_SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+# the condensed matrix is symmetric positive definite and already in
+# nested-dissection order: SuperLU keeps that order for rows and columns
+# alike and takes diagonal pivots
+_SPLU_OPTIONS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
                  "options": {"SymmetricMode": True}}
+_ND_LEAF = 8                               # mesh entities per separator-tree leaf
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,8 @@ class SolveReport:
                                   # less the element-interior ones
     # backward error after the first solve and after each correction
     backward_errors: list[float] = field(default_factory=list)
-    ordering: dict = field(default_factory=dict)   # the SuperLU options used
+    # the SuperLU options used and the nested-dissection pre-permutation
+    ordering: dict = field(default_factory=dict)
 
 
 def _interior_solve(kii: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -98,6 +102,125 @@ def _interior_solve(kii: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SolverFailure(f"element-interior solve failed: {exc}") from exc
 
 
+def _sym(block: np.ndarray) -> np.ndarray:
+    """The symmetric part of stacked square blocks, mirror entries equal bit
+    for bit."""
+    return 0.5 * (block + _t(block))
+
+
+def _nested_dissection(indptr: np.ndarray, indices: np.ndarray, xy: np.ndarray,
+                       weight: np.ndarray, cells: tuple[np.ndarray, np.ndarray, np.ndarray]
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Separator tree of a mesh-entity graph (George, SIAM J. Numer. Anal.
+    10, 1973): symmetric CSR pattern ``indptr``, ``indices``, the entities
+    at the points ``xy`` with ``weight`` unknowns each, and ``cells`` the
+    (entity, cell) incidence pairs and the cell centres.
+
+    Level by level, every part of more than ``_ND_LEAF`` entities is
+    bisected at the median coordinate along the longer side of its bounding
+    box, the entities on the median staying on one side. Two separators are
+    tried: sides by entity coordinate, and sides by cell centre, where the
+    entities of cells on both sides start the separator. Then the entities
+    of one side with a neighbour on the other, from the side where they
+    weigh less, complete it. The lighter of the two separators is kept, and the rest of
+    each side is a child part. Returns the node of each entity, and the
+    parent (-1 at the root) and depth of each node, the nodes numbered in
+    postorder: ordering the entities by node eliminates every subtree before
+    its separator, so an entry couples a node with an ancestor or itself."""
+    n = len(xy)
+    rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    upper = rows < indices                   # each graph edge once
+    rows, cols = rows[upper], indices[upper]
+    inc_entity, inc_cell, centres = cells
+    centres = centres.ravel()
+    node = np.zeros(n, dtype=np.int32)       # the part, then the node, of each entity
+    parents, first = [np.array([-1])], [0, 1]     # first node id of each level
+    active = np.arange(n)                    # the entities of parts still to split
+    while active.size:
+        # the parts of this level are the nodes first[-2] .. first[-1] - 1
+        inv = node[active] - first[-2]
+        n_parts = first[-1] - first[-2]
+        size = np.bincount(inv, minlength=n_parts)
+        lo, hi = np.full((2, n_parts), np.inf), np.full((2, n_parts), -np.inf)
+        for d in range(2):                   # the bounding box of each part
+            np.minimum.at(lo[d], inv, xy[active, d])
+            np.maximum.at(hi[d], inv, xy[active, d])
+        axis = np.argmax(hi - lo, axis=0)
+        c = xy[active, axis[inv]]
+        # by part, then by coordinate: the coordinate scaled into [0, 1/2]
+        ext, lo = (hi - lo)[axis, np.arange(n_parts)], lo[axis, np.arange(n_parts)]
+        order = np.argsort(inv + 0.5 * (c - lo[inv]) / np.maximum(ext, 1e-300)[inv])
+        median = c[order[np.cumsum(size) - size + (size - 1) // 2]]
+        left = c <= median[inv]
+        top = (np.bincount(inv, left, n_parts) == size)[inv]   # the median is the largest
+        left[top] = c[top] < median[inv][top]
+        n_left = np.bincount(inv, left, n_parts)
+        split = np.zeros(n, dtype=bool)
+        split[active] = ((size > _ND_LEAF) & (n_left > 0) & (n_left < size))[inv]
+        part = np.zeros(n, dtype=np.int32)   # index of an active entity's part
+        part[active] = inv
+        keep = split[inc_entity]
+        inc_entity, inc_cell = inc_entity[keep], inc_cell[keep]
+        # sides 1 (left) and 2 (right), 0 for none: by the entity's coordinate,
+        # and by the centres of its cells, 0 for an entity of cells on both
+        by_coord = np.zeros(n, dtype=np.int8)
+        by_coord[active] = 2 - left
+        by_coord[~split] = 0
+        by_cell = np.zeros(n, dtype=np.int8)
+        at = part[inc_entity]
+        right = centres[2 * inc_cell + axis[at]] > median[at]
+        by_cell[inc_entity[~right]] = 1
+        by_cell[inc_entity[right]] |= 2
+        by_cell[by_cell == 3] = 0
+        # both side codes of each edge's ends at once. The separators cut
+        # every edge between parts, so the edges whose ends are both in
+        # parts being split lie inside one part; the others are dropped
+        both = by_coord | by_cell << 2
+        a, b = both[rows], both[cols]
+        keep = (a > 0) & (b > 0)
+        rows, cols, ends = rows[keep], cols[keep], a[keep] | b[keep]
+        costs = []                           # each candidate's separator is cut in place
+        for side, cross in ((by_coord, (ends & 3) == 3), (by_cell, ends >> 2 == 3)):
+            # the entities of one side with a neighbour across, from the
+            # side where they weigh less
+            across = np.zeros(n, dtype=bool)
+            across[rows[cross]] = across[cols[cross]] = True
+            across = np.flatnonzero(across)
+            cost = np.bincount(3 * part[across] + side[across], weight[across], 3 * n_parts)
+            lighter = 1 + (cost[2::3] < cost[1::3])
+            side[across[side[across] == lighter[part[across]]]] = 0
+            # the separator's weight, where it leaves entities on both sides
+            count = np.bincount(3 * inv + side[active], minlength=3 * n_parts)
+            cut = np.bincount(inv, weight[active] * (side[active] == 0), n_parts)
+            costs.append(np.where((count[1::3] > 0) & (count[2::3] > 0), cut, np.inf))
+        side = np.where(split & (costs[1] < costs[0])[part], by_cell, by_coord)
+        # the rest of each side is a child part, left before right
+        moved = active[side[active] > 0]
+        key = 2 * part[moved] + side[moved] - 1
+        kids = np.bincount(key, minlength=2 * n_parts) > 0
+        parents.append(first[-2] + np.flatnonzero(kids) // 2)
+        node[moved] = first[-1] + (np.cumsum(kids) - 1)[key]
+        first.append(first[-1] + np.count_nonzero(kids))
+        active = moved
+    parent = np.concatenate(parents)
+    # postorder: sort the nodes by the last leaf of their subtree, deeper first
+    depth = np.repeat(np.arange(len(first) - 1), np.diff(first))
+    count = (np.bincount(parent[1:], minlength=len(parent)) == 0).astype(np.intp)
+    for begin, end in zip(first[-2:0:-1], first[-1:1:-1]):      # leaves per subtree
+        np.add.at(count, parent[begin:end], count[begin:end])
+    start = np.zeros_like(count)                                 # first leaf per subtree
+    for begin, end in zip(first[1:-1], first[2:]):
+        p, size = parent[begin:end], count[begin:end]
+        after = np.r_[False, p[1:] == p[:-1]]        # the right child of a pair
+        start[begin:end] = start[p] + np.where(after, np.r_[0, size[:-1]], 0)
+    rank = np.empty_like(count)
+    rank[np.lexsort((-depth, start + count))] = np.arange(len(count))
+    parent[1:] = rank[parent[1:]]
+    out, out_depth = np.empty_like(parent), np.empty_like(depth)
+    out[rank], out_depth[rank] = parent, depth
+    return rank[node], out, out_depth
+
+
 class PlateSystem:
     """Material-independent discrete operators for one mesh and degree.
 
@@ -105,12 +228,16 @@ class PlateSystem:
     CSR pattern (``indptr``, ``indices``) fixed by the mesh and degree.
     ``streams`` holds the data of s0 (symmetric-gradient form, stabilisation
     and, at k = 0, the jump), s1 (divergence form) and s2 (the shear form
-    [I, -G]^T M [I, -G]), all summed from cell blocks. The maps a solve needs
-    onto that pattern are built here too: the positions of each cell's
-    interior blocks K_II and K_IB, the condensed matrix on the ``factored``
-    DOFs (the free ones less the element interiors) in CSC order with its
-    diagonal, where each Schur-block entry lands in it, and the mirror of
-    each entry. A solve only combines, gathers and eliminates data."""
+    [I, -G]^T M [I, -G]), all summed from symmetrised cell blocks, so each is
+    symmetric bit for bit; ``symmetric_defect`` is their largest relative
+    |s - s^T|. The ``factored`` DOFs (the free ones less the element
+    interiors) are listed in a nested-dissection order of the mesh edges and
+    vertices that hold them, with its ``separator_tree`` and the
+    ``ordering`` record every solve reports. The maps a solve needs onto the
+    pattern are built here too: the positions of each cell's interior blocks
+    K_II and K_IB, the condensed matrix on the factored DOFs, in that order,
+    in CSC layout with its diagonal, and where each Schur-block entry lands
+    in it. A solve only combines, gathers and eliminates data."""
 
     def __init__(self, disc: Discretization):
         self.disc = disc
@@ -137,14 +264,15 @@ class PlateSystem:
             nt = t_dofs.shape[1]
             n_rot.append(nt)
             gs = [h.GS[:, b * np_k:(b + 1) * np_k] for b in range(3)]
-            bending[0].append(sum(_GS_METRIC[b] * _t(gs[b]) @ gs[b] for b in range(3)) + h.sT)
-            bending[1].append(_t(h.DD) @ h.DD)
+            bending[0].append(_sym(sum(_GS_METRIC[b] * _t(gs[b]) @ gs[b] for b in range(3))
+                                   + h.sT))
+            bending[1].append(_sym(_t(h.DD) @ h.DD))
             mg = p.M_theta @ g
             block = np.empty(dofs.shape + dofs.shape[1:])
-            block[:, :nt, :nt] = p.M_theta
+            block[:, :nt, :nt] = _sym(p.M_theta)
             block[:, :nt, nt:] = -mg
             block[:, nt:, :nt] = -_t(mg)
-            block[:, nt:, nt:] = _t(g) @ mg
+            block[:, nt:, nt:] = _sym(_t(g) @ mg)
             shear.append(block)
         # k = 0: the jump joins the bending stream and widens the pattern
         jump, edge_ids = build_jump_penalisation(disc, packs, hho) if disc.k == 0 else ([], [])
@@ -154,15 +282,30 @@ class PlateSystem:
         cells = slots[:len(index)]
         rot = [s[:, :nt, :nt] for s, nt in zip(cells, n_rot)]
         self.streams = [
-            sum_blocks(rot + slots[len(index):], bending[0] + [v for _, _, v in jump], nnz,
-                       keys + [disc.mesh.n_elements + e for e in edge_ids]),
+            sum_blocks(rot + slots[len(index):], bending[0] + [_sym(v) for _, _, v in jump],
+                       nnz, keys + [disc.mesh.n_elements + e for e in edge_ids]),
             sum_blocks(rot, bending[1], nnz, keys),
             sum_blocks(cells, shear, nnz, keys)]
-        # every block is symmetric: an entry's mirror lies in the same block
+        del bending, shear, jump, rot     # before the maps are built
+        # every block is symmetric, and the blocks of an entry and of its
+        # mirror are summed in the same order: each stream is symmetric bit
+        # for bit, and so is every matrix combined from them. The largest
+        # relative |s - s^T| over the streams is the defect a solve reports
         transpose = np.empty(nnz, dtype=self.indices.dtype)
         for s in slots:
             transpose[s] = np.swapaxes(s, 1, 2)
-        del bending, shear, jump, slots, rot     # before the maps are built
+        upper = np.flatnonzero(self.indices > np.repeat(np.arange(n), np.diff(self.indptr)))
+        lower = transpose[upper]
+        del slots, transpose
+        # s0 and s1 vanish outside the rotation block
+        on_rot = (upper < self.indptr[self.n_theta]) & (self.indices[upper] < self.n_theta)
+        pairs = (upper[on_rot], lower[on_rot])
+        self.symmetric_defect = 0.0
+        for s, (i, j) in zip(self.streams, (pairs, pairs, (upper, lower))):
+            defect = float(np.abs(s[i] - s[j]).max(initial=0.0))
+            if defect:
+                self.symmetric_defect = max(self.symmetric_defect, defect / max(s.max(), -s.min()))
+        del upper, lower, pairs
 
         th_d, u_d = boundary_dof_sets(disc)
         dir_mask = np.zeros(n, dtype=bool)
@@ -175,24 +318,64 @@ class PlateSystem:
         # rotation, the P^{k-1} slots of the displacement) couple only inside
         # their own cell: a solve eliminates them cell by cell and factors
         # the Schur complement on the other free DOFs, the factored ones
-        n_el, te, ue = disc.mesh.n_elements, disc.theta_space.elem_dim, disc.u_space.elem_dim
+        mesh = disc.mesh
+        n_el, te, ue = mesh.n_elements, disc.theta_space.elem_dim, disc.u_space.elem_dim
         factored = is_free.copy()
         factored[:n_el * te] = False
         factored[self.n_theta:self.n_theta + n_el * ue] = False
-        self.factored = np.flatnonzero(factored)
+        # nested-dissection order of the factored DOFs, on the graph of the
+        # mesh entities that hold them: the DOFs of one edge or one vertex
+        # share their pattern row, so one representative DOF per entity
+        # gives the graph, and the DOFs of an entity stay together
+        ne = mesh.n_edges
+        entity = np.concatenate([
+            np.full(n_el * te, -1), np.repeat(np.arange(ne), disc.theta_space.edge_dim),
+            np.full(n_el * ue, -1), np.repeat(np.arange(ne), disc.u_space.edge_dim),
+            ne + np.arange(mesh.n_vertices)])[factored]
+        ents, rep, which = np.unique(entity, return_index=True, return_inverse=True)
+        rep = np.flatnonzero(factored)[rep]
+        graph = sps.csr_matrix((np.ones(nnz, dtype=bool), self.indices, self.indptr),
+                               shape=(n, n))[rep][:, rep]
+        xy = np.concatenate([mesh.vertex_coords[mesh.edge_vertices].mean(axis=1),
+                             mesh.vertex_coords])[ents]
+        cell_of = np.repeat(np.arange(n_el), np.diff(mesh.cell_offsets))
+        local = np.full(ne + mesh.n_vertices, -1)
+        local[ents] = np.arange(ents.size)
+        incidence = local[np.r_[mesh.cell_edges, ne + mesh.cell_vertices]]
+        on = incidence >= 0
+        node, parent, depth = _nested_dissection(
+            graph.indptr, graph.indices, xy, np.bincount(which),
+            (incidence[on], np.r_[cell_of, cell_of][on], mesh.cell_center))
+        order = np.lexsort((which, node[which]))
+        self.factored = np.flatnonzero(factored)[order]
+        n_c = self.factored.size
+        # the separator-tree node of each factored DOF, nondecreasing, and the
+        # parent of each node (the root, last, has -1)
+        self.separator_tree = node[which[order]], parent
+        self.ordering = copy.deepcopy(_SPLU_OPTIONS)
+        self.ordering["prepermutation"] = {
+            "method": "nested dissection", "depth": int(depth.max()),
+            "top_separator": int(np.count_nonzero(self.separator_tree[0] == len(parent) - 1))}
 
         # the condensed matrix sits on the entries with a factored row and
-        # column. Its CSC layout equals its CSR one (the pattern is
-        # symmetric), each entry replaced by its mirror
+        # column, in the new numbering: row r holds the entries of the
+        # pattern row of DOF factored[r], and a CSC transposition sorts the
+        # row indices inside each column, as SuperLU takes them
+        rank = np.full(n, n_c)
+        rank[self.factored] = np.arange(n_c)
         kept = np.flatnonzero(np.repeat(factored, np.diff(self.indptr)) & factored[self.indices])
-        rank = np.cumsum(factored) - 1
-        self._ff_indices = rank[self.indices[kept]].astype(self.indices.dtype)
-        count = np.diff(np.searchsorted(kept, self.indptr))[factored]
-        self._ff_indptr = np.zeros(self.factored.size + 1, dtype=self.indptr.dtype)
-        np.cumsum(count, out=self._ff_indptr[1:])
-        self._ff_gather = transpose[kept]
+        at = np.searchsorted(kept, self.indptr)
+        count = at[self.factored + 1] - at[self.factored]
+        ptr = np.zeros(n_c + 1, dtype=self.indptr.dtype)
+        np.cumsum(count, out=ptr[1:])
+        src = kept[np.repeat(at[self.factored] - ptr[:-1], count)
+                   + np.arange(kept.size)].astype(self.indices.dtype)
+        ff = sps.csr_matrix((src, rank[self.indices[src]].astype(self.indices.dtype), ptr),
+                            shape=(n_c, n_c)).tocsc()
+        self._ff_indptr, self._ff_indices, self._ff_gather = ff.indptr, ff.indices, ff.data
         self._ff_diag = np.flatnonzero(
-            self._ff_indices == np.repeat(np.arange(self.factored.size), count))
+            self._ff_indices == np.repeat(np.arange(n_c), np.diff(self._ff_indptr)))
+        del ff, src
         # per cell group: the interior DOFs I, the positions of K_II and K_IB
         # in the pattern, and the condensed index of each other DOF B, with
         # one past the last for a Dirichlet one. The B x B entries of the
@@ -200,7 +383,6 @@ class PlateSystem:
         # (those of a Dirichlet row or column into one discarded slot)
         data_at = np.full(nnz, kept.size, dtype=self.indices.dtype)
         data_at[self._ff_gather] = np.arange(kept.size)
-        rank[~factored] = self.factored.size
         self._cells, schur_at = [], []
         for s, (dofs, _), nt in zip(cells, index, n_rot):
             inner = np.r_[:te, nt:nt + ue]
@@ -212,11 +394,6 @@ class PlateSystem:
             schur_at.append(data_at[s[:, outer[:, None], outer]])
         self._schur_at = _flat(schur_at, self.indices.dtype)
         self._schur_rows = _flat([rows for _, _, _, rows in self._cells], np.intp)
-        del index, cells, schur_at, data_at
-        # the entries above the diagonal and their mirrors, for the symmetric defect
-        upper = np.flatnonzero(self.indices > np.repeat(np.arange(n), np.diff(self.indptr)))
-        self._upper = upper.astype(self.indices.dtype)
-        self._lower = transpose[upper]
 
     # -- bilinear forms -----------------------------------------------------
 
@@ -258,18 +435,14 @@ class PlateSystem:
         full reduced system K_ff."""
         K = self.full_matrix(material)
         data = K.data
-        defect = data[self._upper]
-        defect -= data[self._lower]
-        sym_defect = float(np.abs(defect, out=defect).max(initial=0.0)
-                           / max(data.max(), -data.min(), 1e-300))
-        del defect
         n = self.n_theta + self.n_u
         x = np.zeros(n)
         if dirichlet_values is not None:
             x[self.dirichlet_mask] = dirichlet_values[self.dirichlet_mask]
         free = self.free
         report = SolveReport(residual=0.0, n_free=free.size,
-                             symmetric_defect=sym_defect, local_cond=self.local_cond)
+                             symmetric_defect=self.symmetric_defect,
+                             local_cond=self.local_cond)
         if free.size:
             rhs = load - K @ x
             rhs[self.dirichlet_mask] = 0.0
@@ -309,7 +482,7 @@ class PlateSystem:
                 except Exception as exc:
                     raise SolverFailure(f"sparse factorization failed: {exc}") from exc
                 report.factor_nnz, report.kff_nnz = int(lu.nnz), int(Ks.nnz)
-                report.ordering = copy.deepcopy(_SPLU_OPTIONS)
+                report.ordering = copy.deepcopy(self.ordering)
 
             def free_solve(r, ys=None):
                 """K_ff^{-1} r on the free DOFs, zero on the others; ``ys``

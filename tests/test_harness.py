@@ -106,12 +106,18 @@ def test_metadata_records_the_solver_per_mesh(tmp_path):
                                         thickness=1e-3, out_dir=str(tmp_path)))
     meta = json.loads((tmp_path / "run_metadata.json").read_text())
     assert len(meta["solver"]) == len(meta["stages"]) == len(records)
-    for n, rec, solver, stages in zip((4, 8), records, meta["solver"], meta["stages"]):
+    # the nested-dissection pre-permutation per mesh: tree depth and the
+    # DOFs of the top separator
+    prepermutations = ((3, 25), (5, 53))
+    for n, rec, solver, stages, (depth, top) in zip((4, 8), records, meta["solver"],
+                                                   meta["stages"], prepermutations):
         assert set(solver) == {"n_free", "n_factored", "kff_nnz", "factor_nnz",
                                "refinement_steps", "residual", "backward_errors",
                                "local_cond", "ordering"}
-        assert solver["ordering"] == {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-                                      "options": {"SymmetricMode": True}}
+        assert solver["ordering"] == {
+            "permc_spec": "NATURAL", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True},
+            "prepermutation": {"method": "nested dissection", "depth": depth,
+                               "top_separator": top}}
         assert set(stages) == {"discretization_s", "plate_system_s", "solve_s", "cells",
                                "edges", "dofs"}
         assert all(stages[s] > 0.0 for s in ("discretization_s", "plate_system_s", "solve_s"))

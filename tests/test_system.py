@@ -430,7 +430,7 @@ def _structural_pattern(system):
             dofs = np.concatenate([theta[g][p] for g, p in zip(group, pos)])[None]
             blocks.append((dofs, dofs, np.ones((1, dofs.shape[1], dofs.shape[1]))))
     pattern = assemble(blocks, (n, n))
-    factored = _factored_dofs(system)
+    factored = system.factored            # in the nested-dissection order
     return pattern[factored][:, factored].tocsc()
 
 
@@ -456,7 +456,8 @@ def test_factored_size_excludes_the_element_interiors(factorizations, case):
     system, _, runs = factorizations[case]
     k, n_el = system.disc.k, system.disc.mesh.n_elements
     size = system.free.size - n_el * (dim_roly(k - 1) + dim_croly(k) + dim_P(k - 1))
-    assert np.array_equal(system.factored, _factored_dofs(system))
+    # the factored DOFs, each once, renumbered by the nested-dissection order
+    assert np.array_equal(np.sort(system.factored), _factored_dofs(system))
     for A, _, rep, _ in runs:
         assert A.shape == (size, size)
         assert rep.n_factored == size
@@ -502,7 +503,7 @@ def test_factored_matrix_is_the_sliced_equilibrated_full_matrix(factorizations, 
     A, _, rep, _ = runs[_THICKNESSES.index(t)]
     K = system.full_matrix(MaterialParams(t=t))
     inner = np.intersect1d(system.free, _interior_dofs(system))
-    outer = _factored_dofs(system)
+    outer = system.factored               # in the nested-dissection order
     schur = K[outer][:, outer].tocsc()
     if inner.size:
         K_II = K[inner][:, inner].tocsc()
@@ -577,3 +578,123 @@ def test_local_conditioning_does_not_grow_under_refinement(k):
     sizes = (4, 8, 16, 32) if k < 2 else (4, 8, 16)
     conds = [PlateSystem(Discretization(triangular_mesh(n), k)).local_cond for n in sizes]
     assert max(conds) < 1.5 * min(conds)
+
+
+# -- nested-dissection ordering ---------------------------------------------
+
+
+def _asset(name):
+    return load_mesh(str(resources.files("ddrplate") / "assets" / "meshes" / f"{name}.json"))
+
+
+def _jittered(mesh, seed=0, amount=0.2):
+    """The mesh with its interior vertices moved by up to ``amount`` times
+    the mesh size, seeded, so that no coordinate ties remain."""
+    move = amount * mesh.h * (np.random.default_rng(seed).random(mesh.vertex_coords.shape) - 0.5)
+    move[mesh.boundary_vertices] = 0.0
+    loops = np.split(mesh.cell_vertices, mesh.cell_offsets[1:-1])
+    return build_mesh(mesh.vertex_coords + move, [loop.tolist() for loop in loops])
+
+
+_ORDER_CASES = ([("tri", k) for k in range(4)]
+                + [("hexa", 1), ("hexa", 0), ("locref", 0), ("locref", 2), ("jitter", 0),
+                   ("jitter", 1)])
+
+
+def _order_mesh(family):
+    return {"tri": lambda: triangular_mesh(8), "hexa": lambda: _asset("hexa_02"),
+            "locref": lambda: _asset("locref_02"),
+            "jitter": lambda: _jittered(triangular_mesh(8))}[family]()
+
+
+@pytest.mark.parametrize("case", _ORDER_CASES, ids=lambda c: f"{c[0]}-k{c[1]}")
+def test_condensed_entries_couple_ancestors_in_the_separator_tree(case):
+    """The factored DOFs are ordered by a nested-dissection separator tree,
+    numbered in postorder: every stored entry of the condensed pattern
+    couples two DOFs whose nodes are an ancestor and a descendant (or the
+    same node), so no entry joins two subtrees that a separator parts. At
+    k = 0 this covers the jump's couplings across edges."""
+    family, k = case
+    system = PlateSystem(Discretization(_order_mesh(family), k))
+    node, parent = system.separator_tree
+    assert node.shape == system.factored.shape
+    assert np.all(np.diff(node) >= 0)                       # the DOFs by node
+    root = len(parent) - 1
+    assert parent[root] == -1
+    assert np.all(parent[:root] > np.arange(root))          # postorder
+    pattern = _structural_pattern(system).tocoo()
+    low = np.minimum(node[pattern.row], node[pattern.col])
+    high = np.maximum(node[pattern.row], node[pattern.col])
+    climbing = low < high
+    while climbing.any():
+        low[climbing] = parent[low[climbing]]
+        climbing = (low >= 0) & (low < high)
+    assert np.array_equal(low, high)
+    prepermutation = system.ordering["prepermutation"]
+    assert prepermutation["method"] == "nested dissection"
+    assert prepermutation["top_separator"] == np.count_nonzero(node == root) > 0
+    depth = np.zeros(len(parent), dtype=int)
+    for i in range(root - 1, -1, -1):                       # parents come later
+        depth[i] = depth[parent[i]] + 1
+    assert prepermutation["depth"] == depth.max()
+
+
+def test_ordering_is_deterministic():
+    """Two builds of one mesh give the same permutation and tree."""
+    mesh = _jittered(triangular_mesh(8), seed=3)
+    first, second = (PlateSystem(Discretization(mesh, 1)) for _ in range(2))
+    assert np.array_equal(first.factored, second.factored)
+    for a, b in zip(first.separator_tree, second.separator_tree):
+        assert np.array_equal(a, b)
+    assert first.ordering == second.ordering
+
+
+@pytest.mark.parametrize("case", [("tri32", 0), ("tri16", 3), ("hexa_03", 1), ("locref_03", 0)],
+                         ids=lambda c: f"{c[0]}-k{c[1]}")
+def test_nested_dissection_fill_stays_near_minimum_degree(case, monkeypatch):
+    """L + U of the pre-permuted condensed matrix is at most 1.10 times the
+    fill of SuperLU's minimum-degree ordering of A^T + A on the same matrix
+    (measured: 1.06 / 1.02 / 1.01 / 1.00)."""
+    name, k = case
+    mesh = triangular_mesh(int(name[3:])) if name.startswith("tri") else _asset(name)
+    system = PlateSystem(Discretization(mesh, k))
+    captured = []
+    splu = ddrplate.system.splu
+    monkeypatch.setattr(ddrplate.system, "splu",
+                        lambda A, **kwargs: captured.append(A) or splu(A, **kwargs))
+    _, _, rep = system.solve(MaterialParams(t=1e-3), system.load_vector(lambda x: np.ones(len(x))))
+    mmd = splu(captured[0], permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+               options={"SymmetricMode": True})
+    assert rep.ordering["permc_spec"] == "NATURAL"
+    assert rep.factor_nnz <= 1.10 * mmd.nnz
+
+
+@pytest.mark.parametrize("case", [("tri", 0), ("tri", 3), ("hexa", 0), ("hexa", 2), ("locref", 0)],
+                         ids=lambda c: f"{c[0]}-k{c[1]}")
+def test_streams_are_bitwise_symmetric(case):
+    """Every cell block is symmetrised once, the k = 0 jump lists each DOF
+    once, and mirrored entries are summed in the same order: each stream,
+    and so every matrix combined from them, is symmetric bit for bit, and
+    the defect a solve reports is zero."""
+    family, k = case
+    system = PlateSystem(Discretization(_order_mesh(family), k))
+    for i in range(3):
+        s = stream(system, i)
+        assert (s != s.T).nnz == 0
+    assert system.symmetric_defect == 0.0
+    K = system.full_matrix(MaterialParams(t=1e-5))
+    assert (K != K.T).nnz == 0
+
+
+def test_symmetric_defect_is_measured_on_the_streams(monkeypatch):
+    """Without the symmetrisation of the cell blocks the shear stream's
+    G^T M G blocks differ from their transposes by round-off, and the defect
+    computed with the streams is the largest relative |s - s^T| among them."""
+    monkeypatch.setattr(ddrplate.system, "_sym", lambda block: block)
+    system = PlateSystem(Discretization(triangular_mesh(4), 3))
+    defects = []
+    for i in range(3):
+        s = stream(system, i)
+        defects.append(abs(s - s.T).max() / abs(s).max())
+    assert defects[2] > 0.0
+    assert system.symmetric_defect == max(defects)
