@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -26,6 +26,14 @@ from .system import MaterialParams, PlateSystem
 
 MESH_FAMILIES = ("tri", "hexa", "locref")
 PROPERTY_TEST_SEED = 218650  # fixed seed used by the randomized test suite
+# the generated family's finest mesh is tri_n{4 * 2**(refinements - 1)}; at the
+# bound, tri_n256 (131,072 cells) needs gigabytes already at k = 0 (the factor
+# of tri_n64 holds 8.8e6 entries, and fill grows like N log N), and each
+# refinement past it quadruples the cells
+_MAX_TRI_REFINEMENTS = 7
+# four times the largest boost the tests use; the fan rule grows with the
+# square of (k + 4 + quad_boost / 2) points per fan triangle
+_MAX_QUAD_BOOST = 16
 
 
 @dataclass
@@ -56,8 +64,13 @@ class RunConfig:
             raise ConfigError(f"unknown mesh family {self.mesh_family!r}")
         if self.refinements < 1:
             raise ConfigError("at least one mesh is required")
-        if self.quad_boost < 0:
-            raise ConfigError("quadrature boost must be >= 0")
+        if (self.mesh_dir is None and self.mesh_family == "tri"
+                and self.refinements > _MAX_TRI_REFINEMENTS):
+            raise ConfigError(f"the tri family has at most {_MAX_TRI_REFINEMENTS} "
+                              f"refinements, got {self.refinements}")
+        if not 0 <= self.quad_boost <= _MAX_QUAD_BOOST:
+            raise ConfigError(f"quadrature boost must be in 0..{_MAX_QUAD_BOOST}, "
+                              f"got {self.quad_boost}")
         if self.fmt not in ("dat", "csv", "both"):
             raise ConfigError(f"unknown output format {self.fmt!r}")
 
@@ -144,16 +157,11 @@ def run_single(config: RunConfig, mesh: PolygonalMesh | None = None,
     except DdrError as exc:
         raise type(exc)(f"[mesh {mesh_name}] {exc}") from exc
     t.append(time.perf_counter())
-    solver = {"n_free": report.n_free, "n_factored": report.n_factored,
-              "kff_nnz": report.kff_nnz,
-              "factor_nnz": report.factor_nnz, "refinement_steps": report.refinement_steps,
-              "residual": report.residual, "backward_errors": report.backward_errors,
-              "local_cond": report.local_cond, "ordering": report.ordering}
     stages = {"discretization_s": t[1] - t[0], "plate_system_s": t[2] - t[1],
               "solve_s": t[3] - t[2], "cells": mesh.n_elements, "edges": mesh.n_edges,
               "dofs": system.n_theta + system.n_u}
     return RunResult(mesh_name, mesh.h, int(system.free.size), error, t[3] - t[0],
-                     report.residual, solver, stages)
+                     report.residual, asdict(report), stages)
 
 
 def compute_rates(records: list[ConvergenceRecord]) -> list[ConvergenceRecord]:

@@ -81,7 +81,6 @@ class MaterialParams:
 class SolveReport:
     residual: float
     n_free: int
-    symmetric_defect: float
     refinement_steps: int = 0     # corrections applied after the first solve
     factor_nnz: int = 0           # nonzeros of L + U (SuperLU's count)
     local_cond: float = 0.0       # worst cond of the local P_T, P_U and P1 solves
@@ -229,15 +228,14 @@ class PlateSystem:
     ``streams`` holds the data of s0 (symmetric-gradient form, stabilisation
     and, at k = 0, the jump), s1 (divergence form) and s2 (the shear form
     [I, -G]^T M [I, -G]), all summed from symmetrised cell blocks, so each is
-    symmetric bit for bit; ``symmetric_defect`` is their largest relative
-    |s - s^T|. The ``factored`` DOFs (the free ones less the element
-    interiors) are listed in a nested-dissection order of the mesh edges and
-    vertices that hold them, with its ``separator_tree`` and the
+    symmetric bit for bit. The ``factored`` DOFs (the free ones less the
+    element interiors) are listed in a nested-dissection order of the mesh
+    edges and vertices that hold them, with its ``separator_tree`` and the
     ``ordering`` record every solve reports. The maps a solve needs onto the
     pattern are built here too: the positions of each cell's interior blocks
     K_II and K_IB, the condensed matrix on the factored DOFs, in that order,
-    in CSC layout with its diagonal, and where each Schur-block entry lands
-    in it. A solve only combines, gathers and eliminates data."""
+    in CSC layout, and where each Schur-block entry lands in it. A solve
+    only combines, gathers and eliminates data."""
 
     def __init__(self, disc: Discretization):
         self.disc = disc
@@ -269,7 +267,7 @@ class PlateSystem:
             bending[1].append(_sym(_t(h.DD) @ h.DD))
             mg = p.M_theta @ g
             block = np.empty(dofs.shape + dofs.shape[1:])
-            block[:, :nt, :nt] = _sym(p.M_theta)
+            block[:, :nt, :nt] = p.M_theta      # build_local_pack symmetrises it
             block[:, :nt, nt:] = -mg
             block[:, nt:, :nt] = -_t(mg)
             block[:, nt:, nt:] = _sym(_t(g) @ mg)
@@ -286,26 +284,10 @@ class PlateSystem:
                        nnz, keys + [disc.mesh.n_elements + e for e in edge_ids]),
             sum_blocks(rot, bending[1], nnz, keys),
             sum_blocks(cells, shear, nnz, keys)]
-        del bending, shear, jump, rot     # before the maps are built
         # every block is symmetric, and the blocks of an entry and of its
         # mirror are summed in the same order: each stream is symmetric bit
-        # for bit, and so is every matrix combined from them. The largest
-        # relative |s - s^T| over the streams is the defect a solve reports
-        transpose = np.empty(nnz, dtype=self.indices.dtype)
-        for s in slots:
-            transpose[s] = np.swapaxes(s, 1, 2)
-        upper = np.flatnonzero(self.indices > np.repeat(np.arange(n), np.diff(self.indptr)))
-        lower = transpose[upper]
-        del slots, transpose
-        # s0 and s1 vanish outside the rotation block
-        on_rot = (upper < self.indptr[self.n_theta]) & (self.indices[upper] < self.n_theta)
-        pairs = (upper[on_rot], lower[on_rot])
-        self.symmetric_defect = 0.0
-        for s, (i, j) in zip(self.streams, (pairs, pairs, (upper, lower))):
-            defect = float(np.abs(s[i] - s[j]).max(initial=0.0))
-            if defect:
-                self.symmetric_defect = max(self.symmetric_defect, defect / max(s.max(), -s.min()))
-        del upper, lower, pairs
+        # for bit, and so is every matrix combined from them
+        del bending, shear, jump, rot, slots     # before the maps are built
 
         th_d, u_d = boundary_dof_sets(disc)
         dir_mask = np.zeros(n, dtype=bool)
@@ -373,8 +355,6 @@ class PlateSystem:
         ff = sps.csr_matrix((src, rank[self.indices[src]].astype(self.indices.dtype), ptr),
                             shape=(n_c, n_c)).tocsc()
         self._ff_indptr, self._ff_indices, self._ff_gather = ff.indptr, ff.indices, ff.data
-        self._ff_diag = np.flatnonzero(
-            self._ff_indices == np.repeat(np.arange(n_c), np.diff(self._ff_indptr)))
         del ff, src
         # per cell group: the interior DOFs I, the positions of K_II and K_IB
         # in the pattern, and the condensed index of each other DOF B, with
@@ -440,9 +420,7 @@ class PlateSystem:
         if dirichlet_values is not None:
             x[self.dirichlet_mask] = dirichlet_values[self.dirichlet_mask]
         free = self.free
-        report = SolveReport(residual=0.0, n_free=free.size,
-                             symmetric_defect=self.symmetric_defect,
-                             local_cond=self.local_cond)
+        report = SolveReport(residual=0.0, n_free=free.size, local_cond=self.local_cond)
         if free.size:
             rhs = load - K @ x
             rhs[self.dirichlet_mask] = 0.0
@@ -463,19 +441,8 @@ class PlateSystem:
             n_c = report.n_factored = self.factored.size
             lu = None
             if n_c:
-                # symmetric Jacobi equilibration tames the kappa/t^2 block
-                # scaling of very thin plates; iterative refinement then
-                # recovers a machine-accurate residual from the equilibrated
-                # factorization. The entries are scaled on the condensed
-                # pattern, so no product drops an entry that underflows or
-                # cancels.
-                d = np.sqrt(np.abs(kc[self._ff_diag]))
-                d[d <= 0] = 1.0
-                dinv = 1.0 / d
-                scale = dinv[self._ff_indices]
-                scale *= np.repeat(dinv, np.diff(self._ff_indptr))
-                kc *= scale
-                del scale
+                # no symmetric scaling D K D: in a fixed order with diagonal
+                # pivots it would only rescale the factors, D L D^-1 and D U D
                 Ks = sps.csc_matrix((kc, self._ff_indices, self._ff_indptr), shape=(n_c, n_c))
                 try:
                     lu = splu(Ks, **_SPLU_OPTIONS)
@@ -498,7 +465,7 @@ class PlateSystem:
                     rc -= np.bincount(self._schur_rows, coupling, n_c + 1)[:-1]
                 xc = np.zeros(n_c + 1)          # the last entry stands for Dirichlet DOFs
                 if lu is not None:
-                    xc[:-1] = dinv * lu.solve(dinv * rc)
+                    xc[:-1] = lu.solve(rc)
                 out = np.zeros(n)
                 out[self.factored] = xc[:-1]
                 for (dofs, _, _, rows), (_, _, xb), y in zip(self._cells, interior, ys):

@@ -63,6 +63,23 @@ def test_cli_thickness_out_of_range(args, capsys):
     assert "ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--refinements", "8"],
+    ["--refinements", "40"],
+    ["--refinements", "1", "--quad-boost", "17"],
+], ids=["refinements", "refinements_huge", "quad_boost"])
+def test_cli_oversized_run_is_a_config_error(args, capsys, monkeypatch):
+    """Past the bounds the run stops with exit code 1 before any mesh is built."""
+    def no_mesh(n):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr("ddrplate.harness.triangular_mesh", no_mesh)
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert "ConfigError" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("refinements", ["1", "2"])
 def test_cli_unwritable_output_path(tmp_path, capsys, refinements):
     """An output path below a regular file is a ConfigError naming the

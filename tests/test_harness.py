@@ -47,6 +47,24 @@ def test_config_validation():
         RunConfig(fmt="yaml")
 
 
+def test_config_bounds_the_generated_meshes_and_the_quadrature_boost(monkeypatch):
+    """The tri family stops at 7 refinements (finest mesh tri_n256) and the
+    boost at 16; one past either bound is refused before any mesh is built.
+    Bundled families and mesh directories are bounded by their files."""
+    def no_mesh(n):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr("ddrplate.harness.triangular_mesh", no_mesh)
+    RunConfig(refinements=7)
+    RunConfig(quad_boost=16)
+    RunConfig(mesh_family="hexa", refinements=8)
+    RunConfig(mesh_dir="meshes", refinements=8)
+    for bad in (dict(refinements=8), dict(refinements=40), dict(quad_boost=17),
+                dict(quad_boost=-1)):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad)
+
+
 def test_run_convergence_needs_two_meshes():
     with pytest.raises(ConfigError):
         run_convergence(RunConfig(refinements=1))
