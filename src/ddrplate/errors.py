@@ -38,4 +38,4 @@ class DegenerateRate(DdrError):
 
 
 class ZeroNormError(DdrError):
-    """Relative error undefined: reference interpolate has zero energy norm."""
+    """Relative error undefined: a zero or non-finite (overflowing) energy norm."""

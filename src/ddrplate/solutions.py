@@ -14,13 +14,20 @@ identically for any shear correction factor.
   load (beta0 + beta1) * Lap^2 g = 4 pi^4 (beta0 + beta1) g does not depend
   on t, while |gamma|_{H^s} grows like t^{1/2 - s} as t -> 0.
 
-All derivative evaluators are hand-derived closed forms; the test suite
-cross-checks them against a Richardson-extrapolated finite-difference oracle.
+Each potential is a sum of separable terms P(x1) Q(x2), and only their
+one-dimensional derivative tables up to order four are hand-derived. Every
+field is a fixed sum of mixed derivatives d1^a d2^b v = sum P^(a) Q^(b), which
+one rule (`_derivative_field`) forms; the test suite cross-checks the fields
+against a Richardson-extrapolated finite-difference oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
+from math import comb
+from operator import iadd
 from typing import Callable
 
 import numpy as np
@@ -58,163 +65,129 @@ class ExactSolution:
         return -(gg[:, 0, 0] + gg[:, 1, 1]) - self.f(x)
 
 
+def _components(j: int, k: int) -> list[tuple]:
+    """grad^k Lap^j v by components in row-major order, each a tuple of terms
+    (coef, a, b) for coef * d1^a d2^b v: Lap^j expands binomially in
+    descending powers of d1, and each gradient index adds one order."""
+    lap = [(comb(j, i), 2 * (j - i), 2 * i) for i in range(j + 1)]
+    return [tuple((c, a + s.count(0), b + s.count(1)) for c, a, b in lap)
+            for s in product((0, 1), repeat=k)]
+
+
+def _derivative_field(k: int, combo, terms, divisor: float):
+    """The evaluator x -> sum of coef * grad^k Lap^j v over (coef, j) in
+    ``combo``, for v = (sum of the separable ``terms``) / divisor.
+
+    A term maps x and the derivative orders needed along x1 and along x2 to
+    its one-dimensional tables P, Q (indexed by order) and a weight w per
+    total order (or None), and adds w[a + b] * P[a] * Q[b] to d1^a d2^b v.
+    Only the needed orders are tabulated, each component is formed once per
+    call, and each grad^k Lap^j v sums its terms left to right in the order
+    above and is divided by ``divisor`` last."""
+    fields = [(coef, _components(j, k)) for coef, j in combo]
+    used = [(a, b) for _, comps in fields for comp in comps for _, a, b in comp]
+    orders = sorted({a for a, _ in used}), sorted({b for _, b in used})
+
+    def evaluate(x):
+        tables = [term(x, *orders) for term in terms]
+
+        def mixed(a, b):
+            return reduce(iadd, ((P[a] if w is None else w[a + b] * P[a]) * Q[b]
+                                 for P, Q, w in tables))
+
+        def field(comps):
+            # each distinct component once, freed with the call; every sum
+            # and scaling works in place on an array made here
+            done = {comp: reduce(iadd, (mixed(a, b) if c == 1 else c * mixed(a, b)
+                                        for c, a, b in comp))
+                    for comp in dict.fromkeys(comps)}
+            if not k:
+                return done[comps[0]]
+            return np.stack([done[comp] for comp in comps], axis=-1).reshape(
+                x.shape[:1] + (2,) * k)
+
+        values = []
+        for coef, comps in fields:
+            value = field(comps)
+            if divisor != 1.0:
+                value /= divisor
+            if coef != 1.0:
+                value *= coef
+            values.append(value)
+        return reduce(iadd, values)
+
+    return evaluate
+
+
 def _gradient_form_solution(name: str, material: MaterialParams, homogeneous: bool,
-                            v, grad_v, hess_v, lap_v, grad_lap_v, hess_lap_v,
-                            bilap_v) -> ExactSolution:
-    """Assemble the evaluators of the gradient construction from the
-    derivatives of the potential v."""
+                            terms, load_terms, divisor: float = 1.0) -> ExactSolution:
+    """Assemble the evaluators of the gradient construction for the potential
+    v = (sum of ``terms``) / divisor. The load reads only ``load_terms``, the
+    terms that are not biharmonic, so a biharmonic term adds no round-off."""
     m = material
-    c = (m.beta0 + m.beta1) / m.kappa
-    t2 = m.t ** 2
-
-    def u(x):
-        return v(x) - t2 * c * lap_v(x)
-
-    def grad_u(x):
-        return grad_v(x) - t2 * c * grad_lap_v(x)
-
-    def theta(x):
-        return grad_v(x)
-
-    def grad_theta(x):
-        return hess_v(x)
-
-    def gamma(x):
-        return -(m.beta0 + m.beta1) * grad_lap_v(x)
-
-    def grad_gamma(x):
-        return -(m.beta0 + m.beta1) * hess_lap_v(x)
-
-    def f(x):
-        return (m.beta0 + m.beta1) * bilap_v(x)
-
+    b = m.beta0 + m.beta1
+    corrected = ((1.0, 0), (-(m.t ** 2 * (b / m.kappa)), 1))   # v - t^2 (b/kappa) Lap v
+    fields = [(0, corrected), (1, corrected),                  # u, grad u
+              (1, ((1.0, 0),)), (2, ((1.0, 0),)),              # theta, grad theta
+              (1, ((-b, 1),)), (2, ((-b, 1),))]                # gamma, grad gamma
     return ExactSolution(name, homogeneous, material,
-                         u, grad_u, theta, grad_theta, gamma, grad_gamma, f)
+                         *(_derivative_field(k, combo, terms, divisor) for k, combo in fields),
+                         _derivative_field(0, ((b, 2),), load_terms, divisor))
 
 
-def _p_derivs(x: np.ndarray):
-    """x^3 (x-1)^3 and its first four derivatives, via s = x^2 - x."""
+def _p_derivs(x: np.ndarray, orders) -> dict:
+    """The derivatives of x^3 (x-1)^3 of the given orders (0 to 4), via
+    s = x^2 - x."""
     s = x * x - x
     ds = 2.0 * x - 1.0
-    p = s * s * s        # s <= 0 on [0, 1]: a power of a negative base is slow
-    p1 = 3.0 * s * s * ds
-    p2 = 6.0 * s * (5.0 * s + 1.0)
-    p3 = (60.0 * s + 6.0) * ds
-    p4 = 360.0 * s + 72.0
-    return p, p1, p2, p3, p4
+    table = {0: lambda: s * s * s,   # s <= 0 on [0, 1]: a power of a negative base is slow
+             1: lambda: 3.0 * s * s * ds,
+             2: lambda: 6.0 * s * (5.0 * s + 1.0),
+             3: lambda: (60.0 * s + 6.0) * ds,
+             4: lambda: 360.0 * s + 72.0}
+    return {a: table[a]() for a in orders}
+
+
+def _trig_derivs(z: np.ndarray, orders, phase: int = 0) -> dict:
+    """d^a/dz^a sin(z + phase * pi/2) for a in ``orders``: the cycle sin, cos,
+    -sin, -cos, with each of sin z and cos z evaluated once if at all."""
+    base = {r: (np.sin, np.cos)[r](z) for r in {(a + phase) % 2 for a in orders}}
+    return {a: base[(a + phase) % 2] if (a + phase) % 4 < 2 else -base[(a + phase) % 2]
+            for a in orders}
 
 
 def polynomial_solution(material: MaterialParams) -> ExactSolution:
     """Clamped polynomial solution; rotation is the gradient of
     (1/3) x^3 (x-1)^3 y^3 (y-1)^3."""
 
-    def parts(x):
-        return _p_derivs(x[:, 0]), _p_derivs(x[:, 1])
+    def term(x, orders1, orders2):
+        return _p_derivs(x[:, 0], orders1), _p_derivs(x[:, 1], orders2), None
 
-    def v(x):
-        (p, *_), (q, *_) = parts(x)
-        return p * q / 3.0
-
-    def grad_v(x):
-        (p, p1, *_), (q, q1, *_) = parts(x)
-        return np.stack([p1 * q, p * q1], axis=-1) / 3.0
-
-    def hess_v(x):
-        (p, p1, p2, *_), (q, q1, q2, *_) = parts(x)
-        h = np.empty(x.shape[:1] + (2, 2))
-        h[:, 0, 0] = p2 * q
-        h[:, 0, 1] = h[:, 1, 0] = p1 * q1
-        h[:, 1, 1] = p * q2
-        return h / 3.0
-
-    def lap_v(x):
-        (p, _, p2, *_), (q, _, q2, *_) = parts(x)
-        return (p2 * q + p * q2) / 3.0
-
-    def grad_lap_v(x):
-        (p, p1, p2, p3, _), (q, q1, q2, q3, _) = parts(x)
-        return np.stack([p3 * q + p1 * q2, p2 * q1 + p * q3], axis=-1) / 3.0
-
-    def hess_lap_v(x):
-        (p, p1, p2, p3, p4), (q, q1, q2, q3, q4) = parts(x)
-        h = np.empty(x.shape[:1] + (2, 2))
-        h[:, 0, 0] = p4 * q + p2 * q2
-        h[:, 0, 1] = h[:, 1, 0] = p3 * q1 + p1 * q3
-        h[:, 1, 1] = p2 * q2 + p * q4
-        return h / 3.0
-
-    def bilap_v(x):
-        (p, _, p2, _, p4), (q, _, q2, _, q4) = parts(x)
-        return (p4 * q + 2.0 * p2 * q2 + p * q4) / 3.0
-
-    return _gradient_form_solution("polynomial", material, True, v, grad_v,
-                                   hess_v, lap_v, grad_lap_v, hess_lap_v, bilap_v)
+    return _gradient_form_solution("polynomial", material, True, [term], [term], 3.0)
 
 
 def analytical_solution(material: MaterialParams) -> ExactSolution:
     """Boundary-layer solution with non-homogeneous traces; the load is
     independent of t and the shear strain concentrates near x1 = 0."""
     t = material.t
-    pi = np.pi
+    # d1^a d2^b [t^3 V(x/t)] = t^(3-a-b) (d^a V)(x/t), the power taken whole:
+    # t^3 underflows and t^-b overflows long before their product does
+    layer_weights = [t ** (3 - s) for s in range(5)]
+    smooth_weights = [np.pi ** s for s in range(5)]
 
-    def trig(x):
-        s1, c1 = np.sin(pi * x[:, 0]), np.cos(pi * x[:, 0])
-        s2, c2 = np.sin(pi * x[:, 1]), np.cos(pi * x[:, 1])
-        return s1, c1, s2, c2
+    def layer(x, orders1, orders2):
+        # d^a/dy^a (y e^{-y}) = (-1)^a (y - a) e^{-y}, and cos y = sin(y + pi/2)
+        y1 = x[:, 0] / t
+        e = _safe_exp(-y1)
+        P = {a: ((a - y1) if a % 2 else (y1 - a)) * e for a in orders1}
+        return P, _trig_derivs(x[:, 1] / t, orders2, phase=1), layer_weights
 
-    def layer(x):
-        y1, y2 = x[:, 0] / t, x[:, 1] / t
-        return y1, _safe_exp(-y1), np.cos(y2), np.sin(y2)
+    def smooth(x, orders1, orders2):
+        return (_trig_derivs(np.pi * x[:, 0], orders1),
+                _trig_derivs(np.pi * x[:, 1], orders2), smooth_weights)
 
-    def v(x):
-        y1, e, c, s = layer(x)
-        s1, _, s2, _ = trig(x)
-        return t ** 3 * y1 * e * c + s1 * s2
-
-    def grad_v(x):
-        y1, e, c, s = layer(x)
-        s1, c1, s2, c2 = trig(x)
-        # d/dx [t^3 V(x/t)] = t^2 (grad V)(x/t)
-        g1 = t * t * (1.0 - y1) * e * c + pi * c1 * s2
-        g2 = t * t * (-y1 * e * s) + pi * s1 * c2
-        return np.stack([g1, g2], axis=-1)
-
-    def hess_v(x):
-        y1, e, c, s = layer(x)
-        s1, c1, s2, c2 = trig(x)
-        h = np.empty(x.shape[:1] + (2, 2))
-        h[:, 0, 0] = t * (y1 - 2.0) * e * c - pi * pi * s1 * s2
-        h[:, 0, 1] = h[:, 1, 0] = t * (y1 - 1.0) * e * s + pi * pi * c1 * c2
-        h[:, 1, 1] = t * (-y1 * e * c) - pi * pi * s1 * s2
-        return h
-
-    def lap_v(x):
-        y1, e, c, s = layer(x)
-        s1, _, s2, _ = trig(x)
-        return t * (-2.0 * e * c) - 2.0 * pi ** 2 * s1 * s2
-
-    def grad_lap_v(x):
-        y1, e, c, s = layer(x)
-        s1, c1, s2, c2 = trig(x)
-        g1 = 2.0 * e * c - 2.0 * pi ** 3 * c1 * s2
-        g2 = 2.0 * e * s - 2.0 * pi ** 3 * s1 * c2
-        return np.stack([g1, g2], axis=-1)
-
-    def hess_lap_v(x):
-        y1, e, c, s = layer(x)
-        s1, c1, s2, c2 = trig(x)
-        h = np.empty(x.shape[:1] + (2, 2))
-        h[:, 0, 0] = -2.0 / t * e * c + 2.0 * pi ** 4 * s1 * s2
-        h[:, 0, 1] = h[:, 1, 0] = -2.0 / t * e * s - 2.0 * pi ** 4 * c1 * c2
-        h[:, 1, 1] = 2.0 / t * e * c + 2.0 * pi ** 4 * s1 * s2
-        return h
-
-    def bilap_v(x):
-        s1, _, s2, _ = trig(x)
-        return 4.0 * pi ** 4 * s1 * s2
-
-    return _gradient_form_solution("analytical", material, False, v, grad_v,
-                                   hess_v, lap_v, grad_lap_v, hess_lap_v, bilap_v)
+    # Lap^2 V = 0: the layer stays out of the load
+    return _gradient_form_solution("analytical", material, False, [layer, smooth], [smooth])
 
 
 def get_solution(name: str, material: MaterialParams) -> ExactSolution:

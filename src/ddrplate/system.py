@@ -107,6 +107,13 @@ def _sym(block: np.ndarray) -> np.ndarray:
     return 0.5 * (block + _t(block))
 
 
+def _norm(v: np.ndarray) -> float:
+    """2-norm of v, taken on v / max|v| so that no square overflows; NaN
+    stays NaN."""
+    s = float(np.max(np.abs(v), initial=0.0))
+    return s * float(np.linalg.norm(v / s)) if 0.0 < s < np.inf else s
+
+
 def _nested_dissection(indptr: np.ndarray, indices: np.ndarray, xy: np.ndarray,
                        weight: np.ndarray, cells: tuple[np.ndarray, np.ndarray, np.ndarray]
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -340,29 +347,24 @@ class PlateSystem:
             "top_separator": int(np.count_nonzero(self.separator_tree[0] == len(parent) - 1))}
 
         # the condensed matrix sits on the entries with a factored row and
-        # column, in the new numbering: row r holds the entries of the
-        # pattern row of DOF factored[r], and a CSC transposition sorts the
-        # row indices inside each column, as SuperLU takes them
+        # column, in the new numbering: the pattern sliced to the factored
+        # DOFs, with each entry's position (plus one, so none is zero) as
+        # its data, and a CSC layout that sorts the row indices inside each
+        # column, as SuperLU takes them
         rank = np.full(n, n_c)
         rank[self.factored] = np.arange(n_c)
-        kept = np.flatnonzero(np.repeat(factored, np.diff(self.indptr)) & factored[self.indices])
-        at = np.searchsorted(kept, self.indptr)
-        count = at[self.factored + 1] - at[self.factored]
-        ptr = np.zeros(n_c + 1, dtype=self.indptr.dtype)
-        np.cumsum(count, out=ptr[1:])
-        src = kept[np.repeat(at[self.factored] - ptr[:-1], count)
-                   + np.arange(kept.size)].astype(self.indices.dtype)
-        ff = sps.csr_matrix((src, rank[self.indices[src]].astype(self.indices.dtype), ptr),
-                            shape=(n_c, n_c)).tocsc()
-        self._ff_indptr, self._ff_indices, self._ff_gather = ff.indptr, ff.indices, ff.data
-        del ff, src
+        ff = sps.csr_matrix((np.arange(1, nnz + 1), self.indices, self.indptr),
+                            shape=(n, n))[self.factored][:, self.factored].tocsc()
+        self._ff_indptr, self._ff_indices = ff.indptr, ff.indices
+        self._ff_gather = (ff.data - 1).astype(self.indices.dtype)
+        del ff
         # per cell group: the interior DOFs I, the positions of K_II and K_IB
         # in the pattern, and the condensed index of each other DOF B, with
         # one past the last for a Dirichlet one. The B x B entries of the
         # Schur blocks K_BI K_II^{-1} K_IB are summed into the condensed data
         # (those of a Dirichlet row or column into one discarded slot)
-        data_at = np.full(nnz, kept.size, dtype=self.indices.dtype)
-        data_at[self._ff_gather] = np.arange(kept.size)
+        data_at = np.full(nnz, self._ff_gather.size, dtype=self.indices.dtype)
+        data_at[self._ff_gather] = np.arange(self._ff_gather.size)
         self._cells, schur_at = [], []
         for s, (dofs, _), nt in zip(cells, index, n_rot):
             inner = np.r_[:te, nt:nt + ue]
@@ -473,20 +475,22 @@ class PlateSystem:
                 return out
 
             x += free_solve(rhs, ys)
-            # relative residual = normwise backward error on the full K_ff;
-            # the naive ||r||/||b|| is floored at eps*||K||*||x||/||b|| by
-            # cancellation in K@x when kappa/t^2 is large, which says nothing
-            # about the factorization quality
+            # relative residual = normwise backward error on the full K_ff,
+            # ||r|| / (||K|| ||x|| + ||b||); the naive ||r||/||b|| is floored at
+            # eps*||K||*||x||/||b|| by cancellation in K@x when kappa/t^2 is
+            # large, which says nothing about the factorization quality. It
+            # does not change when K and b are scaled together, so r and b are
+            # taken over ||K||, and every norm on a scaled vector
             abs_k = sps.csr_matrix((np.abs(data), K.indices, K.indptr), shape=K.shape)
             knorm = float(np.max((abs_k @ (~self.dirichlet_mask).astype(float))[free]))
             del abs_k
-            rhs_norm = np.linalg.norm(rhs)
+            rhs_norm = _norm(rhs / knorm)
 
             def residual():
                 r = load - K @ x
                 r[self.dirichlet_mask] = 0.0
-                den = knorm * np.linalg.norm(x[free]) + rhs_norm
-                return r, float(np.linalg.norm(r) / max(den, 1e-300))
+                den = _norm(x[free]) + rhs_norm
+                return r, _norm(r / knorm) / max(den, 1e-300)
 
             r, error = residual()
             errors = report.backward_errors
@@ -499,7 +503,7 @@ class PlateSystem:
             if not np.all(np.isfinite(x[free])):
                 raise SolverFailure("solver produced non-finite values")
             report.residual = errors[-1]
-            if report.residual > _RESIDUAL_TOL:
+            if not report.residual <= _RESIDUAL_TOL:          # NaN fails too
                 raise SolverFailure(
                     f"solver residual {report.residual:.3e} above {_RESIDUAL_TOL:.1e}")
         theta = ThetaVector(self.disc.theta_space, x[:self.n_theta])
@@ -517,12 +521,16 @@ class PlateSystem:
     def relative_error(self, material: MaterialParams,
                        theta: ThetaVector, u: UVector,
                        theta_ref: ThetaVector, u_ref: UVector) -> float:
-        sq = self._energy_squares(
-            material, np.stack([theta_ref.values, theta.values - theta_ref.values], axis=1),
-            np.stack([u_ref.values, u.values - u_ref.values], axis=1))
-        den, num = np.sqrt(np.maximum(sq, 0.0))
-        if den < 1e-300:
-            raise ZeroNormError("exact-solution interpolate has zero energy norm")
+        """Energy norm of the error over that of the reference; a zero or
+        non-finite norm (an overflowing square) is a ``ZeroNormError``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = self._energy_squares(
+                material, np.stack([theta_ref.values, theta.values - theta_ref.values], axis=1),
+                np.stack([u_ref.values, u.values - u_ref.values], axis=1))
+            den, num = np.sqrt(np.maximum(sq, 0.0))
+        if not (1e-300 <= den < np.inf and np.isfinite(num)):
+            raise ZeroNormError(f"relative energy error undefined: exact-solution interpolate "
+                                f"norm {den:.3e}, error norm {num:.3e}")
         return float(num / den)
 
     def _energy_squares(self, material: MaterialParams, eta: np.ndarray,

@@ -93,3 +93,17 @@ def test_cli_unwritable_output_path(tmp_path, capsys, refinements):
     assert "ConfigError" in captured.err and str(target) in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("refinements, kappa0", [(1, "1e-300"), (2, "1e-290")])
+def test_cli_non_finite_error_norm_is_a_typed_error(refinements, kappa0, capsys):
+    """A tiny shear correction factor makes the exact displacement (about
+    1e294) overflow its energy norm: the run ends as a ZeroNormError, not as
+    E_h = nan or NaN rates, and the overflow warning does not escape."""
+    code = main(["--refinements", str(refinements), "--kappa0", kappa0])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "ZeroNormError" in captured.err
+    assert "Traceback" not in captured.err
+    assert "nan" not in captured.out

@@ -115,10 +115,11 @@ def test_analytical_solution_structure(rng):
     center = np.array([[0.5, 0.5]])
     assert sol.f(center)[0] == pytest.approx(4 * np.pi ** 4 * (m.beta0 + m.beta1),
                                              rel=1e-14)
-    # load does not depend on the thickness
+    # the layer is biharmonic and stays out of the load, which does not
+    # depend on the thickness bit for bit
     x = rng.random((30, 2))
-    f3 = analytical_solution(MaterialParams(t=1e-3)).f(x)
-    assert np.abs(sol.f(x) - f3).max() <= 1e-12 * np.abs(f3).max()
+    for t in (1e-3, 1e-9):
+        assert np.array_equal(analytical_solution(MaterialParams(t=t)).f(x), sol.f(x))
     # the rotation has a nonzero normal trace on the boundary
     s = np.linspace(0.05, 0.95, 21)
     left = np.stack([np.zeros_like(s), s], -1)
@@ -164,6 +165,21 @@ def test_exp_underflow_clamped():
     with np.errstate(all="raise"):
         vals = sol.gamma(x)
     assert np.all(np.isfinite(vals))
+
+
+@pytest.mark.parametrize("name", ["polynomial", "analytical"])
+@pytest.mark.parametrize("t", [1e-1, 1e-5, 1e-9, 1e-150])
+def test_fields_stay_finite_for_tiny_thickness(rng, name, t):
+    """Every field is finite, with no overflow, invalid or divide warning,
+    down to t = 1e-150 and on x1 = 0, where the layer is largest: the layer's
+    mixed derivatives carry t^(3-a-b) as one power, since t^3 underflows and
+    t^-4 overflows long before their product does."""
+    sol = get_solution(name, MaterialParams(t=t))
+    s = np.linspace(0.0, 1.0, 21)
+    x = np.concatenate([rng.random((200, 2)), np.stack([np.zeros_like(s), s], -1)])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for field in ("u", "grad_u", "theta", "grad_theta", "gamma", "grad_gamma", "f"):
+            assert np.all(np.isfinite(getattr(sol, field)(x))), field
 
 
 def test_seminorm_probe_zero_field():

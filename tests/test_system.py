@@ -7,6 +7,7 @@ from scipy.sparse.linalg import spsolve
 
 import ddrplate.system
 from ddrplate.errors import SolverFailure, ZeroNormError
+from ddrplate.harness import solve_case
 from ddrplate.mesh import build_mesh, load_mesh, triangular_mesh
 from ddrplate.operators import assemble_theta_product, build_packs
 from ddrplate.polyspace import dim_croly, dim_P, dim_roly
@@ -344,6 +345,27 @@ def test_refinement_corrects_through_the_condensed_factor(k, monkeypatch):
     assert errors[-1] <= 1e-12
 
 
+@pytest.mark.parametrize("young", [1e160, 1e250])
+def test_backward_error_is_scale_free(young):
+    """The normwise backward error does not change when K and b are scaled
+    together, and it is taken on scaled vectors: at E = 1e160 the square of
+    ||b|| overflowed (the error read 0.0), at E = 1e250 that of ||r|| too
+    (NaN, after eight futile refinement steps)."""
+    system = PlateSystem(Discretization(triangular_mesh(4), 0))
+    ref, _, _ = solve_case(system, MaterialParams(), "polynomial")
+    error, report, _ = solve_case(system, MaterialParams(E=young), "polynomial")
+    assert np.isfinite(report.residual) and report.residual <= 1e-10
+    assert report.refinement_steps == 0
+    assert error == pytest.approx(ref, rel=1e-13)
+
+
+def test_nan_backward_error_raises_solver_failure(k0_system, monkeypatch):
+    monkeypatch.setattr(ddrplate.system, "_norm", lambda v: float("nan"))
+    load = k0_system.load_vector(lambda x: np.ones(len(x)))
+    with pytest.raises(SolverFailure, match="nan"):
+        k0_system.solve(MaterialParams(), load)
+
+
 def test_singular_interior_block_raises_solver_failure(small_system, monkeypatch):
     """An element-interior DOF whose row and column are zero makes its
     cell's K_II singular: the elimination fails with the typed
@@ -481,7 +503,7 @@ def test_solution_matches_a_direct_solve_of_the_full_system(factorizations, case
 
 @pytest.mark.parametrize("case", _GATHER_CASES, ids=lambda c: f"{c[0]}-k{c[1]}")
 @pytest.mark.parametrize("t", [1e-1, 1e-5])
-def test_factored_matrix_is_the_sliced_equilibrated_full_matrix(factorizations, case, t):
+def test_factored_matrix_is_the_sliced_full_matrix(factorizations, case, t):
     """The solve hands SuperLU the Schur complement K_BB - K_BI K_II^{-1}
     K_IB of K_ff sliced from ``full_matrix``, unscaled, where I are the
     element-interior DOFs and B the other free ones. At k = 0 there is no
