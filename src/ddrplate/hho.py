@@ -12,7 +12,7 @@ Every element moment is read from the DDR pack (derivative masses D, element
 moments, cross masses) or from the monomial Gram matrix of the cell, and
 nothing here evaluates a basis function. The strain reconstruction is
 algebra on the symmetric gradient GS and D, exact because grad P^{k+1} lies
-in P^k. Like the DDR packs, every table is built for a whole cell group at
+in P^k. Like the DDR packs, every table is built for a whole cell chunk at
 once and stacked along a leading cell axis.
 
 Tensor coefficient layout: row blocks (1,1), (1,2), (2,1), (2,2), each a set
@@ -28,7 +28,7 @@ import numpy as np
 
 from .operators import LocalOperatorPack, _check_cond, _edge_restriction, _theta_slices, _vp_k
 from .polyspace import ElementContext, dim_P
-from .spaces import Discretization
+from .spaces import Discretization, map_chunks
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -37,7 +37,7 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class HHOLocalPack:
-    """HHO tables of one cell group; every array has a leading cell axis."""
+    """HHO tables of one cell chunk; every array has a leading cell axis."""
     GS: np.ndarray    # (3 np_k, n_theta) symmetric gradient [11, 12, 22]
     DD: np.ndarray    # (np_k, n_theta) divergence
     P1: np.ndarray    # (2 np_{k+1}, n_theta) strain reconstruction
@@ -190,8 +190,9 @@ def build_hho_pack(ctx: ElementContext, pack: LocalOperatorPack) -> HHOLocalPack
 
 
 def build_hho_packs(disc: Discretization, packs: list[LocalOperatorPack]) -> list[HHOLocalPack]:
-    """One stacked HHO pack per cell group of ``disc.elem_ctxs``."""
-    return [build_hho_pack(ctx, pack) for ctx, pack in zip(disc.elem_ctxs, packs)]
+    """One stacked HHO pack per cell chunk of ``disc.elem_ctxs``, built on
+    every CPU the process may run on."""
+    return map_chunks(build_hho_pack, disc.elem_ctxs, packs)
 
 
 def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack],
@@ -205,17 +206,27 @@ def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack]
     if disc.k != 0:
         raise ValueError("jump penalisation is defined for k = 0 only")
     np_1 = dim_P(1)
-    # per group: restriction of the p^1 reconstruction to each local edge
+    # per chunk: restriction of the p^1 reconstruction to each local edge
     mats = [_edge_restriction(ctx, pack.scalar_cross, disc.k + 2, np_1) @ hp.P1[:, None]
             for ctx, pack, hp in zip(disc.elem_ctxs, packs, hho_packs)]
     dofs = [disc.theta_space.local_dofs(ctx) for ctx in disc.elem_ctxs]
+    # the chunks of one vertex count follow each other: stacked per vertex
+    # count again, the edges are stacked per pair of counts, not of chunks
+    sizes = np.array([ctx.n_cells for ctx in disc.elem_ctxs])
+    bounds = np.r_[0, np.flatnonzero(np.diff([ctx.n_vertices for ctx in disc.elem_ctxs])) + 1,
+                   len(sizes)]
+    mats, dofs = ([np.concatenate(stacks[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+                  for stacks in (mats, dofs))
     # one (edge, cell, local edge) incidence per row, by edge and then cell id
     mesh = disc.mesh
     order = np.argsort(mesh.cell_edges, kind="stable")     # the flat rows are by cell
     cell_of = np.repeat(np.arange(mesh.n_elements), np.diff(mesh.cell_offsets))[order]
     local = order - mesh.cell_offsets[cell_of]
     edge_of = mesh.cell_edges[order]
-    group, pos = disc.locate(cell_of)
+    chunk, pos = disc.locate(cell_of)
+    before = np.cumsum(sizes) - sizes                      # cells of the earlier chunks
+    group = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))[chunk]
+    pos += before[chunk] - before[bounds[:-1]][group]
     first = np.flatnonzero(np.r_[True, edge_of[1:] != edge_of[:-1]])
     two = np.r_[first[1:], len(edge_of)] - first == 2
     lengths = mesh.edge_length

@@ -2,7 +2,7 @@
 
 All operators are dense matrices acting on local DOF vectors and producing
 coefficients against the orthonormal element bases. They are built for a
-whole group of cells with the same vertex count at once and stored as
+whole chunk of cells with the same vertex count at once and stored as
 stacks with a leading cell axis, in the order of ``ElementContext.ids``.
 Vector-valued coefficient layout is component-major: [all x-component
 coefficients, all y-component].
@@ -30,14 +30,14 @@ import scipy.sparse as sps
 from .errors import SingularLocalSystem
 from .polyspace import (ElementContext, derivative_map, dim_P, dim_croly, dim_roly,
                         failing_cell, mass, scaled_monomials)
-from .spaces import Discretization, assemble
+from .spaces import Discretization, assemble, map_chunks
 
 _COND_LIMIT = 1e12
 
 
 @dataclass
 class LocalOperatorPack:
-    """Local operators of one cell group; every array has a leading cell axis."""
+    """Local operators of one cell chunk; every array has a leading cell axis."""
     n_theta: int
     n_u: int
     # displacement side
@@ -209,8 +209,9 @@ def build_local_pack(ctx: ElementContext) -> LocalOperatorPack:
 
 
 def build_packs(disc: Discretization) -> list[LocalOperatorPack]:
-    """One stacked pack per cell group of ``disc.elem_ctxs``."""
-    return [build_local_pack(ctx) for ctx in disc.elem_ctxs]
+    """One stacked pack per cell chunk of ``disc.elem_ctxs``, built on every
+    CPU the process may run on."""
+    return map_chunks(build_local_pack, disc.elem_ctxs)
 
 
 def build_global_gradient(disc: Discretization, packs: list[LocalOperatorPack]
@@ -220,7 +221,7 @@ def build_global_gradient(disc: Discretization, packs: list[LocalOperatorPack]
     of G_T; edge blocks are the tangential derivative of the skeleton trace,
     exact from the trace coefficients.
 
-    Also returns, per cell group, the rows of G on each cell's rotation DOFs
+    Also returns, per cell chunk, the rows of G on each cell's rotation DOFs
     as an ``assemble`` stack (rotation DOFs, displacement DOFs, dense blocks
     in the local layouts). Those rows read only the cell's displacement DOFs
     and the normal edge slots are zero rows, so local L2 products times these

@@ -2,10 +2,10 @@
 cell shape.
 
 Cells with the same vertex count run the same arithmetic, so every table
-here carries a leading cell axis: an ``ElementContext`` holds all the cells
-of one vertex count, and one ``EdgeContext`` holds all the edges. The family
-functions broadcast over any leading axes, so a single cell (no cell axis)
-works too.
+here carries a leading cell axis: an ``ElementContext`` holds a chunk of the
+cells of one vertex count, and one ``EdgeContext`` holds all the edges. The
+family functions broadcast over any leading axes, so a single cell (no cell
+axis) works too.
 
 Every element family is polynomial and is stored as coefficients over the
 scaled monomials m_alpha = ((x - x_T)/h_T)^alpha in graded lexicographic
@@ -353,8 +353,9 @@ def build_edge_context(mesh: PolygonalMesh, k: int, quad_degree: int) -> EdgeCon
 
 
 class ElementContext:
-    """Moments, orthonormal bases at degree k and data quadrature of the cells
-    of one vertex count, stacked along a leading cell axis in cell-id order.
+    """Moments, orthonormal bases at degree k and data quadrature of cells
+    with one vertex count (a chunk of a ``Discretization``), stacked along a
+    leading cell axis in cell-id order.
 
     Local edge j of a cell joins its loop vertices j and j+1; the per-edge
     tables carry a second axis over j. The families are coefficient stacks

@@ -11,15 +11,20 @@ k moments per edge (coefficients 0..k-1 against the orthonormal edge family).
 
 Global ordering: all element blocks (by element id), then all edge blocks (by
 edge id), then the vertex block -- deterministic, so assembled matrices are
-reproducible bit for bit. The cells are grouped by vertex count, one
-``ElementContext`` per group; local layouts, interpolation and assembly work
-on whole groups. Every global matrix is summed from stacks of dense local
-blocks in cell-id order on the pattern of their union (``block_pattern``,
-``sum_blocks``, and ``assemble`` on top of them).
+reproducible bit for bit. The cells are grouped by vertex count, and each
+group is split into contiguous chunks of cell ids (``cell_chunks``), one
+``ElementContext`` per chunk; local layouts, interpolation and assembly work
+on whole chunks, and ``map_chunks`` builds the local tables of the chunks on
+every CPU the process may run on. Every global matrix is summed from stacks
+of dense local blocks in cell-id order on the pattern of their union
+(``block_pattern``, ``sum_blocks``, and ``assemble`` on top of them), so
+neither the chunks nor the CPU count change a bit of it.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,9 +241,66 @@ class UVector:
             raise ValueError("coefficient vector length does not match the space")
 
 
+_CHUNKS = 8           # chunks per vertex-count group, at most
+_CHUNK_CELLS = 128    # cells per chunk, at least (a smaller group is one chunk)
+
+
+def cell_chunks(ids: np.ndarray) -> list[np.ndarray]:
+    """The cell ids of one vertex-count group in at most ``_CHUNKS``
+    contiguous, near-equal chunks of at least ``_CHUNK_CELLS`` cells."""
+    return np.array_split(ids, max(1, min(_CHUNKS, len(ids) // _CHUNK_CELLS)))
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on (``taskset`` restricts them)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:            # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def map_chunks(fn, *stacks) -> list:
+    """``[fn(*items) for items in zip(*stacks)]`` on the CPUs this process
+    may run on: with n of them, the calling thread computes items 0, n,
+    2n, ... and worker thread w the items w, w + n, ... Every item is
+    computed as it would be alone, so the results do not depend on n. If
+    items fail, the error of the first one is raised, as a serial map would
+    raise it, once every worker has stopped."""
+    items = list(zip(*stacks))
+    n = max(1, min(_cpu_count(), len(items)))
+    out = [None] * len(items)
+    lock = threading.Lock()
+    failed = [len(items), None]       # the first failing item and its error
+
+    def share(start):
+        for i in range(start, len(items), n):
+            if failed[0] < i:         # a serial map would have stopped before i
+                return
+            try:
+                out[i] = fn(*items[i])
+            except BaseException as exc:      # raised again by the caller
+                with lock:
+                    if i < failed[0]:
+                        failed[:] = i, exc
+                return
+
+    workers = [threading.Thread(target=share, args=(w,), daemon=True) for w in range(1, n)]
+    for worker in workers:
+        worker.start()
+    try:
+        share(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    if failed[1] is not None:
+        raise failed[1]
+    return out
+
+
 class Discretization:
-    """Mesh + degree bundle: spaces, one stacked context per cell vertex
-    count (``elem_ctxs``, by increasing count) and one for all edges."""
+    """Mesh + degree bundle: spaces, one stacked context per cell chunk
+    (``elem_ctxs``: the chunks of each vertex count in cell-id order, by
+    increasing count; see ``cell_chunks``) and one for all edges."""
 
     def __init__(self, mesh: PolygonalMesh, k: int, quad_boost: int = 0):
         if k < 0:
@@ -247,13 +309,14 @@ class Discretization:
         self.k = k
         self.edge_ctx: EdgeContext = build_edge_context(mesh, k, 2 * k + 4 + quad_boost)
         self.elem_ctxs: list[ElementContext] = [
-            ElementContext(mesh, ids, k, self.edge_ctx, quad_boost)
-            for ids, _ in cell_groups(mesh.cell_offsets)]
+            ElementContext(mesh, chunk, k, self.edge_ctx, quad_boost)
+            for ids, _ in cell_groups(mesh.cell_offsets) for chunk in cell_chunks(ids)]
         self.theta_space = ThetaSpace(mesh, k)
         self.u_space = USpace(mesh, k)
 
     def locate(self, cell_ids) -> tuple[np.ndarray, np.ndarray]:
-        """Group index and position within the group of each cell id."""
+        """Chunk index (into ``elem_ctxs``) and position within the chunk of
+        each cell id."""
         group = np.empty(self.mesh.n_elements, dtype=int)
         pos = np.empty(self.mesh.n_elements, dtype=int)
         for g, ctx in enumerate(self.elem_ctxs):

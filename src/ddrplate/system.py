@@ -358,7 +358,7 @@ class PlateSystem:
         self._ff_indptr, self._ff_indices = ff.indptr, ff.indices
         self._ff_gather = (ff.data - 1).astype(self.indices.dtype)
         del ff
-        # per cell group: the interior DOFs I, the positions of K_II and K_IB
+        # per cell chunk: the interior DOFs I, the positions of K_II and K_IB
         # in the pattern, and the condensed index of each other DOF B, with
         # one past the last for a Dirichlet one. The B x B entries of the
         # Schur blocks K_BI K_II^{-1} K_IB are summed into the condensed data
@@ -426,7 +426,7 @@ class PlateSystem:
         if free.size:
             rhs = load - K @ x
             rhs[self.dirichlet_mask] = 0.0
-            # eliminate the interior DOFs: per group one stacked solve
+            # eliminate the interior DOFs: per chunk one stacked solve
             # K_II^{-1} [K_IB | r_I], and the Schur blocks K_BI K_II^{-1} K_IB
             # subtracted from the condensed matrix by one bincount
             kc = data[self._ff_gather]
@@ -455,7 +455,7 @@ class PlateSystem:
 
             def free_solve(r, ys=None):
                 """K_ff^{-1} r on the free DOFs, zero on the others; ``ys``
-                holds K_II^{-1} r_I per group when it is known. The condensed
+                holds K_II^{-1} r_I per chunk when it is known. The condensed
                 system gives x_B, then x_I = K_II^{-1} (r_I - K_IB x_B)."""
                 if ys is None:
                     ys = [_interior_solve(kii, r[dofs][..., None])[..., 0]

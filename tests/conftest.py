@@ -6,7 +6,7 @@ monomials, the defining-equation oracles rebuild the right-hand-side
 functionals with a fresh quadrature four degrees finer, and the derivative
 oracle uses Richardson-extrapolated central differences.
 
-The library stacks every local table by cell group; ``cells`` and ``cell``
+The library stacks every local table by cell chunk; ``cells`` and ``cell``
 give per-cell views of those stacks for the oracles. The library's families
 are coefficients over scaled monomials; their derivatives here come from an
 independent power-rule evaluation of the monomials (``monomial_grads``).
@@ -240,7 +240,7 @@ def cells(disc, *stacks, limit=None):
 
 
 def per_group(fn, disc, *stacks):
-    """``fn(ctx, *group_items)`` for every cell group, as a list of stacks."""
+    """``fn(ctx, *group_items)`` for every cell chunk, as a list of stacks."""
     return [fn(ctx, *items) for ctx, *items in zip(disc.elem_ctxs, *stacks)]
 
 

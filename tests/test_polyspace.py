@@ -178,7 +178,7 @@ def test_polygon_moments_match_refined_fan_rule(moment_mesh, k):
 
 @pytest.mark.parametrize("k", range(4))
 def test_families_are_orthonormal_under_the_fan_rule(moment_mesh, k):
-    """Every family of every cell group, evaluated at the production data
+    """Every family of every cell chunk, evaluated at the production data
     rule (exact for their products), is orthonormal. The degree-5 families
     of k = 3 (P^5, cRoly^5) come from Gram matrices with condition numbers
     up to 1.4e10 on triangles, and their Cholesky transforms are about 1.5e-12

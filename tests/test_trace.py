@@ -1,8 +1,13 @@
 """The benchmark's per-layer trace (``perfbench/tracing.py``) against the
-library: every name it wraps resolves, and the local build runs per cell
-group, so its numpy kernel calls do not grow with the cell count."""
+library: every name it wraps resolves, the local build runs per cell
+chunk (at most eight per vertex count), so its numpy kernel calls do not
+grow with the cell count past eight chunks, and no span runs in a worker
+thread of the chunked build."""
 
+import functools
 import importlib.util
+import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -51,7 +56,23 @@ def test_kernel_calls_do_not_grow_with_the_cell_count(tracing):
         assert coarse[name] == fine[name] == 1
 
 
-def test_one_pack_per_vertex_count(tracing):
+def test_kernel_calls_stop_growing_at_eight_chunks(tracing, monkeypatch):
+    """Past 8 x 128 cells a vertex-count group stays at eight chunks, so
+    1152 and 2048 triangles make the same kernel calls. On one CPU, so that
+    no counter is bumped from two threads at once."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    mid = _traced_build(tracing, triangular_mesh(24), 0)
+    fine = _traced_build(tracing, triangular_mesh(32), 0)
+    for name in ("kernels.einsum_calls", "kernels.linalg_calls"):
+        assert mid[name] == fine[name]
+    for name in ("operators.local_pack_calls", "hho.local_pack_calls",
+                 "polyspace.element_contexts"):
+        assert mid[name] == fine[name] == 8
+
+
+def test_one_pack_per_vertex_count(tracing, monkeypatch):
+    # one CPU: the counters are not bumped from two threads at once
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     metrics = _traced_build(tracing, load_mesh(str(ASSETS / "hexa_01.json")), 1)
     for name in ("operators.local_pack_calls", "hho.local_pack_calls",
                  "polyspace.element_contexts"):
@@ -76,3 +97,39 @@ def test_solve_layers_are_measured(tracing):
     assert tracer.kff_nnz[0] == tracer.kff_nnz[1] > 0
     assert metrics["system.lu_solves"] == len(reports) + sum(
         rep.refinement_steps for rep in reports)
+
+
+def test_no_span_runs_in_a_worker_thread(tracing, monkeypatch):
+    """A traced build and solve of 288 triangles in two chunks on two CPUs:
+    the pack builders (counters) run on the calling thread and in workers,
+    every span on the calling thread alone, since the tracer keeps one span
+    stack."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    threads = {"span": set(), "counter": set()}
+
+    def seen(kind, wrapped):
+        @functools.wraps(wrapped)
+        def wrapper(*args, **kwargs):
+            threads[kind].add(threading.current_thread())
+            return wrapped(*args, **kwargs)
+        return wrapper
+
+    class ThreadTracer(tracing.Tracer):
+        def span(self, name, fn):
+            return seen("span", super().span(name, fn))
+
+        def counter(self, name, fn):
+            return seen("counter", super().counter(name, fn))
+
+    tracer = ThreadTracer()
+    tracer.install()
+    try:
+        disc = spaces.Discretization(triangular_mesh(12), 1)
+        plate = system.PlateSystem(disc)
+        solve_case(plate, system.MaterialParams(t=1e-3), "polynomial")
+    finally:
+        tracer.uninstall()
+    assert len(disc.elem_ctxs) == 2
+    main = threading.current_thread()
+    assert threads["span"] == {main}
+    assert main in threads["counter"] and len(threads["counter"]) > 1
