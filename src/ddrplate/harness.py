@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:                  # not on every platform (Windows)
+    resource = None
 
 from .errors import ConfigError, DdrError, DegenerateRate, ParseError
 from .mesh import PolygonalMesh, load_mesh, triangular_mesh
@@ -98,7 +104,8 @@ class RunResult:
     time: float
     solver_residual: float
     solver: dict                   # the solve as run_metadata.json records it
-    stages: dict                   # stage wall times and sizes (dofs: Dirichlet ones too)
+    stages: dict                   # stage wall times, sizes (dofs: Dirichlet ones too)
+                                   # and the peak RSS so far
 
 
 def _asset_mesh_paths(family: str) -> list[Path]:
@@ -126,6 +133,16 @@ def mesh_sequence(config: RunConfig) -> list[tuple[str, PolygonalMesh]]:
         raise ConfigError(f"{source} holds {len(paths)} meshes, "
                           f"{config.refinements} requested")
     return [(p.stem, load_mesh(str(p))) for p in paths[:config.refinements]]
+
+
+def _peak_rss_mb() -> float | None:
+    """The peak resident set of this process so far, in MiB, or None where
+    the ``resource`` module is missing. ``ru_maxrss`` counts KiB on Linux
+    and bytes on macOS."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
 
 def solve_case(system: PlateSystem, material: MaterialParams, solution_name: str):
@@ -159,7 +176,7 @@ def run_single(config: RunConfig, mesh: PolygonalMesh | None = None,
     t.append(time.perf_counter())
     stages = {"discretization_s": t[1] - t[0], "plate_system_s": t[2] - t[1],
               "solve_s": t[3] - t[2], "cells": mesh.n_elements, "edges": mesh.n_edges,
-              "dofs": system.n_theta + system.n_u}
+              "dofs": system.n_theta + system.n_u, "peak_rss_mb": _peak_rss_mb()}
     return RunResult(mesh_name, mesh.h, int(system.free.size), error, t[3] - t[0],
                      report.residual, asdict(report), stages)
 

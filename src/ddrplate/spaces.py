@@ -94,19 +94,22 @@ class USpace:
                                self.vertex_offset(ctx.vertices)], axis=1)
 
 
-def _key_order(keys: list[np.ndarray], sizes: list[int]) -> np.ndarray | None:
-    """Permutation that puts the entries of stacked blocks (block i of stack
-    s holds sizes[s] consecutive entries) in stable order of the block keys;
-    None when they already are."""
+def _key_runs(keys: list[np.ndarray]):
+    """The blocks of stacks (one key per block, ``keys[s]`` for stack s) in
+    stable key order, as runs that each come from one stack: ``(s, blocks)``
+    pairs, ``blocks`` a slice where the run is contiguous in its stack."""
+    if not sum(len(kk) for kk in keys):
+        return
     key = np.concatenate(keys)
-    if np.all(key[1:] >= key[:-1]):
-        return None
-    size = np.concatenate([np.full(len(kk), s) for kk, s in zip(keys, sizes)])
-    start = np.cumsum(size) - size
+    stack = np.repeat(np.arange(len(keys)), [len(kk) for kk in keys])
+    local = np.concatenate([np.arange(len(kk)) for kk in keys])
     order = np.argsort(key, kind="stable")
-    size = size[order]
-    return (np.repeat(start[order] - (np.cumsum(size) - size), size)
-            + np.arange(size.sum()))
+    stack, local = stack[order], local[order]
+    bounds = np.flatnonzero(np.diff(stack)) + 1
+    for a, b in zip(np.r_[0, bounds], np.r_[bounds, len(order)]):
+        run = local[a:b]
+        yield int(stack[a]), (slice(run[0], run[-1] + 1)
+                              if np.all(np.diff(run) == 1) else run)
 
 
 _LOW32 = 0xFFFFFFFF
@@ -185,13 +188,16 @@ def sum_blocks(slots, blocks, n_entries: int, keys=None) -> np.ndarray:
     ``keys`` gives one (n,) array per stack, such as cell ids. Blocks are
     summed in stable key order (in the order given without keys), each in
     row-major order, so the same blocks give the same data bit for bit
-    however they are stacked."""
-    sizes = [int(np.prod(s.shape[1:])) for s in slots]
-    perm = None if keys is None else _key_order(list(keys), sizes)
-    slots, vals = _flat(slots, np.intp), _flat(blocks, float)
-    if perm is not None:
-        slots, vals = slots[perm], vals[perm]
-    return np.bincount(slots, vals, n_entries)
+    however they are stacked. The stacks are added stack by stack, a run of
+    blocks at a time, so no stack is copied whole."""
+    out = np.zeros(n_entries)
+    runs = ([(s, slice(None)) for s in range(len(slots))] if keys is None
+            else _key_runs(list(keys)))
+    for s, at in runs:
+        # np.add.at adds in index order, as np.bincount would on the
+        # concatenated stacks
+        np.add.at(out, np.ravel(slots[s][at]), np.ravel(blocks[s][at]))
+    return out
 
 
 def _starts(a: np.ndarray) -> np.ndarray:

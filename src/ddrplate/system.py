@@ -24,7 +24,7 @@ from .errors import SolverFailure, ZeroNormError
 from .hho import _t, build_hho_packs, build_jump_penalisation
 from .operators import build_global_gradient, build_packs
 from .polyspace import dim_P, mass
-from .spaces import (Discretization, ThetaVector, UVector, _flat, at_points,
+from .spaces import (Discretization, ThetaVector, UVector, at_points,
                      block_pattern, boundary_dof_sets, sum_blocks)
 
 _GS_METRIC = np.array([1.0, 2.0, 1.0])   # contraction weights for [11, 12, 22]
@@ -35,6 +35,7 @@ _RESIDUAL_TOL = 1e-10                      # solver backward-error gate
 _SPLU_OPTIONS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
                  "options": {"SymmetricMode": True}}
 _ND_LEAF = 8                               # mesh entities per separator-tree leaf
+_COMBINE_BLOCK = 1 << 16                   # stream entries combined at a time
 
 
 @dataclass(frozen=True)
@@ -107,11 +108,39 @@ def _sym(block: np.ndarray) -> np.ndarray:
     return 0.5 * (block + _t(block))
 
 
+def _cell_blocks(p, h, g: np.ndarray, k: int):
+    """The symmetrised s0 (symmetric gradient and stabilisation) and s1
+    (divergence) blocks on the rotation DOFs of one chunk of cells, from its
+    DDR pack ``p``, HHO pack ``h`` and local gradient ``g``, and its shear
+    block [I, -G]^T M [I, -G] on [rotation DOFs, displacement DOFs]. M G and
+    G^T M G come from the cell blocks, so no product drops an entry that
+    cancels to 0.0."""
+    np_k = dim_P(k)
+    gs = [h.GS[:, b * np_k:(b + 1) * np_k] for b in range(3)]
+    s0 = _sym(sum(_GS_METRIC[b] * _t(gs[b]) @ gs[b] for b in range(3)) + h.sT)
+    s1 = _sym(_t(h.DD) @ h.DD)
+    mg = p.M_theta @ g
+    nt = mg.shape[1]
+    shear = np.empty((len(mg), nt + g.shape[2], nt + g.shape[2]))
+    shear[:, :nt, :nt] = p.M_theta      # build_local_pack symmetrises it
+    shear[:, :nt, nt:] = -mg
+    shear[:, nt:, :nt] = -_t(mg)
+    shear[:, nt:, nt:] = _sym(_t(g) @ mg)
+    return s0, s1, shear
+
+
 def _norm(v: np.ndarray) -> float:
     """2-norm of v, taken on v / max|v| so that no square overflows; NaN
     stays NaN."""
     s = float(np.max(np.abs(v), initial=0.0))
     return s * float(np.linalg.norm(v / s)) if 0.0 < s < np.inf else s
+
+
+def _exponent(*vectors: np.ndarray) -> int:
+    """The binary exponent e of the largest |entry| of the vectors, 0 when
+    they are all zero or one is not finite: over 2^e, an exact scaling, that
+    entry lies in [1/2, 1)."""
+    return int(np.frexp(max(float(np.max(np.abs(v), initial=0.0)) for v in vectors))[1])
 
 
 def _nested_dissection(indptr: np.ndarray, indices: np.ndarray, xy: np.ndarray,
@@ -258,43 +287,37 @@ class PlateSystem:
         self.G, cell_G = build_global_gradient(disc, packs)
         # cell blocks on [rotation DOFs, displacement DOFs]: the bending forms
         # live on the leading rotation block, the shear form [I, -G]^T M [I, -G]
-        # on the whole block. M G and G^T M G come from the cell blocks, so no
-        # product drops an entry that cancels to 0.0
-        np_k = dim_P(disc.k)
-        index, keys, n_rot, bending, shear = [], [], [], ([], []), []
-        for ctx, p, h, (t_dofs, u_dofs, g) in zip(disc.elem_ctxs, packs, hho, cell_G):
+        # on the whole block
+        index, keys, n_rot = [], [], []
+        for ctx, (t_dofs, u_dofs, _) in zip(disc.elem_ctxs, cell_G):
             dofs = np.concatenate([t_dofs, self.n_theta + u_dofs], axis=1)
             index.append((dofs, dofs))
             keys.append(ctx.ids)
-            nt = t_dofs.shape[1]
-            n_rot.append(nt)
-            gs = [h.GS[:, b * np_k:(b + 1) * np_k] for b in range(3)]
-            bending[0].append(_sym(sum(_GS_METRIC[b] * _t(gs[b]) @ gs[b] for b in range(3))
-                                   + h.sT))
-            bending[1].append(_sym(_t(h.DD) @ h.DD))
-            mg = p.M_theta @ g
-            block = np.empty(dofs.shape + dofs.shape[1:])
-            block[:, :nt, :nt] = p.M_theta      # build_local_pack symmetrises it
-            block[:, :nt, nt:] = -mg
-            block[:, nt:, :nt] = -_t(mg)
-            block[:, nt:, nt:] = _sym(_t(g) @ mg)
-            shear.append(block)
+            n_rot.append(t_dofs.shape[1])
+        bending0, bending1, shear = (list(b) for b in zip(*[
+            _cell_blocks(p, h, g, disc.k) for p, h, (_, _, g) in zip(packs, hho, cell_G)]))
         # k = 0: the jump joins the bending stream and widens the pattern
         jump, edge_ids = build_jump_penalisation(disc, packs, hho) if disc.k == 0 else ([], [])
+        del packs, hho, cell_G                  # every block is built
         self.indptr, self.indices, slots = block_pattern(
             index + [(dofs, dofs) for dofs, _, _ in jump], (n, n))
         nnz = len(self.indices)
         cells = slots[:len(index)]
         rot = [s[:, :nt, :nt] for s, nt in zip(cells, n_rot)]
-        self.streams = [
-            sum_blocks(rot + slots[len(index):], bending[0] + [_sym(v) for _, _, v in jump],
-                       nnz, keys + [disc.mesh.n_elements + e for e in edge_ids]),
-            sum_blocks(rot, bending[1], nnz, keys),
-            sum_blocks(cells, shear, nnz, keys)]
-        # every block is symmetric, and the blocks of an entry and of its
-        # mirror are summed in the same order: each stream is symmetric bit
-        # for bit, and so is every matrix combined from them
-        del bending, shear, jump, rot, slots     # before the maps are built
+        # each stack is released as soon as it is summed. Every block is
+        # symmetric, and the blocks of an entry and of its mirror are summed
+        # in the same order: each stream is symmetric bit for bit, and so is
+        # every matrix combined from them
+        s2 = sum_blocks(cells, shear, nnz, keys)
+        del shear
+        s1 = sum_blocks(rot, bending1, nnz, keys)
+        del bending1
+        bending0 += [_sym(v) for _, _, v in jump]
+        del jump
+        s0 = sum_blocks(rot + slots[len(index):], bending0, nnz,
+                        keys + [disc.mesh.n_elements + e for e in edge_ids])
+        del bending0, rot, slots
+        self.streams = [s0, s1, s2]
 
         th_d, u_d = boundary_dof_sets(disc)
         dir_mask = np.zeros(n, dtype=bool)
@@ -365,7 +388,7 @@ class PlateSystem:
         # (those of a Dirichlet row or column into one discarded slot)
         data_at = np.full(nnz, self._ff_gather.size, dtype=self.indices.dtype)
         data_at[self._ff_gather] = np.arange(self._ff_gather.size)
-        self._cells, schur_at = [], []
+        self._cells, self._schur_at = [], []
         for s, (dofs, _), nt in zip(cells, index, n_rot):
             inner = np.r_[:te, nt:nt + ue]
             if not inner.size:            # k = 0: no interior DOFs
@@ -373,9 +396,7 @@ class PlateSystem:
             outer = np.setdiff1d(np.arange(dofs.shape[1]), inner)
             self._cells.append((dofs[:, inner], s[:, inner[:, None], inner],
                                 s[:, inner[:, None], outer], rank[dofs[:, outer]]))
-            schur_at.append(data_at[s[:, outer[:, None], outer]])
-        self._schur_at = _flat(schur_at, self.indices.dtype)
-        self._schur_rows = _flat([rows for _, _, _, rows in self._cells], np.intp)
+            self._schur_at.append(data_at[s[:, outer[:, None], outer]].ravel())
 
     # -- bilinear forms -----------------------------------------------------
 
@@ -384,9 +405,10 @@ class PlateSystem:
         coupling kappa/t^2 between rotations and displacement gradients."""
         s0, s1, s2 = self.streams
         data = material.beta0 * s0
-        term = np.multiply(material.beta1, s1)
-        data += term
-        data += np.multiply(material.shear_over_t2, s2, out=term)
+        # the other terms a block at a time: no second full-length array
+        for scale, s in ((material.beta1, s1), (material.shear_over_t2, s2)):
+            for a in range(0, data.size, _COMBINE_BLOCK):
+                data[a:a + _COMBINE_BLOCK] += scale * s[a:a + _COMBINE_BLOCK]
         n = self.n_theta + self.n_u
         return sps.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
 
@@ -416,7 +438,6 @@ class PlateSystem:
         complement, back-substitute, and verify the backward error on the
         full reduced system K_ff."""
         K = self.full_matrix(material)
-        data = K.data
         n = self.n_theta + self.n_u
         x = np.zeros(n)
         if dirichlet_values is not None:
@@ -426,19 +447,35 @@ class PlateSystem:
         if free.size:
             rhs = load - K @ x
             rhs[self.dirichlet_mask] = 0.0
+            # everything else the solve takes from K: the condensed data, the
+            # interior blocks K_II and K_IB per chunk, and ||K||, the largest
+            # row sum of |K| over the free rows and columns (|K| in place).
+            # Neither K nor |K| is held while SuperLU factors
+            kc = K.data[self._ff_gather]
+            blocks = [(K.data[ii], K.data[ib]) for _, ii, ib, _ in self._cells]
+            np.abs(K.data, out=K.data)
+            knorm = float(np.max((K @ (~self.dirichlet_mask).astype(float))[free]))
+            del K
+            # relative residual = normwise backward error on the full K_ff,
+            # ||r|| / (||K|| ||x|| + ||b||); the naive ||r||/||b|| is floored at
+            # eps*||K||*||x||/||b|| by cancellation in K@x when kappa/t^2 is
+            # large, which says nothing about the factorization quality. It
+            # does not change when K and b are scaled together, so r and b are
+            # taken over ||K||, and every norm on a scaled vector
+            rhs_norm = _norm(rhs / knorm)
             # eliminate the interior DOFs: per chunk one stacked solve
             # K_II^{-1} [K_IB | r_I], and the Schur blocks K_BI K_II^{-1} K_IB
-            # subtracted from the condensed matrix by one bincount
-            kc = data[self._ff_gather]
+            # subtracted from the condensed matrix, summed chunk by chunk
             interior, ys = [], []
-            for dofs, ii, ib, _ in self._cells:
-                kii, kib = data[ii], data[ib]
+            for (dofs, _, _, _), (kii, kib) in zip(self._cells, blocks):
                 X = _interior_solve(kii, np.concatenate([kib, rhs[dofs][..., None]], axis=2))
                 interior.append((kii, kib, X[..., :-1]))
                 ys.append(X[..., -1])
             if interior:
-                schur = _flat([_t(kib) @ xb for _, kib, xb in interior], float)
-                kc -= np.bincount(self._schur_at, schur, kc.size + 1)[:-1]
+                schur = np.zeros(kc.size + 1)
+                for (_, kib, xb), at in zip(interior, self._schur_at):
+                    np.add.at(schur, at, (_t(kib) @ xb).ravel())
+                kc -= schur[:-1]
                 del schur                   # before the factorization
             n_c = report.n_factored = self.factored.size
             lu = None
@@ -462,9 +499,10 @@ class PlateSystem:
                           for (dofs, _, _, _), (kii, _, _) in zip(self._cells, interior)]
                 rc = r[self.factored]
                 if ys:
-                    coupling = _flat([(y[:, None] @ kib)[:, 0]
-                                      for (_, kib, _), y in zip(interior, ys)], float)
-                    rc -= np.bincount(self._schur_rows, coupling, n_c + 1)[:-1]
+                    coupling = np.zeros(n_c + 1)
+                    for (_, _, _, rows), (_, kib, _), y in zip(self._cells, interior, ys):
+                        np.add.at(coupling, rows.ravel(), (y[:, None] @ kib).ravel())
+                    rc -= coupling[:-1]
                 xc = np.zeros(n_c + 1)          # the last entry stands for Dirichlet DOFs
                 if lu is not None:
                     xc[:-1] = lu.solve(rc)
@@ -475,19 +513,14 @@ class PlateSystem:
                 return out
 
             x += free_solve(rhs, ys)
-            # relative residual = normwise backward error on the full K_ff,
-            # ||r|| / (||K|| ||x|| + ||b||); the naive ||r||/||b|| is floored at
-            # eps*||K||*||x||/||b|| by cancellation in K@x when kappa/t^2 is
-            # large, which says nothing about the factorization quality. It
-            # does not change when K and b are scaled together, so r and b are
-            # taken over ||K||, and every norm on a scaled vector
-            abs_k = sps.csr_matrix((np.abs(data), K.indices, K.indptr), shape=K.shape)
-            knorm = float(np.max((abs_k @ (~self.dirichlet_mask).astype(float))[free]))
-            del abs_k
-            rhs_norm = _norm(rhs / knorm)
+            # K x = beta0 S0 x + beta1 S1 x + (kappa/t^2) S2 x on the streams
+            # themselves, so no second matrix is formed next to the factor
+            streams = [sps.csr_matrix((s, self.indices, self.indptr), shape=(n, n))
+                       for s in self.streams]
+            scales = (material.beta0, material.beta1, material.shear_over_t2)
 
             def residual():
-                r = load - K @ x
+                r = load - sum(c * (S @ x) for c, S in zip(scales, streams))
                 r[self.dirichlet_mask] = 0.0
                 den = _norm(x[free]) + rhs_norm
                 return r, _norm(r / knorm) / max(den, 1e-300)
@@ -514,23 +547,32 @@ class PlateSystem:
 
     def energy_norm(self, material: MaterialParams, theta: np.ndarray,
                     u: np.ndarray) -> float:
-        sq = self._energy_squares(material, np.asarray(theta, dtype=float)[:, None],
-                                  np.asarray(u, dtype=float)[:, None])
-        return float(np.sqrt(max(sq[0], 0.0)))
+        """Energy norm of (theta, u), taken on the vectors over 2^e (see
+        ``_exponent``) and scaled back, so that no square overflows."""
+        theta, u = np.asarray(theta, dtype=float), np.asarray(u, dtype=float)
+        e = _exponent(theta, u)
+        sq = self._energy_squares(material, np.ldexp(theta, -e)[:, None],
+                                  np.ldexp(u, -e)[:, None])
+        return float(np.ldexp(np.sqrt(max(sq[0], 0.0)), e))
 
     def relative_error(self, material: MaterialParams,
                        theta: ThetaVector, u: UVector,
                        theta_ref: ThetaVector, u_ref: UVector) -> float:
-        """Energy norm of the error over that of the reference; a zero or
-        non-finite norm (an overflowing square) is a ``ZeroNormError``."""
+        """Energy norm of the error over that of the reference, both taken
+        on the vectors over 2^e, e the exponent of the reference's largest
+        entry: the ratio is the same bit for bit, and no square overflows
+        unless the error is some 1e150 times the reference. A zero or
+        non-finite norm is a ``ZeroNormError``."""
+        e = _exponent(theta_ref.values, u_ref.values)
         with np.errstate(over="ignore", invalid="ignore"):
             sq = self._energy_squares(
-                material, np.stack([theta_ref.values, theta.values - theta_ref.values], axis=1),
-                np.stack([u_ref.values, u.values - u_ref.values], axis=1))
+                material,
+                np.ldexp(np.stack([theta_ref.values, theta.values - theta_ref.values], axis=1), -e),
+                np.ldexp(np.stack([u_ref.values, u.values - u_ref.values], axis=1), -e))
             den, num = np.sqrt(np.maximum(sq, 0.0))
         if not (1e-300 <= den < np.inf and np.isfinite(num)):
             raise ZeroNormError(f"relative energy error undefined: exact-solution interpolate "
-                                f"norm {den:.3e}, error norm {num:.3e}")
+                                f"norm {np.ldexp(den, e):.3e}, error norm {np.ldexp(num, e):.3e}")
         return float(num / den)
 
     def _energy_squares(self, material: MaterialParams, eta: np.ndarray,

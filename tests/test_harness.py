@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import ddrplate.harness as harness
 from ddrplate.errors import ConfigError, DegenerateRate, ParseError
 from ddrplate.harness import (ConvergenceRecord, RunConfig, compute_rates,
                               format_csv, format_dat, mesh_sequence,
@@ -137,7 +138,7 @@ def test_metadata_records_the_solver_per_mesh(tmp_path):
             "prepermutation": {"method": "nested dissection", "depth": depth,
                                "top_separator": top}}
         assert set(stages) == {"discretization_s", "plate_system_s", "solve_s", "cells",
-                               "edges", "dofs"}
+                               "edges", "dofs", "peak_rss_mb"}
         assert all(stages[s] > 0.0 for s in ("discretization_s", "plate_system_s", "solve_s"))
         assert stages["discretization_s"] + stages["plate_system_s"] + stages["solve_s"] \
             == pytest.approx(rec.time, rel=1e-12)
@@ -151,6 +152,42 @@ def test_metadata_records_the_solver_per_mesh(tmp_path):
         assert len(solver["backward_errors"]) == solver["refinement_steps"] + 1
         assert solver["backward_errors"][-1] == solver["residual"]
         assert 1.0 <= solver["local_cond"] < float("inf")
+
+
+def test_metadata_records_the_peak_rss(tmp_path):
+    """Each mesh's stages hold the process's peak resident set so far, in
+    MiB: positive, nondecreasing from mesh to mesh, and no larger than the
+    peak read after the run. The data files do not carry it."""
+    run_convergence(RunConfig(mesh_family="tri", refinements=2, degree=1,
+                              out_dir=str(tmp_path)))
+    after = harness._peak_rss_mb()
+    peaks = [stages["peak_rss_mb"] for stages in
+             json.loads((tmp_path / "run_metadata.json").read_text())["stages"]]
+    assert 0.0 < peaks[0] <= peaks[1] <= after
+    for name in ("data_rates.dat", "data_rates.csv"):
+        assert "rss" not in (tmp_path / name).read_text().lower()
+
+
+@pytest.mark.parametrize("platform, maxrss, mib", [("linux", 3 * 2 ** 10, 3.0),
+                                                    ("darwin", 3 * 2 ** 20, 3.0)])
+def test_peak_rss_units(platform, maxrss, mib, monkeypatch):
+    """ru_maxrss counts KiB on Linux and bytes on macOS; without the
+    resource module the peak is None."""
+    class Usage:
+        ru_maxrss = maxrss
+
+    class Resource:
+        RUSAGE_SELF = 0
+
+        @staticmethod
+        def getrusage(who):
+            return Usage
+
+    monkeypatch.setattr(harness.sys, "platform", platform)
+    monkeypatch.setattr(harness, "resource", Resource)
+    assert harness._peak_rss_mb() == mib
+    monkeypatch.setattr(harness, "resource", None)
+    assert harness._peak_rss_mb() is None
 
 
 def test_metadata_records_the_factored_size(tmp_path):

@@ -279,6 +279,31 @@ def test_relative_error_basics(small_system, rng):
         system.relative_error(mat, th, uu, zero_t, zero_u)
 
 
+@pytest.mark.parametrize("power", [600, -600])
+def test_energy_norms_of_scaled_vectors_are_scaled_bit_for_bit(small_system, rng, power):
+    """Vectors scaled by 2^600 (their squares overflow) or 2^-600 (they
+    underflow) give the unscaled relative error bit for bit, and an energy
+    norm scaled by the same power of two; a reference with an infinite
+    entry is still a ZeroNormError."""
+    system = small_system
+    mat = MaterialParams(t=1e-3)
+    sp_t, sp_u = system.disc.theta_space, system.disc.u_space
+    vecs = [rng.standard_normal(sp.dim) for sp in (sp_t, sp_u, sp_t, sp_u)]
+
+    def error(scale):
+        th, uu, ref_t, ref_u = (v * scale for v in vecs)
+        return system.relative_error(mat, ThetaVector(sp_t, th), UVector(sp_u, uu),
+                                     ThetaVector(sp_t, ref_t), UVector(sp_u, ref_u))
+
+    assert error(2.0 ** power) == error(1.0) > 0.0
+    norm = system.energy_norm(mat, vecs[0], vecs[1])
+    assert system.energy_norm(mat, vecs[0] * 2.0 ** power, vecs[1] * 2.0 ** power) \
+        == norm * 2.0 ** power
+    vecs[2][0] = np.inf
+    with pytest.raises(ZeroNormError):
+        error(1.0)
+
+
 def test_dirichlet_lift_keeps_interpolated_traces(k0_system):
     system = k0_system
     disc = system.disc
