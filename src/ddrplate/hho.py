@@ -196,13 +196,15 @@ def build_hho_packs(disc: Discretization, packs: list[LocalOperatorPack]) -> lis
 
 
 def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack],
-                            hho_packs: list[HHOLocalPack]) -> tuple[list, list]:
+                            hho_packs: list[HHOLocalPack]) -> list:
     """k = 0 jump bilinear form: h_E^{-1} integrals of the jumps of the p^1
     reconstructions over edges (the trace itself on boundary edges).
 
     Returns ``assemble`` stacks of edge blocks on the rotation DOFs of the
-    edge's (one or two) cells, lower cell id first and each DOF once, and
-    their edge ids as keys, so the blocks are summed in edge-id order."""
+    edge's (one or two) cells, lower cell id first and each DOF once: per
+    vertex count of the first cell, its boundary edges, then its interior
+    edges by the vertex count of the second cell, each stack in edge-id
+    order. They are summed in that order."""
     if disc.k != 0:
         raise ValueError("jump penalisation is defined for k = 0 only")
     np_1 = dim_P(1)
@@ -231,7 +233,7 @@ def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack]
     two = np.r_[first[1:], len(edge_of)] - first == 2
     lengths = mesh.edge_length
 
-    blocks, keys = [], []
+    blocks = []
     for g0 in range(len(mats)):
         for g1 in [None] + list(range(len(mats))):
             if g1 is None:
@@ -255,7 +257,5 @@ def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack]
                 keep = np.c_[np.ones((len(sel), n_a), dtype=bool), ~same.any(axis=2)]
                 big = _t(_t(big)[keep].reshape(len(sel), -1, big.shape[1]))
                 idx = idx[keep].reshape(len(sel), -1)
-            eids = edge_of[sel]
-            blocks.append((idx, idx, (_t(big) @ big) / lengths[eids][:, None, None]))
-            keys.append(eids)
-    return blocks, keys
+            blocks.append((idx, idx, (_t(big) @ big) / lengths[edge_of[sel]][:, None, None]))
+    return blocks

@@ -231,13 +231,12 @@ def build_global_gradient(disc: Discretization, packs: list[LocalOperatorPack]
     vp_k = _vp_k(k)
     ec = disc.edge_ctx
     edge = (ec.dmat @ ec.trace)[:, :k + 1]
-    blocks, keys, cells = [], [], []
+    blocks, cells = [], []
     for ctx, pack in zip(disc.elem_ctxs, packs):
         u_dofs = sp_u.local_dofs(ctx)
         block = pack.moments[:, :, vp_k] @ pack.GT
         blocks.append((sp_t.elem_offset(ctx.ids)[:, None] + np.arange(sp_t.elem_dim),
                        u_dofs, block))
-        keys.append(ctx.ids)
         rows = np.zeros((ctx.n_cells, pack.n_theta, pack.n_u))
         rows[:, :sp_t.elem_dim] = block
         vertex0 = sp_u.elem_dim + ctx.n_vertices * k
@@ -254,8 +253,7 @@ def build_global_gradient(disc: Discretization, packs: list[LocalOperatorPack]
     u_cols = np.concatenate([sp_u.edge_offset(edges)[:, None] + np.arange(k),
                              sp_u.vertex_offset(disc.mesh.edge_vertices)], axis=1)
     blocks.append((sp_t.edge_tangential_slots(edges), u_cols, edge))
-    keys.append(disc.mesh.n_elements + edges)
-    return assemble(blocks, (sp_t.dim, sp_u.dim), keys), cells
+    return assemble(blocks, (sp_t.dim, sp_u.dim)), cells
 
 
 def assemble_theta_product(disc: Discretization, packs: list[LocalOperatorPack]) -> sps.csr_matrix:
@@ -263,4 +261,4 @@ def assemble_theta_product(disc: Discretization, packs: list[LocalOperatorPack])
     sp_t = disc.theta_space
     idx = [sp_t.local_dofs(ctx) for ctx in disc.elem_ctxs]
     return assemble([(i, i, pack.M_theta) for i, pack in zip(idx, packs)],
-                    (sp_t.dim, sp_t.dim), [ctx.ids for ctx in disc.elem_ctxs])
+                    (sp_t.dim, sp_t.dim))

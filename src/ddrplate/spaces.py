@@ -16,9 +16,13 @@ group is split into contiguous chunks of cell ids (``cell_chunks``), one
 ``ElementContext`` per chunk; local layouts, interpolation and assembly work
 on whole chunks, and ``map_chunks`` builds the local tables of the chunks on
 every CPU the process may run on. Every global matrix is summed from stacks
-of dense local blocks in cell-id order on the pattern of their union
-(``block_pattern``, ``sum_blocks``, and ``assemble`` on top of them), so
-neither the chunks nor the CPU count change a bit of it.
+of dense local blocks on the pattern of their union (``block_pattern``,
+``sum_blocks``, and ``assemble`` on top of them), stack by stack in the
+order given: the cell chunks in ``elem_ctxs`` order (vertex counts
+increasing, cell ids increasing inside each), then any edge stacks (at
+k = 0 the jump stacks, as ``build_jump_penalisation`` returns them). The
+chunks split each group into consecutive id ranges, so neither the chunks
+nor the CPU count change a bit of it.
 """
 
 from __future__ import annotations
@@ -94,24 +98,6 @@ class USpace:
                                self.vertex_offset(ctx.vertices)], axis=1)
 
 
-def _key_runs(keys: list[np.ndarray]):
-    """The blocks of stacks (one key per block, ``keys[s]`` for stack s) in
-    stable key order, as runs that each come from one stack: ``(s, blocks)``
-    pairs, ``blocks`` a slice where the run is contiguous in its stack."""
-    if not sum(len(kk) for kk in keys):
-        return
-    key = np.concatenate(keys)
-    stack = np.repeat(np.arange(len(keys)), [len(kk) for kk in keys])
-    local = np.concatenate([np.arange(len(kk)) for kk in keys])
-    order = np.argsort(key, kind="stable")
-    stack, local = stack[order], local[order]
-    bounds = np.flatnonzero(np.diff(stack)) + 1
-    for a, b in zip(np.r_[0, bounds], np.r_[bounds, len(order)]):
-        run = local[a:b]
-        yield int(stack[a]), (slice(run[0], run[-1] + 1)
-                              if np.all(np.diff(run) == 1) else run)
-
-
 _LOW32 = 0xFFFFFFFF
 
 
@@ -181,22 +167,18 @@ def block_pattern(index, shape: tuple[int, int]):
     return indptr, indices, slots
 
 
-def sum_blocks(slots, blocks, n_entries: int, keys=None) -> np.ndarray:
+def sum_blocks(slots, blocks, n_entries: int) -> np.ndarray:
     """Pattern data of stacks of dense blocks, given the pattern positions of
     their entries (``block_pattern``), one stack per ``slots`` stack.
 
-    ``keys`` gives one (n,) array per stack, such as cell ids. Blocks are
-    summed in stable key order (in the order given without keys), each in
-    row-major order, so the same blocks give the same data bit for bit
-    however they are stacked. The stacks are added stack by stack, a run of
-    blocks at a time, so no stack is copied whole."""
+    The stacks are added in the order given, one ``np.add.at`` each, which
+    adds a stack's blocks in order and each block in row-major order, as
+    ``np.bincount`` would on the concatenated stacks; no stack is copied
+    whole. Stacks that split a sequence of blocks into consecutive parts
+    therefore give the same data bit for bit however they split it."""
     out = np.zeros(n_entries)
-    runs = ([(s, slice(None)) for s in range(len(slots))] if keys is None
-            else _key_runs(list(keys)))
-    for s, at in runs:
-        # np.add.at adds in index order, as np.bincount would on the
-        # concatenated stacks
-        np.add.at(out, np.ravel(slots[s][at]), np.ravel(blocks[s][at]))
+    for s, b in zip(slots, blocks):
+        np.add.at(out, np.ravel(s), np.ravel(b))
     return out
 
 
@@ -215,13 +197,13 @@ def _flat(parts, dtype) -> np.ndarray:
     return np.concatenate([np.ravel(p) for p in parts] + [np.zeros(0, dtype)])
 
 
-def assemble(blocks, shape: tuple[int, int], keys=None) -> sps.csr_matrix:
+def assemble(blocks, shape: tuple[int, int]) -> sps.csr_matrix:
     """Sum stacks of dense blocks into a sparse matrix: ``blocks`` yields
-    ``(rows, cols, vals)`` stacks, placed by ``block_pattern`` and summed as
-    by ``sum_blocks``."""
+    ``(rows, cols, vals)`` stacks, placed by ``block_pattern`` and summed in
+    the order given by ``sum_blocks``."""
     blocks = list(blocks)
     indptr, indices, slots = block_pattern([(r, c) for r, c, _ in blocks], shape)
-    data = sum_blocks(slots, [v for _, _, v in blocks], len(indices), keys)
+    data = sum_blocks(slots, [v for _, _, v in blocks], len(indices))
     return sps.csr_matrix((data, indices, indptr), shape=shape)
 
 

@@ -35,7 +35,6 @@ _RESIDUAL_TOL = 1e-10                      # solver backward-error gate
 _SPLU_OPTIONS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
                  "options": {"SymmetricMode": True}}
 _ND_LEAF = 8                               # mesh entities per separator-tree leaf
-_COMBINE_BLOCK = 1 << 16                   # stream entries combined at a time
 
 
 @dataclass(frozen=True)
@@ -288,16 +287,15 @@ class PlateSystem:
         # cell blocks on [rotation DOFs, displacement DOFs]: the bending forms
         # live on the leading rotation block, the shear form [I, -G]^T M [I, -G]
         # on the whole block
-        index, keys, n_rot = [], [], []
-        for ctx, (t_dofs, u_dofs, _) in zip(disc.elem_ctxs, cell_G):
+        index, n_rot = [], []
+        for t_dofs, u_dofs, _ in cell_G:
             dofs = np.concatenate([t_dofs, self.n_theta + u_dofs], axis=1)
             index.append((dofs, dofs))
-            keys.append(ctx.ids)
             n_rot.append(t_dofs.shape[1])
         bending0, bending1, shear = (list(b) for b in zip(*[
             _cell_blocks(p, h, g, disc.k) for p, h, (_, _, g) in zip(packs, hho, cell_G)]))
         # k = 0: the jump joins the bending stream and widens the pattern
-        jump, edge_ids = build_jump_penalisation(disc, packs, hho) if disc.k == 0 else ([], [])
+        jump = build_jump_penalisation(disc, packs, hho) if disc.k == 0 else []
         del packs, hho, cell_G                  # every block is built
         self.indptr, self.indices, slots = block_pattern(
             index + [(dofs, dofs) for dofs, _, _ in jump], (n, n))
@@ -308,14 +306,13 @@ class PlateSystem:
         # symmetric, and the blocks of an entry and of its mirror are summed
         # in the same order: each stream is symmetric bit for bit, and so is
         # every matrix combined from them
-        s2 = sum_blocks(cells, shear, nnz, keys)
+        s2 = sum_blocks(cells, shear, nnz)
         del shear
-        s1 = sum_blocks(rot, bending1, nnz, keys)
+        s1 = sum_blocks(rot, bending1, nnz)
         del bending1
         bending0 += [_sym(v) for _, _, v in jump]
         del jump
-        s0 = sum_blocks(rot + slots[len(index):], bending0, nnz,
-                        keys + [disc.mesh.n_elements + e for e in edge_ids])
+        s0 = sum_blocks(rot + slots[len(index):], bending0, nnz)
         del bending0, rot, slots
         self.streams = [s0, s1, s2]
 
@@ -405,10 +402,8 @@ class PlateSystem:
         coupling kappa/t^2 between rotations and displacement gradients."""
         s0, s1, s2 = self.streams
         data = material.beta0 * s0
-        # the other terms a block at a time: no second full-length array
-        for scale, s in ((material.beta1, s1), (material.shear_over_t2, s2)):
-            for a in range(0, data.size, _COMBINE_BLOCK):
-                data[a:a + _COMBINE_BLOCK] += scale * s[a:a + _COMBINE_BLOCK]
+        data += material.beta1 * s1
+        data += material.shear_over_t2 * s2
         n = self.n_theta + self.n_u
         return sps.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
 
@@ -436,8 +431,8 @@ class PlateSystem:
         the interpolated exact traces for non-homogeneous runs, or zero for
         the clamped case), condense the element interiors, factor the Schur
         complement, back-substitute, and verify the backward error on the
-        full reduced system K_ff."""
-        K = self.full_matrix(material)
+        full reduced system K_ff. A K whose norm overflows is a
+        ``SolverFailure`` before any elimination."""
         n = self.n_theta + self.n_u
         x = np.zeros(n)
         if dirichlet_values is not None:
@@ -445,17 +440,23 @@ class PlateSystem:
         free = self.free
         report = SolveReport(residual=0.0, n_free=free.size, local_cond=self.local_cond)
         if free.size:
-            rhs = load - K @ x
-            rhs[self.dirichlet_mask] = 0.0
-            # everything else the solve takes from K: the condensed data, the
-            # interior blocks K_II and K_IB per chunk, and ||K||, the largest
-            # row sum of |K| over the free rows and columns (|K| in place).
-            # Neither K nor |K| is held while SuperLU factors
-            kc = K.data[self._ff_gather]
-            blocks = [(K.data[ii], K.data[ib]) for _, ii, ib, _ in self._cells]
-            np.abs(K.data, out=K.data)
-            knorm = float(np.max((K @ (~self.dirichlet_mask).astype(float))[free]))
+            # all the solve takes from K: the Dirichlet lift, the condensed
+            # data, the interior blocks K_II and K_IB per chunk, and ||K||, the
+            # largest row sum of |K| over the free rows and columns (|K| in
+            # place). Neither K nor |K| is held while SuperLU factors. Material
+            # data near the top of the double range can overflow K or ||K||:
+            # the check below reports it, with no warning on the way
+            with np.errstate(over="ignore", invalid="ignore"):
+                K = self.full_matrix(material)
+                rhs = load - K @ x
+                rhs[self.dirichlet_mask] = 0.0
+                kc = K.data[self._ff_gather]
+                blocks = [(K.data[ii], K.data[ib]) for _, ii, ib, _ in self._cells]
+                np.abs(K.data, out=K.data)
+                knorm = float(np.max((K @ (~self.dirichlet_mask).astype(float))[free]))
             del K
+            if not np.isfinite(knorm):
+                raise SolverFailure(f"the plate matrix overflows: ||K|| = {knorm}")
             # relative residual = normwise backward error on the full K_ff,
             # ||r|| / (||K|| ||x|| + ||b||); the naive ||r||/||b|| is floored at
             # eps*||K||*||x||/||b|| by cancellation in K@x when kappa/t^2 is

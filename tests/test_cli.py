@@ -108,3 +108,25 @@ def test_cli_large_displacements_have_a_finite_error(refinements, kappa0, capsys
     assert code == 0, captured.err
     assert "nan" not in captured.out and "inf" not in captured.out
     assert "3.606788e-01" in captured.out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    ["--degree", "0", "--young", "1e306"],
+    ["--degree", "0", "--young", "1e300", "--thickness", "1e-5"],
+    ["--degree", "2", "--young", "1e305"],
+], ids=["row_sums", "shear_factor", "k2"])
+def test_cli_overflowing_plate_matrix_is_a_solver_failure(args, capsys):
+    """Material data near the top of the double range: at E = 1e306 every
+    entry of K is finite but its row sums overflow, so ||K|| is infinite and
+    the backward-error gate passed vacuously; with kappa/t^2 = inf, or at
+    k = 2 and E = 1e305, K itself overflows, and numpy warned before SuperLU
+    found it singular. Each run now stops with one SolverFailure line."""
+    code = main(["--refinements", "1", *args])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("SolverFailure:")
+    assert "overflows" in lines[0]
+    assert "Traceback" not in captured.err and "Warning" not in captured.err

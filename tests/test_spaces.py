@@ -235,13 +235,6 @@ def test_assemble_matches_blockwise_reference(rng):
     got = assemble([(r[None], c[None], b[None]) for r, c, b in blocks], (9, 7))
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, attr), getattr(ref, attr))
-    # the two (3, 4) blocks stacked together, the rest in reverse order:
-    # the keys restore the summation order
-    pair = tuple(np.stack([blocks[0][i], blocks[5][i]]) for i in range(3))
-    rest = [(r[None], c[None], b[None]) for r, c, b in blocks[4:0:-1]]
-    keyed = assemble([pair, *rest], (9, 7), [np.array([0, 5]), *np.arange(4, 0, -1)[:, None]])
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(keyed, attr), getattr(ref, attr))
     assert assemble([], (9, 7)).nnz == 0
 
 

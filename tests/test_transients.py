@@ -1,6 +1,6 @@
 """The build and the solve hold no full-size temporary they do not need:
 ``sum_blocks`` adds the stacks one by one and equals the former
-flatten-permute-bincount sum bit for bit, the build's transient peak stays
+flatten-and-bincount sum bit for bit, the build's transient peak stays
 near what it keeps, and no full matrix is alive while SuperLU factors."""
 
 import tracemalloc
@@ -18,21 +18,11 @@ from ddrplate.spaces import Discretization, sum_blocks
 from ddrplate.system import MaterialParams, PlateSystem
 
 
-def _bincount_sum_blocks(slots, blocks, n_entries, keys=None):
+def _bincount_sum_blocks(slots, blocks, n_entries):
     """The former ``sum_blocks``, kept as the oracle: every stack flattened,
-    the entries permuted to stable key order, and one ``np.bincount``."""
+    concatenated, and one ``np.bincount``."""
     slots_flat = np.concatenate([np.ravel(s) for s in slots] + [np.zeros(0, np.intp)])
     vals = np.concatenate([np.ravel(b) for b in blocks] + [np.zeros(0)])
-    if keys is not None:
-        key = np.concatenate([np.asarray(k) for k in keys] + [np.zeros(0, int)])
-        size = np.concatenate([np.full(len(k), int(np.prod(s.shape[1:])))
-                               for k, s in zip(keys, slots)] + [np.zeros(0, int)])
-        start = np.cumsum(size) - size
-        order = np.argsort(key, kind="stable")
-        size = size[order]
-        perm = (np.repeat(start[order] - (np.cumsum(size) - size), size)
-                + np.arange(size.sum()))
-        slots_flat, vals = slots_flat[perm], vals[perm]
     return np.bincount(slots_flat.astype(np.intp), vals, n_entries)
 
 
@@ -40,52 +30,47 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("name,k", [("tri_n8", 3), ("tri_n8", 0), ("hexa_03", 1),
-                                    ("locref_03", 0)])
-def test_sum_blocks_equals_the_bincount_oracle(name, k, monkeypatch):
-    """Every stream of a build in chunks of 16 cells: the cell stacks in key
-    order (tri), cell ids interleaved across vertex counts (hexa_03,
-    locref_03), and the k = 0 jump stacks, whose edge keys interleave."""
+def _stream_calls(name, k, monkeypatch, rng):
+    """The ``sum_blocks`` calls of a build in chunks of 16 cells, and its
+    streams; for "random", stacks of mixed block shapes (one of them empty),
+    with no streams."""
+    if name == "random":
+        shapes = [(5, 2, 3), (4, 1, 1), (6, 3, 2), (0, 2, 2)]
+        stacks = ([rng.integers(0, 17, s).astype(np.int32) for s in shapes],
+                  [rng.standard_normal(s) for s in shapes], 17)
+        return [stacks], None
     monkeypatch.setattr(spaces, "_CHUNK_CELLS", 16)
     mesh = triangular_mesh(8) if name == "tri_n8" else load_mesh(str(ASSETS / f"{name}.json"))
     calls = []
 
-    def spy(slots, blocks, n_entries, keys=None):
-        calls.append((list(slots), list(blocks), n_entries, keys))
-        return sum_blocks(slots, blocks, n_entries, keys)
+    def spy(slots, blocks, n_entries):
+        calls.append((list(slots), list(blocks), n_entries))
+        return sum_blocks(slots, blocks, n_entries)
 
     monkeypatch.setattr(ddrplate.system, "sum_blocks", spy)
     plate = PlateSystem(Discretization(mesh, k))
     assert len(calls) == 3
     # at k = 0 the s0 call carries the jump stacks too
-    cell_stacks = min(len(slots) for slots, _, _, _ in calls)
-    assert (max(len(slots) for slots, _, _, _ in calls) > cell_stacks) == (k == 0)
-    for slots, blocks, n_entries, keys in calls:
-        got = sum_blocks(slots, blocks, n_entries, keys)
-        assert _same_bits(got, _bincount_sum_blocks(slots, blocks, n_entries, keys))
-        assert any(_same_bits(got, s) for s in plate.streams)
-        runs = len(list(spaces._key_runs(list(keys))))
-        if name == "tri_n8" and len(slots) == cell_stacks:
-            assert runs == len(slots)       # one run per stack
-        else:
-            assert runs > len(slots)        # keys interleaved across stacks
+    cell_stacks = min(len(slots) for slots, _, _ in calls)
+    assert (max(len(slots) for slots, _, _ in calls) > cell_stacks) == (k == 0)
+    return calls, plate.streams
 
 
-def test_sum_blocks_runs_in_any_key_order(rng):
-    """Random keys with ties, stacks of mixed block shapes and a run that is
-    not contiguous in its stack: the same bits as the oracle, with keys and
-    without, and zero stacks give zero data."""
-    shapes = [(5, 2, 3), (4, 1, 1), (6, 3, 2), (0, 2, 2)]
-    slots = [rng.integers(0, 17, s).astype(np.int32) for s in shapes]
-    blocks = [rng.standard_normal(s) for s in shapes]
-    keys = [rng.integers(0, 6, s[0]) for s in shapes]
-    keys[0] = np.array([9, 0, 1, 9, 2])              # stack 0 runs 1, 2, 4 then 0, 3
-    for kk in (None, keys):
-        assert _same_bits(sum_blocks(slots, blocks, 17, kk),
-                          _bincount_sum_blocks(slots, blocks, 17, kk))
-    assert any(isinstance(at, np.ndarray) for _, at in spaces._key_runs(keys))
-    assert _same_bits(sum_blocks([], [], 4), np.zeros(4))
-    assert _same_bits(sum_blocks([], [], 4, []), np.zeros(4))
+@pytest.mark.parametrize("name,k", [("tri_n8", 3), ("tri_n8", 0), ("hexa_03", 1),
+                                    ("locref_03", 0), ("random", None)])
+def test_sum_blocks_equals_the_bincount_oracle(name, k, monkeypatch, rng):
+    """Every stream of a build in chunks of 16 cells (cells of one vertex
+    count on tri_n8, of several on hexa_03 and locref_03, and at k = 0 the
+    jump stacks after the cell ones), and random stacks of mixed block
+    shapes: the stacks added in the order given are the oracle's sum bit
+    for bit, and zero stacks give zero data."""
+    calls, streams = _stream_calls(name, k, monkeypatch, rng)
+    for slots, blocks, n_entries in calls:
+        got = sum_blocks(slots, blocks, n_entries)
+        assert _same_bits(got, _bincount_sum_blocks(slots, blocks, n_entries))
+        assert streams is None or any(_same_bits(got, s) for s in streams)
+    if streams is None:
+        assert _same_bits(sum_blocks([], [], 4), np.zeros(4))
 
 
 def test_build_peak_stays_near_what_it_keeps():
