@@ -28,7 +28,7 @@ import numpy as np
 
 from .operators import LocalOperatorPack, _check_cond, _edge_restriction, _theta_slices, _vp_k
 from .polyspace import ElementContext, dim_P
-from .spaces import Discretization, map_chunks
+from .spaces import Discretization, assemble, map_chunks
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -200,62 +200,35 @@ def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack]
     """k = 0 jump bilinear form: h_E^{-1} integrals of the jumps of the p^1
     reconstructions over edges (the trace itself on boundary edges).
 
-    Returns ``assemble`` stacks of edge blocks on the rotation DOFs of the
-    edge's (one or two) cells, lower cell id first and each DOF once: per
-    vertex count of the first cell, its boundary edges, then its interior
-    edges by the vertex count of the second cell, each stack in edge-id
-    order. They are summed in that order."""
+    The jump operator J maps the rotation DOFs to the [tangential, normal]
+    edge coefficients of p^1_{T1} - p^1_{T2} on each edge, T1 the lower cell
+    id; ``assemble`` adds the two cells' columns of the edge's own DOFs.
+    Returns ``assemble`` stacks of the blocks J_E^T J_E / h_E on the sorted
+    rotation DOFs of each edge's cells: one stack per number of those DOFs,
+    by increasing number, each in edge-id order, summed in that order."""
     if disc.k != 0:
         raise ValueError("jump penalisation is defined for k = 0 only")
-    np_1 = dim_P(1)
-    # per chunk: restriction of the p^1 reconstruction to each local edge
-    mats = [_edge_restriction(ctx, pack.scalar_cross, disc.k + 2, np_1) @ hp.P1[:, None]
-            for ctx, pack, hp in zip(disc.elem_ctxs, packs, hho_packs)]
-    dofs = [disc.theta_space.local_dofs(ctx) for ctx in disc.elem_ctxs]
-    # the chunks of one vertex count follow each other: stacked per vertex
-    # count again, the edges are stacked per pair of counts, not of chunks
-    sizes = np.array([ctx.n_cells for ctx in disc.elem_ctxs])
-    bounds = np.r_[0, np.flatnonzero(np.diff([ctx.n_vertices for ctx in disc.elem_ctxs])) + 1,
-                   len(sizes)]
-    mats, dofs = ([np.concatenate(stacks[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-                  for stacks in (mats, dofs))
-    # one (edge, cell, local edge) incidence per row, by edge and then cell id
     mesh = disc.mesh
-    order = np.argsort(mesh.cell_edges, kind="stable")     # the flat rows are by cell
-    cell_of = np.repeat(np.arange(mesh.n_elements), np.diff(mesh.cell_offsets))[order]
-    local = order - mesh.cell_offsets[cell_of]
-    edge_of = mesh.cell_edges[order]
-    chunk, pos = disc.locate(cell_of)
-    before = np.cumsum(sizes) - sizes                      # cells of the earlier chunks
-    group = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))[chunk]
-    pos += before[chunk] - before[bounds[:-1]][group]
-    first = np.flatnonzero(np.r_[True, edge_of[1:] != edge_of[:-1]])
-    two = np.r_[first[1:], len(edge_of)] - first == 2
-    lengths = mesh.edge_length
-
+    cell_of = np.repeat(np.arange(mesh.n_elements), np.diff(mesh.cell_offsets))
+    lower = np.full(mesh.n_edges, mesh.n_elements)
+    np.minimum.at(lower, mesh.cell_edges, cell_of)
     blocks = []
-    for g0 in range(len(mats)):
-        for g1 in [None] + list(range(len(mats))):
-            if g1 is None:
-                sel = first[(group[first] == g0) & ~two]
-                side = [(g0, sel, 1.0)]
-            else:
-                sel = first[(group[first] == g0) & two]
-                sel = sel[group[sel + 1] == g1]
-                side = [(g0, sel, 1.0), (g1, sel + 1, -1.0)]
-            if not len(sel):
-                continue
-            big = np.concatenate([sgn * mats[g][pos[rows], local[rows]]
-                                  for g, rows, sgn in side], axis=2)
-            idx = np.concatenate([dofs[g][pos[rows]] for g, rows, _ in side], axis=1)
-            if g1 is not None:
-                # the edge's own DOFs belong to both cells: the second cell's
-                # columns of them are added to the first's and dropped
-                n_a = dofs[g0].shape[1]
-                same = idx[:, n_a:, None] == idx[:, None, :n_a]
-                big[..., :n_a] += big[..., n_a:] @ same
-                keep = np.c_[np.ones((len(sel), n_a), dtype=bool), ~same.any(axis=2)]
-                big = _t(_t(big)[keep].reshape(len(sel), -1, big.shape[1]))
-                idx = idx[keep].reshape(len(sel), -1)
-            blocks.append((idx, idx, (_t(big) @ big) / lengths[edge_of[sel]][:, None, None]))
-    return blocks
+    for ctx, pack, hp in zip(disc.elem_ctxs, packs, hho_packs):
+        # restriction of the p^1 reconstruction to each local edge, signed
+        rest = _edge_restriction(ctx, pack.scalar_cross, 2, dim_P(1)) @ hp.P1[:, None]
+        rest[lower[ctx.edge_ids] != ctx.ids[:, None]] *= -1.0
+        rows = (4 * ctx.edge_ids[..., None] + np.arange(4)).reshape(ctx.n_cells, -1)
+        blocks.append((rows, disc.theta_space.local_dofs(ctx),
+                       rest.reshape(ctx.n_cells, -1, rest.shape[-1])))
+    J = assemble(blocks, (4 * mesh.n_edges, disc.theta_space.dim))
+    # the four rows of an edge share their sorted columns
+    start = J.indptr[:-1:4]
+    width = J.indptr[1::4] - start
+    out = []
+    for w in np.unique(width):
+        edges = np.flatnonzero(width == w)
+        at = start[edges, None] + np.arange(4 * w)
+        B = J.data[at].reshape(-1, 4, w)
+        idx = J.indices[at[:, :w]]
+        out.append((idx, idx, (_t(B) @ B) / mesh.edge_length[edges, None, None]))
+    return out

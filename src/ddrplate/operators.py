@@ -230,7 +230,6 @@ def build_global_gradient(disc: Discretization, packs: list[LocalOperatorPack]
     k = disc.k
     vp_k = _vp_k(k)
     ec = disc.edge_ctx
-    edge = (ec.dmat @ ec.trace)[:, :k + 1]
     blocks, cells = [], []
     for ctx, pack in zip(disc.elem_ctxs, packs):
         u_dofs = sp_u.local_dofs(ctx)
@@ -239,20 +238,15 @@ def build_global_gradient(disc: Discretization, packs: list[LocalOperatorPack]
                        u_dofs, block))
         rows = np.zeros((ctx.n_cells, pack.n_theta, pack.n_u))
         rows[:, :sp_t.elem_dim] = block
-        vertex0 = sp_u.elem_dim + ctx.n_vertices * k
-        for j in range(ctx.n_vertices):
-            t0 = sp_t.elem_dim + j * sp_t.edge_dim
-            m0 = sp_u.elem_dim + j * k
-            cols = np.concatenate([np.broadcast_to(np.arange(m0, m0 + k), (ctx.n_cells, k)),
-                                   vertex0 + ctx.local_vertices[:, j]], axis=1)
-            rows[np.arange(ctx.n_cells)[:, None, None],
-                 np.arange(t0, t0 + k + 1)[None, :, None],
-                 cols[:, None, :]] = edge[ctx.edge_ids[:, j]]
+        # tangential slots: the derivative of the skeleton trace on each edge
+        rows[:, sp_t.elem_dim:].reshape(ctx.n_cells, ctx.n_vertices, sp_t.edge_dim,
+                                        pack.n_u)[:, :, :k + 1] = (
+            ec.dmat[ctx.edge_ids][:, :, :k + 1] @ pack.trace)
         cells.append((sp_t.local_dofs(ctx), u_dofs, rows))
     edges = np.arange(disc.mesh.n_edges)
     u_cols = np.concatenate([sp_u.edge_offset(edges)[:, None] + np.arange(k),
                              sp_u.vertex_offset(disc.mesh.edge_vertices)], axis=1)
-    blocks.append((sp_t.edge_tangential_slots(edges), u_cols, edge))
+    blocks.append((sp_t.edge_tangential_slots(edges), u_cols, (ec.dmat @ ec.trace)[:, :k + 1]))
     return assemble(blocks, (sp_t.dim, sp_u.dim)), cells
 
 

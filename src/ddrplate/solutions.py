@@ -4,7 +4,8 @@ Both test solutions follow the same gradient construction: pick a potential
 v, set the rotation to grad v, and correct the displacement by t^2 * w with
 w = -((beta0 + beta1)/kappa) * Lap v. The shear strain is then kappa * grad w
 and the load (beta0 + beta1) * Lap^2 v, and the full strong system holds
-identically for any shear correction factor.
+identically for any shear correction factor. A solve imposes the
+interpolated traces of either solution, so its meshes need not tile (0,1)^2.
 
 * polynomial case: v = (1/3) x^3 (x-1)^3 y^3 (y-1)^3, clamped homogeneous
   traces; with kappa0 = 5/6 the displacement correction reduces to the
@@ -44,7 +45,6 @@ def _safe_exp(a: np.ndarray) -> np.ndarray:
 @dataclass
 class ExactSolution:
     name: str
-    homogeneous_bc: bool
     material: MaterialParams
     u: Callable[[np.ndarray], np.ndarray]
     grad_u: Callable[[np.ndarray], np.ndarray]
@@ -119,8 +119,8 @@ def _derivative_field(k: int, combo, terms, divisor: float):
     return evaluate
 
 
-def _gradient_form_solution(name: str, material: MaterialParams, homogeneous: bool,
-                            terms, load_terms, divisor: float = 1.0) -> ExactSolution:
+def _gradient_form_solution(name: str, material: MaterialParams, terms, load_terms,
+                            divisor: float = 1.0) -> ExactSolution:
     """Assemble the evaluators of the gradient construction for the potential
     v = (sum of ``terms``) / divisor. The load reads only ``load_terms``, the
     terms that are not biharmonic, so a biharmonic term adds no round-off."""
@@ -130,7 +130,7 @@ def _gradient_form_solution(name: str, material: MaterialParams, homogeneous: bo
     fields = [(0, corrected), (1, corrected),                  # u, grad u
               (1, ((1.0, 0),)), (2, ((1.0, 0),)),              # theta, grad theta
               (1, ((-b, 1),)), (2, ((-b, 1),))]                # gamma, grad gamma
-    return ExactSolution(name, homogeneous, material,
+    return ExactSolution(name, material,
                          *(_derivative_field(k, combo, terms, divisor) for k, combo in fields),
                          _derivative_field(0, ((b, 2),), load_terms, divisor))
 
@@ -163,7 +163,7 @@ def polynomial_solution(material: MaterialParams) -> ExactSolution:
     def term(x, orders1, orders2):
         return _p_derivs(x[:, 0], orders1), _p_derivs(x[:, 1], orders2), None
 
-    return _gradient_form_solution("polynomial", material, True, [term], [term], 3.0)
+    return _gradient_form_solution("polynomial", material, [term], [term], 3.0)
 
 
 def analytical_solution(material: MaterialParams) -> ExactSolution:
@@ -187,7 +187,7 @@ def analytical_solution(material: MaterialParams) -> ExactSolution:
                 _trig_derivs(np.pi * x[:, 1], orders2), smooth_weights)
 
     # Lap^2 V = 0: the layer stays out of the load
-    return _gradient_form_solution("analytical", material, False, [layer, smooth], [smooth])
+    return _gradient_form_solution("analytical", material, [layer, smooth], [smooth])
 
 
 def get_solution(name: str, material: MaterialParams) -> ExactSolution:

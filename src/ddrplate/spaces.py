@@ -22,7 +22,10 @@ order given: the cell chunks in ``elem_ctxs`` order (vertex counts
 increasing, cell ids increasing inside each), then any edge stacks (at
 k = 0 the jump stacks, as ``build_jump_penalisation`` returns them). The
 chunks split each group into consecutive id ranges, so neither the chunks
-nor the CPU count change a bit of it.
+nor the CPU count change a bit of it. These sums are the only place where
+the contributions of several cells to a shared DOF meet: the k = 0 jump
+operator, the Schur complements of a solve and its right-hand side are
+summed the same way.
 """
 
 from __future__ import annotations
@@ -191,9 +194,10 @@ def _starts(a: np.ndarray) -> np.ndarray:
 
 
 def _flat(parts, dtype) -> np.ndarray:
-    """The raveled arrays end to end; a single contiguous one is not copied."""
+    """The raveled arrays end to end, as ``dtype`` at least; a single
+    contiguous one of that type is not copied."""
     if len(parts) == 1:
-        return np.ravel(parts[0])
+        return np.ravel(parts[0]).astype(dtype, copy=False)
     return np.concatenate([np.ravel(p) for p in parts] + [np.zeros(0, dtype)])
 
 
@@ -301,16 +305,6 @@ class Discretization:
             for ids, _ in cell_groups(mesh.cell_offsets) for chunk in cell_chunks(ids)]
         self.theta_space = ThetaSpace(mesh, k)
         self.u_space = USpace(mesh, k)
-
-    def locate(self, cell_ids) -> tuple[np.ndarray, np.ndarray]:
-        """Chunk index (into ``elem_ctxs``) and position within the chunk of
-        each cell id."""
-        group = np.empty(self.mesh.n_elements, dtype=int)
-        pos = np.empty(self.mesh.n_elements, dtype=int)
-        for g, ctx in enumerate(self.elem_ctxs):
-            group[ctx.ids] = g
-            pos[ctx.ids] = np.arange(ctx.n_cells)
-        return group[cell_ids], pos[cell_ids]
 
 
 def at_points(fn, points: np.ndarray) -> np.ndarray:

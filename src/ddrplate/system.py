@@ -169,6 +169,7 @@ def _nested_dissection(indptr: np.ndarray, indices: np.ndarray, xy: np.ndarray,
     centres = centres.ravel()
     node = np.zeros(n, dtype=np.int32)       # the part, then the node, of each entity
     parents, first = [np.array([-1])], [0, 1]     # first node id of each level
+    codes = [np.array([1])]                  # 2 code(parent) + 0 (left) or 1 (right)
     active = np.arange(n)                    # the entities of parts still to split
     while active.size:
         # the parts of this level are the nodes first[-2] .. first[-1] - 1
@@ -232,23 +233,19 @@ def _nested_dissection(indptr: np.ndarray, indices: np.ndarray, xy: np.ndarray,
         moved = active[side[active] > 0]
         key = 2 * part[moved] + side[moved] - 1
         kids = np.bincount(key, minlength=2 * n_parts) > 0
-        parents.append(first[-2] + np.flatnonzero(kids) // 2)
+        kid = np.flatnonzero(kids)
+        parents.append(first[-2] + kid // 2)
+        codes.append(2 * codes[-1][kid // 2] + kid % 2)
         node[moved] = first[-1] + (np.cumsum(kids) - 1)[key]
         first.append(first[-1] + np.count_nonzero(kids))
         active = moved
     parent = np.concatenate(parents)
-    # postorder: sort the nodes by the last leaf of their subtree, deeper first
+    # postorder: sort the nodes by the last leaf of their subtree in the full
+    # binary tree of the same depth, deeper first
     depth = np.repeat(np.arange(len(first) - 1), np.diff(first))
-    count = (np.bincount(parent[1:], minlength=len(parent)) == 0).astype(np.intp)
-    for begin, end in zip(first[-2:0:-1], first[-1:1:-1]):      # leaves per subtree
-        np.add.at(count, parent[begin:end], count[begin:end])
-    start = np.zeros_like(count)                                 # first leaf per subtree
-    for begin, end in zip(first[1:-1], first[2:]):
-        p, size = parent[begin:end], count[begin:end]
-        after = np.r_[False, p[1:] == p[:-1]]        # the right child of a pair
-        start[begin:end] = start[p] + np.where(after, np.r_[0, size[:-1]], 0)
-    rank = np.empty_like(count)
-    rank[np.lexsort((-depth, start + count))] = np.arange(len(count))
+    code = np.concatenate(codes)
+    rank = np.empty_like(code)
+    rank[np.lexsort((-depth, ((code + 1) << (depth.max() - depth)) - 1))] = np.arange(len(code))
     parent[1:] = rank[parent[1:]]
     out, out_depth = np.empty_like(parent), np.empty_like(depth)
     out[rank], out_depth[rank] = parent, depth
@@ -402,8 +399,10 @@ class PlateSystem:
         coupling kappa/t^2 between rotations and displacement gradients."""
         s0, s1, s2 = self.streams
         data = material.beta0 * s0
-        data += material.beta1 * s1
-        data += material.shear_over_t2 * s2
+        term = np.multiply(material.beta1, s1)
+        data += term
+        data += np.multiply(material.shear_over_t2, s2, out=term)
+        del term            # before the index copies, which then take its memory
         n = self.n_theta + self.n_u
         return sps.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
 
@@ -428,11 +427,10 @@ class PlateSystem:
               dirichlet_values: np.ndarray | None = None
               ) -> tuple[ThetaVector, UVector, SolveReport]:
         """Eliminate Dirichlet DOFs (their entries of ``dirichlet_values``,
-        the interpolated exact traces for non-homogeneous runs, or zero for
-        the clamped case), condense the element interiors, factor the Schur
-        complement, back-substitute, and verify the backward error on the
-        full reduced system K_ff. A K whose norm overflows is a
-        ``SolverFailure`` before any elimination."""
+        such as the interpolated exact traces, or zero without it), condense
+        the element interiors, factor the Schur complement, back-substitute,
+        and verify the backward error on the full reduced system K_ff. A K
+        whose norm overflows is a ``SolverFailure`` before any elimination."""
         n = self.n_theta + self.n_u
         x = np.zeros(n)
         if dirichlet_values is not None:
@@ -473,11 +471,8 @@ class PlateSystem:
                 interior.append((kii, kib, X[..., :-1]))
                 ys.append(X[..., -1])
             if interior:
-                schur = np.zeros(kc.size + 1)
-                for (_, kib, xb), at in zip(interior, self._schur_at):
-                    np.add.at(schur, at, (_t(kib) @ xb).ravel())
-                kc -= schur[:-1]
-                del schur                   # before the factorization
+                kc -= sum_blocks(self._schur_at, (_t(kib) @ xb for _, kib, xb in interior),
+                                 kc.size + 1)[:-1]
             n_c = report.n_factored = self.factored.size
             lu = None
             if n_c:
@@ -500,10 +495,9 @@ class PlateSystem:
                           for (dofs, _, _, _), (kii, _, _) in zip(self._cells, interior)]
                 rc = r[self.factored]
                 if ys:
-                    coupling = np.zeros(n_c + 1)
-                    for (_, _, _, rows), (_, kib, _), y in zip(self._cells, interior, ys):
-                        np.add.at(coupling, rows.ravel(), (y[:, None] @ kib).ravel())
-                    rc -= coupling[:-1]
+                    rc -= sum_blocks((rows for _, _, _, rows in self._cells),
+                                     (y[:, None] @ kib for (_, kib, _), y in zip(interior, ys)),
+                                     n_c + 1)[:-1]
                 xc = np.zeros(n_c + 1)          # the last entry stands for Dirichlet DOFs
                 if lu is not None:
                     xc[:-1] = lu.solve(rc)

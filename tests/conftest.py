@@ -223,10 +223,21 @@ def _take(stack, c):
     return stack[c]
 
 
+def locate(disc, cell_ids):
+    """Chunk index (into ``disc.elem_ctxs``) and position within the chunk
+    of each cell id."""
+    group = np.empty(disc.mesh.n_elements, dtype=int)
+    pos = np.empty(disc.mesh.n_elements, dtype=int)
+    for g, ctx in enumerate(disc.elem_ctxs):
+        group[ctx.ids] = g
+        pos[ctx.ids] = np.arange(ctx.n_cells)
+    return group[cell_ids], pos[cell_ids]
+
+
 def cell(disc, cell_id, *stacks):
     """Views of cell ``cell_id``: its context, then its entry of each list
     of per-group stacks (packs or arrays)."""
-    group, pos = disc.locate(cell_id)
+    group, pos = locate(disc, cell_id)
     views = [CellView(disc, disc.elem_ctxs[group], pos)]
     views += [_take(s[group], pos) for s in stacks]
     return views[0] if not stacks else tuple(views)

@@ -220,6 +220,24 @@ def test_convergence_from_mesh_dir(tmp_path):
     assert records[1].rate is not None and records[1].rate > 0.8
 
 
+def test_convergence_on_meshes_that_do_not_tile_the_unit_square(tmp_path):
+    """The cells of the triangulations below y = 1/2: the polynomial
+    solution's traces do not vanish on y = 1/2, so the solve imposes its
+    interpolated traces there and the rates are the full k + 1 = 2."""
+    from ddrplate.mesh import build_mesh, save_mesh, triangular_mesh
+    for i, n in enumerate((8, 16, 32)):
+        mesh = triangular_mesh(n)
+        below = np.flatnonzero(mesh.cell_center[:, 1] < 0.5)
+        loops = np.stack([mesh.cell_vertices[mesh.cell_offsets[c]:mesh.cell_offsets[c + 1]]
+                          for c in below])
+        used, loops = np.unique(loops, return_inverse=True)
+        save_mesh(build_mesh(mesh.vertex_coords[used], loops.reshape(-1, 3).tolist()),
+                  str(tmp_path / f"half_{i}.json"))
+    records = run_convergence(RunConfig(mesh_dir=str(tmp_path), refinements=3, degree=1,
+                                        thickness=1e-3))
+    assert records[-1].rate >= 1.8
+
+
 def test_polynomial_family_rates_match_orders():
     """Three triangular refinements: first order at k = 0, second at k = 1."""
     r0 = run_convergence(RunConfig(refinements=3, degree=0, thickness=0.1))

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
-from conftest import cell, cells, per_group, refined_quadrature
+from conftest import ASSETS, cell, cells, per_group, refined_quadrature
 from ddrplate.errors import SingularLocalSystem
-from ddrplate.hho import (build_hho_pack, build_jump_penalisation,
+from ddrplate.hho import (build_hho_pack, build_hho_packs, build_jump_penalisation,
                           build_tensor_gradient, local_theta_interpolation)
+from ddrplate.mesh import load_mesh, triangular_mesh
 from ddrplate.operators import (_edge_restriction, _theta_slices, _vp_k,
-                                build_local_pack)
+                                build_local_pack, build_packs)
 from ddrplate.polyspace import dim_P
 from ddrplate.spaces import Discretization, assemble, interpolate_theta
 
@@ -290,6 +292,34 @@ def test_jump_symmetry(cache):
     blocks = build_jump_penalisation(disc, cache.packs("hexa", 0), cache.hho("hexa", 0))
     J = assemble(blocks, (n, n))
     assert abs(J - J.T).max() <= 1e-13 * abs(J).max()
+
+
+@pytest.mark.parametrize("name", ["tri_n4", "hexa_02", "locref_02"])
+def test_jump_value_is_the_edge_integral_of_the_reconstruction_jumps(name, rng):
+    """For a random rotation vector v, v^T (sum of the jump blocks) v is
+    sum_E h_E^{-1} int_E |p1_T1 - p1_T2|^2, with |p1_T|^2 on boundary edges:
+    p1 evaluated from each cell's P1 coefficients on a Gauss rule of the
+    edge, exact for the quadratic integrand."""
+    mesh = triangular_mesh(4) if name == "tri_n4" else load_mesh(str(ASSETS / f"{name}.json"))
+    disc = Discretization(mesh, 0)
+    packs = build_packs(disc)
+    hho = build_hho_packs(disc, packs)
+    v = rng.standard_normal(disc.theta_space.dim)
+    got = sum(np.einsum("ei,eij,ej->", v[rows], block, v[cols])
+              for rows, cols, block in build_jump_penalisation(disc, packs, hho))
+    s, w = roots_legendre(2)
+    jumps = {}
+    for cell_id in range(mesh.n_elements):
+        ctx, hp = cell(disc, cell_id, hho)
+        coef = (hp.P1 @ v[ctx.theta_dofs]).reshape(2, dim_P(1))     # component-major
+        for e in ctx.element.edges:
+            a, b = mesh.vertex_coords[mesh.edge_vertices[e]]
+            p1 = ctx.scal.eval(0.5 * (a + b) + 0.5 * s[:, None] * (b - a)) @ coef.T
+            jumps[e] = jumps[e] - p1 if e in jumps else p1
+    # h_E^{-1} int_E is half the sum over the rule's weights on [-1, 1]
+    want = sum(0.5 * w @ (jump ** 2).sum(axis=1) for jump in jumps.values())
+    assert len(jumps) == mesh.n_edges
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_rank_deficient_reconstruction_names_the_cell(meshes):

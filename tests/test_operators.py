@@ -222,12 +222,14 @@ def test_gradient_of_constant_is_zero(cache):
     assert np.abs(out).max() < 1e-13
 
 
-@pytest.mark.parametrize("family", ["tri", "hexa", "locref"])
-def test_cell_blocks_are_the_rows_of_the_global_gradient(cache, family):
+@pytest.mark.parametrize("family, k", [
+    pytest.param(family, k, id=family if k == 2 else f"{family}-k{k}")
+    for family in ("tri", "hexa", "locref") for k in range(4)])
+def test_cell_blocks_are_the_rows_of_the_global_gradient(cache, family, k):
     """Each cell block is G on the cell's rotation rows, and those rows read
     no displacement DOF outside the cell."""
-    disc = cache.disc(family, 2)
-    G, blocks = build_global_gradient(disc, cache.packs(family, 2))
+    disc = cache.disc(family, k)
+    G, blocks = build_global_gradient(disc, cache.packs(family, k))
     for stack in blocks:
         for t_dofs, u_dofs, block in zip(*stack):
             rows = G[t_dofs]

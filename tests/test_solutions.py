@@ -110,7 +110,6 @@ def test_polynomial_shear_strain_independent_of_t(rng):
 def test_analytical_solution_structure(rng):
     m = MaterialParams(t=1e-1)
     sol = analytical_solution(m)
-    assert not sol.homogeneous_bc
     # load at the center: 4 pi^4 (beta0 + beta1)
     center = np.array([[0.5, 0.5]])
     assert sol.f(center)[0] == pytest.approx(4 * np.pi ** 4 * (m.beta0 + m.beta1),
@@ -185,7 +184,7 @@ def test_fields_stay_finite_for_tiny_thickness(rng, name, t):
 def test_seminorm_probe_zero_field():
     m = MaterialParams()
     zero2 = lambda x: np.zeros((len(np.atleast_2d(x)), 2))
-    sol = ExactSolution("zero", True, m,
+    sol = ExactSolution("zero", m,
                         u=lambda x: np.zeros(len(np.atleast_2d(x))),
                         grad_u=zero2, theta=zero2,
                         grad_theta=lambda x: np.zeros((len(np.atleast_2d(x)), 2, 2)),

@@ -238,6 +238,18 @@ def test_assemble_matches_blockwise_reference(rng):
     assert assemble([], (9, 7)).nnz == 0
 
 
+def test_assemble_takes_32_bit_indices_in_one_stack(rng):
+    """A single stack of 32-bit indices (as the k = 0 jump stacks, read off
+    a CSR pattern) is placed as its 64-bit copy is."""
+    rows = rng.integers(0, 12, (6, 3)).astype(np.int32)
+    cols = rng.integers(0, 10, (6, 4)).astype(np.int32)
+    vals = rng.standard_normal((6, 3, 4))
+    got = assemble([(rows, cols, vals)], (12, 10))
+    ref = assemble([(rows.astype(np.int64), cols.astype(np.int64), vals)], (12, 10))
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+
+
 def test_block_pattern_places_every_entry(rng):
     """Stacks of different shapes whose blocks repeat indices (as the k = 0
     jump blocks do) and share rows in varying sets: the pattern is the

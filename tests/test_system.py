@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
+from conftest import locate
 import ddrplate.system
 from ddrplate.errors import SolverFailure, ZeroNormError
 from ddrplate.harness import solve_case
@@ -474,7 +475,7 @@ def _structural_pattern(system):
     if disc.k == 0:
         theta = [disc.theta_space.local_dofs(ctx) for ctx in disc.elem_ctxs]
         for eid in disc.mesh.interior_edges:
-            group, pos = disc.locate(np.array(disc.mesh.edges[eid].elements))
+            group, pos = locate(disc, np.array(disc.mesh.edges[eid].elements))
             dofs = np.concatenate([theta[g][p] for g, p in zip(group, pos)])[None]
             blocks.append((dofs, dofs, np.ones((1, dofs.shape[1], dofs.shape[1]))))
     pattern = assemble(blocks, (n, n))
