@@ -104,8 +104,8 @@ class RunResult:
     time: float
     solver_residual: float
     solver: dict                   # the solve as run_metadata.json records it
-    stages: dict                   # stage wall times, sizes (dofs: Dirichlet ones too)
-                                   # and the peak RSS so far
+    stages: dict                   # stage wall times, sizes (dofs: Dirichlet ones too),
+                                   # the peak RSS so far and the MiB each object keeps
 
 
 def _asset_mesh_paths(family: str) -> list[Path]:
@@ -145,6 +145,36 @@ def _peak_rss_mb() -> float | None:
     return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
 
+def _base_arrays(obj) -> dict[int, int]:
+    """The bytes of every array reachable from ``obj`` through attributes,
+    lists, tuples and dict values, by the id of the array that owns them:
+    views of one array count once."""
+    found, seen, stack = {}, set(), [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            while isinstance(o.base, np.ndarray):
+                o = o.base
+            found[id(o)] = o.nbytes
+        elif isinstance(o, (list, tuple)):
+            stack.extend(o)
+        elif isinstance(o, dict):
+            stack.extend(o.values())
+        elif hasattr(o, "__dict__") and not isinstance(o, type):
+            stack.extend(vars(o).values())
+    return found
+
+
+def _kept_mb(obj, given) -> float:
+    """MiB of the arrays that ``obj`` keeps beyond those of ``given``, the
+    object it was built from."""
+    inputs = _base_arrays(given)
+    return sum(n for i, n in _base_arrays(obj).items() if i not in inputs) / 2 ** 20
+
+
 def solve_case(system: PlateSystem, material: MaterialParams, solution_name: str):
     """End-to-end solve against one manufactured solution; returns the
     relative energy-norm error and the solve report."""
@@ -176,7 +206,10 @@ def run_single(config: RunConfig, mesh: PolygonalMesh | None = None,
     t.append(time.perf_counter())
     stages = {"discretization_s": t[1] - t[0], "plate_system_s": t[2] - t[1],
               "solve_s": t[3] - t[2], "cells": mesh.n_elements, "edges": mesh.n_edges,
-              "dofs": system.n_theta + system.n_u, "peak_rss_mb": _peak_rss_mb()}
+              "dofs": system.n_theta + system.n_u, "peak_rss_mb": _peak_rss_mb(),
+              # the solve adds no array to either object
+              "discretization_mb": _kept_mb(disc, mesh),
+              "plate_system_mb": _kept_mb(system, disc)}
     return RunResult(mesh_name, mesh.h, int(system.free.size), error, t[3] - t[0],
                      report.residual, asdict(report), stages)
 

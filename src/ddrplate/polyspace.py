@@ -18,7 +18,7 @@ the build. The families are L2-orthonormalized through a Cholesky
 factorization of their Gram matrices. Because the Cholesky factor is lower
 triangular in the graded order, truncating the orthonormal family to dim P^l
 yields the orthonormal family of P^l: every degree is nested in the next.
-The fan quadrature of a cell serves data only (interpolation, load, error).
+The fan quadrature of a cell serves data only (interpolation, load).
 
 Edge bases are the closed-form result of the same construction on a segment:
 normalized Legendre polynomials in the reference coordinate s in [-1, 1].
@@ -362,8 +362,9 @@ class ElementContext:
     over the scaled monomials (``scal`` on P^{k+1}, ``roly`` on Roly^{k-1},
     ``croly`` on cRoly^{k+2}), and ``gram`` is the monomial Gram matrix over
     P^{k+2} from which the build takes every element integral. The fan rule
-    and the values at its points (``phi`` of P^{k+1}, ``roly_vals``,
-    ``croly_vals`` of cRoly^k) serve the data terms only.
+    (``qpoints``, ``qweights``) serves the data terms only, and so do the
+    values at its points (``phi`` of P^{k+1}, ``roly_vals``, ``croly_vals``
+    of cRoly^k): these are evaluated on each read and not kept.
     """
 
     def __init__(self, mesh: PolygonalMesh, ids: np.ndarray, k: int,
@@ -398,12 +399,26 @@ class ElementContext:
         self.scal = scalar_family(center, h, self.gram[:, :np_k1, :np_k1], self.ids)
         self.roly = roly_family(center, h, k - 1, self.gram, self.ids)
         self.croly = croly_family(center, h, k + 2, self.gram, self.ids)
-        # P^{k+1} and cRoly^k are the most that the data terms read
-        mono = scaled_monomials(self.qpoints, center, h, k + 1)
-        self.phi = self.scal.values(mono)
-        self.roly_vals = self.roly.values(mono)
-        self.croly_vals = self.croly.head(dim_croly(k), k).values(mono)
 
     @property
     def n_cells(self) -> int:
         return len(self.ids)
+
+    def _data_monomials(self) -> np.ndarray:
+        # P^{k+1} and cRoly^k are the most that the data terms read
+        return scaled_monomials(self.qpoints, self.center, self.diameter, self.k + 1)
+
+    @property
+    def phi(self) -> np.ndarray:
+        """P^{k+1} at the fan rule: (n_cells, nq, dim_P(k+1))."""
+        return self.scal.values(self._data_monomials())
+
+    @property
+    def roly_vals(self) -> np.ndarray:
+        """Roly^{k-1} at the fan rule: (n_cells, nq, dim_roly(k-1), 2)."""
+        return self.roly.values(self._data_monomials())
+
+    @property
+    def croly_vals(self) -> np.ndarray:
+        """cRoly^k at the fan rule: (n_cells, nq, dim_croly(k), 2)."""
+        return self.croly.head(dim_croly(self.k), self.k).values(self._data_monomials())

@@ -326,8 +326,11 @@ def interpolate_theta(disc: Discretization, eta, tangential_only: bool = False) 
             continue
         # the two components count as extra quadrature points
         vals = at_points(eta, ctx.qpoints).reshape(ctx.n_cells, -1, 1)
-        basis = np.concatenate([ctx.roly_vals, ctx.croly_vals], axis=2)
-        basis = np.swapaxes(basis, -1, -2).reshape(ctx.n_cells, -1, sp.elem_dim)
+        # each table is dropped once copied, not concatenated with the other
+        basis = np.empty(ctx.qweights.shape + (2, sp.elem_dim))
+        basis[..., :sp.n_roly] = np.swapaxes(ctx.roly_vals, -1, -2)
+        basis[..., sp.n_roly:] = np.swapaxes(ctx.croly_vals, -1, -2)
+        basis = basis.reshape(ctx.n_cells, -1, sp.elem_dim)
         elem = sp.elem_offset(ctx.ids)[:, None] + np.arange(sp.elem_dim)
         out[elem] = mass(np.repeat(ctx.qweights, 2, axis=1), vals, basis)[:, 0]
     ec, mesh = disc.edge_ctx, disc.mesh

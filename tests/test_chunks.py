@@ -19,6 +19,7 @@ from ddrplate.harness import solve_case
 from ddrplate.mesh import load_mesh, triangular_mesh
 from ddrplate.operators import build_packs
 from ddrplate.polyspace import dim_P
+from ddrplate.solutions import get_solution
 from ddrplate.system import MaterialParams, PlateSystem
 
 
@@ -45,8 +46,10 @@ def test_cell_chunks_are_contiguous_near_equal_and_large(n):
 def _build(mesh, k, solution):
     disc = spaces.Discretization(mesh, k)
     plate = PlateSystem(disc)
-    _, _, (theta, u, _, _) = solve_case(plate, MaterialParams(t=1e-3), solution)
-    return disc, plate, theta.values, u.values
+    material = MaterialParams(t=1e-3)
+    _, _, (theta, u, theta_i, u_i) = solve_case(plate, material, solution)
+    load = plate.load_vector(get_solution(solution, material).f)
+    return disc, plate, theta.values, u.values, theta_i.values, u_i.values, load
 
 
 @pytest.mark.parametrize("name,k,solution", [
@@ -56,7 +59,8 @@ def _build(mesh, k, solution):
 def test_chunked_threaded_build_equals_the_serial_unchunked_one(name, k, solution,
                                                                 monkeypatch):
     """The same build in chunks of 16 cells on three CPUs, and in one chunk
-    per vertex count on one CPU: every output matches bit for bit."""
+    per vertex count on one CPU: every output matches bit for bit, the
+    interpolates and the load (read from the per-chunk data tables) too."""
     mesh = triangular_mesh(8) if name == "tri_n8" else load_mesh(str(ASSETS / f"{name}.json"))
     with monkeypatch.context() as m:
         m.setattr(spaces, "_CHUNKS", 1)

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from ddrplate.harness import (ConvergenceRecord, RunConfig, compute_rates,
                               format_csv, format_dat, mesh_sequence,
                               parse_dat, run_convergence, run_single,
                               write_outputs)
+from ddrplate.mesh import triangular_mesh
+from ddrplate.spaces import Discretization
 
 
 def rec(h, err, dofs=10, t=0.0):
@@ -138,7 +141,8 @@ def test_metadata_records_the_solver_per_mesh(tmp_path):
             "prepermutation": {"method": "nested dissection", "depth": depth,
                                "top_separator": top}}
         assert set(stages) == {"discretization_s", "plate_system_s", "solve_s", "cells",
-                               "edges", "dofs", "peak_rss_mb"}
+                               "edges", "dofs", "peak_rss_mb", "discretization_mb",
+                               "plate_system_mb"}
         assert all(stages[s] > 0.0 for s in ("discretization_s", "plate_system_s", "solve_s"))
         assert stages["discretization_s"] + stages["plate_system_s"] + stages["solve_s"] \
             == pytest.approx(rec.time, rel=1e-12)
@@ -166,6 +170,35 @@ def test_metadata_records_the_peak_rss(tmp_path):
     assert 0.0 < peaks[0] <= peaks[1] <= after
     for name in ("data_rates.dat", "data_rates.csv"):
         assert "rss" not in (tmp_path / name).read_text().lower()
+
+
+def test_metadata_records_the_arrays_each_object_keeps(tmp_path):
+    """Each mesh's stages hold the MiB of arrays that the ``Discretization``
+    keeps beyond its mesh and the ``PlateSystem`` beyond its
+    ``Discretization``: both positive, and the first below what the data
+    tables at the fan rule would take if the element contexts kept them."""
+    run_convergence(RunConfig(mesh_family="tri", refinements=2, degree=3,
+                              out_dir=str(tmp_path)))
+    stages = json.loads((tmp_path / "run_metadata.json").read_text())["stages"]
+    for n, stage in zip((4, 8), stages):
+        assert stage["discretization_mb"] > 0.0 and stage["plate_system_mb"] > 0.0
+        disc = Discretization(triangular_mesh(n), 3)
+        tables = sum(t.nbytes for ctx in disc.elem_ctxs
+                     for t in (ctx.phi, ctx.roly_vals, ctx.croly_vals))
+        assert stage["discretization_mb"] == harness._kept_mb(disc, disc.mesh)
+        assert stage["discretization_mb"] < tables / 2 ** 20
+
+
+def test_kept_arrays_count_each_base_once():
+    """Views count as the array they view, once; the arrays of the object
+    given, and views of them, do not count."""
+    given = SimpleNamespace(a=np.zeros(2 ** 17))
+    own = np.zeros(2 ** 18)
+    obj = SimpleNamespace(given=given, view=given.a[1:], own=own,
+                          more=[{"x": own[::2]}, (own.T,)])
+    obj.more.append(obj)
+    assert harness._kept_mb(obj, given) == 2.0
+    assert harness._kept_mb(given, obj) == 0.0
 
 
 @pytest.mark.parametrize("platform, maxrss, mib", [("linux", 3 * 2 ** 10, 3.0),

@@ -207,6 +207,21 @@ def test_families_are_orthonormal_under_the_fan_rule(moment_mesh, k):
                       ).max(initial=0.0) < 1e-12
 
 
+def test_element_contexts_keep_no_data_tables():
+    """The values at the fan rule are evaluated on each read: the arrays
+    that the element contexts of tri n=8 at k = 3 keep total under 1 MiB,
+    where the three data tables alone take 6.5 MiB."""
+    disc = Discretization(triangular_mesh(8), 3)
+    kept = sum(v.nbytes for ctx in disc.elem_ctxs for v in vars(ctx).values()
+               if isinstance(v, np.ndarray))
+    assert kept <= 2 ** 20
+    tables = sum(t.nbytes for ctx in disc.elem_ctxs
+                 for t in (ctx.phi, ctx.roly_vals, ctx.croly_vals))
+    assert tables > 6 * 2 ** 20
+    for ctx in disc.elem_ctxs:
+        assert {"phi", "roly_vals", "croly_vals"}.isdisjoint(vars(ctx))
+
+
 def test_orthonormality_of_families():
     hexa = hexagon()
     center, h, gram = cell_gram(hexa, 4)
