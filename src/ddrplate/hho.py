@@ -28,7 +28,7 @@ import numpy as np
 
 from .operators import LocalOperatorPack, _check_cond, _edge_restriction, _theta_slices, _vp_k
 from .polyspace import ElementContext, dim_P
-from .spaces import Discretization, assemble, map_chunks
+from .spaces import Discretization, map_chunks
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -200,35 +200,58 @@ def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack]
     """k = 0 jump bilinear form: h_E^{-1} integrals of the jumps of the p^1
     reconstructions over edges (the trace itself on boundary edges).
 
-    The jump operator J maps the rotation DOFs to the [tangential, normal]
-    edge coefficients of p^1_{T1} - p^1_{T2} on each edge, T1 the lower cell
-    id; ``assemble`` adds the two cells' columns of the edge's own DOFs.
-    Returns ``assemble`` stacks of the blocks J_E^T J_E / h_E on the sorted
-    rotation DOFs of each edge's cells: one stack per number of those DOFs,
-    by increasing number, each in edge-id order, summed in that order."""
+    The jump operator J_E maps the rotation DOFs of the one or two cells of
+    edge E, sorted, to the [tangential, normal] edge coefficients of
+    p^1_{T1} - p^1_{T2}, T1 the lower cell id. Its columns follow from the
+    edge-cell incidence, and each entry is 0.0 plus the one or two cells'
+    addends. Returns stacks (DOFs, J_E, h_E), (n, w), (n, 4, w) and (n,):
+    one stack per number w of those DOFs, by increasing w, each in edge-id
+    order. The form's blocks on those DOFs are ``jump_form(J_E, h_E)``,
+    summed in that order; J_E has 4 w entries against their w^2."""
     if disc.k != 0:
         raise ValueError("jump penalisation is defined for k = 0 only")
-    mesh = disc.mesh
+    mesh, sp = disc.mesh, disc.theta_space
     cell_of = np.repeat(np.arange(mesh.n_elements), np.diff(mesh.cell_offsets))
     lower = np.full(mesh.n_edges, mesh.n_elements)
     np.minimum.at(lower, mesh.cell_edges, cell_of)
-    blocks = []
+    # the rotation DOFs of each cell, padded with sp.dim, and a last row of
+    # padding only, the cell -1 that the boundary edges have on one side
+    dofs = np.full((mesh.n_elements + 1, 2 * np.diff(mesh.cell_offsets).max()), sp.dim)
+    for ctx in disc.elem_ctxs:
+        dofs[ctx.ids, :2 * ctx.n_vertices] = sp.local_dofs(ctx)
+    other = cell_of != lower[mesh.cell_edges]
+    upper = np.full(mesh.n_edges, -1)
+    upper[mesh.cell_edges[other]] = cell_of[other]
+    # the columns of J_E: the sorted union of its cells' DOFs, padded with sp.dim
+    union = np.sort(np.concatenate([dofs[lower], dofs[upper]], axis=1), axis=1)
+    union[:, 1:][union[:, 1:] == union[:, :-1]] = sp.dim
+    union.sort(axis=1)
+    size = np.count_nonzero(union < sp.dim, axis=1)
+    union = union[:, :size.max()]
+    # each cell's columns in the rows of its edges, found by edge and DOF
+    key = (np.arange(mesh.n_edges)[:, None] * (sp.dim + 1) + union).ravel()
+    J = np.zeros((mesh.n_edges, 4, union.shape[1]))
     for ctx, pack, hp in zip(disc.elem_ctxs, packs, hho_packs):
         # restriction of the p^1 reconstruction to each local edge, signed
         rest = _edge_restriction(ctx, pack.scalar_cross, 2, dim_P(1)) @ hp.P1[:, None]
-        rest[lower[ctx.edge_ids] != ctx.ids[:, None]] *= -1.0
-        rows = (4 * ctx.edge_ids[..., None] + np.arange(4)).reshape(ctx.n_cells, -1)
-        blocks.append((rows, disc.theta_space.local_dofs(ctx),
-                       rest.reshape(ctx.n_cells, -1, rest.shape[-1])))
-    J = assemble(blocks, (4 * mesh.n_edges, disc.theta_space.dim))
-    # the four rows of an edge share their sorted columns
-    start = J.indptr[:-1:4]
-    width = J.indptr[1::4] - start
+        first = lower[ctx.edge_ids] == ctx.ids[:, None]
+        rest[~first] *= -1.0
+        edges = ctx.edge_ids[..., None]
+        cols = (np.searchsorted(key, edges * (sp.dim + 1) + sp.local_dofs(ctx)[:, None])
+                - edges * union.shape[1])
+        # the lower cells first, then the upper ones: no entry is indexed twice
+        # in one pass, and 0.0 + a + b is the same whichever cell adds first
+        for side in (first, ~first):
+            J[edges[side][:, None], np.arange(4)[:, None], cols[side][:, None]] += rest[side]
     out = []
-    for w in np.unique(width):
-        edges = np.flatnonzero(width == w)
-        at = start[edges, None] + np.arange(4 * w)
-        B = J.data[at].reshape(-1, 4, w)
-        idx = J.indices[at[:, :w]]
-        out.append((idx, idx, (_t(B) @ B) / mesh.edge_length[edges, None, None]))
+    for w in np.unique(size):
+        edges = np.flatnonzero(size == w)
+        out.append((union[edges, :w], J[edges, :, :w], mesh.edge_length[edges]))
     return out
+
+
+def jump_form(J: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The blocks J_E^T J_E / h_E of stacked edge operators J (n, 4, w) and
+    edge lengths h (n,), symmetrised: mirror entries are equal bit for bit."""
+    block = (_t(J) @ J) / h[:, None, None]
+    return 0.5 * (block + _t(block))

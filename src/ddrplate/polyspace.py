@@ -421,4 +421,12 @@ class ElementContext:
     @property
     def croly_vals(self) -> np.ndarray:
         """cRoly^k at the fan rule: (n_cells, nq, dim_croly(k), 2)."""
-        return self.croly.head(dim_croly(self.k), self.k).values(self._data_monomials())
+        return self._croly_k().values(self._data_monomials())
+
+    def rotation_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``roly_vals`` and ``croly_vals`` from one monomial table."""
+        mono = self._data_monomials()
+        return self.roly.values(mono), self._croly_k().values(mono)
+
+    def _croly_k(self):
+        return self.croly.head(dim_croly(self.k), self.k)

@@ -22,10 +22,11 @@ order given: the cell chunks in ``elem_ctxs`` order (vertex counts
 increasing, cell ids increasing inside each), then any edge stacks (at
 k = 0 the jump stacks, as ``build_jump_penalisation`` returns them). The
 chunks split each group into consecutive id ranges, so neither the chunks
-nor the CPU count change a bit of it. These sums are the only place where
-the contributions of several cells to a shared DOF meet: the k = 0 jump
-operator, the Schur complements of a solve and its right-hand side are
-summed the same way.
+nor the CPU count change a bit of it. Where the contributions of several
+cells to a shared DOF meet in a matrix, they meet in these sums: the
+condensed matrix of a solve, its Schur complements and its right-hand side,
+and the full matrix. The one exception, the k = 0 jump operator, has at
+most two addends per entry, which give the same bits in either order.
 """
 
 from __future__ import annotations
@@ -326,10 +327,12 @@ def interpolate_theta(disc: Discretization, eta, tangential_only: bool = False) 
             continue
         # the two components count as extra quadrature points
         vals = at_points(eta, ctx.qpoints).reshape(ctx.n_cells, -1, 1)
-        # each table is dropped once copied, not concatenated with the other
+        # both tables from one monomial table, dropped once copied
         basis = np.empty(ctx.qweights.shape + (2, sp.elem_dim))
-        basis[..., :sp.n_roly] = np.swapaxes(ctx.roly_vals, -1, -2)
-        basis[..., sp.n_roly:] = np.swapaxes(ctx.croly_vals, -1, -2)
+        roly, croly = ctx.rotation_tables()
+        basis[..., :sp.n_roly] = np.swapaxes(roly, -1, -2)
+        basis[..., sp.n_roly:] = np.swapaxes(croly, -1, -2)
+        del roly, croly
         basis = basis.reshape(ctx.n_cells, -1, sp.elem_dim)
         elem = sp.elem_offset(ctx.ids)[:, None] + np.arange(sp.elem_dim)
         out[elem] = mass(np.repeat(ctx.qweights, 2, axis=1), vals, basis)[:, 0]

@@ -2,13 +2,14 @@
 
 The expensive, material-independent pieces (symmetric-gradient and
 divergence stiffness, stabilisation + jump, the shear form built from the DDR
-L2 product and the global gradient) are summed once per (mesh, degree) into
-coefficient streams on one sparse pattern and recombined with scalar
-material factors afterwards, so thickness and material sweeps reuse all
-local constructions and every solve factors the same pattern. A solve
-eliminates the element-interior DOFs cell by cell (static condensation) and
-factors only the Schur complement on the remaining free DOFs, which are
-numbered once per mesh and degree by a nested dissection of the mesh.
+L2 product and the global gradient) are kept once per (mesh, degree) as the
+cell blocks they are summed from, and recombined with scalar material
+factors per solve, so thickness and material sweeps reuse all local
+constructions and every solve factors the same pattern. A solve sums only
+the condensed matrix from the blocks, eliminates the element-interior DOFs
+cell by cell (static condensation) and factors the Schur complement on the
+remaining free DOFs, which are numbered once per mesh and degree by a
+nested dissection of the mesh; no matrix on all DOFs is formed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
 from .errors import SolverFailure, ZeroNormError
-from .hho import _t, build_hho_packs, build_jump_penalisation
+from .hho import _t, build_hho_packs, build_jump_penalisation, jump_form
 from .operators import build_global_gradient, build_packs
 from .polyspace import dim_P, mass
 from .spaces import (Discretization, ThetaVector, UVector, at_points,
@@ -126,6 +127,13 @@ def _cell_blocks(p, h, g: np.ndarray, k: int):
     shear[:, nt:, :nt] = -_t(mg)
     shear[:, nt:, nt:] = _sym(_t(g) @ mg)
     return s0, s1, shear
+
+
+def _cell_axis_fastest(blocks: np.ndarray) -> np.ndarray:
+    """A copy of stacked blocks with the cell axis fastest in memory. numpy's
+    matmul hands no such stack to BLAS: the stacked products of a solve with
+    K_IB sum in numpy's own fixed order, whatever the BLAS build."""
+    return np.moveaxis(np.moveaxis(blocks, 0, -1).copy(), -1, 0)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -252,22 +260,40 @@ def _nested_dissection(indptr: np.ndarray, indices: np.ndarray, xy: np.ndarray,
     return rank[node], out, out_depth
 
 
+@dataclass
+class CellBlocks:
+    """The kept blocks of one cell chunk, each array with a leading cell
+    axis. The local DOFs are the rotation DOFs, then the displacement DOFs,
+    in the local layouts; I are the element-interior ones and B the others."""
+    dofs: np.ndarray      # (n, m) global DOFs
+    s0: np.ndarray        # (n, nt, nt) symmetric gradient and stabilisation
+    s1: np.ndarray        # (n, nt, nt) divergence
+    shear: np.ndarray     # (n, m, m) [I, -G]^T M [I, -G]
+    inner: np.ndarray     # local positions of I: the rotation ones first
+    outer: np.ndarray     # local positions of B: the rotation ones first
+    rows: np.ndarray      # (n, nB) condensed index of each B DOF, n_c if Dirichlet
+    at: np.ndarray        # (n, nB, nB) position of each B x B entry in the
+                          # condensed data, one past the last if Dirichlet
+
+
 class PlateSystem:
     """Material-independent discrete operators for one mesh and degree.
 
-    The plate matrix is ``beta0 * s0 + beta1 * s1 + (kappa/t^2) * s2`` on one
-    CSR pattern (``indptr``, ``indices``) fixed by the mesh and degree.
-    ``streams`` holds the data of s0 (symmetric-gradient form, stabilisation
-    and, at k = 0, the jump), s1 (divergence form) and s2 (the shear form
-    [I, -G]^T M [I, -G]), all summed from symmetrised cell blocks, so each is
-    symmetric bit for bit. The ``factored`` DOFs (the free ones less the
-    element interiors) are listed in a nested-dissection order of the mesh
-    edges and vertices that hold them, with its ``separator_tree`` and the
-    ``ordering`` record every solve reports. The maps a solve needs onto the
-    pattern are built here too: the positions of each cell's interior blocks
-    K_II and K_IB, the condensed matrix on the factored DOFs, in that order,
-    in CSC layout, and where each Schur-block entry lands in it. A solve
-    only combines, gathers and eliminates data."""
+    The plate matrix is ``beta0 * s0 + beta1 * s1 + (kappa/t^2) * s2``, and
+    it is kept as the symmetrised cell blocks it is summed from, one
+    ``CellBlocks`` per chunk of ``disc.elem_ctxs``: s0 (symmetric-gradient
+    form and stabilisation) and s1 (divergence form) on the rotation DOFs,
+    s2 (the shear form [I, -G]^T M [I, -G]) on all the cell's DOFs, and at
+    k = 0 the jump's edge stacks, which join s0. The ``factored`` DOFs (the
+    free ones less the element interiors, which couple only inside their own
+    cell) are listed in a nested-dissection order of the mesh edges and
+    vertices that hold them, with its ``separator_tree`` and the
+    ``ordering`` record every solve reports. The condensed matrix on them
+    has one CSC pattern in that order, and each block keeps the positions
+    of its B x B entries in it. A solve sums the condensed data from the
+    blocks, eliminates the interiors cell by cell and factors only the
+    Schur complement; no matrix on all DOFs is formed (``full_matrix``
+    assembles one on demand)."""
 
     def __init__(self, disc: Discretization):
         self.disc = disc
@@ -281,37 +307,17 @@ class PlateSystem:
         n = self.n_theta + self.n_u
 
         self.G, cell_G = build_global_gradient(disc, packs)
-        # cell blocks on [rotation DOFs, displacement DOFs]: the bending forms
-        # live on the leading rotation block, the shear form [I, -G]^T M [I, -G]
-        # on the whole block
-        index, n_rot = [], []
-        for t_dofs, u_dofs, _ in cell_G:
-            dofs = np.concatenate([t_dofs, self.n_theta + u_dofs], axis=1)
-            index.append((dofs, dofs))
-            n_rot.append(t_dofs.shape[1])
-        bending0, bending1, shear = (list(b) for b in zip(*[
-            _cell_blocks(p, h, g, disc.k) for p, h, (_, _, g) in zip(packs, hho, cell_G)]))
-        # k = 0: the jump joins the bending stream and widens the pattern
+        blocks = [(np.concatenate([t_dofs, self.n_theta + u_dofs], axis=1),)
+                  + _cell_blocks(p, h, g, disc.k)
+                  for p, h, (t_dofs, u_dofs, g) in zip(packs, hho, cell_G)]
+        # k = 0: the jump operator's edge stacks, whose form joins s0
         jump = build_jump_penalisation(disc, packs, hho) if disc.k == 0 else []
         del packs, hho, cell_G                  # every block is built
-        self.indptr, self.indices, slots = block_pattern(
-            index + [(dofs, dofs) for dofs, _, _ in jump], (n, n))
-        nnz = len(self.indices)
-        cells = slots[:len(index)]
-        rot = [s[:, :nt, :nt] for s, nt in zip(cells, n_rot)]
-        # each stack is released as soon as it is summed. Every block is
-        # symmetric, and the blocks of an entry and of its mirror are summed
-        # in the same order: each stream is symmetric bit for bit, and so is
-        # every matrix combined from them
-        s2 = sum_blocks(cells, shear, nnz)
-        del shear
-        s1 = sum_blocks(rot, bending1, nnz)
-        del bending1
-        bending0 += [_sym(v) for _, _, v in jump]
-        del jump
-        s0 = sum_blocks(rot + slots[len(index):], bending0, nnz)
-        del bending0, rot, slots
-        self.streams = [s0, s1, s2]
+        # the sums of a solve start from 0.0, which turns a -0.0 addend into
+        # 0.0: so do the kept cell blocks, and an entry with one addend
+        # (every entry of an interior row) is its block entry bit for bit
+        for block in [b for _, *bs in blocks for b in bs]:
+            block += 0.0
 
         th_d, u_d = boundary_dof_sets(disc)
         dir_mask = np.zeros(n, dtype=bool)
@@ -329,6 +335,24 @@ class PlateSystem:
         factored = is_free.copy()
         factored[:n_el * te] = False
         factored[self.n_theta:self.n_theta + n_el * ue] = False
+        fac = np.flatnonzero(factored)
+        n_c = fac.size
+        # the pattern of the B x B entries of the blocks, on the factored
+        # DOFs in their original order and then the Dirichlet ones, whose
+        # rows and columns are dropped below
+        compact = np.full(n, -1)
+        compact[fac] = np.arange(n_c)
+        compact[dir_mask] = n_c + np.arange(n - self.free.size)
+        n_b = n_c + n - self.free.size
+        split = []
+        for dofs, s0, _, _ in blocks:
+            nt = s0.shape[1]
+            inner = np.r_[:te, nt:nt + ue]
+            split.append((inner, np.setdiff1d(np.arange(dofs.shape[1]), inner)))
+        index = ([compact[dofs[:, outer]] for (dofs, *_), (_, outer) in zip(blocks, split)]
+                 + [compact[idx] for idx, _, _ in jump])
+        indptr, indices, slots = block_pattern([(i, i) for i in index], (n_b, n_b))
+        del index
         # nested-dissection order of the factored DOFs, on the graph of the
         # mesh entities that hold them: the DOFs of one edge or one vertex
         # share their pattern row, so one representative DOF per entity
@@ -339,9 +363,8 @@ class PlateSystem:
             np.full(n_el * ue, -1), np.repeat(np.arange(ne), disc.u_space.edge_dim),
             ne + np.arange(mesh.n_vertices)])[factored]
         ents, rep, which = np.unique(entity, return_index=True, return_inverse=True)
-        rep = np.flatnonzero(factored)[rep]
-        graph = sps.csr_matrix((np.ones(nnz, dtype=bool), self.indices, self.indptr),
-                               shape=(n, n))[rep][:, rep]
+        graph = sps.csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
+                               shape=(n_b, n_b))[rep][:, rep]
         xy = np.concatenate([mesh.vertex_coords[mesh.edge_vertices].mean(axis=1),
                              mesh.vertex_coords])[ents]
         cell_of = np.repeat(np.arange(n_el), np.diff(mesh.cell_offsets))
@@ -352,9 +375,9 @@ class PlateSystem:
         node, parent, depth = _nested_dissection(
             graph.indptr, graph.indices, xy, np.bincount(which),
             (incidence[on], np.r_[cell_of, cell_of][on], mesh.cell_center))
+        del graph
         order = np.lexsort((which, node[which]))
-        self.factored = np.flatnonzero(factored)[order]
-        n_c = self.factored.size
+        self.factored = fac[order]
         # the separator-tree node of each factored DOF, nondecreasing, and the
         # parent of each node (the root, last, has -1)
         self.separator_tree = node[which[order]], parent
@@ -363,48 +386,121 @@ class PlateSystem:
             "method": "nested dissection", "depth": int(depth.max()),
             "top_separator": int(np.count_nonzero(self.separator_tree[0] == len(parent) - 1))}
 
-        # the condensed matrix sits on the entries with a factored row and
-        # column, in the new numbering: the pattern sliced to the factored
-        # DOFs, with each entry's position (plus one, so none is zero) as
-        # its data, and a CSC layout that sorts the row indices inside each
-        # column, as SuperLU takes them
+        # the condensed pattern in the new numbering, with each entry's
+        # position (plus one, so none is zero) as its data, in a CSC layout
+        # that sorts the row indices inside each column, as SuperLU takes
+        # them; the entries of a Dirichlet row or column go to one discarded
+        # slot past the last
+        moved = sps.csr_matrix((np.arange(1, len(indices) + 1), indices, indptr),
+                               shape=(n_b, n_b))[order][:, order].tocsc()
+        self._indptr, self._indices = moved.indptr, moved.indices
+        new_at = np.full(len(indices), moved.nnz, dtype=self._indices.dtype)
+        new_at[moved.data - 1] = np.arange(moved.nnz)
+        del indptr, indices, moved
         rank = np.full(n, n_c)
         rank[self.factored] = np.arange(n_c)
-        ff = sps.csr_matrix((np.arange(1, nnz + 1), self.indices, self.indptr),
-                            shape=(n, n))[self.factored][:, self.factored].tocsc()
-        self._ff_indptr, self._ff_indices = ff.indptr, ff.indices
-        self._ff_gather = (ff.data - 1).astype(self.indices.dtype)
-        del ff
-        # per cell chunk: the interior DOFs I, the positions of K_II and K_IB
-        # in the pattern, and the condensed index of each other DOF B, with
-        # one past the last for a Dirichlet one. The B x B entries of the
-        # Schur blocks K_BI K_II^{-1} K_IB are summed into the condensed data
-        # (those of a Dirichlet row or column into one discarded slot)
-        data_at = np.full(nnz, self._ff_gather.size, dtype=self.indices.dtype)
-        data_at[self._ff_gather] = np.arange(self._ff_gather.size)
-        self._cells, self._schur_at = [], []
-        for s, (dofs, _), nt in zip(cells, index, n_rot):
-            inner = np.r_[:te, nt:nt + ue]
-            if not inner.size:            # k = 0: no interior DOFs
-                break
-            outer = np.setdiff1d(np.arange(dofs.shape[1]), inner)
-            self._cells.append((dofs[:, inner], s[:, inner[:, None], inner],
-                                s[:, inner[:, None], outer], rank[dofs[:, outer]]))
-            self._schur_at.append(data_at[s[:, outer[:, None], outer]].ravel())
+        self._blocks = [CellBlocks(dofs, s0, s1, shear, inner, outer, rank[dofs[:, outer]],
+                                   new_at[at])
+                        for (dofs, s0, s1, shear), (inner, outer), at
+                        in zip(blocks, split, slots)]
+        # the k = 0 jump, per stack: the global rotation DOFs, J_E and h_E
+        # (the form's blocks are jump_form(J_E, h_E), formed where summed),
+        # and the positions of the blocks' entries in the condensed data
+        self._jump = [(idx, J, h, new_at[at])
+                      for (idx, J, h), at in zip(jump, slots[len(blocks):])]
 
     # -- bilinear forms -----------------------------------------------------
 
     def full_matrix(self, material: MaterialParams) -> sps.csr_matrix:
         """Global matrix of a_h + b_h: bending (beta0, beta1) plus the shear
-        coupling kappa/t^2 between rotations and displacement gradients."""
-        s0, s1, s2 = self.streams
-        data = material.beta0 * s0
-        term = np.multiply(material.beta1, s1)
-        data += term
-        data += np.multiply(material.shear_over_t2, s2, out=term)
-        del term            # before the index copies, which then take its memory
+        coupling kappa/t^2 between rotations and displacement gradients.
+        Assembled on demand from the kept blocks (no solve forms it): each
+        form summed on the pattern of all the blocks, the cell chunks then
+        the k = 0 jump stacks, and combined as ``(beta0 s0 + beta1 s1) +
+        (kappa/t^2) s2``, so it is symmetric bit for bit."""
+        return self._assemble(material)
+
+    def _assemble(self, material: MaterialParams, touching: np.ndarray | None = None
+                  ) -> sps.csr_matrix:
+        """``full_matrix``, or with a DOF mask ``touching`` only the blocks of
+        the cells and k = 0 edges that hold one of those DOFs. Every block
+        that adds to a column of such a DOF is there, in the same order, so
+        that column equals the one of ``full_matrix`` bit for bit."""
         n = self.n_theta + self.n_u
-        return sps.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
+        blocks = [(b.dofs, b.s0, b.s1, b.shear) for b in self._blocks]
+        jump = [(idx, J, h) for idx, J, h, _ in self._jump]
+        if touching is not None:
+            blocks = [tuple(a[touching[blk[0]].any(axis=1)] for a in blk) for blk in blocks]
+            jump = [tuple(a[touching[blk[0]].any(axis=1)] for a in blk) for blk in jump]
+        indptr, indices, slots = block_pattern(
+            [(dofs, dofs) for dofs, *_ in blocks + jump], (n, n))
+        cells = slots[:len(blocks)]
+        rot = [at[:, :s0.shape[1], :s0.shape[1]] for at, (_, s0, _, _) in zip(cells, blocks)]
+        data = sum_blocks(rot + slots[len(blocks):],
+                          [s0 for _, s0, _, _ in blocks]
+                          + [jump_form(J, h) for _, J, h in jump], len(indices))
+        data *= material.beta0
+        for scale, stacks, vals in ((material.beta1, rot, [s1 for _, _, s1, _ in blocks]),
+                                    (material.shear_over_t2, cells, [s2 for *_, s2 in blocks])):
+            term = sum_blocks(stacks, vals, len(indices))
+            term *= scale
+            data += term
+        return sps.csr_matrix((data, indices, indptr), shape=(n, n))
+
+    def condensed_matrix(self, material: MaterialParams) -> sps.csc_matrix:
+        """K on the factored DOFs, in their nested-dissection order, before
+        the interiors are eliminated: s0, s1 and s2 summed from the B x B
+        entries of the blocks (the cell chunks, then the k = 0 jump stacks)
+        and combined as in ``full_matrix``. Each entry has the same addends
+        in the same order as there, so it equals the factored slice of
+        ``full_matrix`` bit for bit."""
+        blocks, jump = self._blocks, self._jump
+        nnz = len(self._indices)
+        te = self.disc.theta_space.elem_dim      # the interior rotation DOFs lead
+        rot = [b.at[:, :b.s0.shape[1] - te, :b.s0.shape[1] - te] for b in blocks]
+        data = sum_blocks(rot + [at for *_, at in jump],
+                          [b.s0[:, te:, te:] for b in blocks]
+                          + [jump_form(J, h) for _, J, h, _ in jump], nnz + 1)
+        data *= material.beta0
+        for scale, stacks, vals in (
+                (material.beta1, rot, (b.s1[:, te:, te:] for b in blocks)),
+                (material.shear_over_t2, [b.at for b in blocks],
+                 (b.shear[:, b.outer[:, None], b.outer] for b in blocks))):
+            term = sum_blocks(stacks, vals, nnz + 1)
+            term *= scale
+            data += term
+        n_c = self.factored.size
+        return sps.csc_matrix((data[:-1], self._indices, self._indptr), shape=(n_c, n_c))
+
+    def _matvec(self, scales: tuple[float, float, float], x: np.ndarray) -> np.ndarray:
+        """K x for K = beta0 s0 + beta1 s1 + (kappa/t^2) s2, ``scales`` the
+        three factors: stacked products with the kept blocks, scattered by
+        one ``np.bincount``."""
+        beta0, beta1, c = scales
+        at, vals = [], []
+        for b in self._blocks:
+            nt = b.s0.shape[1]
+            xt = x[b.dofs][..., None]
+            y = c * (b.shear @ xt)
+            y[:, :nt] += beta0 * (b.s0 @ xt[:, :nt]) + beta1 * (b.s1 @ xt[:, :nt])
+            at.append(b.dofs.ravel())
+            vals.append(y.ravel())
+        for idx, J, h, _ in self._jump:
+            at.append(idx.ravel())
+            vals.append((beta0 / h[:, None, None] * (_t(J) @ (J @ x[idx][..., None]))).ravel())
+        return np.bincount(np.concatenate(at), np.concatenate(vals), len(x))
+
+    def _interior_rows(self, b: CellBlocks, scales: tuple[float, float, float]):
+        """K_II and K_IB of one chunk, combined from its blocks as
+        ``condensed_matrix`` combines the sums. Only their own cell adds to
+        the interior rows, so they equal the slices of ``full_matrix`` bit
+        for bit."""
+        beta0, beta1, c = scales
+        te = self.disc.theta_space.elem_dim
+        rows = np.zeros((len(b.dofs), len(b.inner), b.dofs.shape[1]))
+        rows[:, :te, :b.s0.shape[1]] = beta0 * b.s0[:, :te] + beta1 * b.s1[:, :te]
+        rows += c * b.shear[:, b.inner]
+        return _cell_axis_fastest(rows[:, :, b.inner]), _cell_axis_fastest(rows[:, :, b.outer])
 
     def load_vector(self, f) -> np.ndarray:
         """l_h(v) = sum_T int_T f * (displacement reconstruction of v)."""
@@ -438,21 +534,39 @@ class PlateSystem:
         free = self.free
         report = SolveReport(residual=0.0, n_free=free.size, local_cond=self.local_cond)
         if free.size:
-            # all the solve takes from K: the Dirichlet lift, the condensed
-            # data, the interior blocks K_II and K_IB per chunk, and ||K||, the
-            # largest row sum of |K| over the free rows and columns (|K| in
-            # place). Neither K nor |K| is held while SuperLU factors. Material
-            # data near the top of the double range can overflow K or ||K||:
-            # the check below reports it, with no warning on the way
+            scales = (material.beta0, material.beta1, material.shear_over_t2)
+            n_c = report.n_factored = self.factored.size
+            # all the solve takes from K, all from the kept blocks: the
+            # Dirichlet lift (none where x_D = 0; otherwise the columns of
+            # full_matrix, bit for bit, from the cells on Dirichlet DOFs), the
+            # condensed data, the interior blocks K_II and K_IB per chunk, and
+            # ||K||, the largest row sum of |K| over the free rows and
+            # columns. On a factored row that is the condensed data's (which
+            # is symmetric: its column sums) plus the interior columns'; on an
+            # interior row, its own cell's. Material data near the top of the
+            # double range can overflow K or ||K||: the check below reports
+            # it, with no warning on the way
             with np.errstate(over="ignore", invalid="ignore"):
-                K = self.full_matrix(material)
-                rhs = load - K @ x
+                if x.any():
+                    rhs = load - self._assemble(material, self.dirichlet_mask) @ x
+                else:
+                    rhs = load.copy()
                 rhs[self.dirichlet_mask] = 0.0
-                kc = K.data[self._ff_gather]
-                blocks = [(K.data[ii], K.data[ib]) for _, ii, ib, _ in self._cells]
-                np.abs(K.data, out=K.data)
-                knorm = float(np.max((K @ (~self.dirichlet_mask).astype(float))[free]))
-            del K
+                Ks = self.condensed_matrix(material)
+                sums = np.zeros(n_c + 1)         # the last entry stands for Dirichlet DOFs
+                if n_c:
+                    sums[:-1] = np.add.reduceat(np.abs(Ks.data), Ks.indptr[:-1])
+                condensing, tops = [], []
+                for b in self._blocks:
+                    if not b.inner.size:         # k = 0: no interior DOFs
+                        break
+                    kii, kib = self._interior_rows(b, scales)
+                    condensing.append((b, kii, kib))
+                    a = np.abs(kib)
+                    sums += np.bincount(b.rows.ravel(), a.sum(axis=1).ravel(), n_c + 1)
+                    a = np.where((b.rows < n_c)[:, None], a, 0.0)    # the free columns
+                    tops.append(np.max(np.abs(kii).sum(axis=2) + a.sum(axis=2)))
+                knorm = float(np.max(np.r_[sums[:-1], tops], initial=0.0))
             if not np.isfinite(knorm):
                 raise SolverFailure(f"the plate matrix overflows: ||K|| = {knorm}")
             # relative residual = normwise backward error on the full K_ff,
@@ -466,56 +580,53 @@ class PlateSystem:
             # K_II^{-1} [K_IB | r_I], and the Schur blocks K_BI K_II^{-1} K_IB
             # subtracted from the condensed matrix, summed chunk by chunk
             interior, ys = [], []
-            for (dofs, _, _, _), (kii, kib) in zip(self._cells, blocks):
-                X = _interior_solve(kii, np.concatenate([kib, rhs[dofs][..., None]], axis=2))
-                interior.append((kii, kib, X[..., :-1]))
+            for b, kii, kib in condensing:
+                X = _interior_solve(kii, np.concatenate(
+                    [kib, rhs[b.dofs[:, b.inner]][..., None]], axis=2))
+                interior.append((b, kii, kib, X[..., :-1]))
                 ys.append(X[..., -1])
+            del condensing
             if interior:
-                kc -= sum_blocks(self._schur_at, (_t(kib) @ xb for _, kib, xb in interior),
-                                 kc.size + 1)[:-1]
-            n_c = report.n_factored = self.factored.size
+                Ks.data -= sum_blocks([b.at for b, _, _, _ in interior],
+                                      (_t(kib) @ xb for _, _, kib, xb in interior),
+                                      Ks.nnz + 1)[:-1]
             lu = None
             if n_c:
                 # no symmetric scaling D K D: in a fixed order with diagonal
                 # pivots it would only rescale the factors, D L D^-1 and D U D
-                Ks = sps.csc_matrix((kc, self._ff_indices, self._ff_indptr), shape=(n_c, n_c))
                 try:
                     lu = splu(Ks, **_SPLU_OPTIONS)
                 except Exception as exc:
                     raise SolverFailure(f"sparse factorization failed: {exc}") from exc
                 report.factor_nnz, report.kff_nnz = int(lu.nnz), int(Ks.nnz)
                 report.ordering = copy.deepcopy(self.ordering)
+            del Ks
 
             def free_solve(r, ys=None):
                 """K_ff^{-1} r on the free DOFs, zero on the others; ``ys``
                 holds K_II^{-1} r_I per chunk when it is known. The condensed
                 system gives x_B, then x_I = K_II^{-1} (r_I - K_IB x_B)."""
                 if ys is None:
-                    ys = [_interior_solve(kii, r[dofs][..., None])[..., 0]
-                          for (dofs, _, _, _), (kii, _, _) in zip(self._cells, interior)]
+                    ys = [_interior_solve(kii, r[b.dofs[:, b.inner]][..., None])[..., 0]
+                          for b, kii, _, _ in interior]
                 rc = r[self.factored]
                 if ys:
-                    rc -= sum_blocks((rows for _, _, _, rows in self._cells),
-                                     (y[:, None] @ kib for (_, kib, _), y in zip(interior, ys)),
+                    rc -= sum_blocks([b.rows for b, _, _, _ in interior],
+                                     (y[:, None] @ kib for (_, _, kib, _), y in zip(interior, ys)),
                                      n_c + 1)[:-1]
                 xc = np.zeros(n_c + 1)          # the last entry stands for Dirichlet DOFs
                 if lu is not None:
                     xc[:-1] = lu.solve(rc)
                 out = np.zeros(n)
                 out[self.factored] = xc[:-1]
-                for (dofs, _, _, rows), (_, _, xb), y in zip(self._cells, interior, ys):
-                    out[dofs] = y - (xb @ xc[rows, None])[..., 0]
+                for (b, _, _, xb), y in zip(interior, ys):
+                    out[b.dofs[:, b.inner]] = y - (xb @ xc[b.rows, None])[..., 0]
                 return out
 
             x += free_solve(rhs, ys)
-            # K x = beta0 S0 x + beta1 S1 x + (kappa/t^2) S2 x on the streams
-            # themselves, so no second matrix is formed next to the factor
-            streams = [sps.csr_matrix((s, self.indices, self.indptr), shape=(n, n))
-                       for s in self.streams]
-            scales = (material.beta0, material.beta1, material.shear_over_t2)
 
             def residual():
-                r = load - sum(c * (S @ x) for c, S in zip(scales, streams))
+                r = load - self._matvec(scales, x)
                 r[self.dirichlet_mask] = 0.0
                 den = _norm(x[free]) + rhs_norm
                 return r, _norm(r / knorm) / max(den, 1e-300)
@@ -572,20 +683,25 @@ class PlateSystem:
 
     def _energy_squares(self, material: MaterialParams, eta: np.ndarray,
                         v: np.ndarray) -> np.ndarray:
-        """Squared energy norms of the columns of eta (n_theta, j) and v (n_u, j)."""
+        """Squared energy norms of the columns of eta (n_theta, j) and v
+        (n_u, j): the bending form plus mu M on eta, and the shear strain
+        eta - G v and the gradient G v in the DDR L2 product M (the rotation
+        block of s2), cell by cell."""
         g = self.G @ v
-        d = eta - g                  # the shear strain, formed before the product
-        end = self.indptr[self.n_theta]
-        s0, s1, s2 = (s[:end] for s in self.streams)
-
-        def form(data, z):
-            # z^T A z per column, for the rotation block A of a stream: its
-            # rows applied to z padded with zero displacements
-            rows = sps.csr_matrix((data, self.indices[:end], self.indptr[:self.n_theta + 1]),
-                                  shape=(self.n_theta, self.n_theta + self.n_u))
-            return (z * (rows @ np.vstack([z, np.zeros((self.n_u, z.shape[1]))]))).sum(axis=0)
-
+        z = np.hstack([eta - g, g])   # the shear strain, formed before the product
+        beta0, beta1, mu = material.beta0, material.beta1, material.mu
         j = eta.shape[1]
-        shear = form(s2, np.hstack([d, g]))
-        return (form(material.beta0 * s0 + material.beta1 * s1 + material.mu * s2, eta)
-                + material.shear_over_t2 * shear[:j] + material.mu * shear[j:])
+
+        def form(A, w):
+            # w^T A w per column, for stacked blocks A and stacked vectors w
+            return (w * (A @ w)).sum(axis=(0, 1))
+
+        bend, shear = np.zeros(j), np.zeros(2 * j)
+        for b in self._blocks:
+            nt = b.s0.shape[1]
+            dofs, M = b.dofs[:, :nt], b.shear[:, :nt, :nt]
+            bend += form(beta0 * b.s0 + beta1 * b.s1 + mu * M, eta[dofs])
+            shear += form(M, z[dofs])
+        for idx, J, h, _ in self._jump:
+            bend += beta0 * ((J @ eta[idx]) ** 2 / h[:, None, None]).sum(axis=(0, 1))
+        return bend + material.shear_over_t2 * shear[:j] + mu * shear[j:]

@@ -1,7 +1,8 @@
 """Cell chunks and the threaded local build: splitting the vertex-count
 groups into chunks and building their tables on several CPUs changes no bit
-of the streams, the pattern, the ordering or a solve, and a failure inside a
-worker thread reaches the caller as the serial build would raise it."""
+of the assembled or the condensed matrix, the ordering or a solve, and a
+failure inside a worker thread reaches the caller as the serial build would
+raise it."""
 
 import os
 import sys
@@ -72,9 +73,13 @@ def test_chunked_threaded_build_equals_the_serial_unchunked_one(name, k, solutio
         disc, *got = _build(mesh, k, solution)
     assert len(disc.elem_ctxs) > len(ref_disc.elem_ctxs)
     (ref_plate, *ref_x), (plate, *x) = ref, got
-    for a, b in zip(ref_plate.streams + [ref_plate.indptr, ref_plate.indices,
-                                         ref_plate.factored] + ref_x,
-                    plate.streams + [plate.indptr, plate.indices, plate.factored] + x):
+    material = MaterialParams(t=1e-3)
+    matrices = [(P.full_matrix(material), P.condensed_matrix(material))
+                for P in (ref_plate, plate)]
+    for a, b in zip(*[[A.data, A.indices, A.indptr, C.data, C.indices, C.indptr]
+                      for A, C in matrices]):
+        assert _same_bits(a, b)
+    for a, b in zip([ref_plate.factored] + ref_x, [plate.factored] + x):
         assert _same_bits(a, b)
     assert plate.local_cond == ref_plate.local_cond
 

@@ -12,6 +12,7 @@ from ddrplate.harness import (ConvergenceRecord, RunConfig, compute_rates,
                               write_outputs)
 from ddrplate.mesh import triangular_mesh
 from ddrplate.spaces import Discretization
+from ddrplate.system import PlateSystem
 
 
 def rec(h, err, dofs=10, t=0.0):
@@ -187,6 +188,19 @@ def test_metadata_records_the_arrays_each_object_keeps(tmp_path):
                      for t in (ctx.phi, ctx.roly_vals, ctx.croly_vals))
         assert stage["discretization_mb"] == harness._kept_mb(disc, disc.mesh)
         assert stage["discretization_mb"] < tables / 2 ** 20
+
+
+def test_plate_system_keeps_its_cell_blocks_and_the_condensed_pattern_only():
+    """At tri n=8, k = 3 the ``PlateSystem`` keeps 8.1 MiB of arrays beyond
+    its ``Discretization``: the cell blocks, the condensed pattern and its
+    positions, G and the displacement reconstructions. Summing the blocks
+    into forms on the full pattern, with its index arrays and slot maps,
+    kept 13.3 MiB."""
+    disc = Discretization(triangular_mesh(8), 3)
+    plate = PlateSystem(disc)
+    assert harness._kept_mb(plate, disc) <= 9.0
+    blocks = sum(a.nbytes for b in plate._blocks for a in (b.s0, b.s1, b.shear))
+    assert blocks > 0.5 * harness._kept_mb(plate, disc) * 2 ** 20
 
 
 def test_kept_arrays_count_each_base_once():

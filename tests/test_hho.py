@@ -5,7 +5,7 @@ from scipy.special import roots_legendre
 from conftest import ASSETS, cell, cells, per_group, refined_quadrature
 from ddrplate.errors import SingularLocalSystem
 from ddrplate.hho import (build_hho_pack, build_hho_packs, build_jump_penalisation,
-                          build_tensor_gradient, local_theta_interpolation)
+                          build_tensor_gradient, jump_form, local_theta_interpolation)
 from ddrplate.mesh import load_mesh, triangular_mesh
 from ddrplate.operators import (_edge_restriction, _theta_slices, _vp_k,
                                 build_local_pack, build_packs)
@@ -249,6 +249,12 @@ def test_difference_operators_vanish_on_interpolates(cache, rng, k):
 # jump penalisation (k = 0)
 
 
+def _jump_blocks(disc, packs, hho):
+    """``assemble`` stacks of the jump form's blocks on each edge's DOFs."""
+    return [(idx, idx, jump_form(J, h))
+            for idx, J, h in build_jump_penalisation(disc, packs, hho)]
+
+
 def test_jump_rejects_higher_degree(cache):
     disc = cache.disc("tri", 1)
     with pytest.raises(ValueError):
@@ -278,8 +284,8 @@ def test_jump_vanishes_on_affine_interior(cache):
 def test_jump_positive_for_localized_vector(cache, rng):
     disc = cache.disc("tri", 0)
     sp = disc.theta_space
-    blocks = build_jump_penalisation(disc, cache.packs("tri", 0), cache.hho("tri", 0))
-    J = assemble(blocks, (sp.dim, sp.dim))
+    J = assemble(_jump_blocks(disc, cache.packs("tri", 0), cache.hho("tri", 0)),
+                 (sp.dim, sp.dim))
     vec = np.zeros(sp.dim)
     eid = disc.mesh.interior_edges[0]
     vec[sp.edge_tangential_slots(eid)] = 1.0
@@ -289,8 +295,7 @@ def test_jump_positive_for_localized_vector(cache, rng):
 def test_jump_symmetry(cache):
     disc = cache.disc("hexa", 0)
     n = disc.theta_space.dim
-    blocks = build_jump_penalisation(disc, cache.packs("hexa", 0), cache.hho("hexa", 0))
-    J = assemble(blocks, (n, n))
+    J = assemble(_jump_blocks(disc, cache.packs("hexa", 0), cache.hho("hexa", 0)), (n, n))
     assert abs(J - J.T).max() <= 1e-13 * abs(J).max()
 
 
@@ -306,7 +311,7 @@ def test_jump_value_is_the_edge_integral_of_the_reconstruction_jumps(name, rng):
     hho = build_hho_packs(disc, packs)
     v = rng.standard_normal(disc.theta_space.dim)
     got = sum(np.einsum("ei,eij,ej->", v[rows], block, v[cols])
-              for rows, cols, block in build_jump_penalisation(disc, packs, hho))
+              for rows, cols, block in _jump_blocks(disc, packs, hho))
     s, w = roots_legendre(2)
     jumps = {}
     for cell_id in range(mesh.n_elements):

@@ -1,3 +1,4 @@
+import dataclasses
 from importlib import resources
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import locate
 import ddrplate.system
 from ddrplate.errors import SolverFailure, ZeroNormError
 from ddrplate.harness import solve_case
+from ddrplate.hho import jump_form
 from ddrplate.mesh import build_mesh, load_mesh, triangular_mesh
 from ddrplate.operators import assemble_theta_product, build_packs
 from ddrplate.polyspace import dim_croly, dim_P, dim_roly
@@ -44,10 +46,18 @@ def test_material_validation():
 
 
 def stream(system, i):
-    """Stream i of the plate matrix (s0: beta0, s1: beta1, s2: kappa/t^2)
-    as a full matrix on the stored pattern."""
+    """Form i of the plate matrix (s0: beta0, s1: beta1, s2: kappa/t^2)
+    assembled from the kept cell blocks (and, for s0 at k = 0, the jump
+    stacks) as a full matrix."""
     n = system.n_theta + system.n_u
-    return sps.csr_matrix((system.streams[i], system.indices, system.indptr), shape=(n, n))
+    if i == 2:
+        stacks = [(b.dofs, b.dofs, b.shear) for b in system._blocks]
+    else:
+        rot = [b.dofs[:, :b.s0.shape[1]] for b in system._blocks]
+        stacks = [(d, d, b.s1 if i else b.s0) for d, b in zip(rot, system._blocks)]
+        if i == 0:
+            stacks += [(idx, idx, jump_form(J, h)) for idx, J, h, _ in system._jump]
+    return assemble(stacks, (n, n))
 
 
 def bending_matrix(system, material):
@@ -335,20 +345,26 @@ def test_high_degree_solution_accuracy():
     assert err4 < 0.2 * err2       # measured: 3.1e-1 -> 2.0e-2
 
 
+def _zero_dof(system, dof, monkeypatch):
+    """Zero the row and column of ``dof`` in every kept block (copies, so
+    the module's shared systems stay as built)."""
+    def zeroed(dofs, block):
+        hit = dofs[:, :block.shape[1]] == dof
+        return np.where(hit[:, :, None] | hit[:, None, :], 0.0, block)
+
+    blocks = [dataclasses.replace(b, s0=zeroed(b.dofs, b.s0), s1=zeroed(b.dofs, b.s1),
+                                  shear=zeroed(b.dofs, b.shear)) for b in system._blocks]
+    jump = [(idx, np.where((idx == dof)[:, None], 0.0, J), h, at)
+            for idx, J, h, at in system._jump]
+    monkeypatch.setattr(system, "_blocks", blocks)
+    monkeypatch.setattr(system, "_jump", jump)
+
+
 def test_singular_matrix_raises_solver_failure(k0_system, monkeypatch):
     """A free DOF whose row and column are zero makes K_ff singular: the
     factorization error surfaces as the typed SolverFailure."""
     system = k0_system
-    dof = system.free[0]
-    full = PlateSystem.full_matrix
-
-    def zeroed(self, material):
-        K = full(self, material).tocsr()
-        K.data[K.indices == dof] = 0.0
-        K.data[K.indptr[dof]:K.indptr[dof + 1]] = 0.0
-        return K
-
-    monkeypatch.setattr(PlateSystem, "full_matrix", zeroed)
+    _zero_dof(system, system.free[0], monkeypatch)
     load = system.load_vector(lambda x: np.ones(len(x)))
     with pytest.raises(SolverFailure, match="factorization"):
         system.solve(MaterialParams(), load)
@@ -397,15 +413,8 @@ def test_singular_interior_block_raises_solver_failure(small_system, monkeypatch
     cell's K_II singular: the elimination fails with the typed
     SolverFailure before anything is factored."""
     system = small_system
-    full = PlateSystem.full_matrix
-
-    def zeroed(self, material):
-        K = full(self, material).tocsr()
-        K.data[K.indices == 0] = 0.0               # DOF 0: cell 0's first rotation slot
-        K.data[K.indptr[0]:K.indptr[1]] = 0.0
-        return K
-
-    monkeypatch.setattr(PlateSystem, "full_matrix", zeroed)
+    _zero_dof(system, 0, monkeypatch)              # DOF 0: cell 0's first rotation slot
+    assert not system.full_matrix(MaterialParams())[0].count_nonzero()
     load = system.load_vector(lambda x: np.ones(len(x)))
     with pytest.raises(SolverFailure, match="element-interior"):
         system.solve(MaterialParams(), load)
@@ -566,7 +575,7 @@ def test_thicknesses_share_the_factored_pattern(factorizations, case):
 
 @pytest.mark.parametrize("case", _FACTOR_CASES, ids=lambda c: f"{c[0]}-k{c[1]}")
 def test_local_block_products_match_sparse_products(factorizations, case):
-    """The shear stream is [I, -G]^T M [I, -G] summed from cell blocks: its
+    """The shear form is [I, -G]^T M [I, -G] summed from cell blocks: its
     rotation block is the DDR L2 product, and its coupling blocks match the
     sparse products -M G and G^T M G."""
     system, _, _ = factorizations[case]
@@ -731,16 +740,45 @@ def test_nested_dissection_fill_stays_near_minimum_degree(case, monkeypatch):
 
 @pytest.mark.parametrize("case", [("tri", 0), ("tri", 3), ("hexa", 0), ("hexa", 2), ("locref", 0)],
                          ids=lambda c: f"{c[0]}-k{c[1]}")
-def test_streams_are_bitwise_symmetric(case):
-    """Every cell block is symmetrised once, the k = 0 jump lists each DOF
-    once, and mirrored entries are summed in the same order: each stream,
-    and so every matrix combined from them, is symmetric bit for bit.
-    Without the symmetrisation the G^T M G blocks of tri k = 3 differ from
-    their transposes by round-off."""
+def test_cell_blocks_and_condensed_data_are_bitwise_symmetric(case):
+    """Every kept cell block is symmetrised once and the k = 0 jump lists
+    each DOF once, so every block is symmetric bit for bit, and so are the
+    forms summed from them, the condensed matrix (mirrored entries are
+    summed in the same order) and the full matrix. Without the
+    symmetrisation the G^T M G blocks of tri k = 3 differ from their
+    transposes by round-off."""
     family, k = case
     system = PlateSystem(Discretization(_order_mesh(family), k))
+    for b in system._blocks:
+        for block in (b.s0, b.s1, b.shear):
+            assert np.array_equal(block, np.swapaxes(block, 1, 2))
+    for _, J, h, _ in system._jump:
+        vals = jump_form(J, h)
+        assert np.array_equal(vals, np.swapaxes(vals, 1, 2))
+    assert bool(system._jump) == (k == 0)
     for i in range(3):
         s = stream(system, i)
         assert (s != s.T).nnz == 0
-    K = system.full_matrix(MaterialParams(t=1e-5))
-    assert (K != K.T).nnz == 0
+    material = MaterialParams(t=1e-5)
+    for K in (system.condensed_matrix(material), system.full_matrix(material)):
+        assert (K != K.T).nnz == 0
+
+
+@pytest.mark.parametrize("case", [("tri", k) for k in range(4)] + [("hexa", 1), ("locref", 0)],
+                         ids=lambda c: f"{c[0]}-k{c[1]}")
+@pytest.mark.parametrize("t", [1e-1, 1e-5])
+def test_condensed_data_is_the_factored_slice_of_the_full_matrix(case, t):
+    """The condensed matrix a solve sums from the B x B entries of the
+    kept blocks, before the interiors are eliminated, is the slice of
+    ``full_matrix`` on the factored DOFs in their nested-dissection order,
+    pattern and data bit for bit: every entry has the same addends in the
+    same order."""
+    family, k = case
+    system = PlateSystem(Discretization(_order_mesh(family), k))
+    material = MaterialParams(nu=0.25, t=t)
+    A = system.condensed_matrix(material)
+    ref = system.full_matrix(material)[system.factored][:, system.factored].tocsc()
+    assert A.format == "csc" and A.shape == ref.shape
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert A.data.tobytes() == ref.data.tobytes()

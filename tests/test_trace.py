@@ -80,9 +80,10 @@ def test_one_pack_per_vertex_count(tracing, monkeypatch):
 
 
 def test_solve_layers_are_measured(tracing):
-    """Two solves on one build: the matrix is combined once per solve, both
-    hand the factorization the same K_ff pattern, and every triangular solve
-    of the factor (one per solve and per refinement step) is counted."""
+    """Two solves on one build: neither assembles the full matrix (the
+    condensed data comes from the cell blocks), both hand the factorization
+    the same K_ff pattern, and every triangular solve of the factor (one per
+    solve and per refinement step) is counted."""
     plate = system.PlateSystem(spaces.Discretization(triangular_mesh(8), 1))
     tracer = tracing.Tracer()
     tracer.install()
@@ -92,7 +93,8 @@ def test_solve_layers_are_measured(tracing):
     finally:
         tracer.uninstall()
     metrics = tracer.metrics([rep.residual for rep in reports], 0.0)
-    assert tracer.calls["system.matrix_s"] == len(reports)
+    assert tracer.calls["system.matrix_s"] == 0
+    assert tracer.calls["system.solve_self_s"] == len(reports)
     assert len(tracer.kff_nnz) == len(reports)
     assert tracer.kff_nnz[0] == tracer.kff_nnz[1] > 0
     assert metrics["system.lu_solves"] == len(reports) + sum(
