@@ -131,8 +131,9 @@ def _cell_blocks(p, h, g: np.ndarray, k: int):
 
 def _cell_axis_fastest(blocks: np.ndarray) -> np.ndarray:
     """A copy of stacked blocks with the cell axis fastest in memory. numpy's
-    matmul hands no such stack to BLAS: the stacked products of a solve with
-    K_IB sum in numpy's own fixed order, whatever the BLAS build."""
+    matmul hands no such stack of two or more cells to BLAS: the stacked
+    products of a solve with K_IB sum in numpy's own fixed order, whatever
+    the BLAS build."""
     return np.moveaxis(np.moveaxis(blocks, 0, -1).copy(), -1, 0)
 
 
