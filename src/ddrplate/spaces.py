@@ -40,7 +40,7 @@ import scipy.sparse as sps
 
 from .mesh import PolygonalMesh, cell_groups
 from .polyspace import (ElementContext, EdgeContext, build_edge_context,
-                        dim_P, dim_croly, dim_roly, mass)
+                        dim_P, dim_croly, dim_roly, mass, scaled_monomials)
 
 
 class ThetaSpace:
@@ -357,8 +357,10 @@ def interpolate_u(disc: Discretization, v) -> UVector:
         for ctx in disc.elem_ctxs:
             vals = at_points(v, ctx.qpoints)
             elem = sp.elem_offset(ctx.ids)[:, None] + np.arange(sp.elem_dim)
-            out[elem] = mass(ctx.qweights, vals[..., None],
-                             ctx.phi[:, :, :sp.elem_dim])[:, 0]
+            # the P^{k-1} members only, on the monomials of degree <= k - 1
+            phi = ctx.scal.head(sp.elem_dim, sp.k - 1).values(
+                scaled_monomials(ctx.qpoints, ctx.center, ctx.diameter, sp.k - 1))
+            out[elem] = mass(ctx.qweights, vals[..., None], phi)[:, 0]
     if sp.edge_dim:
         ec = disc.edge_ctx
         vals = at_points(v, ec.points)

@@ -9,7 +9,9 @@ constructions and every solve factors the same pattern. A solve sums only
 the condensed matrix from the blocks, eliminates the element-interior DOFs
 cell by cell (static condensation) and factors the Schur complement on the
 remaining free DOFs, which are numbered once per mesh and degree by a
-nested dissection of the mesh; no matrix on all DOFs is formed.
+nested dissection of the mesh, by a supernodal Cholesky factorization whose
+supernodes are the nodes of the separator tree (``cholesky``); no matrix on
+all DOFs is formed.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sps
+# no solve calls SuperLU since the Cholesky factorization replaced it; the
+# benchmark's tracer (perfbench/tracing.py) still wraps this name
 from scipy.sparse.linalg import splu
 
+from .cholesky import Cholesky, analyse
 from .errors import SolverFailure, ZeroNormError
 from .hho import _t, build_hho_packs, build_jump_penalisation, jump_form
 from .operators import build_global_gradient, build_packs
@@ -30,11 +35,6 @@ from .spaces import (Discretization, ThetaVector, UVector, at_points,
 
 _GS_METRIC = np.array([1.0, 2.0, 1.0])   # contraction weights for [11, 12, 22]
 _RESIDUAL_TOL = 1e-10                      # solver backward-error gate
-# the condensed matrix is symmetric positive definite and already in
-# nested-dissection order: SuperLU keeps that order for rows and columns
-# alike and takes diagonal pivots
-_SPLU_OPTIONS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
-                 "options": {"SymmetricMode": True}}
 _ND_LEAF = 8                               # mesh entities per separator-tree leaf
 
 
@@ -83,14 +83,16 @@ class SolveReport:
     residual: float
     n_free: int
     refinement_steps: int = 0     # corrections applied after the first solve
-    factor_nnz: int = 0           # nonzeros of L + U (SuperLU's count)
+    factor_nnz: int = 0           # entries of the Cholesky factor L (every node
+                                  # block on and below the diagonal)
     local_cond: float = 0.0       # worst cond of the local P_T, P_U and P1 solves
     kff_nnz: int = 0              # stored entries of the factored matrix
     n_factored: int = 0           # size of the factored matrix: the free DOFs
                                   # less the element-interior ones
     # backward error after the first solve and after each correction
     backward_errors: list[float] = field(default_factory=list)
-    # the SuperLU options used and the nested-dissection pre-permutation
+    # the nested-dissection order of the factored DOFs: method, tree depth,
+    # DOFs of the top separator and tree nodes (the supernodes)
     ordering: dict = field(default_factory=dict)
 
 
@@ -291,10 +293,11 @@ class PlateSystem:
     vertices that hold them, with its ``separator_tree`` and the
     ``ordering`` record every solve reports. The condensed matrix on them
     has one CSC pattern in that order, and each block keeps the positions
-    of its B x B entries in it. A solve sums the condensed data from the
-    blocks, eliminates the interiors cell by cell and factors only the
-    Schur complement; no matrix on all DOFs is formed (``full_matrix``
-    assembles one on demand)."""
+    of its B x B entries in it; the symbolic analysis of its Cholesky
+    factorization on the separator tree is done once too. A solve sums the
+    condensed data from the blocks, eliminates the interiors cell by cell
+    and factors only the Schur complement; no matrix on all DOFs is formed
+    (``full_matrix`` assembles one on demand)."""
 
     def __init__(self, disc: Discretization):
         self.disc = disc
@@ -373,31 +376,49 @@ class PlateSystem:
         local[ents] = np.arange(ents.size)
         incidence = local[np.r_[mesh.cell_edges, ne + mesh.cell_vertices]]
         on = incidence >= 0
+        size = np.bincount(which)
         node, parent, depth = _nested_dissection(
-            graph.indptr, graph.indices, xy, np.bincount(which),
+            graph.indptr, graph.indices, xy, size,
             (incidence[on], np.r_[cell_of, cell_of][on], mesh.cell_center))
-        del graph
-        order = np.lexsort((which, node[which]))
+        # inside a node the entities run along the longer side of its
+        # bounding box, so that those a subtree touches are mostly
+        # consecutive and the factorization moves its updates in long runs
+        n_nodes = len(parent)
+        lo, hi = np.full((2, n_nodes), np.inf), np.full((2, n_nodes), -np.inf)
+        for d in range(2):
+            np.minimum.at(lo[d], node, xy[:, d])
+            np.maximum.at(hi[d], node, xy[:, d])
+        along = xy[np.arange(len(xy)), np.argmax(hi - lo, axis=0)[node]]
+        entity_order = np.lexsort((np.arange(len(xy)), along, node))
+        position = np.empty_like(entity_order)
+        position[entity_order] = np.arange(len(xy))
+        order = np.argsort(position[which], kind="stable")
         self.factored = fac[order]
         # the separator-tree node of each factored DOF, nondecreasing, and the
         # parent of each node (the root, last, has -1)
         self.separator_tree = node[which[order]], parent
-        self.ordering = copy.deepcopy(_SPLU_OPTIONS)
-        self.ordering["prepermutation"] = {
+        self.ordering = {
             "method": "nested dissection", "depth": int(depth.max()),
-            "top_separator": int(np.count_nonzero(self.separator_tree[0] == len(parent) - 1))}
+            "top_separator": int(np.count_nonzero(self.separator_tree[0] == len(parent) - 1)),
+            "supernodes": len(parent)}
 
         # the condensed pattern in the new numbering, with each entry's
         # position (plus one, so none is zero) as its data, in a CSC layout
-        # that sorts the row indices inside each column, as SuperLU takes
-        # them; the entries of a Dirichlet row or column go to one discarded
-        # slot past the last
+        # that sorts the row indices inside each column; the entries of a
+        # Dirichlet row or column go to one discarded slot past the last
         moved = sps.csr_matrix((np.arange(1, len(indices) + 1), indices, indptr),
                                shape=(n_b, n_b))[order][:, order].tocsc()
         self._indptr, self._indices = moved.indptr, moved.indices
         new_at = np.full(len(indices), moved.nnz, dtype=self._indices.dtype)
         new_at[moved.data - 1] = np.arange(moved.nnz)
         del indptr, indices, moved
+        # the fronts of the Cholesky factorization, from the entity graph
+        # in the order of the factored DOFs
+        graph = graph[entity_order][:, entity_order]
+        graph.sort_indices()
+        self._supernodes = analyse(graph.indptr, graph.indices, node[entity_order],
+                                   size[entity_order], parent, depth)
+        del graph
         rank = np.full(n, n_c)
         rank[self.factored] = np.arange(n_c)
         self._blocks = [CellBlocks(dofs, s0, s1, shear, inner, outer, rank[dofs[:, outer]],
@@ -588,18 +609,18 @@ class PlateSystem:
                 ys.append(X[..., -1])
             del condensing
             if interior:
+                # each cell's Schur block symmetrised, so that the condensed
+                # matrix is symmetric bit for bit and its lower triangle,
+                # which the factorization reads, is all of it
                 Ks.data -= sum_blocks([b.at for b, _, _, _ in interior],
-                                      (_t(kib) @ xb for _, _, kib, xb in interior),
+                                      (_sym(_t(kib) @ xb) for _, _, kib, xb in interior),
                                       Ks.nnz + 1)[:-1]
-            lu = None
+            chol = None
             if n_c:
-                # no symmetric scaling D K D: in a fixed order with diagonal
-                # pivots it would only rescale the factors, D L D^-1 and D U D
-                try:
-                    lu = splu(Ks, **_SPLU_OPTIONS)
-                except Exception as exc:
-                    raise SolverFailure(f"sparse factorization failed: {exc}") from exc
-                report.factor_nnz, report.kff_nnz = int(lu.nnz), int(Ks.nnz)
+                # no symmetric scaling D K D: it would only rescale the
+                # factor, D L, and a pivot that is not positive fails alike
+                chol = Cholesky(self._supernodes, Ks)
+                report.factor_nnz, report.kff_nnz = chol.nnz, int(Ks.nnz)
                 report.ordering = copy.deepcopy(self.ordering)
             del Ks
 
@@ -616,8 +637,8 @@ class PlateSystem:
                                      (y[:, None] @ kib for (_, _, kib, _), y in zip(interior, ys)),
                                      n_c + 1)[:-1]
                 xc = np.zeros(n_c + 1)          # the last entry stands for Dirichlet DOFs
-                if lu is not None:
-                    xc[:-1] = lu.solve(rc)
+                if chol is not None:
+                    xc[:-1] = chol.solve(rc)
                 out = np.zeros(n)
                 out[self.factored] = xc[:-1]
                 for (b, _, _, xb), y in zip(interior, ys):

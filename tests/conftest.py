@@ -18,6 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from scipy.special import roots_legendre
 
 from ddrplate.harness import PROPERTY_TEST_SEED
@@ -288,3 +289,23 @@ def u_trace_values(disc, pack, element, u_local, j, s):
     ec = edge_view(disc.edge_ctx, disc.mesh, element.edges[j])
     coef = pack.trace[j] @ u_local
     return ec.family.eval_s(s) @ coef
+
+
+def lower_factor(chol):
+    """The factor L of a ``Cholesky`` as a sparse matrix: every node's
+    L11 and L21 blocks on its front rows and pivot columns."""
+    sn = chol.sn
+    rows, cols, vals = [], [], []
+    for j in range(len(sn.parent)):
+        pivots = np.arange(sn.start[j], sn.start[j + 1])
+        front = np.concatenate([pivots, sn.urows[sn.uoff[j]:sn.uoff[j + 1]]])
+        block = chol.factor[sn.offset[j]:sn.offset[j + 1]].reshape(len(front), len(pivots))
+        r, c = np.meshgrid(front, pivots, indexing="ij")
+        on = r >= c
+        rows.append(r[on])
+        cols.append(c[on])
+        vals.append(block[on])
+        assert not block[~on].any()            # the upper triangle of L11 is zero
+    n = sn.start[-1]
+    return sps.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n, n))

@@ -129,18 +129,16 @@ def test_metadata_records_the_solver_per_mesh(tmp_path):
                                         thickness=1e-3, out_dir=str(tmp_path)))
     meta = json.loads((tmp_path / "run_metadata.json").read_text())
     assert len(meta["solver"]) == len(meta["stages"]) == len(records)
-    # the nested-dissection pre-permutation per mesh: tree depth and the
-    # DOFs of the top separator
-    prepermutations = ((3, 25), (5, 53))
-    for n, rec, solver, stages, (depth, top) in zip((4, 8), records, meta["solver"],
-                                                   meta["stages"], prepermutations):
+    # the nested-dissection ordering per mesh: tree depth, the DOFs of the
+    # top separator and the number of tree nodes, the Cholesky's supernodes
+    orderings = ((3, 25, 8), (5, 53, 35))
+    for n, rec, solver, stages, (depth, top, supernodes) in zip(
+            (4, 8), records, meta["solver"], meta["stages"], orderings):
         assert set(solver) == {"n_free", "n_factored", "kff_nnz", "factor_nnz",
                                "refinement_steps", "residual", "backward_errors",
                                "local_cond", "ordering"}
-        assert solver["ordering"] == {
-            "permc_spec": "NATURAL", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True},
-            "prepermutation": {"method": "nested dissection", "depth": depth,
-                               "top_separator": top}}
+        assert solver["ordering"] == {"method": "nested dissection", "depth": depth,
+                                      "top_separator": top, "supernodes": supernodes}
         assert set(stages) == {"discretization_s", "plate_system_s", "solve_s", "cells",
                                "edges", "dofs", "peak_rss_mb", "discretization_mb",
                                "plate_system_mb"}
@@ -151,7 +149,9 @@ def test_metadata_records_the_solver_per_mesh(tmp_path):
         assert solver["n_free"] < stages["dofs"]
         assert solver["n_free"] == rec.dofs
         assert solver["n_factored"] == solver["n_free"]      # k = 0: no interior DOFs
-        assert rec.dofs <= solver["kff_nnz"] <= solver["factor_nnz"]
+        # L holds at least the lower triangle of the factored matrix
+        assert rec.dofs <= solver["kff_nnz"]
+        assert (solver["kff_nnz"] + solver["n_factored"]) // 2 <= solver["factor_nnz"]
         assert 0 <= solver["refinement_steps"] <= 8
         assert solver["residual"] <= 1e-10
         assert len(solver["backward_errors"]) == solver["refinement_steps"] + 1
@@ -246,7 +246,8 @@ def test_metadata_records_the_factored_size(tmp_path):
     for n, solver in zip((4, 8), meta["solver"]):
         # per cell dim Roly^0 + dim cRoly^1 + dim P^0 = 2 + 1 + 1 interior DOFs
         assert solver["n_factored"] == solver["n_free"] - 4 * 2 * n * n
-        assert solver["n_factored"] <= solver["kff_nnz"] <= solver["factor_nnz"]
+        assert solver["n_factored"] <= solver["kff_nnz"]
+        assert (solver["kff_nnz"] + solver["n_factored"]) // 2 <= solver["factor_nnz"]
 
 
 def test_unwritable_output_file_is_a_config_error(tmp_path):

@@ -4,10 +4,11 @@ from importlib import resources
 import numpy as np
 import pytest
 import scipy.sparse as sps
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
-from conftest import locate
+from conftest import locate, lower_factor
 import ddrplate.system
+from ddrplate.cholesky import Cholesky
 from ddrplate.errors import SolverFailure, ZeroNormError
 from ddrplate.harness import solve_case
 from ddrplate.hho import jump_form
@@ -198,7 +199,7 @@ def test_clamped_single_cell_solves_its_interior_alone(k, monkeypatch):
     square = build_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
                         [[0, 1, 2, 3]])
     system = PlateSystem(Discretization(square, k))
-    monkeypatch.setattr(ddrplate.system, "splu", None)       # never called
+    monkeypatch.setattr(ddrplate.system, "Cholesky", None)   # never called
     load = system.load_vector(lambda x: np.ones(len(x)))
     theta, u, rep = system.solve(MaterialParams(), load)
     assert system.factored.size == rep.n_factored == rep.factor_nnz == 0
@@ -216,13 +217,13 @@ def test_galerkin_residual_and_coercivity(k0_system, rng, monkeypatch):
     mat = MaterialParams(t=1e-2)
     load = system.load_vector(lambda x: np.sin(np.pi * x[:, 0]) * x[:, 1])
     factored = []
-    splu = ddrplate.system.splu
-    monkeypatch.setattr(ddrplate.system, "splu",
-                        lambda A, **kwargs: factored.append(A) or splu(A, **kwargs))
+    monkeypatch.setattr(ddrplate.system, "Cholesky",
+                        lambda sn, A: factored.append(A) or Cholesky(sn, A))
     theta, u, rep = system.solve(mat, load)
     assert rep.residual <= 1e-10
     assert rep.n_free == system.free.size
-    assert rep.factor_nnz >= rep.n_free          # at least the pivots
+    # L holds at least the lower triangle of the factored matrix
+    assert rep.factor_nnz >= (rep.kff_nnz + rep.n_factored) // 2
     assert 0 <= rep.refinement_steps <= 8
     K = system.full_matrix(mat)
     assert rep.kff_nnz == factored[0].nnz
@@ -377,8 +378,7 @@ def test_refinement_corrects_through_the_condensed_factor(k, monkeypatch):
     others, so the backward error contracts by 0.1 / 1.1 per step (a
     correction that dropped the interior residual would stall)."""
     system = PlateSystem(Discretization(triangular_mesh(4), k))
-    splu = ddrplate.system.splu
-    monkeypatch.setattr(ddrplate.system, "splu", lambda A, **kwargs: splu(1.1 * A, **kwargs))
+    monkeypatch.setattr(ddrplate.system, "Cholesky", lambda sn, A: Cholesky(sn, 1.1 * A))
     load = system.load_vector(lambda x: np.sin(np.pi * x[:, 0]) * x[:, 1])
     _, _, rep = system.solve(MaterialParams(t=1e-1), load)
     errors = np.array(rep.backward_errors)
@@ -427,22 +427,21 @@ _FACTOR_CASES = [("tri", k) for k in range(4)] + [("hexa", 1)]
 @pytest.fixture(scope="module")
 def factorizations():
     """Per case (tri n = 8 at k = 0..3, hexa_02 at k = 1): the system and,
-    per thickness, the matrix handed to ``splu``, its factorization and the
-    solve report."""
+    per thickness, the matrix handed to the Cholesky factorization, its
+    factor and the solve report."""
     hexa = load_mesh(str(resources.files("ddrplate") / "assets" / "meshes"
                          / "hexa_02.json"))
     meshes = {"tri": triangular_mesh(8), "hexa": hexa}
     captured = []
-    splu = ddrplate.system.splu
 
-    def recording_splu(A, **kwargs):
-        lu = splu(A, **kwargs)
-        captured.append((A, lu))
-        return lu
+    def recording_cholesky(sn, A):
+        chol = Cholesky(sn, A)
+        captured.append((A, chol))
+        return chol
 
     out = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ddrplate.system, "splu", recording_splu)
+        mp.setattr(ddrplate.system, "Cholesky", recording_cholesky)
         for family, k in _FACTOR_CASES:
             system = PlateSystem(Discretization(meshes[family], k))
             load = system.load_vector(lambda x: np.sin(np.pi * x[:, 0]) * x[:, 1])
@@ -539,7 +538,7 @@ def test_solution_matches_a_direct_solve_of_the_full_system(factorizations, case
 @pytest.mark.parametrize("case", _GATHER_CASES, ids=lambda c: f"{c[0]}-k{c[1]}")
 @pytest.mark.parametrize("t", [1e-1, 1e-5])
 def test_factored_matrix_is_the_sliced_full_matrix(factorizations, case, t):
-    """The solve hands SuperLU the Schur complement K_BB - K_BI K_II^{-1}
+    """The solve factors the Schur complement K_BB - K_BI K_II^{-1}
     K_IB of K_ff sliced from ``full_matrix``, unscaled, where I are the
     element-interior DOFs and B the other free ones. At k = 0 there is no
     interior and it equals K_ff entry for entry. Otherwise it matches the
@@ -593,36 +592,70 @@ def test_local_block_products_match_sparse_products(factorizations, case):
 
 @pytest.mark.parametrize("k", range(4))
 def test_factorization_uses_diagonal_pivots_of_an_spd_matrix(factorizations, k):
-    """K_ff is symmetric positive definite for t >= 1e-5, which the
-    symmetric ordering with diagonal pivoting relies on: no row is swapped
-    and every pivot is positive."""
+    """K_ff is symmetric positive definite for t >= 1e-5, so its Schur
+    complement is too, and the Cholesky factorization in the fixed
+    nested-dissection order finds every pivot positive: L has a positive
+    diagonal and stores one entry per node block entry on or below it."""
     _, _, runs = factorizations["tri", k]
-    for _, lu, _, _ in runs:
-        assert np.array_equal(lu.perm_r, lu.perm_c)
-        assert lu.U.diagonal().min() > 0.0
+    for A, chol, rep, _ in runs:
+        L = lower_factor(chol)
+        assert L.diagonal().min() > 0.0
+        assert L.nnz <= rep.factor_nnz == chol.nnz
+        assert np.count_nonzero(sps.tril(A).toarray()) <= L.nnz
+
+
+_CHOLESKY_CASES = [("tri", k) for k in range(4)] + [("hexa", 1), ("locref", 0)]
+
+
+@pytest.mark.parametrize("case", _CHOLESKY_CASES, ids=lambda c: f"{c[0]}-k{c[1]}")
+def test_factor_reproduces_the_condensed_matrix(case, monkeypatch):
+    """L L^T equals the matrix the solve factors (the condensed matrix
+    after the Schur update) to 1e-13 of its largest entry, on tri n = 8 at
+    k = 0..3, hexa_02 at k = 1 and locref_02 at k = 0."""
+    family, k = case
+    system = PlateSystem(Discretization(_order_mesh(family), k))
+    captured = []
+    monkeypatch.setattr(ddrplate.system, "Cholesky",
+                        lambda sn, A: captured.append((A, Cholesky(sn, A))) or captured[-1][1])
+    system.solve(MaterialParams(t=1e-3), system.load_vector(lambda x: np.ones(len(x))))
+    (A, chol), = captured
+    L = lower_factor(chol)
+    assert abs(L @ L.T - A).max() <= 1e-13 * abs(A).max()
+
+
+def test_negative_pivot_raises_solver_failure(k0_system, monkeypatch):
+    """A condensed matrix with one diagonal entry negated is not positive
+    definite: its factorization ends as the typed SolverFailure."""
+    def negated(sn, A):
+        A = A.copy()
+        A.data[A.indptr[7] + np.flatnonzero(A.indices[A.indptr[7]:A.indptr[8]] == 7)] *= -1.0
+        return Cholesky(sn, A)
+
+    monkeypatch.setattr(ddrplate.system, "Cholesky", negated)
+    load = k0_system.load_vector(lambda x: np.ones(len(x)))
+    with pytest.raises(SolverFailure, match="not positive definite"):
+        k0_system.solve(MaterialParams(), load)
 
 
 @pytest.mark.parametrize("case", _GATHER_CASES, ids=lambda c: f"{c[0]}-k{c[1]}")
 def test_symmetric_scaling_only_rescales_the_factorization(factorizations, case, rng):
-    """In a fixed order with diagonal pivots, factoring D A D for a positive
-    diagonal D only rescales the factors of A (van der Sluis, Numer. Math.
-    14, 1969): the same permutations and fill, and D-mapped solutions equal
-    to round-off. So the solve factors A unscaled, and a change that brings
-    back threshold pivoting or a value-dependent order fails here."""
-    splu = ddrplate.system.splu
-    _, _, runs = factorizations[case]
-    A = runs[_THICKNESSES.index(1e-1)][0]
+    """In the fixed nested-dissection order, the Cholesky factor of D A D
+    for a positive diagonal D is D L, L the factor of A, to round-off, and
+    D-mapped solutions agree (van der Sluis, Numer. Math. 14, 1969). So the
+    solve factors A unscaled; a change that made the order or the pivots
+    depend on the values fails here."""
+    system, _, runs = factorizations[case]
+    A, chol, _, _ = runs[_THICKNESSES.index(1e-1)]
     d = 10.0 ** rng.uniform(-2.0, 2.0, A.shape[0])
     scaled = A.copy()
     scaled.data *= d[scaled.indices] * np.repeat(d, np.diff(scaled.indptr))
-    lu = splu(A, **ddrplate.system._SPLU_OPTIONS)
-    lu_scaled = splu(scaled, **ddrplate.system._SPLU_OPTIONS)
-    assert np.array_equal(lu.perm_r, lu_scaled.perm_r)
-    assert np.array_equal(lu.perm_c, lu_scaled.perm_c)
-    assert lu.nnz == lu_scaled.nnz
+    chol_scaled = Cholesky(system._supernodes, scaled)
+    L, L_scaled = lower_factor(chol), lower_factor(chol_scaled)
+    assert L.nnz == L_scaled.nnz
+    assert abs(sps.diags(1.0 / d) @ L_scaled - L).max() <= 1e-12 * abs(L).max()
     b = rng.standard_normal(A.shape[0])
-    x = lu.solve(b)
-    assert np.linalg.norm(d * lu_scaled.solve(d * b) - x) <= 1e-12 * np.linalg.norm(x)
+    x = chol.solve(b)
+    assert np.linalg.norm(d * chol_scaled.solve(d * b) - x) <= 1e-12 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("k", range(4))
@@ -699,13 +732,15 @@ def test_condensed_entries_couple_ancestors_in_the_separator_tree(case):
         low[climbing] = parent[low[climbing]]
         climbing = (low >= 0) & (low < high)
     assert np.array_equal(low, high)
-    prepermutation = system.ordering["prepermutation"]
-    assert prepermutation["method"] == "nested dissection"
-    assert prepermutation["top_separator"] == np.count_nonzero(node == root) > 0
+    ordering = system.ordering
+    assert ordering["method"] == "nested dissection"
+    assert ordering["top_separator"] == np.count_nonzero(node == root) > 0
+    assert ordering["supernodes"] == len(parent)
+    assert np.all(np.bincount(node, minlength=len(parent)) > 0)   # no empty node
     depth = np.zeros(len(parent), dtype=int)
     for i in range(root - 1, -1, -1):                       # parents come later
         depth[i] = depth[parent[i]] + 1
-    assert prepermutation["depth"] == depth.max()
+    assert ordering["depth"] == depth.max()
 
 
 def test_ordering_is_deterministic():
@@ -721,32 +756,36 @@ def test_ordering_is_deterministic():
 @pytest.mark.parametrize("case", [("tri32", 0), ("tri16", 3), ("hexa_03", 1), ("locref_03", 0)],
                          ids=lambda c: f"{c[0]}-k{c[1]}")
 def test_nested_dissection_fill_stays_near_minimum_degree(case, monkeypatch):
-    """L + U of the pre-permuted condensed matrix is at most 1.10 times the
-    fill of SuperLU's minimum-degree ordering of A^T + A on the same matrix
-    (measured: 1.06 / 1.02 / 1.01 / 1.00)."""
+    """The nonzero entries of the Cholesky factor L of the condensed matrix
+    in nested-dissection order are at most 1.10 times those of the L of
+    SuperLU's minimum-degree ordering of A^T + A on the same matrix, the
+    oracle (measured: 1.09 / 1.02 / 1.03 / 1.01). The factor stores every
+    entry of its dense node blocks, zeros included: ``factor_nnz``."""
     name, k = case
     mesh = triangular_mesh(int(name[3:])) if name.startswith("tri") else _asset(name)
     system = PlateSystem(Discretization(mesh, k))
     captured = []
-    splu = ddrplate.system.splu
-    monkeypatch.setattr(ddrplate.system, "splu",
-                        lambda A, **kwargs: captured.append(A) or splu(A, **kwargs))
+    monkeypatch.setattr(ddrplate.system, "Cholesky",
+                        lambda sn, A: captured.append((A, Cholesky(sn, A))) or captured[-1][1])
     _, _, rep = system.solve(MaterialParams(t=1e-3), system.load_vector(lambda x: np.ones(len(x))))
-    mmd = splu(captured[0], permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    (A, chol), = captured
+    mmd = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                options={"SymmetricMode": True})
-    assert rep.ordering["permc_spec"] == "NATURAL"
-    assert rep.factor_nnz <= 1.10 * mmd.nnz
+    assert rep.factor_nnz == chol.nnz
+    assert np.count_nonzero(chol.factor) <= 1.10 * np.count_nonzero(mmd.L.data)
 
 
 @pytest.mark.parametrize("case", [("tri", 0), ("tri", 3), ("hexa", 0), ("hexa", 2), ("locref", 0)],
                          ids=lambda c: f"{c[0]}-k{c[1]}")
-def test_cell_blocks_and_condensed_data_are_bitwise_symmetric(case):
+def test_cell_blocks_and_condensed_data_are_bitwise_symmetric(case, monkeypatch):
     """Every kept cell block is symmetrised once and the k = 0 jump lists
     each DOF once, so every block is symmetric bit for bit, and so are the
     forms summed from them, the condensed matrix (mirrored entries are
     summed in the same order) and the full matrix. Without the
     symmetrisation the G^T M G blocks of tri k = 3 differ from their
-    transposes by round-off."""
+    transposes by round-off. Each cell's Schur block is symmetrised too, so
+    the matrix the Cholesky factorization reads the lower triangle of is
+    symmetric bit for bit after the interiors are eliminated."""
     family, k = case
     system = PlateSystem(Discretization(_order_mesh(family), k))
     for b in system._blocks:
@@ -760,8 +799,13 @@ def test_cell_blocks_and_condensed_data_are_bitwise_symmetric(case):
         s = stream(system, i)
         assert (s != s.T).nnz == 0
     material = MaterialParams(t=1e-5)
-    for K in (system.condensed_matrix(material), system.full_matrix(material)):
+    factored = []
+    monkeypatch.setattr(ddrplate.system, "Cholesky",
+                        lambda sn, A: factored.append(A) or Cholesky(sn, A))
+    system.solve(material, system.load_vector(lambda x: np.ones(len(x))))
+    for K in (system.condensed_matrix(material), system.full_matrix(material), *factored):
         assert (K != K.T).nnz == 0
+    assert len(factored) == 1
 
 
 @pytest.mark.parametrize("case", [("tri", k) for k in range(4)] + [("hexa", 1), ("locref", 0)],

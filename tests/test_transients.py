@@ -1,7 +1,8 @@
 """The build and the solve hold no full-size temporary they do not need:
 ``sum_blocks`` adds the stacks one by one and equals the former
 flatten-and-bincount sum bit for bit, the build's transient peak stays
-near what it keeps, and no full matrix is alive while SuperLU factors."""
+near what it keeps, and no full matrix is alive while the Cholesky
+factorization runs."""
 
 import tracemalloc
 
@@ -101,11 +102,11 @@ def test_build_peak_stays_near_what_it_keeps():
     assert peak <= kept + 1.1 * sum(_base_arrays(tables).values())
 
 
-def test_no_matrix_is_alive_while_superlu_factors(monkeypatch):
+def test_no_matrix_is_alive_while_the_cholesky_factors(monkeypatch):
     """A solve never forms K on all DOFs: it takes the condensed data and
     the interior blocks from the kept cell blocks, so ``full_matrix`` is
-    not called, and no array that the solve made and still holds while
-    SuperLU factors is as large as the data of the full K."""
+    not called, and no array that the solve made and still holds when the
+    Cholesky factorization starts is as large as the data of the full K."""
     plate = PlateSystem(Discretization(triangular_mesh(8), 2))
     full_bytes = plate.full_matrix(MaterialParams()).data.nbytes
     largest = []
@@ -113,14 +114,14 @@ def test_no_matrix_is_alive_while_superlu_factors(monkeypatch):
     def no_full(self, material):
         raise AssertionError("a solve formed the full matrix")
 
-    splu = ddrplate.system.splu
+    cholesky = ddrplate.system.Cholesky
 
-    def spy_splu(A, **kwargs):
+    def spy_cholesky(sn, A):
         largest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
-        return splu(A, **kwargs)
+        return cholesky(sn, A)
 
     monkeypatch.setattr(PlateSystem, "full_matrix", no_full)
-    monkeypatch.setattr(ddrplate.system, "splu", spy_splu)
+    monkeypatch.setattr(ddrplate.system, "Cholesky", spy_cholesky)
     for t in (1e-1, 1e-3):
         tracemalloc.start()
         try:
