@@ -17,6 +17,7 @@ all DOFs is formed.
 from __future__ import annotations
 
 import copy
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ import scipy.sparse as sps
 # benchmark's tracer (perfbench/tracing.py) still wraps this name
 from scipy.sparse.linalg import splu
 
-from .cholesky import Cholesky, analyse
+from .cholesky import _BLOCK, Cholesky, analyse
 from .errors import SolverFailure, ZeroNormError
 from .hho import _t, build_hho_packs, build_jump_penalisation, jump_form
 from .operators import build_global_gradient, build_packs
@@ -35,7 +36,6 @@ from .spaces import (Discretization, ThetaVector, UVector, at_points,
 
 _GS_METRIC = np.array([1.0, 2.0, 1.0])   # contraction weights for [11, 12, 22]
 _RESIDUAL_TOL = 1e-10                      # solver backward-error gate
-_ND_LEAF = 8                               # mesh entities per separator-tree leaf
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,14 @@ class MaterialParams:
             raise ValueError("thickness must lie in (0, 1), with t^2 > 0 in floating point")
         if not 0.0 < self.kappa0 < np.inf:
             raise ValueError("shear correction factor must be positive and finite")
+        # the derived coefficients must be normal doubles: below the smallest
+        # one they lose digits or vanish, and kappa = kappa0 E / (2 (1 + nu))
+        # can overflow. kappa/t^2 >= kappa, as t < 1; an infinite one is left
+        # to the solve, which reports it as an overflowing plate matrix
+        tiny = np.finfo(float).tiny
+        if not (self.beta0 >= tiny and tiny <= self.kappa < np.inf):
+            raise ValueError(f"beta0 = {self.beta0:.3e} and kappa = {self.kappa:.3e} must be "
+                             "normal doubles: rescale the material data")
 
     @property
     def beta0(self) -> float:
@@ -86,6 +94,7 @@ class SolveReport:
     factor_nnz: int = 0           # entries of the Cholesky factor L (every node
                                   # block on and below the diagonal)
     local_cond: float = 0.0       # worst cond of the local P_T, P_U and P1 solves
+    factor_s: float = 0.0         # wall time of the Cholesky factorization
     kff_nnz: int = 0              # stored entries of the factored matrix
     n_factored: int = 0           # size of the factored matrix: the free DOFs
                                   # less the element-interior ones
@@ -161,17 +170,19 @@ def _nested_dissection(indptr: np.ndarray, indices: np.ndarray, xy: np.ndarray,
     at the points ``xy`` with ``weight`` unknowns each, and ``cells`` the
     (entity, cell) incidence pairs and the cell centres.
 
-    Level by level, every part of more than ``_ND_LEAF`` entities is
-    bisected at the median coordinate along the longer side of its bounding
-    box, the entities on the median staying on one side. Two separators are
-    tried: sides by entity coordinate, and sides by cell centre, where the
-    entities of cells on both sides start the separator. Then the entities
-    of one side with a neighbour on the other, from the side where they
-    weigh less, complete it. The lighter of the two separators is kept, and the rest of
-    each side is a child part. Returns the node of each entity, and the
-    parent (-1 at the root) and depth of each node, the nodes numbered in
-    postorder: ordering the entities by node eliminates every subtree before
-    its separator, so an entry couples a node with an ancestor or itself."""
+    Level by level, every part holding more than ``cholesky._BLOCK``
+    unknowns is bisected at the median coordinate along the longer side of
+    its bounding box, the entities on the median staying on one side; a
+    leaf is thus at most one pivot block of the factorization, whatever the
+    degree. Two separators are tried: sides by entity coordinate, and sides
+    by cell centre, where the entities of cells on both sides start the
+    separator. Then the entities of one side with a neighbour on the other,
+    from the side where they weigh less, complete it. The lighter of the
+    two separators is kept, and the rest of each side is a child part.
+    Returns the node of each entity, and the parent (-1 at the root) and
+    depth of each node, the nodes numbered in postorder: ordering the
+    entities by node eliminates every subtree before its separator, so an
+    entry couples a node with an ancestor or itself."""
     n = len(xy)
     rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
     upper = rows < indices                   # each graph edge once
@@ -187,6 +198,7 @@ def _nested_dissection(indptr: np.ndarray, indices: np.ndarray, xy: np.ndarray,
         inv = node[active] - first[-2]
         n_parts = first[-1] - first[-2]
         size = np.bincount(inv, minlength=n_parts)
+        unknowns = np.bincount(inv, weight[active], n_parts)
         lo, hi = np.full((2, n_parts), np.inf), np.full((2, n_parts), -np.inf)
         for d in range(2):                   # the bounding box of each part
             np.minimum.at(lo[d], inv, xy[active, d])
@@ -202,7 +214,7 @@ def _nested_dissection(indptr: np.ndarray, indices: np.ndarray, xy: np.ndarray,
         left[top] = c[top] < median[inv][top]
         n_left = np.bincount(inv, left, n_parts)
         split = np.zeros(n, dtype=bool)
-        split[active] = ((size > _ND_LEAF) & (n_left > 0) & (n_left < size))[inv]
+        split[active] = ((unknowns > _BLOCK) & (n_left > 0) & (n_left < size))[inv]
         part = np.zeros(n, dtype=np.int32)   # index of an active entity's part
         part[active] = inv
         keep = split[inc_entity]
@@ -619,7 +631,9 @@ class PlateSystem:
             if n_c:
                 # no symmetric scaling D K D: it would only rescale the
                 # factor, D L, and a pivot that is not positive fails alike
+                started = time.perf_counter()
                 chol = Cholesky(self._supernodes, Ks)
+                report.factor_s = time.perf_counter() - started
                 report.factor_nnz, report.kff_nnz = chol.nnz, int(Ks.nnz)
                 report.ordering = copy.deepcopy(self.ordering)
             del Ks

@@ -80,6 +80,28 @@ def test_cli_oversized_run_is_a_config_error(args, capsys, monkeypatch):
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    ["--refinements", "1", "--young", "1e-200", "--kappa0", "1e-200"],
+    ["--degree", "0", "--young", "1e-320"],
+    ["--degree", "1", "--young", "1e-320"],
+], ids=["kappa_underflow", "k0_subnormal", "k1_subnormal"])
+def test_cli_material_below_the_normal_doubles_is_a_config_error(args, capsys):
+    """Material data whose derived coefficients are not normal doubles: at
+    kappa = 0 the manufactured solution divided by zero, at a subnormal E
+    the k = 0 run printed an error of 1 and exited 0, and the k = 1 run
+    warned before its SolverFailure. Each run now stops with one
+    ConfigError line before any mesh is solved."""
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ConfigError:")
+    assert "normal" in lines[0]
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+
+
 @pytest.mark.parametrize("refinements", ["1", "2"])
 def test_cli_unwritable_output_path(tmp_path, capsys, refinements):
     """An output path below a regular file is a ConfigError naming the

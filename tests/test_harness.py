@@ -131,12 +131,12 @@ def test_metadata_records_the_solver_per_mesh(tmp_path):
     assert len(meta["solver"]) == len(meta["stages"]) == len(records)
     # the nested-dissection ordering per mesh: tree depth, the DOFs of the
     # top separator and the number of tree nodes, the Cholesky's supernodes
-    orderings = ((3, 25, 8), (5, 53, 35))
+    orderings = ((1, 25, 3), (3, 53, 15))
     for n, rec, solver, stages, (depth, top, supernodes) in zip(
             (4, 8), records, meta["solver"], meta["stages"], orderings):
         assert set(solver) == {"n_free", "n_factored", "kff_nnz", "factor_nnz",
                                "refinement_steps", "residual", "backward_errors",
-                               "local_cond", "ordering"}
+                               "local_cond", "factor_s", "ordering"}
         assert solver["ordering"] == {"method": "nested dissection", "depth": depth,
                                       "top_separator": top, "supernodes": supernodes}
         assert set(stages) == {"discretization_s", "plate_system_s", "solve_s", "cells",
@@ -157,6 +157,7 @@ def test_metadata_records_the_solver_per_mesh(tmp_path):
         assert len(solver["backward_errors"]) == solver["refinement_steps"] + 1
         assert solver["backward_errors"][-1] == solver["residual"]
         assert 1.0 <= solver["local_cond"] < float("inf")
+        assert 0.0 <= solver["factor_s"] <= stages["solve_s"]
 
 
 def test_metadata_records_the_peak_rss(tmp_path):

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import splu, spsolve
 
 from conftest import locate, lower_factor
 import ddrplate.system
-from ddrplate.cholesky import Cholesky
+from ddrplate.cholesky import _BLOCK, Cholesky
 from ddrplate.errors import SolverFailure, ZeroNormError
 from ddrplate.harness import solve_case
 from ddrplate.hho import jump_form
@@ -43,6 +43,18 @@ def test_material_validation():
             MaterialParams(kappa0=bad)
     with pytest.raises(ValueError):
         MaterialParams(t=1e-300)     # t^2 underflows to 0
+    # the derived coefficients must be normal doubles
+    tiny = np.finfo(float).tiny
+    for bad in (dict(E=1e-200, kappa0=1e-200),      # kappa underflows to 0
+                dict(E=1e-320),                     # subnormal beta0, kappa
+                dict(E=1e-308),                     # normal E, subnormal beta0
+                dict(E=1e300, kappa0=1e10)):        # kappa overflows
+        with pytest.raises(ValueError, match="normal doubles"):
+            MaterialParams(**bad)
+    m = MaterialParams(E=20.0 * tiny)
+    assert tiny <= m.beta0 <= m.kappa <= m.shear_over_t2
+    # an infinite kappa/t^2 is the solve's overflowing plate matrix
+    assert MaterialParams(E=1e300, t=1e-5).shear_over_t2 == np.inf
     assert MaterialParams(nu=0.0).beta1 == 0.0
 
 
@@ -743,6 +755,26 @@ def test_condensed_entries_couple_ancestors_in_the_separator_tree(case):
     assert ordering["depth"] == depth.max()
 
 
+@pytest.mark.parametrize("case", [("tri", k) for k in range(4)] + [("hexa", 1), ("locref", 0)],
+                         ids=lambda c: f"{c[0]}-k{c[1]}")
+def test_separator_tree_leaves_hold_at_most_one_pivot_block(case):
+    """The dissection splits a part while it holds more than ``_BLOCK``
+    factored DOFs: every leaf holds at most that many, so it is one pivot
+    block of the factorization, and every node with children stands for a
+    part (its subtree) that held more."""
+    family, k = case
+    system = PlateSystem(Discretization(_order_mesh(family), k))
+    node, parent = system.separator_tree
+    held = np.bincount(node, minlength=len(parent))
+    for i in range(len(parent) - 1):                        # children come first
+        held[parent[i]] += held[i]
+    inner = np.zeros(len(parent), dtype=bool)
+    inner[parent[:-1]] = True
+    assert inner.any()
+    assert np.all(held[~inner] <= _BLOCK)
+    assert np.all(held[inner] > _BLOCK)
+
+
 def test_ordering_is_deterministic():
     """Two builds of one mesh give the same permutation and tree."""
     mesh = _jittered(triangular_mesh(8), seed=3)
@@ -759,7 +791,7 @@ def test_nested_dissection_fill_stays_near_minimum_degree(case, monkeypatch):
     """The nonzero entries of the Cholesky factor L of the condensed matrix
     in nested-dissection order are at most 1.10 times those of the L of
     SuperLU's minimum-degree ordering of A^T + A on the same matrix, the
-    oracle (measured: 1.09 / 1.02 / 1.03 / 1.01). The factor stores every
+    oracle (measured: 1.09 / 1.02 / 1.03 / 1.00). The factor stores every
     entry of its dense node blocks, zeros included: ``factor_nnz``."""
     name, k = case
     mesh = triangular_mesh(int(name[3:])) if name.startswith("tri") else _asset(name)
