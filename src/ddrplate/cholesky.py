@@ -4,11 +4,13 @@ The supernodes are the nodes of a nested-dissection separator tree in
 postorder (Duff & Reid, ACM TOMS 9, 1983; Liu, SIAM Review 34, 1992). The
 symbolic analysis (``analyse``) runs once per pattern: it derives every
 front's rows from the graph of the mesh entities that hold the unknowns,
-in a few array passes per tree level. A factorization (``Cholesky``)
-assembles each front from the matrix entries of its pivot columns and its
-children's update matrices, and factors it: L11 = chol(F11), L21 = F21
-L11^-T, and the update matrix -L21 L21^T that goes to the parent. Only L is
-kept, node by node.
+in a few array passes per tree level, and lays out the matrix's CSC
+pattern (``Layout``) for the caller to fill, as both structures follow
+from the graph alone. A factorization (``Cholesky``) assembles each front
+from the matrix entries of its pivot columns and its children's update
+matrices, and factors it: L11 = chol(F11), L21 = F21 L11^-T, and the
+update matrix -L21 L21^T that goes to the parent. Only L is kept, node by
+node.
 
 OpenBLAS changes the bits of a call with the number of threads it runs on
 (measured with OpenBLAS 0.3.31: potrf from n = 128, syrk from n = 99, gemm
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sps
@@ -72,6 +75,16 @@ class Supernodes:
     runs: np.ndarray
 
 
+class Layout(NamedTuple):
+    """The CSC layout of a matrix that ``analyse`` analysed: the unknowns of
+    an entity's neighbours are the rows of each of its columns, in order."""
+    indptr: np.ndarray    # (n + 1,) the CSC pattern, sorted rows
+    indices: np.ndarray
+    edge: np.ndarray      # per entry (a, b) of the graph's CSR pattern: the
+                          # position of b's first unknown in a's first column
+    column: np.ndarray    # the entries of a column of each entity
+
+
 def _expand(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For segments of the given lengths laid end to end: the segment of
     each position and the position's index inside its segment."""
@@ -86,10 +99,12 @@ def _unique_sorted(a: np.ndarray) -> np.ndarray:
 
 
 def analyse(indptr: np.ndarray, indices: np.ndarray, node: np.ndarray,
-            size: np.ndarray, parent: np.ndarray, depth: np.ndarray) -> Supernodes:
+            size: np.ndarray, parent: np.ndarray, depth: np.ndarray
+            ) -> tuple[Supernodes, Layout]:
     """The fronts of a supernodal Cholesky factorization of a symmetric
     matrix whose unknowns sit on the entities of a graph, and every entity's
-    unknowns couple with all those of its neighbours and its own.
+    unknowns couple with all those of its neighbours and its own, and the
+    matrix's CSC layout that the factorization reads.
 
     ``indptr``, ``indices``: the symmetric CSR pattern of the entity graph,
     self-loops included, sorted indices, the entities in the order of their
@@ -109,9 +124,19 @@ def analyse(indptr: np.ndarray, indices: np.ndarray, node: np.ndarray,
     max_depth = int(depth.max(initial=0))
     level = (max_depth - depth).astype(np.int16)   # 0 for the deepest nodes
 
+    # the CSC layout: a column of entity a holds the ``column[a]`` unknowns
+    # of a's neighbours, in order; a's first column starts at
+    # ``col_first[a]``, and the unknowns of graph entry e's neighbour start
+    # in it at ``edge[e]``
+    a = np.repeat(np.arange(n_ent), np.diff(indptr))
+    sums = np.concatenate([[0], np.cumsum(size[indices])])
+    column = np.diff(sums[indptr])
+    col_first = np.cumsum(size * column) - size * column
+    edge = col_first[a] + sums[:-1] - sums[indptr[:-1]][a]
+    nnz = int((size * column).sum())
+
     # the graph's edges from each entity to itself and to the entities after
     # it, by rows: the blocks on and below the diagonal
-    a = np.repeat(np.arange(n_ent), np.diff(indptr))
     lower = indices >= a
     a, b = a[lower], indices[lower].astype(np.int64)
     j = node[a]
@@ -166,20 +191,16 @@ def analyse(indptr: np.ndarray, indices: np.ndarray, node: np.ndarray,
     # the matrix entries on and below the diagonal: per edge (a, b), the
     # block of the unknowns of b (rows) by those of a (columns), lower
     # triangle only where b is a. Its first entry lies in the factor at
-    # ``edge_at`` and in the CSC data at ``edge_csc``: a column of a holds
-    # the unknowns of all a's neighbours, in order. The blocks of one shape
-    # are laid out at once
+    # ``edge_at`` and in the CSC data at ``edge_csc``. The blocks of one
+    # shape are laid out at once
     offset = np.concatenate([[0], np.cumsum(p * p + u * p)])
     pj = p[j]
     edge_at = offset[j] + np.where(up, pj * pj, 0) + front * pj + first[a] - start[j]
-    sums = np.concatenate([[0], np.cumsum(size[indices])])
-    column = np.diff(sums[indptr])                 # the entries of a column of each entity
-    col_first = np.cumsum(size * column) - size * column
-    edge_csc = col_first[a] + sums[:-1][lower] - sums[indptr[:-1]][a]
+    edge_csc = edge[lower]
     stride = column[a]
     # the kept index arrays in 32 bits where they fit (the factor's
-    # positions: up to 2^31 entries)
-    index = np.int32 if max(n, offset[-1]) < 2 ** 31 else np.int64
+    # positions and the CSC data's: up to 2^31 entries)
+    index = np.int32 if max(n, offset[-1], nnz) < 2 ** 31 else np.int64
     width = int(size.max(initial=0)) + 1
     shape = (size[a] * width + size[b]) * 2 + (a == b)
     kinds, count = np.unique(shape, return_counts=True)
@@ -209,9 +230,20 @@ def analyse(indptr: np.ndarray, indices: np.ndarray, node: np.ndarray,
     by_level = np.argsort(level[row_node], kind="stable")
     level_rows = np.split(urows[by_level], np.cumsum(np.bincount(level[row_node],
                                                                  minlength=len(levels)))[:-1])
-    return Supernodes(parent, start, urows, uoff, offset, levels, level_rows,
-                      int((size * column).sum()), pos, csc, child_ptr, children,
-                      n_pivot, target, run_ptr, runs)
+    sn = Supernodes(parent, start, urows, uoff, offset, levels, level_rows, nnz, pos, csc,
+                    child_ptr, children, n_pivot, target, run_ptr, runs)
+
+    # the CSC pattern: the rows of every column of entity a are a's row
+    # list, the unknowns of its neighbours; the lists end to end in
+    # ``rows``, a's from ``sums[indptr[a]]``
+    seg, within = _expand(size[indices])
+    rows = (first[indices][seg] + within).astype(index)
+    length = np.repeat(column, size)               # per column, in order
+    csc_ptr = np.concatenate([[0], np.cumsum(length)]).astype(index)
+    csc_rows = np.arange(nnz, dtype=index)
+    csc_rows -= np.repeat((csc_ptr[:-1] - np.repeat(sums[indptr[:-1]], size)).astype(index),
+                          length)
+    return sn, Layout(csc_ptr, rows[csc_rows], edge.astype(index), column.astype(index))
 
 
 def _check(info: int) -> None:

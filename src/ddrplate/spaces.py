@@ -16,11 +16,14 @@ group is split into contiguous chunks of cell ids (``cell_chunks``), one
 ``ElementContext`` per chunk; local layouts, interpolation and assembly work
 on whole chunks, and ``map_chunks`` builds the local tables of the chunks on
 every CPU the process may run on. Every global matrix is summed from stacks
-of dense local blocks on the pattern of their union (``block_pattern``,
-``sum_blocks``, and ``assemble`` on top of them), stack by stack in the
-order given: the cell chunks in ``elem_ctxs`` order (vertex counts
-increasing, cell ids increasing inside each), then any edge stacks (at
-k = 0 the jump stacks, as ``build_jump_penalisation`` returns them). The
+of dense local blocks (``sum_blocks``), stack by stack in the order given,
+on the pattern of their union: on all DOFs the sorted keys of the blocks'
+entries (``block_pattern``, and ``assemble`` on top of it), on the
+condensed DOFs of a solve the layout of its Cholesky analysis
+(``cholesky.analyse``). The stacks come in one order: the cell chunks in
+``elem_ctxs`` order (vertex counts increasing, cell ids increasing inside
+each), then any edge stacks (at k = 0 the jump stacks, as
+``build_jump_penalisation`` returns them). The
 chunks split each group into consecutive id ranges, so neither the chunks
 nor the CPU count change a bit of it. Where the contributions of several
 cells to a shared DOF meet in a matrix, they meet in these sums: the
@@ -102,78 +105,33 @@ class USpace:
                                self.vertex_offset(ctx.vertices)], axis=1)
 
 
-_LOW32 = 0xFFFFFFFF
-
-
 def block_pattern(index, shape: tuple[int, int]):
     """CSR pattern of the union of stacks of dense blocks, and the position
     in it of every block entry.
 
     ``index`` lists ``(rows, cols)`` stacks: (n, n_r) and (n, n_c) global
     indices. Every block entry has a place in the pattern, so the pattern
-    depends on the index alone, never on values or their round-off. Rows
-    that lie in the same set of blocks have the same columns, so the columns
-    are merged once per such set (per cell, edge or vertex on a mesh), not
-    once per entry. Returns ``indptr``, ``indices`` (sorted, no duplicates)
-    and, per stack, the (n, n_r, n_c) positions of its entries."""
-    offsets = np.cumsum([0] + [len(r) for r, _ in index])      # global block ids
-    # (row, block) incidences, sorted; a 64-bit key holds a pair of 32-bit ids
-    block = _flat([np.repeat(np.arange(lo, hi), r.shape[1])
-                   for (r, _), lo, hi in zip(index, offsets[:-1], offsets[1:])], np.int64)
-    pairs = np.sort((_flat([r for r, _ in index], np.int64) << 32) | block)
-    pairs = pairs[_starts(pairs)]                # np.unique takes 20x longer here
-    row, block = pairs >> 32, pairs & _LOW32
-    count = np.bincount(row, minlength=shape[0])
-    table = np.full((shape[0], max(count.max(initial=0), 1)), -1)
-    table[row, np.arange(len(row)) - (np.cumsum(count) - count)[row]] = block
-    # number the distinct block sets of the rows
-    order = np.lexsort(table.T[::-1])
-    table = table[order]
-    new = _starts(table)
-    row_set = np.empty(shape[0], dtype=np.int64)
-    row_set[order] = np.cumsum(new) - 1
-    sets = table[new]
-    set_of, pos = np.nonzero(sets >= 0)
-    block = sets[set_of, pos]
-    set_block = (set_of << 32) | block                         # sorted
-    # merge the columns of every set's blocks
-    parts, members = [], []
-    for (r, c), lo, hi in zip(index, offsets[:-1], offsets[1:]):
-        mine = np.flatnonzero((block >= lo) & (block < hi))
-        members.append(mine)
-        parts.append((set_of[mine, None] << 32) | c[block[mine] - lo])
-    key = _flat(parts, np.int64)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new = _starts(key)
-    rank = np.empty(len(key), dtype=np.int64)
-    rank[order] = np.cumsum(new) - 1
-    merged = key[new]
-    set_start = np.searchsorted(merged, np.arange(len(sets) + 1, dtype=np.int64) << 32)
-    # row r holds the merged columns of its set
-    length = np.diff(set_start)[row_set]
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(length, out=indptr[1:])
-    source = np.repeat(set_start[row_set] - indptr[:-1], length) + np.arange(indptr[-1])
-    idx_dtype = np.int32 if max(indptr[-1], *shape) < 2 ** 31 else np.int64
-    indices = (merged[source] & _LOW32).astype(idx_dtype)
-    # entry (b, i, j): the row's start plus the rank of column j in the set
-    indptr = indptr.astype(idx_dtype)
-    slots, at = [], 0
-    for (r, c), mine, lo in zip(index, members, offsets[:-1]):
-        size = len(mine) * c.shape[1]
-        local = (rank[at:at + size].reshape(len(mine), c.shape[1])
-                 - set_start[set_of[mine], None]).astype(idx_dtype)
-        at += size
-        pair = np.searchsorted(set_block[mine],
-                               (row_set[r] << 32) | (lo + np.arange(len(r)))[:, None])
-        slots.append(indptr[r][..., None] + local[pair])
-    return indptr, indices, slots
+    depends on the index alone, never on values or their round-off: the
+    entries' (row, column) keys, sorted without duplicates. Returns
+    ``indptr``, ``indices`` (sorted, no duplicates) and, per stack, the
+    (n, n_r, n_c) positions of its entries."""
+    shapes = [r.shape + c.shape[1:] for r, c in index]
+    merged, slot = np.unique(np.concatenate(
+        [((r.astype(np.int64)[:, :, None] << 32) | c[:, None, :]).ravel() for r, c in index]
+        + [np.zeros(0, np.int64)]), return_inverse=True)
+    idx_dtype = np.int32 if max(len(merged), *shape) < 2 ** 31 else np.int64
+    indptr = np.searchsorted(merged >> 32, np.arange(shape[0] + 1)).astype(idx_dtype)
+    indices = (merged & 0xFFFFFFFF).astype(idx_dtype)
+    slot = slot.astype(idx_dtype)
+    ends = np.cumsum([0] + [np.prod(s) for s in shapes])
+    return indptr, indices, [slot[lo:hi].reshape(s)
+                             for s, lo, hi in zip(shapes, ends[:-1], ends[1:])]
 
 
 def sum_blocks(slots, blocks, n_entries: int) -> np.ndarray:
     """Pattern data of stacks of dense blocks, given the pattern positions of
-    their entries (``block_pattern``), one stack per ``slots`` stack.
+    their entries (from ``block_pattern``, say), one stack per ``slots``
+    stack.
 
     The stacks are added in the order given, one ``np.add.at`` each, which
     adds a stack's blocks in order and each block in row-major order, as
@@ -184,22 +142,6 @@ def sum_blocks(slots, blocks, n_entries: int) -> np.ndarray:
     for s, b in zip(slots, blocks):
         np.add.at(out, np.ravel(s), np.ravel(b))
     return out
-
-
-def _starts(a: np.ndarray) -> np.ndarray:
-    """Mask of the rows of sorted ``a`` that differ from the row before."""
-    new = np.ones(len(a), dtype=bool)
-    differ = a[1:] != a[:-1]
-    new[1:] = differ if differ.ndim == 1 else differ.any(axis=1)
-    return new
-
-
-def _flat(parts, dtype) -> np.ndarray:
-    """The raveled arrays end to end, as ``dtype`` at least; a single
-    contiguous one of that type is not copied."""
-    if len(parts) == 1:
-        return np.ravel(parts[0]).astype(dtype, copy=False)
-    return np.concatenate([np.ravel(p) for p in parts] + [np.zeros(0, dtype)])
 
 
 def assemble(blocks, shape: tuple[int, int]) -> sps.csr_matrix:

@@ -11,7 +11,10 @@ cell by cell (static condensation) and factors the Schur complement on the
 remaining free DOFs, which are numbered once per mesh and degree by a
 nested dissection of the mesh, by a supernodal Cholesky factorization whose
 supernodes are the nodes of the separator tree (``cholesky``); no matrix on
-all DOFs is formed.
+all DOFs is formed. The condensed matrix's CSC pattern is the one the
+factorization's symbolic analysis lays out from the graph of the mesh
+entities, and each block entry's position in it is found from the graph
+entry of its two entities.
 """
 
 from __future__ import annotations
@@ -275,6 +278,43 @@ def _nested_dissection(indptr: np.ndarray, indices: np.ndarray, xy: np.ndarray,
     return rank[node], out, out_depth
 
 
+def _entity_groups(entity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the entities (n, m) of the DOFs of a stack of blocks: one
+    position of each group of positions that hold the same entity in every
+    block, and the group of each position."""
+    rep = np.arange(entity.shape[1])
+    if len(entity):
+        _, first, inverse = np.unique(entity[0], return_index=True, return_inverse=True)
+        same = np.all(entity[:, first[inverse]] == entity, axis=0)
+        rep[same] = first[inverse][same]
+    return np.unique(rep, return_inverse=True)
+
+
+def _entity_slots(dofs: np.ndarray, entity: np.ndarray, within: np.ndarray,
+                  stride: np.ndarray, keys: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """The positions in the condensed CSC data of the entries of a stack of
+    blocks on the DOFs ``dofs`` (n, m), C-contiguous (n, m, m) in the type of
+    ``edge``. Per DOF, ``entity``: its entity's index in the graph (-1 if
+    Dirichlet), ``within``: its rank in its entity, ``stride``: that rank
+    times its entity's column length; ``keys``: the graph's entries
+    (a << 32) | b, sorted, and ``edge``: their first positions
+    (``cholesky.Layout``), then the discarded slot, where the entries of a
+    Dirichlet row or column go. An entry's position is its column's and its
+    row's graph entry, looked up once per pair of entities, plus the
+    column's stride and the row's rank."""
+    n, m = dofs.shape
+    ent = entity[dofs]
+    rep, group = _entity_groups(ent)
+    pairs = ent[:, rep].astype(np.int64)
+    first = edge[np.searchsorted(keys, (pairs[:, None, :] << 32) | pairs[:, :, None])]
+    at = np.take(first.reshape(n, len(rep) ** 2), (group[:, None] * len(rep) + group).ravel(),
+                 axis=1).reshape(n, m, m)
+    at += stride[dofs][:, None, :]
+    at += within[dofs][:, :, None]
+    at[(ent < 0)[:, :, None] | (ent < 0)[:, None, :]] = edge[-1]
+    return at
+
+
 @dataclass
 class CellBlocks:
     """The kept blocks of one cell chunk, each array with a leading cell
@@ -303,10 +343,10 @@ class PlateSystem:
     free ones less the element interiors, which couple only inside their own
     cell) are listed in a nested-dissection order of the mesh edges and
     vertices that hold them, with its ``separator_tree`` and the
-    ``ordering`` record every solve reports. The condensed matrix on them
-    has one CSC pattern in that order, and each block keeps the positions
-    of its B x B entries in it; the symbolic analysis of its Cholesky
-    factorization on the separator tree is done once too. A solve sums the
+    ``ordering`` record every solve reports. The symbolic analysis of the
+    Cholesky factorization on the separator tree, done once too, lays out
+    the condensed matrix's CSC pattern in that order, and each block keeps
+    the positions of its B x B entries in it. A solve sums the
     condensed data from the blocks, eliminates the interiors cell by cell
     and factors only the Schur complement; no matrix on all DOFs is formed
     (``full_matrix`` assembles one on demand)."""
@@ -353,42 +393,47 @@ class PlateSystem:
         factored[self.n_theta:self.n_theta + n_el * ue] = False
         fac = np.flatnonzero(factored)
         n_c = fac.size
-        # the pattern of the B x B entries of the blocks, on the factored
-        # DOFs in their original order and then the Dirichlet ones, whose
-        # rows and columns are dropped below
-        compact = np.full(n, -1)
-        compact[fac] = np.arange(n_c)
-        compact[dir_mask] = n_c + np.arange(n - self.free.size)
-        n_b = n_c + n - self.free.size
         split = []
         for dofs, s0, _, _ in blocks:
             nt = s0.shape[1]
             inner = np.r_[:te, nt:nt + ue]
             split.append((inner, np.setdiff1d(np.arange(dofs.shape[1]), inner)))
-        index = ([compact[dofs[:, outer]] for (dofs, *_), (_, outer) in zip(blocks, split)]
-                 + [compact[idx] for idx, _, _ in jump])
-        indptr, indices, slots = block_pattern([(i, i) for i in index], (n_b, n_b))
-        del index
-        # nested-dissection order of the factored DOFs, on the graph of the
-        # mesh entities that hold them: the DOFs of one edge or one vertex
-        # share their pattern row, so one representative DOF per entity
-        # gives the graph, and the DOFs of an entity stay together
+        # the B DOFs of every block: the cells' outer ones, and at k = 0 the
+        # jump stacks'
+        index = ([dofs[:, outer] for (dofs, *_), (_, outer) in zip(blocks, split)]
+                 + [idx for idx, _, _ in jump])
+        # the mesh entity of each DOF that is not an element interior: edge e,
+        # or ne + v for vertex v. An entity's DOFs are all factored or all
+        # Dirichlet, and every block holds all of them or none
         ne = mesh.n_edges
         entity = np.concatenate([
             np.full(n_el * te, -1), np.repeat(np.arange(ne), disc.theta_space.edge_dim),
             np.full(n_el * ue, -1), np.repeat(np.arange(ne), disc.u_space.edge_dim),
-            ne + np.arange(mesh.n_vertices)])[factored]
-        ents, rep, which = np.unique(entity, return_index=True, return_inverse=True)
-        graph = sps.csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
-                               shape=(n_b, n_b))[rep][:, rep]
+            ne + np.arange(mesh.n_vertices)])
+        ents, which = np.unique(entity[fac], return_inverse=True)
+        local = np.full(ne + mesh.n_vertices, -1)
+        local[ents] = np.arange(ents.size)
+        # the graph of the entities that hold the factored DOFs: two are
+        # neighbours when a block holds both, S^T S for the incidence S of
+        # blocks and entities
+        held = [local[entity[i]] for i in index]
+        width = np.concatenate([np.full(len(h), h.shape[1]) for h in held])
+        held = np.concatenate([h.ravel() for h in held])
+        on = held >= 0
+        incidence = sps.csr_matrix(
+            (np.ones(np.count_nonzero(on), dtype=bool),
+             (np.repeat(np.arange(len(width)), width)[on], held[on])),
+            shape=(len(width), ents.size))
+        graph = (incidence.T @ incidence).tocsr()
+        del width, held, on, incidence
+        # nested-dissection order of the factored DOFs, on the entity graph:
+        # the DOFs of an entity stay together
         xy = np.concatenate([mesh.vertex_coords[mesh.edge_vertices].mean(axis=1),
                              mesh.vertex_coords])[ents]
         cell_of = np.repeat(np.arange(n_el), np.diff(mesh.cell_offsets))
-        local = np.full(ne + mesh.n_vertices, -1)
-        local[ents] = np.arange(ents.size)
         incidence = local[np.r_[mesh.cell_edges, ne + mesh.cell_vertices]]
         on = incidence >= 0
-        size = np.bincount(which)
+        size = np.bincount(which, minlength=ents.size)
         node, parent, depth = _nested_dissection(
             graph.indptr, graph.indices, xy, size,
             (incidence[on], np.r_[cell_of, cell_of][on], mesh.cell_center))
@@ -414,34 +459,39 @@ class PlateSystem:
             "top_separator": int(np.count_nonzero(self.separator_tree[0] == len(parent) - 1)),
             "supernodes": len(parent)}
 
-        # the condensed pattern in the new numbering, with each entry's
-        # position (plus one, so none is zero) as its data, in a CSC layout
-        # that sorts the row indices inside each column; the entries of a
-        # Dirichlet row or column go to one discarded slot past the last
-        moved = sps.csr_matrix((np.arange(1, len(indices) + 1), indices, indptr),
-                               shape=(n_b, n_b))[order][:, order].tocsc()
-        self._indptr, self._indices = moved.indptr, moved.indices
-        new_at = np.full(len(indices), moved.nnz, dtype=self._indices.dtype)
-        new_at[moved.data - 1] = np.arange(moved.nnz)
-        del indptr, indices, moved
-        # the fronts of the Cholesky factorization, from the entity graph
-        # in the order of the factored DOFs
+        # the fronts of the Cholesky factorization and the condensed
+        # matrix's CSC layout, from the entity graph in the new order
         graph = graph[entity_order][:, entity_order]
         graph.sort_indices()
-        self._supernodes = analyse(graph.indptr, graph.indices, node[entity_order],
-                                   size[entity_order], parent, depth)
-        del graph
+        size = size[entity_order]
+        self._supernodes, layout = analyse(graph.indptr, graph.indices, node[entity_order],
+                                           size, parent, depth)
+        self._indptr, self._indices = layout.indptr, layout.indices
+        # each block entry's position in the condensed data: the graph entry
+        # of its column's and its row's entities, then the rank of each DOF
+        # in its entity (by a column stride and a row offset); the entries of
+        # a Dirichlet row or column go to one discarded slot past the last
         rank = np.full(n, n_c)
         rank[self.factored] = np.arange(n_c)
-        self._blocks = [CellBlocks(dofs, s0, s1, shear, inner, outer, rank[dofs[:, outer]],
-                                   new_at[at])
-                        for (dofs, s0, s1, shear), (inner, outer), at
-                        in zip(blocks, split, slots)]
+        within = np.zeros(n, dtype=layout.edge.dtype)
+        within[self.factored] = np.arange(n_c) - np.repeat(np.cumsum(size) - size, size)
+        # the graph index of each DOF's entity, -1 if Dirichlet (the last
+        # entry stands for the interiors' entity -1)
+        in_graph = np.full(ne + mesh.n_vertices + 1, -1)
+        in_graph[ents[entity_order]] = np.arange(ents.size)
+        in_graph = in_graph[entity]
+        stride = within * np.append(layout.column, 0)[in_graph]
+        keys = (np.repeat(np.arange(ents.size), np.diff(graph.indptr)) << 32) | graph.indices
+        edge = np.append(layout.edge, len(self._indices)).astype(layout.edge.dtype)
+        del graph, layout
+        at = [_entity_slots(i, in_graph, within, stride, keys, edge) for i in index]
+        del index
+        self._blocks = [CellBlocks(dofs, s0, s1, shear, inner, outer, rank[dofs[:, outer]], a)
+                        for (dofs, s0, s1, shear), (inner, outer), a in zip(blocks, split, at)]
         # the k = 0 jump, per stack: the global rotation DOFs, J_E and h_E
         # (the form's blocks are jump_form(J_E, h_E), formed where summed),
         # and the positions of the blocks' entries in the condensed data
-        self._jump = [(idx, J, h, new_at[at])
-                      for (idx, J, h), at in zip(jump, slots[len(blocks):])]
+        self._jump = [(idx, J, h, a) for (idx, J, h), a in zip(jump, at[len(blocks):])]
 
     # -- bilinear forms -----------------------------------------------------
 
@@ -452,30 +502,18 @@ class PlateSystem:
         form summed on the pattern of all the blocks, the cell chunks then
         the k = 0 jump stacks, and combined as ``(beta0 s0 + beta1 s1) +
         (kappa/t^2) s2``, so it is symmetric bit for bit."""
-        return self._assemble(material)
-
-    def _assemble(self, material: MaterialParams, touching: np.ndarray | None = None
-                  ) -> sps.csr_matrix:
-        """``full_matrix``, or with a DOF mask ``touching`` only the blocks of
-        the cells and k = 0 edges that hold one of those DOFs. Every block
-        that adds to a column of such a DOF is there, in the same order, so
-        that column equals the one of ``full_matrix`` bit for bit."""
         n = self.n_theta + self.n_u
-        blocks = [(b.dofs, b.s0, b.s1, b.shear) for b in self._blocks]
-        jump = [(idx, J, h) for idx, J, h, _ in self._jump]
-        if touching is not None:
-            blocks = [tuple(a[touching[blk[0]].any(axis=1)] for a in blk) for blk in blocks]
-            jump = [tuple(a[touching[blk[0]].any(axis=1)] for a in blk) for blk in jump]
+        blocks, jump = self._blocks, self._jump
         indptr, indices, slots = block_pattern(
-            [(dofs, dofs) for dofs, *_ in blocks + jump], (n, n))
+            [(b.dofs, b.dofs) for b in blocks] + [(idx, idx) for idx, *_ in jump], (n, n))
         cells = slots[:len(blocks)]
-        rot = [at[:, :s0.shape[1], :s0.shape[1]] for at, (_, s0, _, _) in zip(cells, blocks)]
+        rot = [at[:, :b.s0.shape[1], :b.s0.shape[1]] for at, b in zip(cells, blocks)]
         data = sum_blocks(rot + slots[len(blocks):],
-                          [s0 for _, s0, _, _ in blocks]
-                          + [jump_form(J, h) for _, J, h in jump], len(indices))
+                          [b.s0 for b in blocks] + [jump_form(J, h) for _, J, h, _ in jump],
+                          len(indices))
         data *= material.beta0
-        for scale, stacks, vals in ((material.beta1, rot, [s1 for _, _, s1, _ in blocks]),
-                                    (material.shear_over_t2, cells, [s2 for *_, s2 in blocks])):
+        for scale, stacks, vals in ((material.beta1, rot, [b.s1 for b in blocks]),
+                                    (material.shear_over_t2, cells, [b.shear for b in blocks])):
             term = sum_blocks(stacks, vals, len(indices))
             term *= scale
             data += term
@@ -571,9 +609,8 @@ class PlateSystem:
             scales = (material.beta0, material.beta1, material.shear_over_t2)
             n_c = report.n_factored = self.factored.size
             # all the solve takes from K, all from the kept blocks: the
-            # Dirichlet lift (none where x_D = 0; otherwise the columns of
-            # full_matrix, bit for bit, from the cells on Dirichlet DOFs), the
-            # condensed data, the interior blocks K_II and K_IB per chunk, and
+            # Dirichlet lift K x_D (none where x_D = 0; otherwise stacked
+            # products with the blocks, as the residuals are), the condensed data, the interior blocks K_II and K_IB per chunk, and
             # ||K||, the largest row sum of |K| over the free rows and
             # columns. On a factored row that is the condensed data's (which
             # is symmetric: its column sums) plus the interior columns'; on an
@@ -582,7 +619,7 @@ class PlateSystem:
             # it, with no warning on the way
             with np.errstate(over="ignore", invalid="ignore"):
                 if x.any():
-                    rhs = load - self._assemble(material, self.dirichlet_mask) @ x
+                    rhs = load - self._matvec(scales, x)
                 else:
                     rhs = load.copy()
                 rhs[self.dirichlet_mask] = 0.0

@@ -1,7 +1,7 @@
 """The supernodal Cholesky factorization (``ddrplate.cholesky``) on small
-hand-made separator trees: L L^T reproduces the matrix and the solves
-invert it, through the one-call fronts, the tiled large fronts and a tree
-node that holds no unknown."""
+hand-made separator trees: the analysis lays out the matrix's CSC pattern,
+L L^T reproduces the matrix and the solves invert it, through the one-call
+fronts, the tiled large fronts and a tree node that holds no unknown."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,9 @@ from ddrplate.errors import SolverFailure
 
 
 def _supernodes(edges, node, size, parent):
-    """The analysis of an entity graph given by its ``edges`` (pairs), the
-    entities numbered by node and the tree in postorder."""
+    """The analysis and layout of an entity graph given by its ``edges``
+    (pairs), the entities numbered by node and the tree in postorder, and
+    the graph."""
     n_ent = len(node)
     a, b = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     graph = sps.csr_matrix((np.ones(2 * len(a) + n_ent),
@@ -26,7 +27,7 @@ def _supernodes(edges, node, size, parent):
     for i in range(len(parent) - 2, -1, -1):
         depth[i] = depth[parent[i]] + 1
     return analyse(graph.indptr, graph.indices, np.array(node), np.array(size),
-                   parent, depth), graph
+                   parent, depth) + (graph,)
 
 
 def _spd(graph, size, rng):
@@ -48,7 +49,11 @@ def _spd(graph, size, rng):
     return A.tocsc()
 
 
-def _check(sn, A, rng):
+def _check(sn, layout, A, rng):
+    """The layout is the CSC pattern of A, and the factor of A reproduces
+    and inverts it."""
+    assert np.array_equal(layout.indptr, A.indptr)
+    assert np.array_equal(layout.indices, A.indices)
     chol = Cholesky(sn, A)
     L = lower_factor(chol)
     assert chol.nnz >= L.nnz
@@ -64,10 +69,10 @@ def test_a_node_without_unknowns_passes_its_children_updates_on(rng):
     front only carries its children's updates to the root."""
     edges = [(0, 2), (2, 3), (3, 1)]          # a = 0, d = 1, b = 2, c = 3
     node, size, parent = [0, 1, 3, 3], [2, 3, 1, 2], [2, 2, 3, -1]
-    sn, graph = _supernodes(edges, node, size, parent)
+    sn, layout, graph = _supernodes(edges, node, size, parent)
     assert np.diff(sn.start).tolist() == [2, 3, 0, 3]
     assert np.diff(sn.uoff).tolist() == [1, 2, 3, 0]
-    _check(sn, _spd(graph, size, rng), rng)
+    _check(sn, layout, _spd(graph, size, rng), rng)
 
 
 @pytest.mark.parametrize("pivots, updates, apart",
@@ -85,14 +90,14 @@ def test_large_fronts_are_factored_in_tiles(pivots, updates, apart, rng):
              + [(i, j) for i in leaf for j in root[apart:]]
              + [(i, j) for i in root for j in root if j < i])
     node = [0] * pivots + [1] * (apart + updates)
-    sn, graph = _supernodes(edges, node, [1] * n_ent, [1, -1])
-    _check(sn, _spd(graph, [1] * n_ent, rng), rng)
+    sn, layout, graph = _supernodes(edges, node, [1] * n_ent, [1, -1])
+    _check(sn, layout, _spd(graph, [1] * n_ent, rng), rng)
 
 
 def test_indefinite_matrix_is_a_solver_failure(rng):
     edges = [(0, 2), (2, 3), (3, 1)]
     node, size, parent = [0, 1, 3, 3], [2, 3, 1, 2], [2, 2, 3, -1]
-    sn, graph = _supernodes(edges, node, size, parent)
+    sn, _, graph = _supernodes(edges, node, size, parent)
     A = _spd(graph, size, rng)
     A = A - 1e3 * sps.eye(A.shape[0], format="csc")
     A.sort_indices()

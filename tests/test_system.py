@@ -328,21 +328,35 @@ def test_energy_norms_of_scaled_vectors_are_scaled_bit_for_bit(small_system, rng
         error(1.0)
 
 
-def test_dirichlet_lift_keeps_interpolated_traces(k0_system):
-    system = k0_system
-    disc = system.disc
-
+def test_dirichlet_lift_keeps_interpolated_traces(k0_system, monkeypatch):
+    """The solve keeps the interpolated traces on the Dirichlet DOFs, and
+    its lift K x_D, stacked products with the kept blocks, is
+    ``full_matrix @ x_D`` to round-off: tri n = 2 at k = 0 and hexa_02 at
+    k = 1."""
     def theta_fn(x):
         return np.stack([x[:, 0], x[:, 1] ** 2], -1)
 
-    ti = interpolate_theta(disc, theta_fn)
-    ui = interpolate_u(disc, lambda x: x[:, 0] + x[:, 1])
-    full = np.concatenate([ti.values, ui.values])
-    load = system.load_vector(lambda x: np.ones(len(x)))
-    theta, u, rep = system.solve(MaterialParams(), load, full)
-    got = np.concatenate([theta.values, u.values])
-    assert np.abs((got - full)[system.dirichlet_mask]).max() == 0.0
-    assert rep.residual <= 1e-10
+    products = []
+    matvec = PlateSystem._matvec
+    monkeypatch.setattr(PlateSystem, "_matvec",
+                        lambda self, scales, x: products.append((x.copy(), matvec(self, scales, x)))
+                        or products[-1][1])
+    material = MaterialParams()
+    for system in (k0_system, PlateSystem(Discretization(_order_mesh("hexa"), 1))):
+        disc = system.disc
+        ti = interpolate_theta(disc, theta_fn)
+        ui = interpolate_u(disc, lambda x: x[:, 0] + x[:, 1])
+        full = np.concatenate([ti.values, ui.values])
+        load = system.load_vector(lambda x: np.ones(len(x)))
+        products.clear()
+        theta, u, rep = system.solve(material, load, full)
+        got = np.concatenate([theta.values, u.values])
+        assert np.abs((got - full)[system.dirichlet_mask]).max() == 0.0
+        assert rep.residual <= 1e-10
+        x_d, lift = products[0]                 # the first product is the lift
+        assert np.array_equal(x_d, np.where(system.dirichlet_mask, full, 0.0))
+        ref = system.full_matrix(material) @ x_d
+        assert np.linalg.norm(lift - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_high_degree_solution_accuracy():
@@ -840,7 +854,8 @@ def test_cell_blocks_and_condensed_data_are_bitwise_symmetric(case, monkeypatch)
     assert len(factored) == 1
 
 
-@pytest.mark.parametrize("case", [("tri", k) for k in range(4)] + [("hexa", 1), ("locref", 0)],
+@pytest.mark.parametrize("case", [("tri", k) for k in range(4)]
+                         + [("hexa", 1), ("locref", 0), ("jitter", 3)],
                          ids=lambda c: f"{c[0]}-k{c[1]}")
 @pytest.mark.parametrize("t", [1e-1, 1e-5])
 def test_condensed_data_is_the_factored_slice_of_the_full_matrix(case, t):
@@ -848,7 +863,9 @@ def test_condensed_data_is_the_factored_slice_of_the_full_matrix(case, t):
     kept blocks, before the interiors are eliminated, is the slice of
     ``full_matrix`` on the factored DOFs in their nested-dissection order,
     pattern and data bit for bit: every entry has the same addends in the
-    same order."""
+    same order. The pattern and the positions come from the separator
+    tree's analysis, the slice from ``block_pattern``; on the jittered mesh
+    the k = 3 leaves split otherwise than on the regular one."""
     family, k = case
     system = PlateSystem(Discretization(_order_mesh(family), k))
     material = MaterialParams(nu=0.25, t=t)
