@@ -4,13 +4,13 @@ The supernodes are the nodes of a nested-dissection separator tree in
 postorder (Duff & Reid, ACM TOMS 9, 1983; Liu, SIAM Review 34, 1992). The
 symbolic analysis (``analyse``) runs once per pattern: it derives every
 front's rows from the graph of the mesh entities that hold the unknowns,
-in a few array passes per tree level, and lays out the matrix's CSC
-pattern (``Layout``) for the caller to fill, as both structures follow
-from the graph alone. A factorization (``Cholesky``) assembles each front
-from the matrix entries of its pivot columns and its children's update
-matrices, and factors it: L11 = chol(F11), L21 = F21 L11^-T, and the
-update matrix -L21 L21^T that goes to the parent. Only L is kept, node by
-node.
+in a few array passes per tree level, and the position in the factor of
+the block of every graph entry on or below the diagonal, so that the
+caller sums the matrix entries straight into the fronts. A factorization
+(``Cholesky``) takes that array of the fronts' matrix entries, adds the
+children's update matrices to each front and factors it in place: L11 =
+chol(F11), L21 = F21 L11^-T, and the update matrix -L21 L21^T that goes to
+the parent. Only L is kept, node by node.
 
 OpenBLAS changes the bits of a call with the number of threads it runs on
 (measured with OpenBLAS 0.3.31: potrf from n = 128, syrk from n = 99, gemm
@@ -26,10 +26,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sps
 from scipy.linalg import blas, lapack
 
 from .errors import SolverFailure
@@ -55,11 +53,7 @@ class Supernodes:
     offset: np.ndarray    # (N + 1,) offsets of the nodes' factor blocks
     levels: list          # node lists by tree depth, the deepest first
     level_rows: list      # per level, the update rows of its nodes in order
-    nnz: int              # the entries of the matrix's CSC pattern
-    # the matrix entries on and below the diagonal: their positions in the
-    # factor array and in the CSC data
-    entry_pos: np.ndarray
-    entry_csc: np.ndarray
+    nnz: int              # the matrix's pattern: the entries of both triangles
     # the extend-add, per child c of node j: ``children[child_ptr[j]:
     # child_ptr[j + 1]]`` are j's children with update rows; ``pivot_rows[c]``
     # of c's update rows are pivots of j; ``target`` (aligned with ``urows``)
@@ -73,16 +67,6 @@ class Supernodes:
     target: np.ndarray
     run_ptr: np.ndarray
     runs: np.ndarray
-
-
-class Layout(NamedTuple):
-    """The CSC layout of a matrix that ``analyse`` analysed: the unknowns of
-    an entity's neighbours are the rows of each of its columns, in order."""
-    indptr: np.ndarray    # (n + 1,) the CSC pattern, sorted rows
-    indices: np.ndarray
-    edge: np.ndarray      # per entry (a, b) of the graph's CSR pattern: the
-                          # position of b's first unknown in a's first column
-    column: np.ndarray    # the entries of a column of each entity
 
 
 def _expand(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,11 +84,11 @@ def _unique_sorted(a: np.ndarray) -> np.ndarray:
 
 def analyse(indptr: np.ndarray, indices: np.ndarray, node: np.ndarray,
             size: np.ndarray, parent: np.ndarray, depth: np.ndarray
-            ) -> tuple[Supernodes, Layout]:
+            ) -> tuple[Supernodes, np.ndarray]:
     """The fronts of a supernodal Cholesky factorization of a symmetric
     matrix whose unknowns sit on the entities of a graph, and every entity's
     unknowns couple with all those of its neighbours and its own, and the
-    matrix's CSC layout that the factorization reads.
+    factor position of the first entry of each graph entry's block.
 
     ``indptr``, ``indices``: the symmetric CSR pattern of the entity graph,
     self-loops included, sorted indices, the entities in the order of their
@@ -115,7 +99,13 @@ def analyse(indptr: np.ndarray, indices: np.ndarray, node: np.ndarray,
     An entity of an ancestor is an update row of node j when it neighbours
     an entity of j's subtree. Level by level from the deepest, each node's
     rows are the neighbours of its own entities in its ancestors plus the
-    rows its children pass up, less its own."""
+    rows its children pass up, less its own.
+
+    Graph entry e = (a, b), b on or after a, holds the block of the unknowns
+    of b (rows) by those of a (columns), lower triangle only where b is a:
+    its entry (r, c) lies in the factor array (``Supernodes.offset``) at
+    ``edge_at[e] + r p + c``, for p the pivots of a's node. ``edge_at`` is
+    -1 for an entry whose b lies before a, above the diagonal."""
     n_ent, n_nodes = len(node), len(parent)
     first = np.cumsum(size) - size                # each entity's first unknown
     p = np.bincount(node, size, minlength=n_nodes).astype(np.int64)
@@ -124,16 +114,8 @@ def analyse(indptr: np.ndarray, indices: np.ndarray, node: np.ndarray,
     max_depth = int(depth.max(initial=0))
     level = (max_depth - depth).astype(np.int16)   # 0 for the deepest nodes
 
-    # the CSC layout: a column of entity a holds the ``column[a]`` unknowns
-    # of a's neighbours, in order; a's first column starts at
-    # ``col_first[a]``, and the unknowns of graph entry e's neighbour start
-    # in it at ``edge[e]``
     a = np.repeat(np.arange(n_ent), np.diff(indptr))
-    sums = np.concatenate([[0], np.cumsum(size[indices])])
-    column = np.diff(sums[indptr])
-    col_first = np.cumsum(size * column) - size * column
-    edge = col_first[a] + sums[:-1] - sums[indptr[:-1]][a]
-    nnz = int((size * column).sum())
+    nnz = int((size[a] * size[indices]).sum())
 
     # the graph's edges from each entity to itself and to the entities after
     # it, by rows: the blocks on and below the diagonal
@@ -188,36 +170,13 @@ def analyse(indptr: np.ndarray, indices: np.ndarray, node: np.ndarray,
     run_len = np.diff(np.append(run_first, len(urows)))
     run_node = row_node[run_first]
 
-    # the matrix entries on and below the diagonal: per edge (a, b), the
-    # block of the unknowns of b (rows) by those of a (columns), lower
-    # triangle only where b is a. Its first entry lies in the factor at
-    # ``edge_at`` and in the CSC data at ``edge_csc``. The blocks of one
-    # shape are laid out at once
+    # the first entry of each block on and below the diagonal, in L11 or in
+    # L21, kept in 32 bits where the factor's positions fit
     offset = np.concatenate([[0], np.cumsum(p * p + u * p)])
+    index = np.int32 if max(n, offset[-1]) < 2 ** 31 else np.int64
     pj = p[j]
-    edge_at = offset[j] + np.where(up, pj * pj, 0) + front * pj + first[a] - start[j]
-    edge_csc = edge[lower]
-    stride = column[a]
-    # the kept index arrays in 32 bits where they fit (the factor's
-    # positions and the CSC data's: up to 2^31 entries)
-    index = np.int32 if max(n, offset[-1], nnz) < 2 ** 31 else np.int64
-    width = int(size.max(initial=0)) + 1
-    shape = (size[a] * width + size[b]) * 2 + (a == b)
-    kinds, count = np.unique(shape, return_counts=True)
-    sa, sb = divmod(kinds // 2, width)
-    entries = count * np.where(kinds % 2, sa * (sa + 1) // 2, sa * sb)
-    pos, csc = np.empty((2, entries.sum()), dtype=index)
-    for kind, at, m in zip(kinds.tolist(), (np.cumsum(entries) - entries).tolist(),
-                           entries.tolist()):
-        e = np.flatnonzero(shape == kind)
-        sa, sb = divmod(kind // 2, width)
-        i, ci = np.tril_indices(sa) if kind % 2 else np.divmod(np.arange(sa * sb), sa)
-        out = pos[at:at + m].reshape(len(e), -1)
-        np.multiply(i, pj[e, None], out=out, casting="unsafe")
-        out += edge_at[e, None] + ci
-        out = csc[at:at + m].reshape(len(e), -1)
-        np.multiply(ci, stride[e, None], out=out, casting="unsafe")
-        out += edge_csc[e, None] + i
+    edge_at = np.full(len(indices), -1, dtype=index)
+    edge_at[lower] = offset[j] + np.where(up, pj * pj, 0) + front * pj + first[a] - start[j]
 
     target, urows = target.astype(index), urows.astype(index)
     runs = np.stack([run_first - uoff[run_node], run_len, target[run_first]], axis=1)
@@ -230,20 +189,9 @@ def analyse(indptr: np.ndarray, indices: np.ndarray, node: np.ndarray,
     by_level = np.argsort(level[row_node], kind="stable")
     level_rows = np.split(urows[by_level], np.cumsum(np.bincount(level[row_node],
                                                                  minlength=len(levels)))[:-1])
-    sn = Supernodes(parent, start, urows, uoff, offset, levels, level_rows, nnz, pos, csc,
+    sn = Supernodes(parent, start, urows, uoff, offset, levels, level_rows, nnz,
                     child_ptr, children, n_pivot, target, run_ptr, runs)
-
-    # the CSC pattern: the rows of every column of entity a are a's row
-    # list, the unknowns of its neighbours; the lists end to end in
-    # ``rows``, a's from ``sums[indptr[a]]``
-    seg, within = _expand(size[indices])
-    rows = (first[indices][seg] + within).astype(index)
-    length = np.repeat(column, size)               # per column, in order
-    csc_ptr = np.concatenate([[0], np.cumsum(length)]).astype(index)
-    csc_rows = np.arange(nnz, dtype=index)
-    csc_rows -= np.repeat((csc_ptr[:-1] - np.repeat(sums[indptr[:-1]], size)).astype(index),
-                          length)
-    return sn, Layout(csc_ptr, rows[csc_rows], edge.astype(index), column.astype(index))
+    return sn, edge_at
 
 
 def _check(info: int) -> None:
@@ -324,16 +272,19 @@ def _matvec(a: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray
 
 
 class Cholesky:
-    """The factor L, L L^T = A, of a symmetric positive definite CSC
-    ``matrix`` (sorted rows, the lower triangle read) with the pattern that
-    ``sn`` analysed. A pivot that is not positive is a ``SolverFailure``."""
+    """The factor L, L L^T = A, of a symmetric positive definite matrix A
+    with the pattern that ``sn`` analysed, computed in place: ``fronts``
+    holds A's entries on and below the diagonal at their positions in the
+    factor (``analyse``), zeros elsewhere, and becomes ``factor``. A pivot
+    that is not positive is a ``SolverFailure``."""
 
-    def __init__(self, sn: Supernodes, matrix: sps.csc_matrix):
-        if matrix.nnz != sn.nnz:
-            raise ValueError(f"the matrix has {matrix.nnz} stored entries, its pattern {sn.nnz}")
+    def __init__(self, sn: Supernodes, fronts: np.ndarray):
+        if (fronts.shape != (sn.offset[-1],) or fronts.dtype != np.float64
+                or not fronts.flags.c_contiguous):
+            raise ValueError(f"the fronts are {fronts.dtype} {fronts.shape}, the factor "
+                             f"a contiguous float64 ({sn.offset[-1]},)")
         self.sn = sn
-        factor = np.zeros(int(sn.offset[-1]))
-        factor[sn.entry_pos] = matrix.data[sn.entry_csc]
+        self.factor = factor = fronts
         pending = {}                   # the update matrices not yet added
         self._l11t, self._l21 = [], []   # per node: L11^T (Fortran-ordered) and L21
         starts, offsets, uoff = sn.start.tolist(), sn.offset.tolist(), sn.uoff.tolist()
@@ -365,7 +316,6 @@ class Cholesky:
                 update[rows, at:at + length] += block
             if u:
                 pending[j] = update
-        self.factor = factor
 
     @property
     def nnz(self) -> int:

@@ -16,20 +16,20 @@ group is split into contiguous chunks of cell ids (``cell_chunks``), one
 ``ElementContext`` per chunk; local layouts, interpolation and assembly work
 on whole chunks, and ``map_chunks`` builds the local tables of the chunks on
 every CPU the process may run on. Every global matrix is summed from stacks
-of dense local blocks (``sum_blocks``), stack by stack in the order given,
-on the pattern of their union: on all DOFs the sorted keys of the blocks'
-entries (``block_pattern``, and ``assemble`` on top of it), on the
-condensed DOFs of a solve the layout of its Cholesky analysis
-(``cholesky.analyse``). The stacks come in one order: the cell chunks in
-``elem_ctxs`` order (vertex counts increasing, cell ids increasing inside
-each), then any edge stacks (at k = 0 the jump stacks, as
-``build_jump_penalisation`` returns them). The
-chunks split each group into consecutive id ranges, so neither the chunks
-nor the CPU count change a bit of it. Where the contributions of several
-cells to a shared DOF meet in a matrix, they meet in these sums: the
-condensed matrix of a solve, its Schur complements and its right-hand side,
-and the full matrix. The one exception, the k = 0 jump operator, has at
-most two addends per entry, which give the same bits in either order.
+of dense local blocks (``sum_blocks``), stack by stack in the order given:
+on all DOFs on the pattern of their union, the sorted keys of the blocks'
+entries (``block_pattern``, and ``assemble`` on top of it); in a solve
+straight into the fronts of its Cholesky factorization, at the positions
+its analysis gives (``cholesky.analyse``). The stacks come in one order:
+the cell chunks in ``elem_ctxs`` order (vertex counts increasing, cell ids
+increasing inside each), then any edge stacks (at k = 0 the jump stacks,
+as ``build_jump_penalisation`` returns them). The chunks split each group
+into consecutive id ranges, so neither the chunks nor the CPU count change
+a bit of it. Where the contributions of several cells to a shared DOF meet
+in a matrix, they meet in these sums: the fronts of a solve (each cell's
+Schur-complemented block), its right-hand side, and the full matrix. The
+one exception, the k = 0 jump operator, has at most two addends per entry,
+which give the same bits in either order.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ def block_pattern(index, shape: tuple[int, int]):
 
 def sum_blocks(slots, blocks, n_entries: int) -> np.ndarray:
     """Pattern data of stacks of dense blocks, given the pattern positions of
-    their entries (from ``block_pattern``, say), one stack per ``slots``
-    stack.
+    their entries (from ``block_pattern``, or the fronts of a Cholesky
+    factorization), one stack per ``slots`` stack.
 
     The stacks are added in the order given, one ``np.add.at`` each, which
     adds a stack's blocks in order and each block in row-major order, as

@@ -5,16 +5,15 @@ divergence stiffness, stabilisation + jump, the shear form built from the DDR
 L2 product and the global gradient) are kept once per (mesh, degree) as the
 cell blocks they are summed from, and recombined with scalar material
 factors per solve, so thickness and material sweeps reuse all local
-constructions and every solve factors the same pattern. A solve sums only
-the condensed matrix from the blocks, eliminates the element-interior DOFs
-cell by cell (static condensation) and factors the Schur complement on the
-remaining free DOFs, which are numbered once per mesh and degree by a
+constructions and every solve factors the same pattern. A solve forms
+each cell's matrix from its blocks once, eliminates the element-interior
+DOFs cell by cell (static condensation) and factors the Schur complement on
+the remaining free DOFs, which are numbered once per mesh and degree by a
 nested dissection of the mesh, by a supernodal Cholesky factorization whose
-supernodes are the nodes of the separator tree (``cholesky``); no matrix on
-all DOFs is formed. The condensed matrix's CSC pattern is the one the
-factorization's symbolic analysis lays out from the graph of the mesh
-entities, and each block entry's position in it is found from the graph
-entry of its two entities.
+supernodes are the nodes of the separator tree (``cholesky``). Each cell's
+Schur-complemented block is summed straight into the fronts of that
+factorization, at positions found from the graph entry of the two mesh
+entities of each block entry; no other matrix is formed.
 """
 
 from __future__ import annotations
@@ -97,8 +96,11 @@ class SolveReport:
     factor_nnz: int = 0           # entries of the Cholesky factor L (every node
                                   # block on and below the diagonal)
     local_cond: float = 0.0       # worst cond of the local P_T, P_U and P1 solves
+    condense_s: float = 0.0       # wall time from the first cell matrix K_T
+                                  # to the assembled fronts
     factor_s: float = 0.0         # wall time of the Cholesky factorization
-    kff_nnz: int = 0              # stored entries of the factored matrix
+    kff_nnz: int = 0              # entries of the factored matrix's pattern,
+                                  # both triangles
     n_factored: int = 0           # size of the factored matrix: the free DOFs
                                   # less the element-interior ones
     # backward error after the first solve and after each correction
@@ -163,6 +165,14 @@ def _exponent(*vectors: np.ndarray) -> int:
     they are all zero or one is not finite: over 2^e, an exact scaling, that
     entry lies in [1/2, 1)."""
     return int(np.frexp(max(float(np.max(np.abs(v), initial=0.0)) for v in vectors))[1])
+
+
+def _free_row_sums(dofs: np.ndarray, blocks: np.ndarray, dirichlet: np.ndarray) -> np.ndarray:
+    """The row sums of |K| for the stacked blocks K on the DOFs ``dofs``,
+    over their columns that are not ``dirichlet``, per global DOF."""
+    free = (~dirichlet[dofs]).astype(float)
+    return np.bincount(dofs.ravel(), np.einsum("ijk,ik->ij", np.abs(blocks), free).ravel(),
+                       len(dirichlet))
 
 
 def _nested_dissection(indptr: np.ndarray, indices: np.ndarray, xy: np.ndarray,
@@ -290,18 +300,22 @@ def _entity_groups(entity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(rep, return_inverse=True)
 
 
-def _entity_slots(dofs: np.ndarray, entity: np.ndarray, within: np.ndarray,
-                  stride: np.ndarray, keys: np.ndarray, edge: np.ndarray) -> np.ndarray:
-    """The positions in the condensed CSC data of the entries of a stack of
-    blocks on the DOFs ``dofs`` (n, m), C-contiguous (n, m, m) in the type of
-    ``edge``. Per DOF, ``entity``: its entity's index in the graph (-1 if
-    Dirichlet), ``within``: its rank in its entity, ``stride``: that rank
-    times its entity's column length; ``keys``: the graph's entries
-    (a << 32) | b, sorted, and ``edge``: their first positions
-    (``cholesky.Layout``), then the discarded slot, where the entries of a
-    Dirichlet row or column go. An entry's position is its column's and its
-    row's graph entry, looked up once per pair of entities, plus the
-    column's stride and the row's rank."""
+def _entity_slots(dofs: np.ndarray, entity: np.ndarray, rank: np.ndarray,
+                  within: np.ndarray, stride: np.ndarray, keys: np.ndarray,
+                  edge: np.ndarray) -> np.ndarray:
+    """The positions in the Cholesky factor's array of the entries of a
+    stack of blocks on the DOFs ``dofs`` (n, m), C-contiguous (n, m, m) in
+    the type of ``edge``. Per DOF, ``entity``: its entity's index in the
+    graph (-1 if Dirichlet), ``rank``: its index in the factored order, past
+    the last if Dirichlet, ``within``: its rank in its entity, ``stride``:
+    the pivots of its entity's tree node; ``keys``: the graph's entries
+    (a << 32) | b, sorted, and ``edge``: the factor position of the first
+    entry of their blocks (``cholesky.analyse``), then the discarded slot.
+    An entry's position is its column's and its row's graph entry, looked
+    up once per pair of entities, plus the row's rank times the column's
+    stride and the column's rank. The entries above the diagonal and those
+    of a Dirichlet row go to the discarded slot, and so do those of a
+    Dirichlet column, which ranks after every row."""
     n, m = dofs.shape
     ent = entity[dofs]
     rep, group = _entity_groups(ent)
@@ -309,9 +323,10 @@ def _entity_slots(dofs: np.ndarray, entity: np.ndarray, within: np.ndarray,
     first = edge[np.searchsorted(keys, (pairs[:, None, :] << 32) | pairs[:, :, None])]
     at = np.take(first.reshape(n, len(rep) ** 2), (group[:, None] * len(rep) + group).ravel(),
                  axis=1).reshape(n, m, m)
-    at += stride[dofs][:, None, :]
-    at += within[dofs][:, :, None]
-    at[(ent < 0)[:, :, None] | (ent < 0)[:, None, :]] = edge[-1]
+    at += within[dofs][:, :, None] * stride[dofs][:, None, :]
+    at += within[dofs][:, None, :]
+    rank = rank[dofs]
+    at[(rank[:, :, None] < rank[:, None, :]) | (ent < 0)[:, :, None]] = edge[-1]
     return at
 
 
@@ -326,9 +341,10 @@ class CellBlocks:
     shear: np.ndarray     # (n, m, m) [I, -G]^T M [I, -G]
     inner: np.ndarray     # local positions of I: the rotation ones first
     outer: np.ndarray     # local positions of B: the rotation ones first
-    rows: np.ndarray      # (n, nB) condensed index of each B DOF, n_c if Dirichlet
+    rows: np.ndarray      # (n, nB) factored index of each B DOF, n_c if Dirichlet
     at: np.ndarray        # (n, nB, nB) position of each B x B entry in the
-                          # condensed data, one past the last if Dirichlet
+                          # factor, one past the last above the diagonal or
+                          # if Dirichlet
 
 
 class PlateSystem:
@@ -344,12 +360,12 @@ class PlateSystem:
     cell) are listed in a nested-dissection order of the mesh edges and
     vertices that hold them, with its ``separator_tree`` and the
     ``ordering`` record every solve reports. The symbolic analysis of the
-    Cholesky factorization on the separator tree, done once too, lays out
-    the condensed matrix's CSC pattern in that order, and each block keeps
-    the positions of its B x B entries in it. A solve sums the
-    condensed data from the blocks, eliminates the interiors cell by cell
-    and factors only the Schur complement; no matrix on all DOFs is formed
-    (``full_matrix`` assembles one on demand)."""
+    Cholesky factorization on the separator tree is done once too, and each
+    block keeps the positions of its B x B entries in the factor. A solve
+    forms each cell's matrix from its blocks, eliminates the interiors cell
+    by cell and sums the Schur-complemented blocks straight into the
+    factorization's fronts; no matrix on all DOFs is formed (``full_matrix``
+    assembles one on demand)."""
 
     def __init__(self, disc: Discretization):
         self.disc = disc
@@ -459,38 +475,38 @@ class PlateSystem:
             "top_separator": int(np.count_nonzero(self.separator_tree[0] == len(parent) - 1)),
             "supernodes": len(parent)}
 
-        # the fronts of the Cholesky factorization and the condensed
-        # matrix's CSC layout, from the entity graph in the new order
+        # the fronts of the Cholesky factorization, from the entity graph in
+        # the new order, and the factor position of each graph entry's block
         graph = graph[entity_order][:, entity_order]
         graph.sort_indices()
         size = size[entity_order]
-        self._supernodes, layout = analyse(graph.indptr, graph.indices, node[entity_order],
-                                           size, parent, depth)
-        self._indptr, self._indices = layout.indptr, layout.indices
-        # each block entry's position in the condensed data: the graph entry
-        # of its column's and its row's entities, then the rank of each DOF
-        # in its entity (by a column stride and a row offset); the entries of
-        # a Dirichlet row or column go to one discarded slot past the last
+        self._supernodes, edge_at = analyse(graph.indptr, graph.indices, node[entity_order],
+                                            size, parent, depth)
+        # each block entry's position in the factor: the graph entry of its
+        # column's and its row's entities, then the rank of each DOF in its
+        # entity (the row's times the pivots of the column's tree node, plus
+        # the column's); the entries above the diagonal and those of a
+        # Dirichlet row or column go to one discarded slot past the last
         rank = np.full(n, n_c)
         rank[self.factored] = np.arange(n_c)
-        within = np.zeros(n, dtype=layout.edge.dtype)
+        within, stride = np.zeros((2, n), dtype=edge_at.dtype)
         within[self.factored] = np.arange(n_c) - np.repeat(np.cumsum(size) - size, size)
+        stride[self.factored] = np.diff(self._supernodes.start)[self.separator_tree[0]]
         # the graph index of each DOF's entity, -1 if Dirichlet (the last
         # entry stands for the interiors' entity -1)
         in_graph = np.full(ne + mesh.n_vertices + 1, -1)
         in_graph[ents[entity_order]] = np.arange(ents.size)
         in_graph = in_graph[entity]
-        stride = within * np.append(layout.column, 0)[in_graph]
         keys = (np.repeat(np.arange(ents.size), np.diff(graph.indptr)) << 32) | graph.indices
-        edge = np.append(layout.edge, len(self._indices)).astype(layout.edge.dtype)
-        del graph, layout
-        at = [_entity_slots(i, in_graph, within, stride, keys, edge) for i in index]
+        edge_at = np.append(edge_at, self._supernodes.offset[-1]).astype(edge_at.dtype)
+        del graph
+        at = [_entity_slots(i, in_graph, rank, within, stride, keys, edge_at) for i in index]
         del index
         self._blocks = [CellBlocks(dofs, s0, s1, shear, inner, outer, rank[dofs[:, outer]], a)
                         for (dofs, s0, s1, shear), (inner, outer), a in zip(blocks, split, at)]
         # the k = 0 jump, per stack: the global rotation DOFs, J_E and h_E
         # (the form's blocks are jump_form(J_E, h_E), formed where summed),
-        # and the positions of the blocks' entries in the condensed data
+        # and the positions of the blocks' entries in the factor
         self._jump = [(idx, J, h, a) for (idx, J, h), a in zip(jump, at[len(blocks):])]
 
     # -- bilinear forms -----------------------------------------------------
@@ -519,31 +535,6 @@ class PlateSystem:
             data += term
         return sps.csr_matrix((data, indices, indptr), shape=(n, n))
 
-    def condensed_matrix(self, material: MaterialParams) -> sps.csc_matrix:
-        """K on the factored DOFs, in their nested-dissection order, before
-        the interiors are eliminated: s0, s1 and s2 summed from the B x B
-        entries of the blocks (the cell chunks, then the k = 0 jump stacks)
-        and combined as in ``full_matrix``. Each entry has the same addends
-        in the same order as there, so it equals the factored slice of
-        ``full_matrix`` bit for bit."""
-        blocks, jump = self._blocks, self._jump
-        nnz = len(self._indices)
-        te = self.disc.theta_space.elem_dim      # the interior rotation DOFs lead
-        rot = [b.at[:, :b.s0.shape[1] - te, :b.s0.shape[1] - te] for b in blocks]
-        data = sum_blocks(rot + [at for *_, at in jump],
-                          [b.s0[:, te:, te:] for b in blocks]
-                          + [jump_form(J, h) for _, J, h, _ in jump], nnz + 1)
-        data *= material.beta0
-        for scale, stacks, vals in (
-                (material.beta1, rot, (b.s1[:, te:, te:] for b in blocks)),
-                (material.shear_over_t2, [b.at for b in blocks],
-                 (b.shear[:, b.outer[:, None], b.outer] for b in blocks))):
-            term = sum_blocks(stacks, vals, nnz + 1)
-            term *= scale
-            data += term
-        n_c = self.factored.size
-        return sps.csc_matrix((data[:-1], self._indices, self._indptr), shape=(n_c, n_c))
-
     def _matvec(self, scales: tuple[float, float, float], x: np.ndarray) -> np.ndarray:
         """K x for K = beta0 s0 + beta1 s1 + (kappa/t^2) s2, ``scales`` the
         three factors: stacked products with the kept blocks, scattered by
@@ -562,17 +553,33 @@ class PlateSystem:
             vals.append((beta0 / h[:, None, None] * (_t(J) @ (J @ x[idx][..., None]))).ravel())
         return np.bincount(np.concatenate(at), np.concatenate(vals), len(x))
 
-    def _interior_rows(self, b: CellBlocks, scales: tuple[float, float, float]):
-        """K_II and K_IB of one chunk, combined from its blocks as
-        ``condensed_matrix`` combines the sums. Only their own cell adds to
-        the interior rows, so they equal the slices of ``full_matrix`` bit
-        for bit."""
+    def _cell_parts(self, scales: tuple[float, float, float]):
+        """Per chunk, from its cell matrices K_T = beta0 s0 + beta1 s1 +
+        (kappa/t^2) s2, formed once and symmetric bit for bit: K_BB, and K_II
+        and K_IB (none at k = 0, where no DOF is interior); then the k = 0
+        jump stacks beta0 J_E^T J_E / h_E after the K_BB. Only its own cell
+        adds to an interior row, so K_II and K_IB equal the slices of
+        ``full_matrix`` bit for bit. And per DOF, the row sums of |K_T| and of
+        the jump stacks over the free columns."""
         beta0, beta1, c = scales
-        te = self.disc.theta_space.elem_dim
-        rows = np.zeros((len(b.dofs), len(b.inner), b.dofs.shape[1]))
-        rows[:, :te, :b.s0.shape[1]] = beta0 * b.s0[:, :te] + beta1 * b.s1[:, :te]
-        rows += c * b.shear[:, b.inner]
-        return _cell_axis_fastest(rows[:, :, b.inner]), _cell_axis_fastest(rows[:, :, b.outer])
+        sums = np.zeros(len(self.dirichlet_mask))
+        stacks, condensing = [], []
+        for b in self._blocks:
+            nt = b.s0.shape[1]
+            K = c * b.shear
+            K[:, :nt, :nt] += beta0 * b.s0 + beta1 * b.s1
+            sums += _free_row_sums(b.dofs, K, self.dirichlet_mask)
+            if not b.inner.size:                 # k = 0: all the cell's DOFs are B
+                stacks.append(K)
+            else:
+                stacks.append(K[:, b.outer[:, None], b.outer])
+                rows = K[:, b.inner]
+                condensing.append((b, _cell_axis_fastest(rows[:, :, b.inner]),
+                                   _cell_axis_fastest(rows[:, :, b.outer])))
+        for idx, J, h, _ in self._jump:
+            stacks.append(beta0 * jump_form(J, h))
+            sums += _free_row_sums(idx, stacks[-1], self.dirichlet_mask)
+        return stacks, condensing, sums
 
     def load_vector(self, f) -> np.ndarray:
         """l_h(v) = sum_T int_T f * (displacement reconstruction of v)."""
@@ -608,36 +615,25 @@ class PlateSystem:
         if free.size:
             scales = (material.beta0, material.beta1, material.shear_over_t2)
             n_c = report.n_factored = self.factored.size
+            sn = self._supernodes
             # all the solve takes from K, all from the kept blocks: the
             # Dirichlet lift K x_D (none where x_D = 0; otherwise stacked
-            # products with the blocks, as the residuals are), the condensed data, the interior blocks K_II and K_IB per chunk, and
-            # ||K||, the largest row sum of |K| over the free rows and
-            # columns. On a factored row that is the condensed data's (which
-            # is symmetric: its column sums) plus the interior columns'; on an
-            # interior row, its own cell's. Material data near the top of the
-            # double range can overflow K or ||K||: the check below reports
-            # it, with no warning on the way
+            # products with the blocks, as the residuals are), and per chunk
+            # the blocks K_BB, K_II and K_IB of its cell matrices K_T, formed
+            # once (at k = 0 the jump stacks join them), and ||K||: the
+            # largest free row sum of sum_T |K_T|, which bounds |K_ff| entry
+            # by entry. Material data near the top of the double range can
+            # overflow K or ||K||: the check below reports it, with no
+            # warning on the way
             with np.errstate(over="ignore", invalid="ignore"):
                 if x.any():
                     rhs = load - self._matvec(scales, x)
                 else:
                     rhs = load.copy()
                 rhs[self.dirichlet_mask] = 0.0
-                Ks = self.condensed_matrix(material)
-                sums = np.zeros(n_c + 1)         # the last entry stands for Dirichlet DOFs
-                if n_c:
-                    sums[:-1] = np.add.reduceat(np.abs(Ks.data), Ks.indptr[:-1])
-                condensing, tops = [], []
-                for b in self._blocks:
-                    if not b.inner.size:         # k = 0: no interior DOFs
-                        break
-                    kii, kib = self._interior_rows(b, scales)
-                    condensing.append((b, kii, kib))
-                    a = np.abs(kib)
-                    sums += np.bincount(b.rows.ravel(), a.sum(axis=1).ravel(), n_c + 1)
-                    a = np.where((b.rows < n_c)[:, None], a, 0.0)    # the free columns
-                    tops.append(np.max(np.abs(kii).sum(axis=2) + a.sum(axis=2)))
-                knorm = float(np.max(np.r_[sums[:-1], tops], initial=0.0))
+                started = time.perf_counter()
+                stacks, condensing, sums = self._cell_parts(scales)
+                knorm = float(np.max(sums[free], initial=0.0))
             if not np.isfinite(knorm):
                 raise SolverFailure(f"the plate matrix overflows: ||K|| = {knorm}")
             # relative residual = normwise backward error on the full K_ff,
@@ -648,32 +644,33 @@ class PlateSystem:
             # taken over ||K||, and every norm on a scaled vector
             rhs_norm = _norm(rhs / knorm)
             # eliminate the interior DOFs: per chunk one stacked solve
-            # K_II^{-1} [K_IB | r_I], and the Schur blocks K_BI K_II^{-1} K_IB
-            # subtracted from the condensed matrix, summed chunk by chunk
+            # K_II^{-1} [K_IB | r_I], and each cell's K_BB less its Schur
+            # block K_BI K_II^{-1} K_IB, symmetrised, so that the matrix the
+            # factorization reads the lower triangle of is symmetric bit for
+            # bit. The blocks, then the jump stacks, are summed straight into
+            # the fronts of the factorization
             interior, ys = [], []
-            for b, kii, kib in condensing:
+            for i, (b, kii, kib) in enumerate(condensing):
                 X = _interior_solve(kii, np.concatenate(
                     [kib, rhs[b.dofs[:, b.inner]][..., None]], axis=2))
                 interior.append((b, kii, kib, X[..., :-1]))
                 ys.append(X[..., -1])
+                stacks[i] -= _sym(_t(kib) @ X[..., :-1])
             del condensing
-            if interior:
-                # each cell's Schur block symmetrised, so that the condensed
-                # matrix is symmetric bit for bit and its lower triangle,
-                # which the factorization reads, is all of it
-                Ks.data -= sum_blocks([b.at for b, _, _, _ in interior],
-                                      (_sym(_t(kib) @ xb) for _, _, kib, xb in interior),
-                                      Ks.nnz + 1)[:-1]
+            fronts = sum_blocks([b.at for b in self._blocks] + [at for *_, at in self._jump],
+                                stacks, int(sn.offset[-1]) + 1)
+            del stacks
+            report.condense_s = time.perf_counter() - started
             chol = None
             if n_c:
                 # no symmetric scaling D K D: it would only rescale the
                 # factor, D L, and a pivot that is not positive fails alike
                 started = time.perf_counter()
-                chol = Cholesky(self._supernodes, Ks)
+                chol = Cholesky(sn, fronts[:-1])
                 report.factor_s = time.perf_counter() - started
-                report.factor_nnz, report.kff_nnz = chol.nnz, int(Ks.nnz)
+                report.factor_nnz, report.kff_nnz = chol.nnz, sn.nnz
                 report.ordering = copy.deepcopy(self.ordering)
-            del Ks
+            del fronts
 
             def free_solve(r, ys=None):
                 """K_ff^{-1} r on the free DOFs, zero on the others; ``ys``

@@ -291,15 +291,21 @@ def u_trace_values(disc, pack, element, u_local, j, s):
     return ec.family.eval_s(s) @ coef
 
 
-def lower_factor(chol):
-    """The factor L of a ``Cholesky`` as a sparse matrix: every node's
-    L11 and L21 blocks on its front rows and pivot columns."""
-    sn = chol.sn
+def _front_rows(sn, j):
+    """The rows of node j's front: its pivots, then its update rows."""
+    return np.concatenate([np.arange(sn.start[j], sn.start[j + 1]),
+                           sn.urows[sn.uoff[j]:sn.uoff[j + 1]]])
+
+
+def block_lower(sn, blocks):
+    """A node-block array of the fronts that ``sn`` analysed (what
+    ``Cholesky`` factors, or its factor) as a sparse lower-triangular
+    matrix: every node's L11 and L21 block entries on its front rows and
+    pivot columns, zeros included."""
     rows, cols, vals = [], [], []
     for j in range(len(sn.parent)):
-        pivots = np.arange(sn.start[j], sn.start[j + 1])
-        front = np.concatenate([pivots, sn.urows[sn.uoff[j]:sn.uoff[j + 1]]])
-        block = chol.factor[sn.offset[j]:sn.offset[j + 1]].reshape(len(front), len(pivots))
+        pivots, front = np.arange(sn.start[j], sn.start[j + 1]), _front_rows(sn, j)
+        block = blocks[sn.offset[j]:sn.offset[j + 1]].reshape(len(front), len(pivots))
         r, c = np.meshgrid(front, pivots, indexing="ij")
         on = r >= c
         rows.append(r[on])
@@ -309,3 +315,35 @@ def lower_factor(chol):
     n = sn.start[-1]
     return sps.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                           shape=(n, n))
+
+
+def lower_factor(chol):
+    """The factor L of a ``Cholesky`` as a sparse matrix."""
+    return block_lower(chol.sn, chol.factor)
+
+
+def fronts_matrix(sn, fronts):
+    """The symmetric matrix whose lower triangle the node-block array
+    ``fronts`` holds, as a sparse matrix with no zero stored."""
+    lower = block_lower(sn, fronts)
+    return (lower + lower.T - sps.diags(lower.diagonal())).tocsc()
+
+
+def node_blocks(sn, A):
+    """The lower triangle of the sparse matrix A scattered into the
+    node-block layout that ``Cholesky`` factors, zeros elsewhere: entry
+    (r, c), r >= c, at row r of the front of c's node, column c. An entry
+    outside that front fails."""
+    A = sps.tril(A, format="coo")
+    out = np.zeros(sn.offset[-1])
+    p = np.diff(sn.start)
+    node = np.repeat(np.arange(len(p)), p)[A.col]
+    for j in np.unique(node):
+        on = node == j
+        local = np.full(sn.start[-1], -1)
+        front = _front_rows(sn, j)
+        local[front] = np.arange(len(front))
+        r = local[A.row[on]]
+        assert (r >= 0).all()
+        out[sn.offset[j] + r * p[j] + A.col[on] - sn.start[j]] = A.data[on]
+    return out

@@ -1,21 +1,22 @@
 """The supernodal Cholesky factorization (``ddrplate.cholesky``) on small
-hand-made separator trees: the analysis lays out the matrix's CSC pattern,
-L L^T reproduces the matrix and the solves invert it, through the one-call
-fronts, the tiled large fronts and a tree node that holds no unknown."""
+hand-made separator trees: the analysis places each graph entry's block in
+the fronts where the node-block oracle puts its entries, L L^T reproduces
+the matrix and the solves invert it, through the one-call fronts, the tiled
+large fronts and a tree node that holds no unknown."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from conftest import lower_factor
+from conftest import lower_factor, node_blocks
 from ddrplate.cholesky import Cholesky, analyse
 from ddrplate.errors import SolverFailure
 
 
 def _supernodes(edges, node, size, parent):
-    """The analysis and layout of an entity graph given by its ``edges``
-    (pairs), the entities numbered by node and the tree in postorder, and
-    the graph."""
+    """The analysis of an entity graph given by its ``edges`` (pairs), the
+    entities numbered by node and the tree in postorder: the supernodes,
+    the factor position of each graph entry's block, and the graph."""
     n_ent = len(node)
     a, b = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     graph = sps.csr_matrix((np.ones(2 * len(a) + n_ent),
@@ -49,12 +50,32 @@ def _spd(graph, size, rng):
     return A.tocsc()
 
 
-def _check(sn, layout, A, rng):
-    """The layout is the CSC pattern of A, and the factor of A reproduces
-    and inverts it."""
-    assert np.array_equal(layout.indptr, A.indptr)
-    assert np.array_equal(layout.indices, A.indices)
-    chol = Cholesky(sn, A)
+def _fronts(sn, edge_at, graph, size, A):
+    """The node-block array of A placed by ``edge_at``: graph entry (a, b)
+    holds A's block of the unknowns of b by those of a, its entry (r, c) at
+    ``edge_at + r p + c``, p the pivots of a's node; above the diagonal
+    ``edge_at`` is -1."""
+    first = np.cumsum(size) - size
+    p = np.diff(sn.start)
+    node = np.repeat(np.arange(len(p)), p)
+    dense = A.toarray()
+    out = np.zeros(sn.offset[-1])
+    coo = graph.tocoo()
+    for e, (a, b) in enumerate(zip(coo.row, coo.col)):
+        assert (edge_at[e] < 0) == (b < a)
+        for r in range(size[b] if b >= a else 0):
+            for c in range(r + 1 if b == a else size[a]):
+                out[edge_at[e] + r * p[node[first[a]]] + c] = dense[first[b] + r, first[a] + c]
+    return out
+
+
+def _check(sn, edge_at, graph, size, A, rng):
+    """The analysis places A's entries where the node-block oracle does,
+    and the factor of A reproduces and inverts it."""
+    fronts = node_blocks(sn, A)
+    assert np.array_equal(_fronts(sn, edge_at, graph, np.asarray(size), A), fronts)
+    chol = Cholesky(sn, fronts)
+    assert chol.factor is fronts               # factored in place
     L = lower_factor(chol)
     assert chol.nnz >= L.nnz
     assert abs(L @ L.T - A).max() <= 1e-13 * abs(A).max()
@@ -69,10 +90,10 @@ def test_a_node_without_unknowns_passes_its_children_updates_on(rng):
     front only carries its children's updates to the root."""
     edges = [(0, 2), (2, 3), (3, 1)]          # a = 0, d = 1, b = 2, c = 3
     node, size, parent = [0, 1, 3, 3], [2, 3, 1, 2], [2, 2, 3, -1]
-    sn, layout, graph = _supernodes(edges, node, size, parent)
+    sn, edge_at, graph = _supernodes(edges, node, size, parent)
     assert np.diff(sn.start).tolist() == [2, 3, 0, 3]
     assert np.diff(sn.uoff).tolist() == [1, 2, 3, 0]
-    _check(sn, layout, _spd(graph, size, rng), rng)
+    _check(sn, edge_at, graph, size, _spd(graph, size, rng), rng)
 
 
 @pytest.mark.parametrize("pivots, updates, apart",
@@ -90,8 +111,8 @@ def test_large_fronts_are_factored_in_tiles(pivots, updates, apart, rng):
              + [(i, j) for i in leaf for j in root[apart:]]
              + [(i, j) for i in root for j in root if j < i])
     node = [0] * pivots + [1] * (apart + updates)
-    sn, layout, graph = _supernodes(edges, node, [1] * n_ent, [1, -1])
-    _check(sn, layout, _spd(graph, [1] * n_ent, rng), rng)
+    sn, edge_at, graph = _supernodes(edges, node, [1] * n_ent, [1, -1])
+    _check(sn, edge_at, graph, [1] * n_ent, _spd(graph, [1] * n_ent, rng), rng)
 
 
 def test_indefinite_matrix_is_a_solver_failure(rng):
@@ -100,6 +121,17 @@ def test_indefinite_matrix_is_a_solver_failure(rng):
     sn, _, graph = _supernodes(edges, node, size, parent)
     A = _spd(graph, size, rng)
     A = A - 1e3 * sps.eye(A.shape[0], format="csc")
-    A.sort_indices()
     with pytest.raises(SolverFailure, match="not positive definite"):
-        Cholesky(sn, A.tocsc())
+        Cholesky(sn, node_blocks(sn, A))
+
+
+def test_fronts_of_another_size_are_refused(rng):
+    """An array that is not the factor's size, or not contiguous, is
+    refused before anything is factored."""
+    edges = [(0, 2), (2, 3), (3, 1)]
+    node, size, parent = [0, 1, 3, 3], [2, 3, 1, 2], [2, 2, 3, -1]
+    sn, _, graph = _supernodes(edges, node, size, parent)
+    fronts = node_blocks(sn, _spd(graph, size, rng))
+    for bad in (fronts[:-1], np.append(fronts, 0.0), np.repeat(fronts, 2)[::2]):
+        with pytest.raises(ValueError, match="the factor"):
+            Cholesky(sn, bad)

@@ -1,6 +1,6 @@
 """Cell chunks and the threaded local build: splitting the vertex-count
 groups into chunks and building their tables on several CPUs changes no bit
-of the assembled or the condensed matrix, the ordering or a solve, and a
+of the assembled matrix, the ordering, the factor or a solve, and a
 failure inside a worker thread reaches the caller as the serial build would
 raise it."""
 
@@ -14,11 +14,13 @@ import pytest
 
 import ddrplate.operators as operators
 import ddrplate.spaces as spaces
+import ddrplate.system
 from conftest import ASSETS
 from ddrplate.errors import SingularLocalSystem
 from ddrplate.harness import solve_case
 from ddrplate.mesh import load_mesh, triangular_mesh
 from ddrplate.operators import build_packs
+from ddrplate.cholesky import Cholesky
 from ddrplate.polyspace import dim_P
 from ddrplate.solutions import get_solution
 from ddrplate.system import MaterialParams, PlateSystem
@@ -44,13 +46,19 @@ def test_cell_chunks_are_contiguous_near_equal_and_large(n):
     assert len(chunks) == 1 or min(sizes) >= spaces._CHUNK_CELLS
 
 
-def _build(mesh, k, solution):
+def _build(mesh, k, solution, monkeypatch):
+    """The discretization, the system, the Cholesky factor of a solve at
+    t = 1e-3, its solution and interpolates, and the load."""
     disc = spaces.Discretization(mesh, k)
     plate = PlateSystem(disc)
     material = MaterialParams(t=1e-3)
+    factors = []
+    monkeypatch.setattr(ddrplate.system, "Cholesky",
+                        lambda sn, F: factors.append(Cholesky(sn, F)) or factors[-1])
     _, _, (theta, u, theta_i, u_i) = solve_case(plate, material, solution)
     load = plate.load_vector(get_solution(solution, material).f)
-    return disc, plate, theta.values, u.values, theta_i.values, u_i.values, load
+    (chol,) = factors
+    return disc, plate, chol.factor, theta.values, u.values, theta_i.values, u_i.values, load
 
 
 @pytest.mark.parametrize("name,k,solution", [
@@ -61,23 +69,23 @@ def test_chunked_threaded_build_equals_the_serial_unchunked_one(name, k, solutio
                                                                 monkeypatch):
     """The same build in chunks of 16 cells on three CPUs, and in one chunk
     per vertex count on one CPU: every output matches bit for bit, the
-    interpolates and the load (read from the per-chunk data tables) too."""
+    full matrix, the Cholesky factor of a solve (whose fronts are summed
+    from the chunks' cell blocks), the interpolates and the load (read from
+    the per-chunk data tables) too."""
     mesh = triangular_mesh(8) if name == "tri_n8" else load_mesh(str(ASSETS / f"{name}.json"))
     with monkeypatch.context() as m:
         m.setattr(spaces, "_CHUNKS", 1)
         _cpus(m, 1)
-        ref_disc, *ref = _build(mesh, k, solution)
+        ref_disc, *ref = _build(mesh, k, solution, m)
     with monkeypatch.context() as m:
         m.setattr(spaces, "_CHUNK_CELLS", 16)
         _cpus(m, 3)
-        disc, *got = _build(mesh, k, solution)
+        disc, *got = _build(mesh, k, solution, m)
     assert len(disc.elem_ctxs) > len(ref_disc.elem_ctxs)
     (ref_plate, *ref_x), (plate, *x) = ref, got
     material = MaterialParams(t=1e-3)
-    matrices = [(P.full_matrix(material), P.condensed_matrix(material))
-                for P in (ref_plate, plate)]
-    for a, b in zip(*[[A.data, A.indices, A.indptr, C.data, C.indices, C.indptr]
-                      for A, C in matrices]):
+    matrices = [P.full_matrix(material) for P in (ref_plate, plate)]
+    for a, b in zip(*[[A.data, A.indices, A.indptr] for A in matrices]):
         assert _same_bits(a, b)
     for a, b in zip([ref_plate.factored] + ref_x, [plate.factored] + x):
         assert _same_bits(a, b)

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sps
 from scipy.sparse.linalg import splu, spsolve
 
-from conftest import locate, lower_factor
+from conftest import fronts_matrix, locate, lower_factor, node_blocks
 import ddrplate.system
 from ddrplate.cholesky import _BLOCK, Cholesky
 from ddrplate.errors import SolverFailure, ZeroNormError
@@ -228,9 +228,6 @@ def test_galerkin_residual_and_coercivity(k0_system, rng, monkeypatch):
     system = k0_system
     mat = MaterialParams(t=1e-2)
     load = system.load_vector(lambda x: np.sin(np.pi * x[:, 0]) * x[:, 1])
-    factored = []
-    monkeypatch.setattr(ddrplate.system, "Cholesky",
-                        lambda sn, A: factored.append(A) or Cholesky(sn, A))
     theta, u, rep = system.solve(mat, load)
     assert rep.residual <= 1e-10
     assert rep.n_free == system.free.size
@@ -238,7 +235,8 @@ def test_galerkin_residual_and_coercivity(k0_system, rng, monkeypatch):
     assert rep.factor_nnz >= (rep.kff_nnz + rep.n_factored) // 2
     assert 0 <= rep.refinement_steps <= 8
     K = system.full_matrix(mat)
-    assert rep.kff_nnz == factored[0].nnz
+    # the factored matrix's pattern is that of the factored slice of K
+    assert rep.kff_nnz == K[system.factored][:, system.factored].nnz
     # one backward error per solve with the factor, the last one reported
     assert len(rep.backward_errors) == rep.refinement_steps + 1
     assert rep.backward_errors[-1] == rep.residual
@@ -404,7 +402,7 @@ def test_refinement_corrects_through_the_condensed_factor(k, monkeypatch):
     others, so the backward error contracts by 0.1 / 1.1 per step (a
     correction that dropped the interior residual would stall)."""
     system = PlateSystem(Discretization(triangular_mesh(4), k))
-    monkeypatch.setattr(ddrplate.system, "Cholesky", lambda sn, A: Cholesky(sn, 1.1 * A))
+    monkeypatch.setattr(ddrplate.system, "Cholesky", lambda sn, F: Cholesky(sn, 1.1 * F))
     load = system.load_vector(lambda x: np.sin(np.pi * x[:, 0]) * x[:, 1])
     _, _, rep = system.solve(MaterialParams(t=1e-1), load)
     errors = np.array(rep.backward_errors)
@@ -453,15 +451,17 @@ _FACTOR_CASES = [("tri", k) for k in range(4)] + [("hexa", 1)]
 @pytest.fixture(scope="module")
 def factorizations():
     """Per case (tri n = 8 at k = 0..3, hexa_02 at k = 1): the system and,
-    per thickness, the matrix handed to the Cholesky factorization, its
-    factor and the solve report."""
+    per thickness, the matrix whose lower triangle the solve sums into the
+    fronts of the Cholesky factorization (read by the oracle before the
+    factorization overwrites it), its factor and the solve report."""
     hexa = load_mesh(str(resources.files("ddrplate") / "assets" / "meshes"
                          / "hexa_02.json"))
     meshes = {"tri": triangular_mesh(8), "hexa": hexa}
     captured = []
 
-    def recording_cholesky(sn, A):
-        chol = Cholesky(sn, A)
+    def recording_cholesky(sn, fronts):
+        A = fronts_matrix(sn, fronts)
+        chol = Cholesky(sn, fronts)
         captured.append((A, chol))
         return chol
 
@@ -519,14 +519,17 @@ def _structural_pattern(system):
 
 @pytest.mark.parametrize("case", _FACTOR_CASES, ids=lambda c: f"{c[0]}-k{c[1]}")
 def test_factored_pattern_is_the_structural_one(factorizations, case):
-    """At every thickness the matrix handed to the factorization stores the
-    structural pattern: no entry that cancels or underflows to 0.0 is
-    dropped, so round-off cannot change the ordering."""
+    """At every thickness the factored matrix's pattern, which ``kff_nnz``
+    counts, is the structural one, and the solve sums no nonzero entry
+    outside it: the fronts are laid out from the mesh before any value, so
+    round-off cannot change the ordering."""
     system, _, runs = factorizations[case]
     pattern = _structural_pattern(system)
-    for A, _, _, _ in runs:
-        assert np.array_equal(A.indptr, pattern.indptr)
-        assert np.array_equal(A.indices, pattern.indices)
+    mask = pattern.copy()
+    mask.data[:] = 1.0
+    for A, _, rep, _ in runs:
+        assert rep.kff_nnz == pattern.nnz
+        assert (A - A.multiply(mask)).count_nonzero() == 0
 
 
 _GATHER_CASES = [("tri", 0), ("tri", 3), ("hexa", 1)]
@@ -567,10 +570,12 @@ def test_factored_matrix_is_the_sliced_full_matrix(factorizations, case, t):
     """The solve factors the Schur complement K_BB - K_BI K_II^{-1}
     K_IB of K_ff sliced from ``full_matrix``, unscaled, where I are the
     element-interior DOFs and B the other free ones. At k = 0 there is no
-    interior and it equals K_ff entry for entry. Otherwise it matches the
-    Schur complement from sparse products to 1e-12 of its largest entry at
-    t = 1e-1, and to 1e-6 at t = 1e-5, where the K_II blocks have condition
-    numbers up to about 1e12."""
+    interior and it equals K_ff to 1e-15 of its largest entry: the solve
+    sums each cell's K_T, ``full_matrix`` each form, so only the order of
+    the addends differs (measured 2e-16). Otherwise it matches the Schur
+    complement from sparse products to 1e-13 (measured at most 1e-14 on
+    these cases and the jittered k = 3 mesh, where the K_II blocks at
+    t = 1e-5 have condition numbers up to about 1e12)."""
     system, _, runs = factorizations[case]
     A, _, _, _ = runs[_THICKNESSES.index(t)]
     K = system.full_matrix(MaterialParams(t=t))
@@ -581,21 +586,18 @@ def test_factored_matrix_is_the_sliced_full_matrix(factorizations, case, t):
         K_II = K[inner][:, inner].tocsc()
         schur = schur - K[outer][:, inner] @ spsolve(K_II, K[inner][:, outer].tocsc())
     ref = schur.tocsc()
-    assert A.format == "csc"
-    if not inner.size:
-        assert np.array_equal(A.indptr, ref.indptr)
-        assert np.array_equal(A.indices, ref.indices)
-        assert np.array_equal(A.data, ref.data)
-    else:
-        assert abs(A - ref).max() <= (1e-12 if t == 1e-1 else 1e-6) * abs(ref).max()
+    assert A.format == "csc" and A.shape == ref.shape
+    assert abs(A - ref).max() <= (1e-13 if inner.size else 1e-15) * abs(ref).max()
 
 
 @pytest.mark.parametrize("case", _GATHER_CASES, ids=lambda c: f"{c[0]}-k{c[1]}")
 def test_thicknesses_share_the_factored_pattern(factorizations, case):
-    _, _, runs = factorizations[case]
-    (thick, _, _, _), (thin, _, _, _) = runs[0], runs[_THICKNESSES.index(1e-5)]
-    assert np.array_equal(thick.indptr, thin.indptr)
-    assert np.array_equal(thick.indices, thin.indices)
+    """Every thickness factors on the supernodes analysed once per mesh and
+    degree, and reports the same pattern and factor sizes."""
+    system, _, runs = factorizations[case]
+    (_, thick, thick_rep, _), (_, thin, thin_rep, _) = runs[0], runs[_THICKNESSES.index(1e-5)]
+    assert thick.sn is thin.sn is system._supernodes
+    assert (thick_rep.kff_nnz, thick_rep.factor_nnz) == (thin_rep.kff_nnz, thin_rep.factor_nnz)
 
 
 @pytest.mark.parametrize("case", _FACTOR_CASES, ids=lambda c: f"{c[0]}-k{c[1]}")
@@ -636,13 +638,14 @@ _CHOLESKY_CASES = [("tri", k) for k in range(4)] + [("hexa", 1), ("locref", 0)]
 @pytest.mark.parametrize("case", _CHOLESKY_CASES, ids=lambda c: f"{c[0]}-k{c[1]}")
 def test_factor_reproduces_the_condensed_matrix(case, monkeypatch):
     """L L^T equals the matrix the solve factors (the condensed matrix
-    after the Schur update) to 1e-13 of its largest entry, on tri n = 8 at
-    k = 0..3, hexa_02 at k = 1 and locref_02 at k = 0."""
+    after the Schur update, as the solve sums it into the fronts) to 1e-13
+    of its largest entry, on tri n = 8 at k = 0..3, hexa_02 at k = 1 and
+    locref_02 at k = 0."""
     family, k = case
     system = PlateSystem(Discretization(_order_mesh(family), k))
     captured = []
-    monkeypatch.setattr(ddrplate.system, "Cholesky",
-                        lambda sn, A: captured.append((A, Cholesky(sn, A))) or captured[-1][1])
+    monkeypatch.setattr(ddrplate.system, "Cholesky", lambda sn, F: captured.append(
+        (fronts_matrix(sn, F), Cholesky(sn, F))) or captured[-1][1])
     system.solve(MaterialParams(t=1e-3), system.load_vector(lambda x: np.ones(len(x))))
     (A, chol), = captured
     L = lower_factor(chol)
@@ -652,10 +655,10 @@ def test_factor_reproduces_the_condensed_matrix(case, monkeypatch):
 def test_negative_pivot_raises_solver_failure(k0_system, monkeypatch):
     """A condensed matrix with one diagonal entry negated is not positive
     definite: its factorization ends as the typed SolverFailure."""
-    def negated(sn, A):
-        A = A.copy()
+    def negated(sn, fronts):
+        A = fronts_matrix(sn, fronts)
         A.data[A.indptr[7] + np.flatnonzero(A.indices[A.indptr[7]:A.indptr[8]] == 7)] *= -1.0
-        return Cholesky(sn, A)
+        return Cholesky(sn, node_blocks(sn, A))
 
     monkeypatch.setattr(ddrplate.system, "Cholesky", negated)
     load = k0_system.load_vector(lambda x: np.ones(len(x)))
@@ -675,7 +678,7 @@ def test_symmetric_scaling_only_rescales_the_factorization(factorizations, case,
     d = 10.0 ** rng.uniform(-2.0, 2.0, A.shape[0])
     scaled = A.copy()
     scaled.data *= d[scaled.indices] * np.repeat(d, np.diff(scaled.indptr))
-    chol_scaled = Cholesky(system._supernodes, scaled)
+    chol_scaled = Cholesky(system._supernodes, node_blocks(system._supernodes, scaled))
     L, L_scaled = lower_factor(chol), lower_factor(chol_scaled)
     assert L.nnz == L_scaled.nnz
     assert abs(sps.diags(1.0 / d) @ L_scaled - L).max() <= 1e-12 * abs(L).max()
@@ -806,15 +809,22 @@ def test_nested_dissection_fill_stays_near_minimum_degree(case, monkeypatch):
     in nested-dissection order are at most 1.10 times those of the L of
     SuperLU's minimum-degree ordering of A^T + A on the same matrix, the
     oracle (measured: 1.09 / 1.02 / 1.03 / 1.00). The factor stores every
-    entry of its dense node blocks, zeros included: ``factor_nnz``."""
+    entry of its dense node blocks, zeros included: ``factor_nnz``. The
+    oracle sees the matrix on its structural pattern, that of the factored
+    slice of ``full_matrix``, entries that cancel to 0.0 included."""
     name, k = case
     mesh = triangular_mesh(int(name[3:])) if name.startswith("tri") else _asset(name)
     system = PlateSystem(Discretization(mesh, k))
     captured = []
-    monkeypatch.setattr(ddrplate.system, "Cholesky",
-                        lambda sn, A: captured.append((A, Cholesky(sn, A))) or captured[-1][1])
-    _, _, rep = system.solve(MaterialParams(t=1e-3), system.load_vector(lambda x: np.ones(len(x))))
-    (A, chol), = captured
+    monkeypatch.setattr(ddrplate.system, "Cholesky", lambda sn, F: captured.append(
+        (fronts_matrix(sn, F), Cholesky(sn, F))) or captured[-1][1])
+    material = MaterialParams(t=1e-3)
+    _, _, rep = system.solve(material, system.load_vector(lambda x: np.ones(len(x))))
+    (values, chol), = captured
+    pattern = system.full_matrix(material)[system.factored][:, system.factored].tocoo()
+    A = sps.csc_matrix((np.asarray(values[pattern.row, pattern.col]).ravel(),
+                        (pattern.row, pattern.col)), shape=values.shape)
+    assert A.nnz == rep.kff_nnz
     mmd = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                options={"SymmetricMode": True})
     assert rep.factor_nnz == chol.nnz
@@ -826,12 +836,12 @@ def test_nested_dissection_fill_stays_near_minimum_degree(case, monkeypatch):
 def test_cell_blocks_and_condensed_data_are_bitwise_symmetric(case, monkeypatch):
     """Every kept cell block is symmetrised once and the k = 0 jump lists
     each DOF once, so every block is symmetric bit for bit, and so are the
-    forms summed from them, the condensed matrix (mirrored entries are
-    summed in the same order) and the full matrix. Without the
-    symmetrisation the G^T M G blocks of tri k = 3 differ from their
-    transposes by round-off. Each cell's Schur block is symmetrised too, so
-    the matrix the Cholesky factorization reads the lower triangle of is
-    symmetric bit for bit after the interiors are eliminated."""
+    forms summed from them and the full matrix. Without the symmetrisation
+    the G^T M G blocks of tri k = 3 differ from their transposes by
+    round-off. A solve sums the fronts of its factorization in one
+    ``sum_blocks`` call, from each cell's K_BB less its symmetrised Schur
+    block and the jump stacks: every block of it is symmetric bit for bit,
+    so the lower triangle that the fronts keep is the whole matrix."""
     family, k = case
     system = PlateSystem(Discretization(_order_mesh(family), k))
     for b in system._blocks:
@@ -845,33 +855,83 @@ def test_cell_blocks_and_condensed_data_are_bitwise_symmetric(case, monkeypatch)
         s = stream(system, i)
         assert (s != s.T).nnz == 0
     material = MaterialParams(t=1e-5)
-    factored = []
+    K = system.full_matrix(material)
+    assert (K != K.T).nnz == 0
+    sums, factored = [], []
+    sum_blocks = ddrplate.system.sum_blocks
+
+    def spy(slots, blocks, n):
+        out = sum_blocks(slots, blocks, n)
+        sums.append((list(blocks), out.copy()))       # the factorization overwrites it
+        return out
+
+    monkeypatch.setattr(ddrplate.system, "sum_blocks", spy)
     monkeypatch.setattr(ddrplate.system, "Cholesky",
-                        lambda sn, A: factored.append(A) or Cholesky(sn, A))
+                        lambda sn, F: factored.append(F.copy()) or Cholesky(sn, F))
     system.solve(material, system.load_vector(lambda x: np.ones(len(x))))
-    for K in (system.condensed_matrix(material), system.full_matrix(material), *factored):
-        assert (K != K.T).nnz == 0
-    assert len(factored) == 1
+    fronts = [(blocks, out) for blocks, out in sums
+              if len(out) == system._supernodes.offset[-1] + 1]
+    assert len(fronts) == len(factored) == 1
+    (blocks, out), = fronts
+    assert len(blocks) == len(system._blocks) + len(system._jump)
+    for block in blocks:
+        assert np.array_equal(block, np.swapaxes(block, 1, 2))
+    assert out[:-1].tobytes() == factored[0].tobytes()
 
 
-@pytest.mark.parametrize("case", [("tri", k) for k in range(4)]
-                         + [("hexa", 1), ("locref", 0), ("jitter", 3)],
-                         ids=lambda c: f"{c[0]}-k{c[1]}")
+_SLICE_CASES = [("tri", k) for k in range(4)] + [("hexa", 1), ("locref", 0), ("jitter", 3)]
+
+
+@pytest.mark.parametrize("case", _SLICE_CASES, ids=lambda c: f"{c[0]}-k{c[1]}")
 @pytest.mark.parametrize("t", [1e-1, 1e-5])
-def test_condensed_data_is_the_factored_slice_of_the_full_matrix(case, t):
-    """The condensed matrix a solve sums from the B x B entries of the
-    kept blocks, before the interiors are eliminated, is the slice of
-    ``full_matrix`` on the factored DOFs in their nested-dissection order,
-    pattern and data bit for bit: every entry has the same addends in the
-    same order. The pattern and the positions come from the separator
-    tree's analysis, the slice from ``block_pattern``; on the jittered mesh
-    the k = 3 leaves split otherwise than on the regular one."""
+def test_condensed_data_is_the_factored_slice_of_the_full_matrix(case, t, monkeypatch):
+    """The matrix a solve factors, summed into the fronts from the kept
+    blocks, is the Schur complement of the slice of ``full_matrix`` on the
+    free DOFs, formed here from sparse products on the factored DOFs in
+    their nested-dissection order and the element interiors: the solve's
+    L L^T equals it to 1e-13 of its largest entry (measured at most 1.4e-14).
+    The positions in the fronts come from the separator tree's analysis,
+    the slice from ``block_pattern``; on the jittered mesh the k = 3 leaves
+    split otherwise than on the regular one."""
     family, k = case
     system = PlateSystem(Discretization(_order_mesh(family), k))
     material = MaterialParams(nu=0.25, t=t)
-    A = system.condensed_matrix(material)
-    ref = system.full_matrix(material)[system.factored][:, system.factored].tocsc()
-    assert A.format == "csc" and A.shape == ref.shape
-    assert np.array_equal(A.indptr, ref.indptr)
-    assert np.array_equal(A.indices, ref.indices)
-    assert A.data.tobytes() == ref.data.tobytes()
+    captured = []
+    monkeypatch.setattr(ddrplate.system, "Cholesky",
+                        lambda sn, F: captured.append(Cholesky(sn, F)) or captured[-1])
+    system.solve(material, system.load_vector(lambda x: np.ones(len(x))))
+    K = system.full_matrix(material)
+    inner = np.intersect1d(system.free, _interior_dofs(system))
+    outer = system.factored
+    ref = K[outer][:, outer].tocsc()
+    if inner.size:
+        ref = ref - K[outer][:, inner] @ spsolve(K[inner][:, inner].tocsc(),
+                                                 K[inner][:, outer].tocsc())
+    L = lower_factor(captured[0])
+    assert L.shape == ref.shape == (outer.size, outer.size)
+    assert abs(L @ L.T - ref).max() <= 1e-13 * abs(ref).max()
+
+
+@pytest.mark.parametrize("case", _SLICE_CASES, ids=lambda c: f"{c[0]}-k{c[1]}")
+@pytest.mark.parametrize("t", [1e-1, 1e-5])
+def test_norm_of_k_is_the_row_sum_norm_of_the_free_slice(case, t, monkeypatch):
+    """The ||K|| of the backward error is the largest free row sum of
+    sum_T |K_T| (each k = 0 jump stack counted as a cell), a bound of
+    |K_ff| entry by entry taken from the blocks alone. Here it equals
+    ||K_ff||_inf of ``full_matrix``'s free slice to 1e-14 relative
+    (measured at most 6e-16 up to tri n = 64), so the 1e-10 gate is as
+    strict as with the exact norm. A load of 1 on every free DOF makes the
+    solve's first normed vector 1 / ||K|| there."""
+    family, k = case
+    system = PlateSystem(Discretization(_order_mesh(family), k))
+    material = MaterialParams(nu=0.25, t=t)
+    load = np.zeros(system.n_theta + system.n_u)
+    load[system.free] = 1.0
+    seen = []
+    norm = ddrplate.system._norm
+    monkeypatch.setattr(ddrplate.system, "_norm", lambda v: seen.append(v.copy()) or norm(v))
+    system.solve(material, load)
+    knorm = 1.0 / seen[0].max()
+    K = system.full_matrix(material)[system.free][:, system.free]
+    exact = abs(K).sum(axis=1).max()
+    assert abs(knorm - exact) <= 1e-14 * exact

@@ -81,7 +81,8 @@ def test_one_pack_per_vertex_count(tracing, monkeypatch):
 
 def test_solve_layers_are_measured(tracing):
     """Two solves on one build: neither assembles the full matrix (the
-    condensed data comes from the cell blocks), every solve is timed, and
+    fronts of the factorization are summed from the cell blocks), every
+    solve is timed, and
     both factor the same K_ff pattern, whose size and factor the solve
     reports carry. The tracer's factor metrics wrap SuperLU by name, which
     no solve calls since the Cholesky factorization replaced it, so they

@@ -32,10 +32,11 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _condensed_calls(name, k, monkeypatch, rng):
-    """The ``sum_blocks`` calls that sum the condensed data of a build in
-    chunks of 16 cells, and that data; for "random", stacks of mixed block
-    shapes (one of them empty), with no data."""
+def _sum_calls(name, k, monkeypatch, rng):
+    """The ``sum_blocks`` calls of a build in chunks of 16 cells: the three
+    of ``full_matrix`` and those of a solve, the one into the fronts of the
+    factorization first, and the full matrix's data; for "random", stacks of
+    mixed block shapes (one of them empty), with no data."""
     if name == "random":
         shapes = [(5, 2, 3), (4, 1, 1), (6, 3, 2), (0, 2, 2)]
         stacks = ([rng.integers(0, 17, s).astype(np.int32) for s in shapes],
@@ -52,29 +53,36 @@ def _condensed_calls(name, k, monkeypatch, rng):
 
     monkeypatch.setattr(ddrplate.system, "sum_blocks", spy)
     material = MaterialParams(t=1e-3)
-    data = plate.condensed_matrix(material).data
-    assert len(calls) == 3
+    data = plate.full_matrix(material).data
     # at k = 0 the s0 call carries the jump stacks too
     cell_stacks = len(plate._blocks)
     assert [len(slots) for slots, _, _ in calls] == [cell_stacks + len(plate._jump)] + [
         cell_stacks] * 2
     assert bool(plate._jump) == (k == 0) and cell_stacks > 1
-    # the three sums combined as a solve combines them give the data
+    # the three sums combined as full_matrix combines them give its data
     s0, s1, s2 = (sum_blocks(*call) for call in calls)
-    combined = material.beta0 * s0 + material.beta1 * s1 + material.shear_over_t2 * s2
-    assert _same_bits(combined[:-1], data)
+    combined = material.beta0 * s0 + material.beta1 * s1
+    combined += material.shear_over_t2 * s2
+    assert _same_bits(combined, data)
+    # a solve sums the fronts in one call, the cell chunks then the jump stacks
+    plate.solve(material, plate.load_vector(lambda x: np.ones(len(x))))
+    fronts = calls[3]
+    assert len(fronts[0]) == cell_stacks + len(plate._jump)
+    assert fronts[2] == plate._supernodes.offset[-1] + 1
+    assert all(n != fronts[2] for _, _, n in calls[4:])
     return calls, data
 
 
 @pytest.mark.parametrize("name,k", [("tri_n8", 3), ("tri_n8", 0), ("hexa_03", 1),
                                     ("locref_03", 0), ("random", None)])
 def test_sum_blocks_equals_the_bincount_oracle(name, k, monkeypatch, rng):
-    """Every sum of the condensed data of a build in chunks of 16 cells
-    (cells of one vertex count on tri_n8, of several on hexa_03 and
-    locref_03, and at k = 0 the jump stacks after the cell ones), and random
+    """Every sum of a build in chunks of 16 cells (cells of one vertex count
+    on tri_n8, of several on hexa_03 and locref_03, and at k = 0 the jump
+    stacks after the cell ones): the three forms of the full matrix, the
+    fronts of a solve's factorization and its right-hand sides, and random
     stacks of mixed block shapes: the stacks added in the order given are
     the oracle's sum bit for bit, and zero stacks give zero data."""
-    calls, data = _condensed_calls(name, k, monkeypatch, rng)
+    calls, data = _sum_calls(name, k, monkeypatch, rng)
     for slots, blocks, n_entries in calls:
         assert _same_bits(sum_blocks(slots, blocks, n_entries),
                           _bincount_sum_blocks(slots, blocks, n_entries))
@@ -103,10 +111,11 @@ def test_build_peak_stays_near_what_it_keeps():
 
 
 def test_no_matrix_is_alive_while_the_cholesky_factors(monkeypatch):
-    """A solve never forms K on all DOFs: it takes the condensed data and
-    the interior blocks from the kept cell blocks, so ``full_matrix`` is
-    not called, and no array that the solve made and still holds when the
-    Cholesky factorization starts is as large as the data of the full K."""
+    """A solve never forms K on all DOFs: it sums the fronts of the
+    factorization and takes the interior blocks from the kept cell blocks,
+    so ``full_matrix`` is not called, and no array that the solve made and
+    still holds when the Cholesky factorization starts, but the fronts it
+    factors in place, is as large as the data of the full K."""
     plate = PlateSystem(Discretization(triangular_mesh(8), 2))
     full_bytes = plate.full_matrix(MaterialParams()).data.nbytes
     largest = []
@@ -116,9 +125,11 @@ def test_no_matrix_is_alive_while_the_cholesky_factors(monkeypatch):
 
     cholesky = ddrplate.system.Cholesky
 
-    def spy_cholesky(sn, A):
-        largest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
-        return cholesky(sn, A)
+    def spy_cholesky(sn, fronts):
+        sizes = [t.size for t in tracemalloc.take_snapshot().traces]
+        sizes.remove(fronts.base.nbytes)        # the fronts, a view of the one sum
+        largest.append(max(sizes))
+        return cholesky(sn, fronts)
 
     monkeypatch.setattr(PlateSystem, "full_matrix", no_full)
     monkeypatch.setattr(ddrplate.system, "Cholesky", spy_cholesky)
