@@ -33,9 +33,9 @@ from .system import MaterialParams, PlateSystem
 MESH_FAMILIES = ("tri", "hexa", "locref")
 PROPERTY_TEST_SEED = 218650  # fixed seed used by the randomized test suite
 # the generated family's finest mesh is tri_n{4 * 2**(refinements - 1)}; at the
-# bound, tri_n256 (131,072 cells) needs gigabytes already at k = 0 (the factor
-# of tri_n64 holds 8.8e6 entries, and fill grows like N log N), and each
-# refinement past it quadruples the cells
+# bound, tri_n256 (131,072 cells) needs gigabytes already at k = 0 (at tri_n64
+# the Cholesky factor L has 4.9e6 entries and its array 5.6e6, and fill grows
+# like N log N), and each refinement past it quadruples the cells
 _MAX_TRI_REFINEMENTS = 7
 # four times the largest boost the tests use; the fan rule grows with the
 # square of (k + 4 + quad_boost / 2) points per fan triangle
@@ -104,8 +104,9 @@ class RunResult:
     time: float
     solver_residual: float
     solver: dict                   # the solve as run_metadata.json records it
-    stages: dict                   # stage wall times, sizes (dofs: Dirichlet ones too),
-                                   # the peak RSS so far and the MiB each object keeps
+    stages: dict                   # stage wall times (PlateSystem's own stages too),
+                                   # sizes (dofs: Dirichlet ones too), the peak RSS so
+                                   # far and the MiB each object keeps
 
 
 def _asset_mesh_paths(family: str) -> list[Path]:
@@ -205,7 +206,8 @@ def run_single(config: RunConfig, mesh: PolygonalMesh | None = None,
         raise type(exc)(f"[mesh {mesh_name}] {exc}") from exc
     t.append(time.perf_counter())
     stages = {"discretization_s": t[1] - t[0], "plate_system_s": t[2] - t[1],
-              "solve_s": t[3] - t[2], "cells": mesh.n_elements, "edges": mesh.n_edges,
+              "solve_s": t[3] - t[2], **system.stages,
+              "cells": mesh.n_elements, "edges": mesh.n_edges,
               "dofs": system.n_theta + system.n_u, "peak_rss_mb": _peak_rss_mb(),
               # the solve adds no array to either object
               "discretization_mb": _kept_mb(disc, mesh),

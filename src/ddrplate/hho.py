@@ -195,10 +195,18 @@ def build_hho_packs(disc: Discretization, packs: list[LocalOperatorPack]) -> lis
     return map_chunks(build_hho_pack, disc.elem_ctxs, packs)
 
 
-def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack],
-                            hho_packs: list[HHOLocalPack]) -> list:
+def jump_restriction(ctx: ElementContext, pack: LocalOperatorPack,
+                     hp: HHOLocalPack) -> np.ndarray:
+    """The restriction of the p^1 reconstruction to each local edge of the
+    cells of one chunk, all that the k = 0 jump reads from its packs:
+    [tangential, normal] edge coefficients, (n_cells, nv, 4, n_theta)."""
+    return _edge_restriction(ctx, pack.scalar_cross, 2, dim_P(1)) @ hp.P1[:, None]
+
+
+def build_jump_penalisation(disc: Discretization, restrictions: list[np.ndarray]) -> list:
     """k = 0 jump bilinear form: h_E^{-1} integrals of the jumps of the p^1
-    reconstructions over edges (the trace itself on boundary edges).
+    reconstructions over edges (the trace itself on boundary edges), from
+    the ``jump_restriction`` of every cell chunk of ``disc.elem_ctxs``.
 
     The jump operator J_E maps the rotation DOFs of the one or two cells of
     edge E, sorted, to the [tangential, normal] edge coefficients of
@@ -231,11 +239,10 @@ def build_jump_penalisation(disc: Discretization, packs: list[LocalOperatorPack]
     # each cell's columns in the rows of its edges, found by edge and DOF
     key = (np.arange(mesh.n_edges)[:, None] * (sp.dim + 1) + union).ravel()
     J = np.zeros((mesh.n_edges, 4, union.shape[1]))
-    for ctx, pack, hp in zip(disc.elem_ctxs, packs, hho_packs):
-        # restriction of the p^1 reconstruction to each local edge, signed
-        rest = _edge_restriction(ctx, pack.scalar_cross, 2, dim_P(1)) @ hp.P1[:, None]
+    for ctx, rest in zip(disc.elem_ctxs, restrictions):
+        # the restriction, signed
         first = lower[ctx.edge_ids] == ctx.ids[:, None]
-        rest[~first] *= -1.0
+        rest = np.where(first[..., None, None], rest, -rest)
         edges = ctx.edge_ids[..., None]
         cols = (np.searchsorted(key, edges * (sp.dim + 1) + sp.local_dofs(ctx)[:, None])
                 - edges * union.shape[1])

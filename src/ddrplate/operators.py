@@ -214,40 +214,51 @@ def build_packs(disc: Discretization) -> list[LocalOperatorPack]:
     return map_chunks(build_local_pack, disc.elem_ctxs)
 
 
-def build_global_gradient(disc: Discretization, packs: list[LocalOperatorPack]
-                          ) -> tuple[sps.csr_matrix, list[tuple]]:
-    """Global discrete gradient: rotation-space coefficients of the gradient
-    of a displacement vector. Element blocks are the Roly/cRoly projections
-    of G_T; edge blocks are the tangential derivative of the skeleton trace,
-    exact from the trace coefficients.
-
-    Also returns, per cell chunk, the rows of G on each cell's rotation DOFs
-    as an ``assemble`` stack (rotation DOFs, displacement DOFs, dense blocks
-    in the local layouts). Those rows read only the cell's displacement DOFs
-    and the normal edge slots are zero rows, so local L2 products times these
-    blocks sum to M G and G^T M G exactly."""
+def gradient_rows(disc: Discretization, ctx: ElementContext, pack: LocalOperatorPack
+                  ) -> tuple[tuple, tuple]:
+    """The rows of the global discrete gradient on the cells of one chunk,
+    from its pack: the element block, as an ``assemble`` stack (element
+    rotation DOFs, displacement DOFs, the Roly/cRoly projections of G_T),
+    and the rows on each cell's rotation DOFs, as a stack (rotation DOFs,
+    displacement DOFs, dense blocks in the local layouts). Those rows read
+    only the cell's displacement DOFs and the normal edge slots are zero
+    rows, so local L2 products times these blocks sum to M G and G^T M G
+    exactly."""
     sp_t, sp_u = disc.theta_space, disc.u_space
     k = disc.k
-    vp_k = _vp_k(k)
-    ec = disc.edge_ctx
-    blocks, cells = [], []
-    for ctx, pack in zip(disc.elem_ctxs, packs):
-        u_dofs = sp_u.local_dofs(ctx)
-        block = pack.moments[:, :, vp_k] @ pack.GT
-        blocks.append((sp_t.elem_offset(ctx.ids)[:, None] + np.arange(sp_t.elem_dim),
-                       u_dofs, block))
-        rows = np.zeros((ctx.n_cells, pack.n_theta, pack.n_u))
-        rows[:, :sp_t.elem_dim] = block
-        # tangential slots: the derivative of the skeleton trace on each edge
-        rows[:, sp_t.elem_dim:].reshape(ctx.n_cells, ctx.n_vertices, sp_t.edge_dim,
-                                        pack.n_u)[:, :, :k + 1] = (
-            ec.dmat[ctx.edge_ids][:, :, :k + 1] @ pack.trace)
-        cells.append((sp_t.local_dofs(ctx), u_dofs, rows))
+    u_dofs = sp_u.local_dofs(ctx)
+    block = pack.moments[:, :, _vp_k(k)] @ pack.GT
+    rows = np.zeros((ctx.n_cells, pack.n_theta, pack.n_u))
+    rows[:, :sp_t.elem_dim] = block
+    # tangential slots: the derivative of the skeleton trace on each edge
+    rows[:, sp_t.elem_dim:].reshape(ctx.n_cells, ctx.n_vertices, sp_t.edge_dim,
+                                    pack.n_u)[:, :, :k + 1] = (
+        disc.edge_ctx.dmat[ctx.edge_ids][:, :, :k + 1] @ pack.trace)
+    return ((sp_t.elem_offset(ctx.ids)[:, None] + np.arange(sp_t.elem_dim), u_dofs, block),
+            (sp_t.local_dofs(ctx), u_dofs, rows))
+
+
+def assemble_gradient(disc: Discretization, element_blocks: list[tuple]) -> sps.csr_matrix:
+    """Global discrete gradient, from the element blocks of every chunk
+    (``gradient_rows``) and the edge blocks, the tangential derivative of
+    the skeleton trace, exact from the trace coefficients."""
+    sp_t, sp_u = disc.theta_space, disc.u_space
+    k, ec = disc.k, disc.edge_ctx
     edges = np.arange(disc.mesh.n_edges)
     u_cols = np.concatenate([sp_u.edge_offset(edges)[:, None] + np.arange(k),
                              sp_u.vertex_offset(disc.mesh.edge_vertices)], axis=1)
-    blocks.append((sp_t.edge_tangential_slots(edges), u_cols, (ec.dmat @ ec.trace)[:, :k + 1]))
-    return assemble(blocks, (sp_t.dim, sp_u.dim)), cells
+    return assemble(list(element_blocks) + [(sp_t.edge_tangential_slots(edges), u_cols,
+                                              (ec.dmat @ ec.trace)[:, :k + 1])],
+                    (sp_t.dim, sp_u.dim))
+
+
+def build_global_gradient(disc: Discretization, packs: list[LocalOperatorPack]
+                          ) -> tuple[sps.csr_matrix, list[tuple]]:
+    """Global discrete gradient: rotation-space coefficients of the gradient
+    of a displacement vector (``assemble_gradient``), and per cell chunk the
+    rows of G on each cell's rotation DOFs (``gradient_rows``)."""
+    parts = [gradient_rows(disc, ctx, pack) for ctx, pack in zip(disc.elem_ctxs, packs)]
+    return assemble_gradient(disc, [elem for elem, _ in parts]), [cell for _, cell in parts]
 
 
 def assemble_theta_product(disc: Discretization, packs: list[LocalOperatorPack]) -> sps.csr_matrix:

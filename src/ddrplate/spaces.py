@@ -14,18 +14,19 @@ edge id), then the vertex block -- deterministic, so assembled matrices are
 reproducible bit for bit. The cells are grouped by vertex count, and each
 group is split into contiguous chunks of cell ids (``cell_chunks``), one
 ``ElementContext`` per chunk; local layouts, interpolation and assembly work
-on whole chunks, and ``map_chunks`` builds the local tables of the chunks on
-every CPU the process may run on. Every global matrix is summed from stacks
-of dense local blocks (``sum_blocks``), stack by stack in the order given:
-on all DOFs on the pattern of their union, the sorted keys of the blocks'
-entries (``block_pattern``, and ``assemble`` on top of it); in a solve
-straight into the fronts of its Cholesky factorization, at the positions
-its analysis gives (``cholesky.analyse``). The stacks come in one order:
-the cell chunks in ``elem_ctxs`` order (vertex counts increasing, cell ids
-increasing inside each), then any edge stacks (at k = 0 the jump stacks,
-as ``build_jump_penalisation`` returns them). The chunks split each group
-into consecutive id ranges, so neither the chunks nor the CPU count change
-a bit of it. Where the contributions of several cells to a shared DOF meet
+on whole chunks, and ``map_chunks`` maps a function over the chunks on every
+CPU the process may run on, one chunk at a time per CPU. Every global
+matrix is summed from stacks of dense local blocks (``sum_blocks``), stack
+by stack in the order given: on all DOFs on the pattern of their union, the
+sorted keys of the blocks' entries (``block_pattern``, and ``assemble`` on
+top of it); in a solve straight into the fronts of its Cholesky
+factorization, at the positions its analysis gives (``cholesky.analyse``).
+The stacks come in one order: the cell chunks in ``elem_ctxs`` order
+(vertex counts increasing, cell ids increasing inside each), then any edge
+stacks (at k = 0 the jump stacks, as ``build_jump_penalisation`` returns
+them, which a solve splits into consecutive edge chunks). The chunks split
+each group into consecutive id ranges, so neither the chunks nor the CPU
+count change a bit of it. Where the contributions of several cells to a shared DOF meet
 in a matrix, they meet in these sums: the fronts of a solve (each cell's
 Schur-complemented block), its right-hand side, and the full matrix. The
 one exception, the k = 0 jump operator, has at most two addends per entry,
@@ -137,10 +138,14 @@ def sum_blocks(slots, blocks, n_entries: int) -> np.ndarray:
     adds a stack's blocks in order and each block in row-major order, as
     ``np.bincount`` would on the concatenated stacks; no stack is copied
     whole. Stacks that split a sequence of blocks into consecutive parts
-    therefore give the same data bit for bit however they split it."""
+    therefore give the same data bit for bit however they split it. The
+    blocks may come from a generator: a stack is dropped here before the
+    next one is asked for, so one stack at a time need be alive."""
     out = np.zeros(n_entries)
-    for s, b in zip(slots, blocks):
-        np.add.at(out, np.ravel(s), np.ravel(b))
+    slots = iter(slots)
+    for b in blocks:
+        np.add.at(out, np.ravel(next(slots)), np.ravel(b))
+        del b
     return out
 
 

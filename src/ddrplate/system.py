@@ -5,20 +5,23 @@ divergence stiffness, stabilisation + jump, the shear form built from the DDR
 L2 product and the global gradient) are kept once per (mesh, degree) as the
 cell blocks they are summed from, and recombined with scalar material
 factors per solve, so thickness and material sweeps reuse all local
-constructions and every solve factors the same pattern. A solve forms
-each cell's matrix from its blocks once, eliminates the element-interior
-DOFs cell by cell (static condensation) and factors the Schur complement on
-the remaining free DOFs, which are numbered once per mesh and degree by a
-nested dissection of the mesh, by a supernodal Cholesky factorization whose
-supernodes are the nodes of the separator tree (``cholesky``). Each cell's
-Schur-complemented block is summed straight into the fronts of that
-factorization, at positions found from the graph entry of the two mesh
-entities of each block entry; no other matrix is formed.
+constructions and every solve factors the same pattern. Each chunk's local
+tables are built and reduced to its kept blocks by one function, on one
+CPU, and dropped there. A solve forms each cell's matrix from its blocks
+once, eliminates the element-interior DOFs cell by cell (static
+condensation) and factors the Schur complement on the remaining free DOFs,
+which are numbered once per mesh and degree by a nested dissection of the
+mesh, by a supernodal Cholesky factorization whose supernodes are the nodes
+of the separator tree (``cholesky``). Each chunk's Schur-complemented
+blocks are summed straight into the fronts of that factorization before the
+next chunk's are formed, at positions found from the graph entry of the two
+mesh entities of each block entry; no other matrix is formed.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -30,11 +33,11 @@ from scipy.sparse.linalg import splu
 
 from .cholesky import _BLOCK, Cholesky, analyse
 from .errors import SolverFailure, ZeroNormError
-from .hho import _t, build_hho_packs, build_jump_penalisation, jump_form
-from .operators import build_global_gradient, build_packs
+from .hho import _t, build_hho_pack, build_jump_penalisation, jump_form, jump_restriction
+from .operators import assemble_gradient, build_local_pack, gradient_rows
 from .polyspace import dim_P, mass
-from .spaces import (Discretization, ThetaVector, UVector, at_points,
-                     block_pattern, boundary_dof_sets, sum_blocks)
+from .spaces import (Discretization, ThetaVector, UVector, at_points, block_pattern,
+                     boundary_dof_sets, cell_chunks, map_chunks, sum_blocks)
 
 _GS_METRIC = np.array([1.0, 2.0, 1.0])   # contraction weights for [11, 12, 22]
 _RESIDUAL_TOL = 1e-10                      # solver backward-error gate
@@ -145,6 +148,27 @@ def _cell_blocks(p, h, g: np.ndarray, k: int):
     return s0, s1, shear
 
 
+def _local_blocks(disc: Discretization, ctx) -> tuple:
+    """The local tables of one cell chunk, reduced to what the build keeps:
+    its global DOFs and cell blocks (``_cell_blocks``), its displacement
+    reconstructions P_U, the worst condition number of its local systems,
+    its element block of G (``gradient_rows``) and at k = 0 its
+    ``jump_restriction``. The tables are dropped when it returns, on the
+    thread that built them, so each CPU holds one chunk's tables at most."""
+    pack = build_local_pack(ctx)
+    hho = build_hho_pack(ctx, pack)
+    gradient, (t_dofs, u_dofs, g) = gradient_rows(disc, ctx, pack)
+    blocks = _cell_blocks(pack, hho, g, disc.k)
+    # the sums of a solve start from 0.0, which turns a -0.0 addend into
+    # 0.0: so do the kept cell blocks, and an entry with one addend
+    # (every entry of an interior row) is its block entry bit for bit
+    for block in blocks:
+        block += 0.0
+    return ((np.concatenate([t_dofs, disc.theta_space.dim + u_dofs], axis=1),) + blocks,
+            pack.PU, max(pack.cond, hho.cond), gradient,
+            jump_restriction(ctx, pack, hho) if disc.k == 0 else None)
+
+
 def _cell_axis_fastest(blocks: np.ndarray) -> np.ndarray:
     """A copy of stacked blocks with the cell axis fastest in memory. numpy's
     matmul hands no such stack of two or more cells to BLAS: the stacked
@@ -169,10 +193,18 @@ def _exponent(*vectors: np.ndarray) -> int:
 
 def _free_row_sums(dofs: np.ndarray, blocks: np.ndarray, dirichlet: np.ndarray) -> np.ndarray:
     """The row sums of |K| for the stacked blocks K on the DOFs ``dofs``,
-    over their columns that are not ``dirichlet``, per global DOF."""
+    over their columns that are not ``dirichlet``, per block row."""
     free = (~dirichlet[dofs]).astype(float)
-    return np.bincount(dofs.ravel(), np.einsum("ijk,ik->ij", np.abs(blocks), free).ravel(),
-                       len(dirichlet))
+    return np.einsum("ijk,ik->ij", np.abs(blocks), free)
+
+
+def _matrix_norm(sums: np.ndarray, free: np.ndarray) -> float:
+    """||K|| from the free row sums of |K| so far: their largest; a
+    ``SolverFailure`` if it overflows."""
+    knorm = float(np.max(sums[free], initial=0.0))
+    if not np.isfinite(knorm):
+        raise SolverFailure(f"the plate matrix overflows: ||K|| = {knorm}")
+    return knorm
 
 
 def _nested_dissection(indptr: np.ndarray, indices: np.ndarray, xy: np.ndarray,
@@ -361,36 +393,35 @@ class PlateSystem:
     vertices that hold them, with its ``separator_tree`` and the
     ``ordering`` record every solve reports. The symbolic analysis of the
     Cholesky factorization on the separator tree is done once too, and each
-    block keeps the positions of its B x B entries in the factor. A solve
-    forms each cell's matrix from its blocks, eliminates the interiors cell
-    by cell and sums the Schur-complemented blocks straight into the
-    factorization's fronts; no matrix on all DOFs is formed (``full_matrix``
-    assembles one on demand)."""
+    block keeps the positions of its B x B entries in the factor. Each
+    chunk's blocks come from its local tables (``_local_blocks``), which no
+    other chunk waits for, and ``stages`` holds the wall times of the
+    build's stages. A solve forms each cell's matrix from its blocks,
+    eliminates the interiors cell by cell and sums the Schur-complemented
+    blocks straight into the factorization's fronts, one chunk at a time;
+    no matrix on all DOFs is formed (``full_matrix`` assembles one on
+    demand)."""
 
     def __init__(self, disc: Discretization):
         self.disc = disc
-        packs = build_packs(disc)
-        hho = build_hho_packs(disc, packs)
-        # the displacement reconstructions are all the load vector needs
-        self.PU = [pack.PU for pack in packs]
-        # worst condition number of the local P_T, P_U and strain-reconstruction systems
-        self.local_cond = max(pack.cond for pack in packs + hho)
         self.n_theta, self.n_u = disc.theta_space.dim, disc.u_space.dim
         n = self.n_theta + self.n_u
-
-        self.G, cell_G = build_global_gradient(disc, packs)
-        blocks = [(np.concatenate([t_dofs, self.n_theta + u_dofs], axis=1),)
-                  + _cell_blocks(p, h, g, disc.k)
-                  for p, h, (t_dofs, u_dofs, g) in zip(packs, hho, cell_G)]
+        # the wall times of the build's stages: the local tables and cell
+        # blocks, the ordering, and the analysis of the factorization
+        self.stages = {}
+        started = time.perf_counter()
+        # each chunk's local tables become its kept blocks on one CPU
+        blocks, self.PU, cond, gradient, rests = zip(
+            *map_chunks(functools.partial(_local_blocks, disc), disc.elem_ctxs))
+        self.stages["local_s"] = time.perf_counter() - started
+        # worst condition number of the local P_T, P_U and strain-reconstruction systems
+        self.local_cond = max(cond)
+        self.G = assemble_gradient(disc, gradient)
         # k = 0: the jump operator's edge stacks, whose form joins s0
-        jump = build_jump_penalisation(disc, packs, hho) if disc.k == 0 else []
-        del packs, hho, cell_G                  # every block is built
-        # the sums of a solve start from 0.0, which turns a -0.0 addend into
-        # 0.0: so do the kept cell blocks, and an entry with one addend
-        # (every entry of an interior row) is its block entry bit for bit
-        for block in [b for _, *bs in blocks for b in bs]:
-            block += 0.0
+        jump = build_jump_penalisation(disc, rests) if disc.k == 0 else []
+        del gradient, rests
 
+        started = time.perf_counter()
         th_d, u_d = boundary_dof_sets(disc)
         dir_mask = np.zeros(n, dtype=bool)
         dir_mask[th_d] = True
@@ -474,7 +505,9 @@ class PlateSystem:
             "method": "nested dissection", "depth": int(depth.max()),
             "top_separator": int(np.count_nonzero(self.separator_tree[0] == len(parent) - 1)),
             "supernodes": len(parent)}
+        self.stages["ordering_s"] = time.perf_counter() - started
 
+        started = time.perf_counter()
         # the fronts of the Cholesky factorization, from the entity graph in
         # the new order, and the factor position of each graph entry's block
         graph = graph[entity_order][:, entity_order]
@@ -508,6 +541,7 @@ class PlateSystem:
         # (the form's blocks are jump_form(J_E, h_E), formed where summed),
         # and the positions of the blocks' entries in the factor
         self._jump = [(idx, J, h, a) for (idx, J, h), a in zip(jump, at[len(blocks):])]
+        self.stages["analysis_s"] = time.perf_counter() - started
 
     # -- bilinear forms -----------------------------------------------------
 
@@ -553,33 +587,51 @@ class PlateSystem:
             vals.append((beta0 / h[:, None, None] * (_t(J) @ (J @ x[idx][..., None]))).ravel())
         return np.bincount(np.concatenate(at), np.concatenate(vals), len(x))
 
-    def _cell_parts(self, scales: tuple[float, float, float]):
-        """Per chunk, from its cell matrices K_T = beta0 s0 + beta1 s1 +
-        (kappa/t^2) s2, formed once and symmetric bit for bit: K_BB, and K_II
-        and K_IB (none at k = 0, where no DOF is interior); then the k = 0
-        jump stacks beta0 J_E^T J_E / h_E after the K_BB. Only its own cell
-        adds to an interior row, so K_II and K_IB equal the slices of
-        ``full_matrix`` bit for bit. And per DOF, the row sums of |K_T| and of
-        the jump stacks over the free columns."""
+    def _cell_parts(self, scales: tuple[float, float, float], rhs: np.ndarray,
+                    sums: np.ndarray, interior: list):
+        """The stacks a solve sums into the fronts of its factorization, one
+        chunk at a time, each formed only once the previous one is summed.
+        Per cell chunk, from its cell matrices K_T = beta0 s0 + beta1 s1 +
+        (kappa/t^2) s2, formed once and symmetric bit for bit: each cell's
+        K_BB less its Schur block K_BI K_II^{-1} K_IB, symmetrised (K_BB =
+        K_T at k = 0, where no DOF is interior), from one stacked solve
+        K_II^{-1} [K_IB | r_I] with the interior rows of ``rhs``. Only its own
+        cell adds to an interior row, so K_II and K_IB equal the slices of
+        ``full_matrix`` bit for bit; ``interior`` gets (block, K_II, K_IB,
+        K_II^{-1} K_IB, K_II^{-1} r_I) per chunk. Then the k = 0 jump stacks
+        beta0 J_E^T J_E / h_E, in edge chunks split as ``cell_chunks`` splits
+        a group of cells. ``sums`` gets, per DOF, the row sums of |K_T| and
+        of the jump stacks over the free columns; a chunk whose sums overflow
+        is a ``SolverFailure`` before its interior solve."""
         beta0, beta1, c = scales
-        sums = np.zeros(len(self.dirichlet_mask))
-        stacks, condensing = [], []
+        mask = self.dirichlet_mask
         for b in self._blocks:
             nt = b.s0.shape[1]
             K = c * b.shear
             K[:, :nt, :nt] += beta0 * b.s0 + beta1 * b.s1
-            sums += _free_row_sums(b.dofs, K, self.dirichlet_mask)
-            if not b.inner.size:                 # k = 0: all the cell's DOFs are B
-                stacks.append(K)
-            else:
-                stacks.append(K[:, b.outer[:, None], b.outer])
+            sums += np.bincount(b.dofs.ravel(), _free_row_sums(b.dofs, K, mask).ravel(),
+                                len(mask))
+            _matrix_norm(sums, self.free)
+            if b.inner.size:
                 rows = K[:, b.inner]
-                condensing.append((b, _cell_axis_fastest(rows[:, :, b.inner]),
-                                   _cell_axis_fastest(rows[:, :, b.outer])))
+                kii = _cell_axis_fastest(rows[:, :, b.inner])
+                kib = _cell_axis_fastest(rows[:, :, b.outer])
+                X = _interior_solve(kii, np.concatenate(
+                    [kib, rhs[b.dofs[:, b.inner]][..., None]], axis=2))
+                interior.append((b, kii, kib, X[..., :-1], X[..., -1]))
+                K = K[:, b.outer[:, None], b.outer]
+                del rows
+                K -= _sym(_t(kib) @ X[..., :-1])
+            yield K
+            del K
         for idx, J, h, _ in self._jump:
-            stacks.append(beta0 * jump_form(J, h))
-            sums += _free_row_sums(idx, stacks[-1], self.dirichlet_mask)
-        return stacks, condensing, sums
+            vals = []
+            for i, j, e in zip(cell_chunks(idx), cell_chunks(J), cell_chunks(h)):
+                K = beta0 * jump_form(j, e)
+                vals.append(_free_row_sums(i, K, mask))
+                yield K
+                del K
+            sums += np.bincount(idx.ravel(), np.concatenate(vals).ravel(), len(mask))
 
     def load_vector(self, f) -> np.ndarray:
         """l_h(v) = sum_T int_T f * (displacement reconstruction of v)."""
@@ -618,13 +670,12 @@ class PlateSystem:
             sn = self._supernodes
             # all the solve takes from K, all from the kept blocks: the
             # Dirichlet lift K x_D (none where x_D = 0; otherwise stacked
-            # products with the blocks, as the residuals are), and per chunk
-            # the blocks K_BB, K_II and K_IB of its cell matrices K_T, formed
-            # once (at k = 0 the jump stacks join them), and ||K||: the
-            # largest free row sum of sum_T |K_T|, which bounds |K_ff| entry
-            # by entry. Material data near the top of the double range can
-            # overflow K or ||K||: the check below reports it, with no
-            # warning on the way
+            # products with the blocks, as the residuals are), per chunk the
+            # blocks K_BB, K_II and K_IB of its cell matrices K_T, formed once
+            # (at k = 0 the jump stacks join them), and ||K||: the largest
+            # free row sum of sum_T |K_T|, which bounds |K_ff| entry by entry.
+            # Material data near the top of the double range can overflow K
+            # or ||K||: the solve reports it, with no warning on the way
             with np.errstate(over="ignore", invalid="ignore"):
                 if x.any():
                     rhs = load - self._matvec(scales, x)
@@ -632,10 +683,18 @@ class PlateSystem:
                     rhs = load.copy()
                 rhs[self.dirichlet_mask] = 0.0
                 started = time.perf_counter()
-                stacks, condensing, sums = self._cell_parts(scales)
-                knorm = float(np.max(sums[free], initial=0.0))
-            if not np.isfinite(knorm):
-                raise SolverFailure(f"the plate matrix overflows: ||K|| = {knorm}")
+                # eliminate the interior DOFs chunk by chunk and sum each
+                # cell's Schur-complemented block, symmetric bit for bit so
+                # that the lower triangle the factorization reads is the whole
+                # matrix, then the jump stacks, straight into the fronts of
+                # the factorization: one chunk's stack at a time beside them
+                sums, interior = np.zeros(n), []
+                fronts = sum_blocks([b.at for b in self._blocks]
+                                    + [a for *_, at in self._jump for a in cell_chunks(at)],
+                                    self._cell_parts(scales, rhs, sums, interior),
+                                    int(sn.offset[-1]) + 1)
+            knorm = _matrix_norm(sums, free)
+            report.condense_s = time.perf_counter() - started
             # relative residual = normwise backward error on the full K_ff,
             # ||r|| / (||K|| ||x|| + ||b||); the naive ||r||/||b|| is floored at
             # eps*||K||*||x||/||b|| by cancellation in K@x when kappa/t^2 is
@@ -643,24 +702,6 @@ class PlateSystem:
             # does not change when K and b are scaled together, so r and b are
             # taken over ||K||, and every norm on a scaled vector
             rhs_norm = _norm(rhs / knorm)
-            # eliminate the interior DOFs: per chunk one stacked solve
-            # K_II^{-1} [K_IB | r_I], and each cell's K_BB less its Schur
-            # block K_BI K_II^{-1} K_IB, symmetrised, so that the matrix the
-            # factorization reads the lower triangle of is symmetric bit for
-            # bit. The blocks, then the jump stacks, are summed straight into
-            # the fronts of the factorization
-            interior, ys = [], []
-            for i, (b, kii, kib) in enumerate(condensing):
-                X = _interior_solve(kii, np.concatenate(
-                    [kib, rhs[b.dofs[:, b.inner]][..., None]], axis=2))
-                interior.append((b, kii, kib, X[..., :-1]))
-                ys.append(X[..., -1])
-                stacks[i] -= _sym(_t(kib) @ X[..., :-1])
-            del condensing
-            fronts = sum_blocks([b.at for b in self._blocks] + [at for *_, at in self._jump],
-                                stacks, int(sn.offset[-1]) + 1)
-            del stacks
-            report.condense_s = time.perf_counter() - started
             chol = None
             if n_c:
                 # no symmetric scaling D K D: it would only rescale the
@@ -678,22 +719,22 @@ class PlateSystem:
                 system gives x_B, then x_I = K_II^{-1} (r_I - K_IB x_B)."""
                 if ys is None:
                     ys = [_interior_solve(kii, r[b.dofs[:, b.inner]][..., None])[..., 0]
-                          for b, kii, _, _ in interior]
+                          for b, kii, *_ in interior]
                 rc = r[self.factored]
                 if ys:
-                    rc -= sum_blocks([b.rows for b, _, _, _ in interior],
-                                     (y[:, None] @ kib for (_, _, kib, _), y in zip(interior, ys)),
+                    rc -= sum_blocks([b.rows for b, *_ in interior],
+                                     (y[:, None] @ kib for (_, _, kib, *_), y in zip(interior, ys)),
                                      n_c + 1)[:-1]
                 xc = np.zeros(n_c + 1)          # the last entry stands for Dirichlet DOFs
                 if chol is not None:
                     xc[:-1] = chol.solve(rc)
                 out = np.zeros(n)
                 out[self.factored] = xc[:-1]
-                for (b, _, _, xb), y in zip(interior, ys):
+                for (b, _, _, xb, _), y in zip(interior, ys):
                     out[b.dofs[:, b.inner]] = y - (xb @ xc[b.rows, None])[..., 0]
                 return out
 
-            x += free_solve(rhs, ys)
+            x += free_solve(rhs, [y for *_, y in interior])
 
             def residual():
                 r = load - self._matvec(scales, x)

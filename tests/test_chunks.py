@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import ddrplate.hho as hho
 import ddrplate.operators as operators
 import ddrplate.spaces as spaces
 import ddrplate.system
@@ -92,6 +93,40 @@ def test_chunked_threaded_build_equals_the_serial_unchunked_one(name, k, solutio
     assert plate.local_cond == ref_plate.local_cond
 
 
+@pytest.mark.parametrize("name,k", [("tri_n8", 0), ("tri_n8", 3), ("hexa_02", 1),
+                                    ("locref_02", 0)])
+def test_per_chunk_build_equals_the_all_chunk_builders(name, k, monkeypatch):
+    """``PlateSystem`` builds each chunk's tables and blocks in one function
+    and drops the tables; the builders of every chunk's tables at once
+    (``build_packs``, ``build_hho_packs``, ``build_global_gradient``,
+    ``build_jump_penalisation`` on the restrictions of all chunks) and
+    ``_cell_blocks`` give the same G, P_U, worst condition number, cell
+    blocks and jump stacks bit for bit, in chunks of 16 cells on two CPUs."""
+    monkeypatch.setattr(spaces, "_CHUNK_CELLS", 16)
+    _cpus(monkeypatch, 2)
+    mesh = triangular_mesh(8) if name == "tri_n8" else load_mesh(str(ASSETS / f"{name}.json"))
+    disc = spaces.Discretization(mesh, k)
+    plate = PlateSystem(disc)
+    packs = build_packs(disc)
+    hho_packs = hho.build_hho_packs(disc, packs)
+    G, rows = operators.build_global_gradient(disc, packs)
+    for a, b in [(G.data, plate.G.data), (G.indices, plate.G.indices), (G.indptr, plate.G.indptr)]:
+        assert _same_bits(a, b)
+    assert plate.local_cond == max(p.cond for p in packs + hho_packs)
+    assert len(plate._blocks) == len(packs) > 1
+    for b, p, h, (_, _, g) in zip(plate._blocks, packs, hho_packs, rows):
+        for kept, built in zip((b.s0, b.s1, b.shear), ddrplate.system._cell_blocks(p, h, g, k)):
+            assert _same_bits(kept, built + 0.0)
+    for a, p in zip(plate.PU, packs):
+        assert _same_bits(a, p.PU)
+    jump = (hho.build_jump_penalisation(disc, [hho.jump_restriction(*t) for t in
+                                               zip(disc.elem_ctxs, packs, hho_packs)])
+            if k == 0 else [])
+    assert len(jump) == len(plate._jump)
+    for (idx, J, h), (kidx, kJ, kh, _) in zip(jump, plate._jump):
+        assert _same_bits(idx, kidx) and _same_bits(J, kJ) and _same_bits(h, kh)
+
+
 def test_singular_cell_in_a_worker_chunk_reaches_the_caller(monkeypatch):
     """A singular rotation-potential system on one cell of the second chunk
     of 288 triangles: the worker thread that builds that chunk fails, and
@@ -117,6 +152,47 @@ def test_singular_cell_in_a_worker_chunk_reaches_the_caller(monkeypatch):
     assert ran_on[id(disc.elem_ctxs[0])] is threading.current_thread()
     worker = ran_on[id(ctx)]
     assert worker is not threading.current_thread()
+    assert not worker.is_alive()
+    assert set(threading.enumerate()) == before
+
+
+def test_an_earlier_chunk_failing_later_is_the_error_raised(monkeypatch):
+    """Chunk 0 of 288 triangles fails in its HHO strain reconstruction on
+    the calling thread, 0.2 s after chunk 1 has failed in its DDR pack on
+    the worker thread. Each chunk's tables are built by one function, DDR
+    pack then HHO pack, so the caller gets chunk 0's error, as a serial
+    build would raise it, with no thread left running."""
+    _cpus(monkeypatch, 2)
+    disc = spaces.Discretization(triangular_mesh(12), 1)
+    first, second = disc.elem_ctxs
+    second.croly.coef[5, :, :dim_P(second.k - 1)] = 0.0
+    bad = int(first.ids[3])
+    failed = []
+    build, check = ddrplate.system.build_local_pack, hho._check_cond
+
+    def spy_build(ctx):
+        try:
+            return build(ctx)
+        except SingularLocalSystem:
+            failed.append((ctx, threading.current_thread()))
+            raise
+
+    def spy_check(ctx, mats, what):
+        if ctx is first:
+            time.sleep(0.2)
+            mats = mats.copy()
+            mats[3, :, 0] = 0.0
+            failed.append((ctx, threading.current_thread()))
+        return check(ctx, mats, what)
+
+    monkeypatch.setattr(ddrplate.system, "build_local_pack", spy_build)
+    monkeypatch.setattr(hho, "_check_cond", spy_check)
+    before = set(threading.enumerate())
+    with pytest.raises(SingularLocalSystem, match=f"element {bad}: strain reconstruction"):
+        PlateSystem(disc)
+    (ctx1, worker), (ctx0, caller) = failed
+    assert (ctx1, ctx0) == (second, first)
+    assert caller is threading.current_thread() and worker is not caller
     assert not worker.is_alive()
     assert set(threading.enumerate()) == before
 

@@ -139,10 +139,14 @@ def test_metadata_records_the_solver_per_mesh(tmp_path):
                                "local_cond", "condense_s", "factor_s", "ordering"}
         assert solver["ordering"] == {"method": "nested dissection", "depth": depth,
                                       "top_separator": top, "supernodes": supernodes}
-        assert set(stages) == {"discretization_s", "plate_system_s", "solve_s", "cells",
-                               "edges", "dofs", "peak_rss_mb", "discretization_mb",
-                               "plate_system_mb"}
+        assert set(stages) == {"discretization_s", "plate_system_s", "solve_s", "local_s",
+                               "ordering_s", "analysis_s", "cells", "edges", "dofs",
+                               "peak_rss_mb", "discretization_mb", "plate_system_mb"}
         assert all(stages[s] > 0.0 for s in ("discretization_s", "plate_system_s", "solve_s"))
+        # PlateSystem's own stages: the local tables and cell blocks, the
+        # ordering, and the analysis of the factorization
+        own = [stages[s] for s in ("local_s", "ordering_s", "analysis_s")]
+        assert min(own) >= 0.0 and sum(own) <= stages["plate_system_s"]
         assert stages["discretization_s"] + stages["plate_system_s"] + stages["solve_s"] \
             == pytest.approx(rec.time, rel=1e-12)
         assert (stages["cells"], stages["edges"]) == (2 * n * n, 3 * n * n + 2 * n)

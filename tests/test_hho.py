@@ -5,7 +5,8 @@ from scipy.special import roots_legendre
 from conftest import ASSETS, cell, cells, per_group, refined_quadrature
 from ddrplate.errors import SingularLocalSystem
 from ddrplate.hho import (build_hho_pack, build_hho_packs, build_jump_penalisation,
-                          build_tensor_gradient, jump_form, local_theta_interpolation)
+                          build_tensor_gradient, jump_form, jump_restriction,
+                          local_theta_interpolation)
 from ddrplate.mesh import load_mesh, triangular_mesh
 from ddrplate.operators import (_edge_restriction, _theta_slices, _vp_k,
                                 build_local_pack, build_packs)
@@ -249,16 +250,21 @@ def test_difference_operators_vanish_on_interpolates(cache, rng, k):
 # jump penalisation (k = 0)
 
 
+def _jump_stacks(disc, packs, hho):
+    """The jump operator's edge stacks, from every chunk's restrictions."""
+    return build_jump_penalisation(
+        disc, [jump_restriction(*tables) for tables in zip(disc.elem_ctxs, packs, hho)])
+
+
 def _jump_blocks(disc, packs, hho):
     """``assemble`` stacks of the jump form's blocks on each edge's DOFs."""
-    return [(idx, idx, jump_form(J, h))
-            for idx, J, h in build_jump_penalisation(disc, packs, hho)]
+    return [(idx, idx, jump_form(J, h)) for idx, J, h in _jump_stacks(disc, packs, hho)]
 
 
 def test_jump_rejects_higher_degree(cache):
     disc = cache.disc("tri", 1)
     with pytest.raises(ValueError):
-        build_jump_penalisation(disc, cache.packs("tri", 1), cache.hho("tri", 1))
+        _jump_stacks(disc, cache.packs("tri", 1), cache.hho("tri", 1))
 
 
 def test_jump_vanishes_on_affine_interior(cache):

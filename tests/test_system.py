@@ -15,7 +15,7 @@ from ddrplate.hho import jump_form
 from ddrplate.mesh import build_mesh, load_mesh, triangular_mesh
 from ddrplate.operators import assemble_theta_product, build_packs
 from ddrplate.polyspace import dim_croly, dim_P, dim_roly
-from ddrplate.spaces import (Discretization, ThetaVector, UVector, assemble,
+from ddrplate.spaces import (Discretization, ThetaVector, UVector, assemble, cell_chunks,
                              interpolate_theta, interpolate_u)
 from ddrplate.system import MaterialParams, PlateSystem
 
@@ -839,9 +839,10 @@ def test_cell_blocks_and_condensed_data_are_bitwise_symmetric(case, monkeypatch)
     forms summed from them and the full matrix. Without the symmetrisation
     the G^T M G blocks of tri k = 3 differ from their transposes by
     round-off. A solve sums the fronts of its factorization in one
-    ``sum_blocks`` call, from each cell's K_BB less its symmetrised Schur
-    block and the jump stacks: every block of it is symmetric bit for bit,
-    so the lower triangle that the fronts keep is the whole matrix."""
+    ``sum_blocks`` call, from the stacks a generator hands over one chunk at
+    a time: each cell's K_BB less its symmetrised Schur block, then the jump
+    stacks in edge chunks. Every block of them is symmetric bit for bit, so
+    the lower triangle that the fronts keep is the whole matrix."""
     family, k = case
     system = PlateSystem(Discretization(_order_mesh(family), k))
     for b in system._blocks:
@@ -861,8 +862,9 @@ def test_cell_blocks_and_condensed_data_are_bitwise_symmetric(case, monkeypatch)
     sum_blocks = ddrplate.system.sum_blocks
 
     def spy(slots, blocks, n):
+        blocks = list(blocks)                           # the stacks a generator hands over
         out = sum_blocks(slots, blocks, n)
-        sums.append((list(blocks), out.copy()))       # the factorization overwrites it
+        sums.append((blocks, out.copy()))               # the factorization overwrites it
         return out
 
     monkeypatch.setattr(ddrplate.system, "sum_blocks", spy)
@@ -873,7 +875,8 @@ def test_cell_blocks_and_condensed_data_are_bitwise_symmetric(case, monkeypatch)
               if len(out) == system._supernodes.offset[-1] + 1]
     assert len(fronts) == len(factored) == 1
     (blocks, out), = fronts
-    assert len(blocks) == len(system._blocks) + len(system._jump)
+    assert len(blocks) == len(system._blocks) + sum(len(cell_chunks(idx))
+                                                    for idx, *_ in system._jump)
     for block in blocks:
         assert np.array_equal(block, np.swapaxes(block, 1, 2))
     assert out[:-1].tobytes() == factored[0].tobytes()

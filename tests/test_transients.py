@@ -1,10 +1,12 @@
 """The build and the solve hold no full-size temporary they do not need:
 ``sum_blocks`` adds the stacks one by one and equals the former
 flatten-and-bincount sum bit for bit, the build's transient peak stays
-near what it keeps, and no full matrix is alive while the Cholesky
-factorization runs."""
+near what it keeps plus one chunk's local tables per CPU, a solve hands
+its stacks to the fronts of the factorization one chunk at a time, and no
+full matrix is alive while the Cholesky factorization runs."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -35,8 +37,9 @@ def _same_bits(a, b):
 def _sum_calls(name, k, monkeypatch, rng):
     """The ``sum_blocks`` calls of a build in chunks of 16 cells: the three
     of ``full_matrix`` and those of a solve, the one into the fronts of the
-    factorization first, and the full matrix's data; for "random", stacks of
-    mixed block shapes (one of them empty), with no data."""
+    factorization first (every stack its generator hands over, kept), and
+    the full matrix's data; for "random", stacks of mixed block shapes (one
+    of them empty), with no data."""
     if name == "random":
         shapes = [(5, 2, 3), (4, 1, 1), (6, 3, 2), (0, 2, 2)]
         stacks = ([rng.integers(0, 17, s).astype(np.int32) for s in shapes],
@@ -48,6 +51,7 @@ def _sum_calls(name, k, monkeypatch, rng):
     calls = []
 
     def spy(slots, blocks, n_entries):
+        # the stacks a generator hands over, all kept
         calls.append((list(slots), list(blocks), n_entries))
         return sum_blocks(calls[-1][0], calls[-1][1], n_entries)
 
@@ -64,10 +68,12 @@ def _sum_calls(name, k, monkeypatch, rng):
     combined = material.beta0 * s0 + material.beta1 * s1
     combined += material.shear_over_t2 * s2
     assert _same_bits(combined, data)
-    # a solve sums the fronts in one call, the cell chunks then the jump stacks
+    # a solve sums the fronts in one call, the cell chunks then the jump
+    # stacks in edge chunks
     plate.solve(material, plate.load_vector(lambda x: np.ones(len(x))))
     fronts = calls[3]
-    assert len(fronts[0]) == cell_stacks + len(plate._jump)
+    assert len(fronts[0]) == cell_stacks + sum(len(spaces.cell_chunks(idx))
+                                               for idx, *_ in plate._jump)
     assert fronts[2] == plate._supernodes.offset[-1] + 1
     assert all(n != fronts[2] for _, _, n in calls[4:])
     return calls, data
@@ -90,13 +96,19 @@ def test_sum_blocks_equals_the_bincount_oracle(name, k, monkeypatch, rng):
         assert _same_bits(sum_blocks([], [], 4), np.zeros(4))
 
 
-def test_build_peak_stays_near_what_it_keeps():
-    """The traced peak of a build at tri n=12, k = 3 is at most what the
-    build keeps (its cell blocks, most of it) plus 1.1 times the local
-    tables it builds them from, which hold the last chunk's temporaries
-    too: measured 42.6 against 42.3 MB kept and tables, with 2.3 MB to the
-    bound, while one sum on the full pattern would add 6.9 MB."""
+def test_build_peak_stays_near_what_it_keeps(monkeypatch):
+    """The traced peak of a build at tri n=12, k = 3 in 18 chunks of 16
+    cells is at most what the build keeps (its cell blocks, most of it) plus
+    2.5 times the local tables of one chunk per CPU that builds them: each
+    CPU builds a chunk's tables, reduces them to its kept blocks and drops
+    them before it starts the next. Measured 2.77 MB over the 18.29 MB kept
+    on one to three CPUs, 2.26 times one chunk's 1.23 MB of tables (the peak
+    comes after the tables, in G's assembly); building every chunk's tables
+    before any block, as before, added 19.8 MB, 16.1 times them."""
+    monkeypatch.setattr(spaces, "_CHUNKS", 32)
+    monkeypatch.setattr(spaces, "_CHUNK_CELLS", 16)
     disc = Discretization(triangular_mesh(12), 3)
+    assert len(disc.elem_ctxs) == 18
     tracemalloc.start()
     try:
         plate = PlateSystem(disc)
@@ -106,8 +118,64 @@ def test_build_peak_stays_near_what_it_keeps():
     blocks = sum(b.s0.nbytes + b.s1.nbytes + b.shear.nbytes for b in plate._blocks)
     assert 0.5 * kept < blocks < kept
     packs = build_packs(disc)
-    tables = [packs, build_hho_packs(disc, packs), build_global_gradient(disc, packs)]
-    assert peak <= kept + 1.1 * sum(_base_arrays(tables).values())
+    _, rows = build_global_gradient(disc, packs)
+    chunk = max(sum(_base_arrays(tables).values())
+                for tables in zip(packs, build_hho_packs(disc, packs), rows))
+    cpus = min(spaces._cpu_count(), len(disc.elem_ctxs))
+    assert peak <= kept + 2.5 * cpus * chunk
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_one_chunk_stack_is_alive_beside_the_fronts(k, monkeypatch):
+    """A solve hands its stacks to the fronts one chunk at a time, on tri
+    n=16 in 8 chunks of 64 cells (at k = 0 the jump stacks follow in edge
+    chunks): when a stack arrives, every earlier one is gone, and the
+    traced memory beyond what the solve held before the sum is at most the
+    fronts, the interior blocks kept so far (K_II, K_IB and K_II^{-1} [K_IB
+    | r_I] per chunk), the free row sums of the jump stacks so far (one per
+    block row) and this stack, plus 2 KB per earlier stack for the Python
+    objects that hold them and 4 KB (measured at most 2.6 KB). One stack
+    more would add 41 KB at k = 0 and 0.66 MB at k = 3."""
+    monkeypatch.setattr(spaces, "_CHUNK_CELLS", 16)
+    plate = PlateSystem(Discretization(triangular_mesh(16), k))
+    assert len(plate._blocks) == 8
+    n_fronts = int(plate._supernodes.offset[-1]) + 1
+    sum_blocks = ddrplate.system.sum_blocks
+    # the bytes a chunk's interior blocks keep, in the order of the stacks
+    interior = np.cumsum([8 * b.dofs.shape[0] * b.inner.size
+                          * (b.inner.size + 2 * b.outer.size + 1) for b in plate._blocks])
+    excess = []
+
+    def spy(slots, blocks, n_entries):
+        if n_entries != n_fronts:
+            return sum_blocks(slots, blocks, n_entries)
+        before = tracemalloc.get_traced_memory()[0]
+
+        def watched():
+            alive, row_sums = [], 0
+            for i, stack in enumerate(blocks):
+                assert all(ref() is None for ref in alive)
+                alive.append(weakref.ref(stack))
+                if i >= len(interior):
+                    row_sums += 8 * stack.shape[0] * stack.shape[1]
+                held = (8 * n_entries + interior[min(i, len(interior) - 1)] + row_sums
+                        + stack.nbytes)
+                excess.append(tracemalloc.get_traced_memory()[0] - before - held - 2_000 * i)
+                yield stack
+                del stack
+
+        return sum_blocks(slots, watched(), n_entries)
+
+    monkeypatch.setattr(ddrplate.system, "sum_blocks", spy)
+    tracemalloc.start()
+    try:
+        _, report, _ = solve_case(plate, MaterialParams(t=1e-3), "polynomial")
+    finally:
+        tracemalloc.stop()
+    assert report.residual <= 1e-10
+    assert len(excess) == len(plate._blocks) + sum(len(spaces.cell_chunks(idx))
+                                                   for idx, *_ in plate._jump)
+    assert max(excess) <= 4_000
 
 
 def test_no_matrix_is_alive_while_the_cholesky_factors(monkeypatch):
