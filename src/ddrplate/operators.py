@@ -215,50 +215,41 @@ def build_packs(disc: Discretization) -> list[LocalOperatorPack]:
 
 
 def gradient_rows(disc: Discretization, ctx: ElementContext, pack: LocalOperatorPack
-                  ) -> tuple[tuple, tuple]:
-    """The rows of the global discrete gradient on the cells of one chunk,
-    from its pack: the element block, as an ``assemble`` stack (element
-    rotation DOFs, displacement DOFs, the Roly/cRoly projections of G_T),
-    and the rows on each cell's rotation DOFs, as a stack (rotation DOFs,
-    displacement DOFs, dense blocks in the local layouts). Those rows read
-    only the cell's displacement DOFs and the normal edge slots are zero
-    rows, so local L2 products times these blocks sum to M G and G^T M G
-    exactly."""
-    sp_t, sp_u = disc.theta_space, disc.u_space
-    k = disc.k
-    u_dofs = sp_u.local_dofs(ctx)
-    block = pack.moments[:, :, _vp_k(k)] @ pack.GT
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the global discrete gradient on each cell's rotation DOFs
+    of one chunk, from its pack: the rotation DOFs, the displacement DOFs
+    and the dense blocks in the local layouts. The element rows are the
+    Roly/cRoly projections of G_T, the tangential edge rows the derivative
+    of the skeleton trace, and the normal ones zero. The rows read only the
+    cell's displacement DOFs, so local L2 products times these blocks sum to
+    M G and G^T M G exactly."""
+    sp_t, k = disc.theta_space, disc.k
     rows = np.zeros((ctx.n_cells, pack.n_theta, pack.n_u))
-    rows[:, :sp_t.elem_dim] = block
+    rows[:, :sp_t.elem_dim] = pack.moments[:, :, _vp_k(k)] @ pack.GT
     # tangential slots: the derivative of the skeleton trace on each edge
     rows[:, sp_t.elem_dim:].reshape(ctx.n_cells, ctx.n_vertices, sp_t.edge_dim,
                                     pack.n_u)[:, :, :k + 1] = (
         disc.edge_ctx.dmat[ctx.edge_ids][:, :, :k + 1] @ pack.trace)
-    return ((sp_t.elem_offset(ctx.ids)[:, None] + np.arange(sp_t.elem_dim), u_dofs, block),
-            (sp_t.local_dofs(ctx), u_dofs, rows))
-
-
-def assemble_gradient(disc: Discretization, element_blocks: list[tuple]) -> sps.csr_matrix:
-    """Global discrete gradient, from the element blocks of every chunk
-    (``gradient_rows``) and the edge blocks, the tangential derivative of
-    the skeleton trace, exact from the trace coefficients."""
-    sp_t, sp_u = disc.theta_space, disc.u_space
-    k, ec = disc.k, disc.edge_ctx
-    edges = np.arange(disc.mesh.n_edges)
-    u_cols = np.concatenate([sp_u.edge_offset(edges)[:, None] + np.arange(k),
-                             sp_u.vertex_offset(disc.mesh.edge_vertices)], axis=1)
-    return assemble(list(element_blocks) + [(sp_t.edge_tangential_slots(edges), u_cols,
-                                              (ec.dmat @ ec.trace)[:, :k + 1])],
-                    (sp_t.dim, sp_u.dim))
+    return sp_t.local_dofs(ctx), disc.u_space.local_dofs(ctx), rows
 
 
 def build_global_gradient(disc: Discretization, packs: list[LocalOperatorPack]
                           ) -> tuple[sps.csr_matrix, list[tuple]]:
     """Global discrete gradient: rotation-space coefficients of the gradient
-    of a displacement vector (``assemble_gradient``), and per cell chunk the
-    rows of G on each cell's rotation DOFs (``gradient_rows``)."""
-    parts = [gradient_rows(disc, ctx, pack) for ctx, pack in zip(disc.elem_ctxs, packs)]
-    return assemble_gradient(disc, [elem for elem, _ in parts]), [cell for _, cell in parts]
+    of a displacement vector, from the element rows of every chunk's rows
+    (``gradient_rows``) and the edge blocks, the tangential derivative of
+    the skeleton trace, exact from the trace coefficients; and per cell
+    chunk those rows of G on each cell's rotation DOFs. No solve forms G:
+    each cell's rows are kept instead."""
+    sp_t, sp_u = disc.theta_space, disc.u_space
+    k, ec, te = disc.k, disc.edge_ctx, disc.theta_space.elem_dim
+    rows = [gradient_rows(disc, ctx, pack) for ctx, pack in zip(disc.elem_ctxs, packs)]
+    edges = np.arange(disc.mesh.n_edges)
+    u_cols = np.concatenate([sp_u.edge_offset(edges)[:, None] + np.arange(k),
+                             sp_u.vertex_offset(disc.mesh.edge_vertices)], axis=1)
+    return assemble([(t[:, :te], u, g[:, :te]) for t, u, g in rows] + [
+        (sp_t.edge_tangential_slots(edges), u_cols, (ec.dmat @ ec.trace)[:, :k + 1])],
+        (sp_t.dim, sp_u.dim)), rows
 
 
 def assemble_theta_product(disc: Discretization, packs: list[LocalOperatorPack]) -> sps.csr_matrix:

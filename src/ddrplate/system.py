@@ -1,14 +1,16 @@
 """Global assembly, boundary conditions, solve, norms and errors.
 
-The expensive, material-independent pieces (symmetric-gradient and
-divergence stiffness, stabilisation + jump, the shear form built from the DDR
-L2 product and the global gradient) are kept once per (mesh, degree) as the
-cell blocks they are summed from, and recombined with scalar material
-factors per solve, so thickness and material sweeps reuse all local
-constructions and every solve factors the same pattern. Each chunk's local
-tables are built and reduced to its kept blocks by one function, on one
-CPU, and dropped there. A solve forms each cell's matrix from its blocks
-once, eliminates the element-interior DOFs cell by cell (static
+The expensive, material-independent pieces are kept once per (mesh,
+degree) as the cell blocks they are summed from: the symmetric-gradient and
+divergence stiffness, stabilisation + jump, and for the shear form each
+cell's DDR L2 product M and its rows g of the global gradient, from which
+[I, -g]^T M [I, -g] is formed where it is summed; neither a build nor a
+solve forms the global gradient. The blocks are recombined with scalar
+material factors per solve, so thickness and material sweeps reuse all
+local constructions and every solve factors the same pattern. Each chunk's
+local tables are built and reduced to its kept blocks by one function, on
+one CPU, and dropped there. A solve forms each cell's matrix from its
+blocks once, eliminates the element-interior DOFs cell by cell (static
 condensation) and factors the Schur complement on the remaining free DOFs,
 which are numbered once per mesh and degree by a nested dissection of the
 mesh, by a supernodal Cholesky factorization whose supernodes are the nodes
@@ -34,7 +36,7 @@ from scipy.sparse.linalg import splu
 from .cholesky import _BLOCK, Cholesky, analyse
 from .errors import SolverFailure, ZeroNormError
 from .hho import _t, build_hho_pack, build_jump_penalisation, jump_form, jump_restriction
-from .operators import assemble_gradient, build_local_pack, gradient_rows
+from .operators import build_local_pack, gradient_rows
 from .polyspace import dim_P, mass
 from .spaces import (Discretization, ThetaVector, UVector, at_points, block_pattern,
                      boundary_dof_sets, cell_chunks, map_chunks, sum_blocks)
@@ -128,36 +130,45 @@ def _sym(block: np.ndarray) -> np.ndarray:
 
 
 def _cell_blocks(p, h, g: np.ndarray, k: int):
-    """The symmetrised s0 (symmetric gradient and stabilisation) and s1
-    (divergence) blocks on the rotation DOFs of one chunk of cells, from its
-    DDR pack ``p``, HHO pack ``h`` and local gradient ``g``, and its shear
-    block [I, -G]^T M [I, -G] on [rotation DOFs, displacement DOFs]. M G and
-    G^T M G come from the cell blocks, so no product drops an entry that
-    cancels to 0.0."""
+    """The kept blocks of one chunk of cells, from its DDR pack ``p``, HHO
+    pack ``h`` and local gradient ``g``: the symmetrised s0 (symmetric
+    gradient and stabilisation) and s1 (divergence) blocks on the rotation
+    DOFs, and the shear form's DDR L2 product M (``build_local_pack``
+    symmetrises it) and g, the rows of G on the cell's rotation DOFs."""
     np_k = dim_P(k)
     gs = [h.GS[:, b * np_k:(b + 1) * np_k] for b in range(3)]
     s0 = _sym(sum(_GS_METRIC[b] * _t(gs[b]) @ gs[b] for b in range(3)) + h.sT)
     s1 = _sym(_t(h.DD) @ h.DD)
-    mg = p.M_theta @ g
+    return s0, s1, p.M_theta, g
+
+
+def _shear(b: CellBlocks) -> np.ndarray:
+    """The shear form's blocks [I, -g]^T M [I, -g] of a chunk on [rotation
+    DOFs, displacement DOFs], formed from its kept M and g (``CellBlocks``)
+    where they are summed, with no -0.0, as the kept blocks. M g and g^T M g
+    come from the cell blocks, so no product drops an entry that cancels to
+    0.0."""
+    mg = b.M @ b.g
     nt = mg.shape[1]
-    shear = np.empty((len(mg), nt + g.shape[2], nt + g.shape[2]))
-    shear[:, :nt, :nt] = p.M_theta      # build_local_pack symmetrises it
+    shear = np.empty((len(mg), nt + mg.shape[2], nt + mg.shape[2]))
+    shear[:, :nt, :nt] = b.M
     shear[:, :nt, nt:] = -mg
     shear[:, nt:, :nt] = -_t(mg)
-    shear[:, nt:, nt:] = _sym(_t(g) @ mg)
-    return s0, s1, shear
+    shear[:, nt:, nt:] = _sym(_t(b.g) @ mg)
+    shear += 0.0
+    return shear
 
 
 def _local_blocks(disc: Discretization, ctx) -> tuple:
     """The local tables of one cell chunk, reduced to what the build keeps:
     its global DOFs and cell blocks (``_cell_blocks``), its displacement
-    reconstructions P_U, the worst condition number of its local systems,
-    its element block of G (``gradient_rows``) and at k = 0 its
-    ``jump_restriction``. The tables are dropped when it returns, on the
-    thread that built them, so each CPU holds one chunk's tables at most."""
+    reconstructions P_U, the worst condition number of its local systems
+    and at k = 0 its ``jump_restriction``. The tables are dropped when it
+    returns, on the thread that built them, so each CPU holds one chunk's
+    tables at most."""
     pack = build_local_pack(ctx)
     hho = build_hho_pack(ctx, pack)
-    gradient, (t_dofs, u_dofs, g) = gradient_rows(disc, ctx, pack)
+    t_dofs, u_dofs, g = gradient_rows(disc, ctx, pack)
     blocks = _cell_blocks(pack, hho, g, disc.k)
     # the sums of a solve start from 0.0, which turns a -0.0 addend into
     # 0.0: so do the kept cell blocks, and an entry with one addend
@@ -165,7 +176,7 @@ def _local_blocks(disc: Discretization, ctx) -> tuple:
     for block in blocks:
         block += 0.0
     return ((np.concatenate([t_dofs, disc.theta_space.dim + u_dofs], axis=1),) + blocks,
-            pack.PU, max(pack.cond, hho.cond), gradient,
+            pack.PU, max(pack.cond, hho.cond),
             jump_restriction(ctx, pack, hho) if disc.k == 0 else None)
 
 
@@ -366,11 +377,14 @@ def _entity_slots(dofs: np.ndarray, entity: np.ndarray, rank: np.ndarray,
 class CellBlocks:
     """The kept blocks of one cell chunk, each array with a leading cell
     axis. The local DOFs are the rotation DOFs, then the displacement DOFs,
-    in the local layouts; I are the element-interior ones and B the others."""
+    in the local layouts; I are the element-interior ones and B the others.
+    The shear form's block [I, -g]^T M [I, -g] is not kept: ``_shear``
+    forms it from M and g where it is summed."""
     dofs: np.ndarray      # (n, m) global DOFs
     s0: np.ndarray        # (n, nt, nt) symmetric gradient and stabilisation
     s1: np.ndarray        # (n, nt, nt) divergence
-    shear: np.ndarray     # (n, m, m) [I, -G]^T M [I, -G]
+    M: np.ndarray         # (n, nt, nt) DDR L2 product
+    g: np.ndarray         # (n, nt, nu) rows of G on the rotation DOFs
     inner: np.ndarray     # local positions of I: the rotation ones first
     outer: np.ndarray     # local positions of B: the rotation ones first
     rows: np.ndarray      # (n, nB) factored index of each B DOF, n_c if Dirichlet
@@ -383,24 +397,26 @@ class PlateSystem:
     """Material-independent discrete operators for one mesh and degree.
 
     The plate matrix is ``beta0 * s0 + beta1 * s1 + (kappa/t^2) * s2``, and
-    it is kept as the symmetrised cell blocks it is summed from, one
-    ``CellBlocks`` per chunk of ``disc.elem_ctxs``: s0 (symmetric-gradient
-    form and stabilisation) and s1 (divergence form) on the rotation DOFs,
-    s2 (the shear form [I, -G]^T M [I, -G]) on all the cell's DOFs, and at
-    k = 0 the jump's edge stacks, which join s0. The ``factored`` DOFs (the
-    free ones less the element interiors, which couple only inside their own
-    cell) are listed in a nested-dissection order of the mesh edges and
-    vertices that hold them, with its ``separator_tree`` and the
-    ``ordering`` record every solve reports. The symbolic analysis of the
-    Cholesky factorization on the separator tree is done once too, and each
-    block keeps the positions of its B x B entries in the factor. Each
-    chunk's blocks come from its local tables (``_local_blocks``), which no
-    other chunk waits for, and ``stages`` holds the wall times of the
-    build's stages. A solve forms each cell's matrix from its blocks,
-    eliminates the interiors cell by cell and sums the Schur-complemented
-    blocks straight into the factorization's fronts, one chunk at a time;
-    no matrix on all DOFs is formed (``full_matrix`` assembles one on
-    demand)."""
+    it is kept as the cell blocks it is summed from, one ``CellBlocks`` per
+    chunk of ``disc.elem_ctxs``: s0 (symmetric-gradient form and
+    stabilisation) and s1 (divergence form) on the rotation DOFs,
+    symmetrised; for s2, the shear form [I, -g]^T M [I, -g] on all the
+    cell's DOFs, the DDR L2 product M and the rows g of the discrete
+    gradient on the rotation DOFs; and at k = 0 the jump's edge stacks,
+    which join s0. The ``factored`` DOFs (the free ones less the element
+    interiors, which couple only inside their own cell) are listed in a
+    nested-dissection order of the mesh edges and vertices that hold them,
+    with its ``separator_tree`` and the ``ordering`` record every solve
+    reports. The symbolic analysis of the Cholesky factorization on the
+    separator tree is done once too, and each block keeps the positions of
+    its B x B entries in the factor. Each chunk's blocks come from its local
+    tables (``_local_blocks``), which no other chunk waits for, and
+    ``stages`` holds the wall times of the build's stages. A solve forms
+    each cell's matrix from its blocks, eliminates the interiors cell by
+    cell and sums the Schur-complemented blocks straight into the
+    factorization's fronts, one chunk at a time; no matrix on all DOFs is
+    formed (``full_matrix`` assembles one on demand), nor the global
+    gradient G (``operators.build_global_gradient`` assembles it)."""
 
     def __init__(self, disc: Discretization):
         self.disc = disc
@@ -411,15 +427,14 @@ class PlateSystem:
         self.stages = {}
         started = time.perf_counter()
         # each chunk's local tables become its kept blocks on one CPU
-        blocks, self.PU, cond, gradient, rests = zip(
+        blocks, self.PU, cond, rests = zip(
             *map_chunks(functools.partial(_local_blocks, disc), disc.elem_ctxs))
         self.stages["local_s"] = time.perf_counter() - started
         # worst condition number of the local P_T, P_U and strain-reconstruction systems
         self.local_cond = max(cond)
-        self.G = assemble_gradient(disc, gradient)
         # k = 0: the jump operator's edge stacks, whose form joins s0
         jump = build_jump_penalisation(disc, rests) if disc.k == 0 else []
-        del gradient, rests
+        del rests
 
         started = time.perf_counter()
         th_d, u_d = boundary_dof_sets(disc)
@@ -441,7 +456,7 @@ class PlateSystem:
         fac = np.flatnonzero(factored)
         n_c = fac.size
         split = []
-        for dofs, s0, _, _ in blocks:
+        for dofs, s0, *_ in blocks:
             nt = s0.shape[1]
             inner = np.r_[:te, nt:nt + ue]
             split.append((inner, np.setdiff1d(np.arange(dofs.shape[1]), inner)))
@@ -535,8 +550,8 @@ class PlateSystem:
         del graph
         at = [_entity_slots(i, in_graph, rank, within, stride, keys, edge_at) for i in index]
         del index
-        self._blocks = [CellBlocks(dofs, s0, s1, shear, inner, outer, rank[dofs[:, outer]], a)
-                        for (dofs, s0, s1, shear), (inner, outer), a in zip(blocks, split, at)]
+        self._blocks = [CellBlocks(dofs, s0, s1, M, g, inner, outer, rank[dofs[:, outer]], a)
+                        for (dofs, s0, s1, M, g), (inner, outer), a in zip(blocks, split, at)]
         # the k = 0 jump, per stack: the global rotation DOFs, J_E and h_E
         # (the form's blocks are jump_form(J_E, h_E), formed where summed),
         # and the positions of the blocks' entries in the factor
@@ -563,7 +578,7 @@ class PlateSystem:
                           len(indices))
         data *= material.beta0
         for scale, stacks, vals in ((material.beta1, rot, [b.s1 for b in blocks]),
-                                    (material.shear_over_t2, cells, [b.shear for b in blocks])):
+                                    (material.shear_over_t2, cells, map(_shear, blocks))):
             term = sum_blocks(stacks, vals, len(indices))
             term *= scale
             data += term
@@ -571,15 +586,19 @@ class PlateSystem:
 
     def _matvec(self, scales: tuple[float, float, float], x: np.ndarray) -> np.ndarray:
         """K x for K = beta0 s0 + beta1 s1 + (kappa/t^2) s2, ``scales`` the
-        three factors: stacked products with the kept blocks, scattered by
-        one ``np.bincount``."""
+        three factors: stacked products with the kept blocks, the shear form
+        through each cell's strain: with w = (kappa/t^2) M (x_theta - g x_u),
+        its rotation rows are w and its displacement rows -g^T w; scattered
+        by one ``np.bincount``."""
         beta0, beta1, c = scales
         at, vals = [], []
         for b in self._blocks:
             nt = b.s0.shape[1]
             xt = x[b.dofs][..., None]
-            y = c * (b.shear @ xt)
-            y[:, :nt] += beta0 * (b.s0 @ xt[:, :nt]) + beta1 * (b.s1 @ xt[:, :nt])
+            xr = xt[:, :nt]
+            w = c * (b.M @ (xr - b.g @ xt[:, nt:]))
+            y = np.concatenate([w + (beta0 * (b.s0 @ xr) + beta1 * (b.s1 @ xr)), -(_t(b.g) @ w)],
+                               axis=1)
             at.append(b.dofs.ravel())
             vals.append(y.ravel())
         for idx, J, h, _ in self._jump:
@@ -597,7 +616,7 @@ class PlateSystem:
         K_T at k = 0, where no DOF is interior), from one stacked solve
         K_II^{-1} [K_IB | r_I] with the interior rows of ``rhs``. Only its own
         cell adds to an interior row, so K_II and K_IB equal the slices of
-        ``full_matrix`` bit for bit; ``interior`` gets (block, K_II, K_IB,
+        ``full_matrix`` bit for bit; ``interior`` gets (block, K_II,
         K_II^{-1} K_IB, K_II^{-1} r_I) per chunk. Then the k = 0 jump stacks
         beta0 J_E^T J_E / h_E, in edge chunks split as ``cell_chunks`` splits
         a group of cells. ``sums`` gets, per DOF, the row sums of |K_T| and
@@ -607,7 +626,8 @@ class PlateSystem:
         mask = self.dirichlet_mask
         for b in self._blocks:
             nt = b.s0.shape[1]
-            K = c * b.shear
+            K = _shear(b)
+            K *= c
             K[:, :nt, :nt] += beta0 * b.s0 + beta1 * b.s1
             sums += np.bincount(b.dofs.ravel(), _free_row_sums(b.dofs, K, mask).ravel(),
                                 len(mask))
@@ -618,10 +638,10 @@ class PlateSystem:
                 kib = _cell_axis_fastest(rows[:, :, b.outer])
                 X = _interior_solve(kii, np.concatenate(
                     [kib, rhs[b.dofs[:, b.inner]][..., None]], axis=2))
-                interior.append((b, kii, kib, X[..., :-1], X[..., -1]))
+                interior.append((b, kii, X[..., :-1], X[..., -1]))
                 K = K[:, b.outer[:, None], b.outer]
-                del rows
                 K -= _sym(_t(kib) @ X[..., :-1])
+                del rows, kib
             yield K
             del K
         for idx, J, h, _ in self._jump:
@@ -715,23 +735,24 @@ class PlateSystem:
 
             def free_solve(r, ys=None):
                 """K_ff^{-1} r on the free DOFs, zero on the others; ``ys``
-                holds K_II^{-1} r_I per chunk when it is known. The condensed
-                system gives x_B, then x_I = K_II^{-1} (r_I - K_IB x_B)."""
+                holds K_II^{-1} r_I per chunk when it is known. With X =
+                K_II^{-1} K_IB, the condensed system on r_B - X^T r_I gives
+                x_B, then x_I = K_II^{-1} r_I - X x_B."""
                 if ys is None:
                     ys = [_interior_solve(kii, r[b.dofs[:, b.inner]][..., None])[..., 0]
                           for b, kii, *_ in interior]
                 rc = r[self.factored]
                 if ys:
                     rc -= sum_blocks([b.rows for b, *_ in interior],
-                                     (y[:, None] @ kib for (_, _, kib, *_), y in zip(interior, ys)),
+                                     (r[b.dofs[:, None, b.inner]] @ X for b, _, X, _ in interior),
                                      n_c + 1)[:-1]
                 xc = np.zeros(n_c + 1)          # the last entry stands for Dirichlet DOFs
                 if chol is not None:
                     xc[:-1] = chol.solve(rc)
                 out = np.zeros(n)
                 out[self.factored] = xc[:-1]
-                for (b, _, _, xb, _), y in zip(interior, ys):
-                    out[b.dofs[:, b.inner]] = y - (xb @ xc[b.rows, None])[..., 0]
+                for (b, _, X, _), y in zip(interior, ys):
+                    out[b.dofs[:, b.inner]] = y - (X @ xc[b.rows, None])[..., 0]
                 return out
 
             x += free_solve(rhs, [y for *_, y in interior])
@@ -796,23 +817,22 @@ class PlateSystem:
                         v: np.ndarray) -> np.ndarray:
         """Squared energy norms of the columns of eta (n_theta, j) and v
         (n_u, j): the bending form plus mu M on eta, and the shear strain
-        eta - G v and the gradient G v in the DDR L2 product M (the rotation
-        block of s2), cell by cell."""
-        g = self.G @ v
-        z = np.hstack([eta - g, g])   # the shear strain, formed before the product
+        eta_T - g_T v_T and the gradient g_T v_T in the DDR L2 product M,
+        cell by cell, each strain formed before its product with M."""
         beta0, beta1, mu = material.beta0, material.beta1, material.mu
-        j = eta.shape[1]
 
         def form(A, w):
             # w^T A w per column, for stacked blocks A and stacked vectors w
             return (w * (A @ w)).sum(axis=(0, 1))
 
-        bend, shear = np.zeros(j), np.zeros(2 * j)
+        bend = strain = grad = 0.0
         for b in self._blocks:
             nt = b.s0.shape[1]
-            dofs, M = b.dofs[:, :nt], b.shear[:, :nt, :nt]
-            bend += form(beta0 * b.s0 + beta1 * b.s1 + mu * M, eta[dofs])
-            shear += form(M, z[dofs])
+            e = eta[b.dofs[:, :nt]]
+            gv = b.g @ v[b.dofs[:, nt:] - self.n_theta]
+            bend += form(beta0 * b.s0 + beta1 * b.s1 + mu * b.M, e)
+            strain += form(b.M, e - gv)
+            grad += form(b.M, gv)
         for idx, J, h, _ in self._jump:
             bend += beta0 * ((J @ eta[idx]) ** 2 / h[:, None, None]).sum(axis=(0, 1))
-        return bend + material.shear_over_t2 * shear[:j] + mu * shear[j:]
+        return bend + material.shear_over_t2 * strain + mu * grad

@@ -162,6 +162,17 @@ def _degree(fam):
     return next(l for l in range(-1, 20) if dim_P(l) == fam.coef.shape[-1])
 
 
+def shear_blocks(M, g):
+    """The shear form's cell blocks [I, -g]^T M [I, -g] on [rotation DOFs,
+    displacement DOFs] of stacked L2 products M and gradient rows g, formed
+    as the build once kept them: M g, then g^T (M g) symmetrised, and no
+    -0.0."""
+    mg = M @ g
+    gmg = np.swapaxes(g, 1, 2) @ mg
+    return np.block([[M, -mg],
+                     [-np.swapaxes(mg, 1, 2), 0.5 * (gmg + np.swapaxes(gmg, 1, 2))]]) + 0.0
+
+
 # ---------------------------------------------------------------------------
 # per-cell views of the stacked tables
 

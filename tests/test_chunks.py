@@ -16,7 +16,7 @@ import ddrplate.hho as hho
 import ddrplate.operators as operators
 import ddrplate.spaces as spaces
 import ddrplate.system
-from conftest import ASSETS
+from conftest import ASSETS, shear_blocks
 from ddrplate.errors import SingularLocalSystem
 from ddrplate.harness import solve_case
 from ddrplate.mesh import load_mesh, triangular_mesh
@@ -100,8 +100,11 @@ def test_per_chunk_build_equals_the_all_chunk_builders(name, k, monkeypatch):
     and drops the tables; the builders of every chunk's tables at once
     (``build_packs``, ``build_hho_packs``, ``build_global_gradient``,
     ``build_jump_penalisation`` on the restrictions of all chunks) and
-    ``_cell_blocks`` give the same G, P_U, worst condition number, cell
-    blocks and jump stacks bit for bit, in chunks of 16 cells on two CPUs."""
+    ``_cell_blocks`` give the same P_U, worst condition number, cell blocks
+    and jump stacks bit for bit, in chunks of 16 cells on two CPUs. The
+    kept M and g are each pack's L2 product and each chunk's rows of G, and
+    the shear blocks a solve forms from them are those the build kept
+    before (``conftest.shear_blocks``)."""
     monkeypatch.setattr(spaces, "_CHUNK_CELLS", 16)
     _cpus(monkeypatch, 2)
     mesh = triangular_mesh(8) if name == "tri_n8" else load_mesh(str(ASSETS / f"{name}.json"))
@@ -109,14 +112,15 @@ def test_per_chunk_build_equals_the_all_chunk_builders(name, k, monkeypatch):
     plate = PlateSystem(disc)
     packs = build_packs(disc)
     hho_packs = hho.build_hho_packs(disc, packs)
-    G, rows = operators.build_global_gradient(disc, packs)
-    for a, b in [(G.data, plate.G.data), (G.indices, plate.G.indices), (G.indptr, plate.G.indptr)]:
-        assert _same_bits(a, b)
+    _, rows = operators.build_global_gradient(disc, packs)
     assert plate.local_cond == max(p.cond for p in packs + hho_packs)
     assert len(plate._blocks) == len(packs) > 1
-    for b, p, h, (_, _, g) in zip(plate._blocks, packs, hho_packs, rows):
-        for kept, built in zip((b.s0, b.s1, b.shear), ddrplate.system._cell_blocks(p, h, g, k)):
+    for b, p, h, (t_dofs, u_dofs, g) in zip(plate._blocks, packs, hho_packs, rows):
+        assert _same_bits(b.dofs, np.concatenate([t_dofs, disc.theta_space.dim + u_dofs], axis=1))
+        for kept, built in zip((b.s0, b.s1), ddrplate.system._cell_blocks(p, h, g, k)):
             assert _same_bits(kept, built + 0.0)
+        assert _same_bits(b.M, p.M_theta + 0.0) and _same_bits(b.g, g + 0.0)
+        assert _same_bits(ddrplate.system._shear(b), shear_blocks(p.M_theta, g))
     for a, p in zip(plate.PU, packs):
         assert _same_bits(a, p.PU)
     jump = (hho.build_jump_penalisation(disc, [hho.jump_restriction(*t) for t in

@@ -197,16 +197,18 @@ def test_metadata_records_the_arrays_each_object_keeps(tmp_path):
 
 
 def test_plate_system_keeps_its_cell_blocks_and_the_condensed_pattern_only():
-    """At tri n=8, k = 3 the ``PlateSystem`` keeps 7.7 MiB of arrays beyond
-    its ``Discretization``: the cell blocks, their entries' positions in the
-    factor, the symbolic analysis, G and the displacement reconstructions.
-    With the condensed matrix's CSC layout and the entry maps into the
-    factor it kept 8.6 MiB; summing the blocks into forms on the full
-    pattern, with its index arrays and slot maps, kept 13.3 MiB."""
+    """At tri n=8, k = 3 the ``PlateSystem`` keeps 6.26 MiB of arrays beyond
+    its ``Discretization``: the cell blocks (s0, s1, M and g), their
+    entries' positions in the factor, the symbolic analysis and the
+    displacement reconstructions. With each cell's shear block [I, -g]^T M
+    [I, -g] in place of M and g, and the global G, it kept 7.7 MiB; with the
+    condensed matrix's CSC layout and the entry maps into the factor as
+    well, 8.6 MiB; summing the blocks into forms on the full pattern, with
+    its index arrays and slot maps, kept 13.3 MiB."""
     disc = Discretization(triangular_mesh(8), 3)
     plate = PlateSystem(disc)
-    assert harness._kept_mb(plate, disc) <= 8.2
-    blocks = sum(a.nbytes for b in plate._blocks for a in (b.s0, b.s1, b.shear))
+    assert harness._kept_mb(plate, disc) <= 6.4
+    blocks = sum(a.nbytes for b in plate._blocks for a in (b.s0, b.s1, b.M, b.g))
     assert blocks > 0.5 * harness._kept_mb(plate, disc) * 2 ** 20
 
 

@@ -6,14 +6,14 @@ import pytest
 import scipy.sparse as sps
 from scipy.sparse.linalg import splu, spsolve
 
-from conftest import fronts_matrix, locate, lower_factor, node_blocks
+from conftest import fronts_matrix, locate, lower_factor, node_blocks, shear_blocks
 import ddrplate.system
 from ddrplate.cholesky import _BLOCK, Cholesky
 from ddrplate.errors import SolverFailure, ZeroNormError
 from ddrplate.harness import solve_case
 from ddrplate.hho import jump_form
 from ddrplate.mesh import build_mesh, load_mesh, triangular_mesh
-from ddrplate.operators import assemble_theta_product, build_packs
+from ddrplate.operators import assemble_theta_product, build_global_gradient, build_packs
 from ddrplate.polyspace import dim_croly, dim_P, dim_roly
 from ddrplate.spaces import (Discretization, ThetaVector, UVector, assemble, cell_chunks,
                              interpolate_theta, interpolate_u)
@@ -64,7 +64,7 @@ def stream(system, i):
     stacks) as a full matrix."""
     n = system.n_theta + system.n_u
     if i == 2:
-        stacks = [(b.dofs, b.dofs, b.shear) for b in system._blocks]
+        stacks = [(b.dofs, b.dofs, shear_blocks(b.M, b.g)) for b in system._blocks]
     else:
         rot = [b.dofs[:, :b.s0.shape[1]] for b in system._blocks]
         stacks = [(d, d, b.s1 if i else b.s0) for d, b in zip(rot, system._blocks)]
@@ -133,7 +133,8 @@ def test_bh_kernel_and_scaling(small_system, rng):
     mat = MaterialParams(t=0.2)
     b = shear_matrix(system, mat)
     w = rng.standard_normal(system.n_u)
-    vec = np.concatenate([system.G @ w, w])
+    G, _ = build_global_gradient(system.disc, build_packs(system.disc))
+    vec = np.concatenate([G @ w, w])
     out = b @ vec
     scale = abs(b).max() * np.abs(vec).max()
     assert np.abs(out).max() < 1e-11 * scale
@@ -373,12 +374,14 @@ def test_high_degree_solution_accuracy():
 def _zero_dof(system, dof, monkeypatch):
     """Zero the row and column of ``dof`` in every kept block (copies, so
     the module's shared systems stay as built)."""
-    def zeroed(dofs, block):
-        hit = dofs[:, :block.shape[1]] == dof
-        return np.where(hit[:, :, None] | hit[:, None, :], 0.0, block)
+    def zeroed(rows, cols, block):
+        return np.where((rows == dof)[:, :, None] | (cols == dof)[:, None, :], 0.0, block)
 
-    blocks = [dataclasses.replace(b, s0=zeroed(b.dofs, b.s0), s1=zeroed(b.dofs, b.s1),
-                                  shear=zeroed(b.dofs, b.shear)) for b in system._blocks]
+    blocks = []
+    for b in system._blocks:
+        t, u = np.split(b.dofs, [b.s0.shape[1]], axis=1)
+        blocks.append(dataclasses.replace(b, s0=zeroed(t, t, b.s0), s1=zeroed(t, t, b.s1),
+                                          M=zeroed(t, t, b.M), g=zeroed(t, u, b.g)))
     jump = [(idx, np.where((idx == dof)[:, None], 0.0, J), h, at)
             for idx, J, h, at in system._jump]
     monkeypatch.setattr(system, "_blocks", blocks)
@@ -602,17 +605,19 @@ def test_thicknesses_share_the_factored_pattern(factorizations, case):
 
 @pytest.mark.parametrize("case", _FACTOR_CASES, ids=lambda c: f"{c[0]}-k{c[1]}")
 def test_local_block_products_match_sparse_products(factorizations, case):
-    """The shear form is [I, -G]^T M [I, -G] summed from cell blocks: its
+    """The shear form is [I, -g]^T M [I, -g] summed from cell blocks: its
     rotation block is the DDR L2 product, and its coupling blocks match the
-    sparse products -M G and G^T M G."""
+    sparse products -M G and G^T M G of the global gradient."""
     system, _, _ = factorizations[case]
     nt = system.n_theta
     s2 = stream(system, 2)
     M = s2[:nt, :nt]
-    M_ref = assemble_theta_product(system.disc, build_packs(system.disc))
+    packs = build_packs(system.disc)
+    M_ref = assemble_theta_product(system.disc, packs)
     assert abs(M - M_ref).max() <= 1e-14 * abs(M_ref).max()
-    MG = M @ system.G
-    GMG = system.G.T @ MG
+    G, _ = build_global_gradient(system.disc, packs)
+    MG = M @ G
+    GMG = G.T @ MG
     assert abs(-s2[:nt, nt:] - MG).max() <= 1e-14 * abs(MG).max()
     assert abs(s2[nt:, :nt] + MG.T).max() <= 1e-14 * abs(MG).max()
     assert abs(s2[nt:, nt:] - GMG).max() <= 1e-14 * abs(GMG).max()
@@ -834,11 +839,12 @@ def test_nested_dissection_fill_stays_near_minimum_degree(case, monkeypatch):
 @pytest.mark.parametrize("case", [("tri", 0), ("tri", 3), ("hexa", 0), ("hexa", 2), ("locref", 0)],
                          ids=lambda c: f"{c[0]}-k{c[1]}")
 def test_cell_blocks_and_condensed_data_are_bitwise_symmetric(case, monkeypatch):
-    """Every kept cell block is symmetrised once and the k = 0 jump lists
-    each DOF once, so every block is symmetric bit for bit, and so are the
-    forms summed from them and the full matrix. Without the symmetrisation
-    the G^T M G blocks of tri k = 3 differ from their transposes by
-    round-off. A solve sums the fronts of its factorization in one
+    """Every kept square cell block is symmetrised once, and so is each
+    shear block [I, -g]^T M [I, -g] where it is formed, and the k = 0 jump
+    lists each DOF once, so every block is symmetric bit for bit, and so are
+    the forms summed from them and the full matrix. Without the
+    symmetrisation the g^T M g blocks of tri k = 3 differ from their
+    transposes by round-off. A solve sums the fronts of its factorization in one
     ``sum_blocks`` call, from the stacks a generator hands over one chunk at
     a time: each cell's K_BB less its symmetrised Schur block, then the jump
     stacks in edge chunks. Every block of them is symmetric bit for bit, so
@@ -846,7 +852,7 @@ def test_cell_blocks_and_condensed_data_are_bitwise_symmetric(case, monkeypatch)
     family, k = case
     system = PlateSystem(Discretization(_order_mesh(family), k))
     for b in system._blocks:
-        for block in (b.s0, b.s1, b.shear):
+        for block in (b.s0, b.s1, b.M, ddrplate.system._shear(b)):
             assert np.array_equal(block, np.swapaxes(block, 1, 2))
     for _, J, h, _ in system._jump:
         vals = jump_form(J, h)
@@ -938,3 +944,45 @@ def test_norm_of_k_is_the_row_sum_norm_of_the_free_slice(case, t, monkeypatch):
     K = system.full_matrix(material)[system.free][:, system.free]
     exact = abs(K).sum(axis=1).max()
     assert abs(knorm - exact) <= 1e-14 * exact
+
+
+def _energy_oracle(system, material, G, M, theta, u):
+    """The squared energy norm of (theta, u) from the assembled bending form,
+    global gradient G and DDR L2 product M: a_h plus mu M on theta, and the
+    shear strain theta - G u, formed before its product, and G u in M."""
+    gu = G @ u
+    z = theta - gu
+    bend = theta @ (bending_matrix(system, material) @ theta + material.mu * (M @ theta))
+    return bend + material.shear_over_t2 * (z @ (M @ z)) + material.mu * (gu @ (M @ gu))
+
+
+@pytest.mark.parametrize("case", [("tri", k) for k in range(4)] + [("hexa", 1), ("locref", 0)],
+                         ids=lambda c: f"{c[0]}-k{c[1]}")
+def test_energy_norms_from_cell_gradients_match_the_assembled_gradient(case):
+    """The energy norm and the relative error take each cell's shear strain
+    eta_T - g_T v_T from its kept rows g of the discrete gradient: they
+    equal those of the assembled G and M (``build_global_gradient``,
+    ``assemble_theta_product``) to 1e-13 relative, for the discrete
+    solution and the interpolate of the polynomial and the analytical
+    solutions at t = 1e-1, 1e-3 and 1e-5. Measured at most 3.6e-14 for a
+    norm and 5.8e-14 for an error (tri k = 1, t = 1e-5): there the strain
+    is the small difference of eta and G v, so the round-off of G v, summed
+    in another order per cell than in the sparse product, weighs most; a
+    wrong row of g moves the norms at order one."""
+    family, k = case
+    system = PlateSystem(Discretization(_order_mesh(family), k))
+    packs = build_packs(system.disc)
+    G, _ = build_global_gradient(system.disc, packs)
+    M = assemble_theta_product(system.disc, packs)
+    for solution in ("polynomial", "analytical"):
+        for t in (1e-1, 1e-3, 1e-5):
+            material = MaterialParams(t=t)
+            error, _, (theta_h, u_h, theta_i, u_i) = solve_case(system, material, solution)
+            for theta, u in ((theta_h, u_h), (theta_i, u_i)):
+                norm = system.energy_norm(material, theta.values, u.values)
+                ref = np.sqrt(_energy_oracle(system, material, G, M, theta.values, u.values))
+                assert abs(norm - ref) <= 1e-13 * ref
+            num, den = (np.sqrt(_energy_oracle(system, material, G, M, th, uu))
+                        for th, uu in ((theta_h.values - theta_i.values, u_h.values - u_i.values),
+                                       (theta_i.values, u_i.values)))
+            assert abs(error - num / den) <= 1e-13 * (num / den)
