@@ -205,15 +205,19 @@ def jump_restriction(ctx: ElementContext, pack: LocalOperatorPack,
 
 def build_jump_penalisation(disc: Discretization, restrictions: list[np.ndarray]) -> list:
     """k = 0 jump bilinear form: h_E^{-1} integrals of the jumps of the p^1
-    reconstructions over edges (the trace itself on boundary edges), from
-    the ``jump_restriction`` of every cell chunk of ``disc.elem_ctxs``.
+    reconstructions over edges, from the ``jump_restriction`` of every cell
+    chunk of ``disc.elem_ctxs``. On a boundary edge the jump is p^1_T less
+    the edge's own constant unknowns theta_E, so the form pulls the edge
+    mean of p^1_T toward the traces a solve imposes, not toward 0.
 
     The jump operator J_E maps the rotation DOFs of the one or two cells of
     edge E, sorted, to the [tangential, normal] edge coefficients of
-    p^1_{T1} - p^1_{T2}, T1 the lower cell id. Its columns follow from the
-    edge-cell incidence, and each entry is 0.0 plus the one or two cells'
-    addends. Returns stacks (DOFs, J_E, h_E), (n, w), (n, 4, w) and (n,):
-    one stack per number w of those DOFs, by increasing w, each in edge-id
+    p^1_{T1} - p^1_{T2} (T1 the lower cell id), or of p^1_T - theta_E. Each
+    cell's DOFs on each of its edges are keyed by (edge, DOF), and so are a
+    boundary edge's own two: the sorted distinct keys are the columns of
+    every J_E, and each entry is 0.0 plus its addends, the lower cell's
+    first. Returns stacks (DOFs, J_E, h_E), (n, w), (n, 4, w) and (n,): one
+    stack per number w of those DOFs, by increasing w, each in edge-id
     order. The form's blocks on those DOFs are ``jump_form(J_E, h_E)``,
     summed in that order; J_E has 4 w entries against their w^2."""
     if disc.k != 0:
@@ -222,38 +226,41 @@ def build_jump_penalisation(disc: Discretization, restrictions: list[np.ndarray]
     cell_of = np.repeat(np.arange(mesh.n_elements), np.diff(mesh.cell_offsets))
     lower = np.full(mesh.n_edges, mesh.n_elements)
     np.minimum.at(lower, mesh.cell_edges, cell_of)
-    # the rotation DOFs of each cell, padded with sp.dim, and a last row of
-    # padding only, the cell -1 that the boundary edges have on one side
-    dofs = np.full((mesh.n_elements + 1, 2 * np.diff(mesh.cell_offsets).max()), sp.dim)
-    for ctx in disc.elem_ctxs:
-        dofs[ctx.ids, :2 * ctx.n_vertices] = sp.local_dofs(ctx)
-    other = cell_of != lower[mesh.cell_edges]
-    upper = np.full(mesh.n_edges, -1)
-    upper[mesh.cell_edges[other]] = cell_of[other]
-    # the columns of J_E: the sorted union of its cells' DOFs, padded with sp.dim
-    union = np.sort(np.concatenate([dofs[lower], dofs[upper]], axis=1), axis=1)
-    union[:, 1:][union[:, 1:] == union[:, :-1]] = sp.dim
-    union.sort(axis=1)
-    size = np.count_nonzero(union < sp.dim, axis=1)
-    union = union[:, :size.max()]
-    # each cell's columns in the rows of its edges, found by edge and DOF
-    key = (np.arange(mesh.n_edges)[:, None] * (sp.dim + 1) + union).ravel()
-    J = np.zeros((mesh.n_edges, 4, union.shape[1]))
-    for ctx, rest in zip(disc.elem_ctxs, restrictions):
+    # the keys edge * dim + DOF of every cell's DOFs on each of its edges,
+    # then of each boundary edge's tangential and normal DOFs
+    bnd = mesh.boundary_edges
+    keys = [(ctx.edge_ids[..., None] * sp.dim + sp.local_dofs(ctx)[:, None]).ravel()
+            for ctx in disc.elem_ctxs]
+    keys.append(((bnd * sp.dim + sp.edge_offset(bnd))[:, None] + np.arange(2)).ravel())
+    ends = np.cumsum([key.size for key in keys[:-1]])
+    distinct, col = np.unique(np.concatenate(keys), return_inverse=True)
+    del keys
+    edge, dofs = np.divmod(distinct, sp.dim)
+    width = np.bincount(edge, minlength=mesh.n_edges)
+    start = np.cumsum(width) - width
+    # each key's column in its edge's J_E
+    col -= start[edge[col]]
+    col = np.split(col, ends)
+    del distinct, edge
+    J = np.zeros((mesh.n_edges, 4, width.max()))
+    for ctx, rest, cols in zip(disc.elem_ctxs, restrictions, col):
         # the restriction, signed
         first = lower[ctx.edge_ids] == ctx.ids[:, None]
         rest = np.where(first[..., None, None], rest, -rest)
         edges = ctx.edge_ids[..., None]
-        cols = (np.searchsorted(key, edges * (sp.dim + 1) + sp.local_dofs(ctx)[:, None])
-                - edges * union.shape[1])
+        cols = cols.reshape(ctx.n_cells, ctx.n_vertices, -1)
         # the lower cells first, then the upper ones: no entry is indexed twice
         # in one pass, and 0.0 + a + b is the same whichever cell adds first
         for side in (first, ~first):
             J[edges[side][:, None], np.arange(4)[:, None], cols[side][:, None]] += rest[side]
+    # theta_E on a boundary edge: its psi_0 coefficients, rows 0 and 2
+    J[bnd[:, None], [0, 2], col[-1].reshape(-1, 2)] -= 1.0
+    del col
     out = []
-    for w in np.unique(size):
-        edges = np.flatnonzero(size == w)
-        out.append((union[edges, :w], J[edges, :, :w], mesh.edge_length[edges]))
+    for w in np.unique(width):
+        edges = np.flatnonzero(width == w)
+        out.append((dofs[start[edges, None] + np.arange(w)], J[edges, :, :w],
+                    mesh.edge_length[edges]))
     return out
 
 

@@ -363,8 +363,8 @@ class ElementContext:
     ``croly`` on cRoly^{k+2}), and ``gram`` is the monomial Gram matrix over
     P^{k+2} from which the build takes every element integral. The fan rule
     (``qpoints``, ``qweights``) serves the data terms only, and so do the
-    values at its points (``phi`` of P^{k+1}, ``roly_vals``, ``croly_vals``
-    of cRoly^k): these are evaluated on each read and not kept.
+    values at its points (``phi`` of P^{k+1}, and ``rotation_tables`` of
+    Roly^{k-1} and cRoly^k): these are evaluated on each read and not kept.
     """
 
     def __init__(self, mesh: PolygonalMesh, ids: np.ndarray, k: int,
@@ -413,20 +413,9 @@ class ElementContext:
         """P^{k+1} at the fan rule: (n_cells, nq, dim_P(k+1))."""
         return self.scal.values(self._data_monomials())
 
-    @property
-    def roly_vals(self) -> np.ndarray:
-        """Roly^{k-1} at the fan rule: (n_cells, nq, dim_roly(k-1), 2)."""
-        return self.roly.values(self._data_monomials())
-
-    @property
-    def croly_vals(self) -> np.ndarray:
-        """cRoly^k at the fan rule: (n_cells, nq, dim_croly(k), 2)."""
-        return self._croly_k().values(self._data_monomials())
-
     def rotation_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """``roly_vals`` and ``croly_vals`` from one monomial table."""
+        """Roly^{k-1} and cRoly^k at the fan rule, (n_cells, nq,
+        dim_roly(k-1), 2) and (n_cells, nq, dim_croly(k), 2), from one
+        monomial table."""
         mono = self._data_monomials()
-        return self.roly.values(mono), self._croly_k().values(mono)
-
-    def _croly_k(self):
-        return self.croly.head(dim_croly(self.k), self.k)
+        return self.roly.values(mono), self.croly.head(dim_croly(self.k), self.k).values(mono)

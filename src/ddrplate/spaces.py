@@ -16,21 +16,23 @@ group is split into contiguous chunks of cell ids (``cell_chunks``), one
 ``ElementContext`` per chunk; local layouts, interpolation and assembly work
 on whole chunks, and ``map_chunks`` maps a function over the chunks on every
 CPU the process may run on, one chunk at a time per CPU. Every global
-matrix is summed from stacks of dense local blocks (``sum_blocks``), stack
-by stack in the order given: on all DOFs on the pattern of their union, the
-sorted keys of the blocks' entries (``block_pattern``, and ``assemble`` on
-top of it); in a solve straight into the fronts of its Cholesky
+matrix is summed from stacks of dense local blocks, stack by stack in the
+order given, one ``np.add.at`` per stack: on all DOFs by ``sum_blocks``, on
+the pattern of their union, the sorted keys of the blocks' entries
+(``block_pattern``, and ``assemble`` on top of it); in a solve by its own
+loop over the chunks, straight into the fronts of its Cholesky
 factorization, at the positions its analysis gives (``cholesky.analyse``).
 The stacks come in one order: the cell chunks in ``elem_ctxs`` order
 (vertex counts increasing, cell ids increasing inside each), then any edge
 stacks (at k = 0 the jump stacks, as ``build_jump_penalisation`` returns
 them, which a solve splits into consecutive edge chunks). The chunks split
 each group into consecutive id ranges, so neither the chunks nor the CPU
-count change a bit of it. Where the contributions of several cells to a shared DOF meet
-in a matrix, they meet in these sums: the fronts of a solve (each cell's
-Schur-complemented block), its right-hand side, and the full matrix. The
-one exception, the k = 0 jump operator, has at most two addends per entry,
-which give the same bits in either order.
+count change a bit of it. Where the contributions of several cells to a
+shared DOF meet in a matrix, they meet in these sums: the fronts of a solve
+(each cell's Schur-complemented block), its right-hand side, and the full
+matrix. The k = 0 jump operator is summed apart, keyed by (edge, DOF): at
+most two addends per entry (the edge's two cells, or its one cell and its
+own unknowns on the boundary), which give the same bits in either order.
 """
 
 from __future__ import annotations
@@ -138,14 +140,10 @@ def sum_blocks(slots, blocks, n_entries: int) -> np.ndarray:
     adds a stack's blocks in order and each block in row-major order, as
     ``np.bincount`` would on the concatenated stacks; no stack is copied
     whole. Stacks that split a sequence of blocks into consecutive parts
-    therefore give the same data bit for bit however they split it. The
-    blocks may come from a generator: a stack is dropped here before the
-    next one is asked for, so one stack at a time need be alive."""
+    therefore give the same data bit for bit however they split it."""
     out = np.zeros(n_entries)
-    slots = iter(slots)
-    for b in blocks:
-        np.add.at(out, np.ravel(next(slots)), np.ravel(b))
-        del b
+    for at, b in zip(slots, blocks, strict=True):
+        np.add.at(out, np.ravel(at), np.ravel(b))
     return out
 
 

@@ -161,11 +161,12 @@ def _shear(b: CellBlocks) -> np.ndarray:
 
 def _local_blocks(disc: Discretization, ctx) -> tuple:
     """The local tables of one cell chunk, reduced to what the build keeps:
-    its global DOFs and cell blocks (``_cell_blocks``), its displacement
-    reconstructions P_U, the worst condition number of its local systems
-    and at k = 0 its ``jump_restriction``. The tables are dropped when it
-    returns, on the thread that built them, so each CPU holds one chunk's
-    tables at most."""
+    its ``CellBlocks`` (``_cell_blocks``, on its global DOFs, and its
+    interior and other local positions; the analysis sets the rest), its
+    displacement reconstructions P_U, the worst condition number of its
+    local systems and at k = 0 its ``jump_restriction``. The tables are
+    dropped when it returns, on the thread that built them, so each CPU
+    holds one chunk's tables at most."""
     pack = build_local_pack(ctx)
     hho = build_hho_pack(ctx, pack)
     t_dofs, u_dofs, g = gradient_rows(disc, ctx, pack)
@@ -175,7 +176,10 @@ def _local_blocks(disc: Discretization, ctx) -> tuple:
     # (every entry of an interior row) is its block entry bit for bit
     for block in blocks:
         block += 0.0
-    return ((np.concatenate([t_dofs, disc.theta_space.dim + u_dofs], axis=1),) + blocks,
+    dofs = np.concatenate([t_dofs, disc.theta_space.dim + u_dofs], axis=1)
+    nt = t_dofs.shape[1]
+    inner = np.r_[:disc.theta_space.elem_dim, nt:nt + disc.u_space.elem_dim]
+    return (CellBlocks(dofs, *blocks, inner, np.setdiff1d(np.arange(dofs.shape[1]), inner)),
             pack.PU, max(pack.cond, hho.cond),
             jump_restriction(ctx, pack, hho) if disc.k == 0 else None)
 
@@ -387,10 +391,12 @@ class CellBlocks:
     g: np.ndarray         # (n, nt, nu) rows of G on the rotation DOFs
     inner: np.ndarray     # local positions of I: the rotation ones first
     outer: np.ndarray     # local positions of B: the rotation ones first
-    rows: np.ndarray      # (n, nB) factored index of each B DOF, n_c if Dirichlet
-    at: np.ndarray        # (n, nB, nB) position of each B x B entry in the
-                          # factor, one past the last above the diagonal or
-                          # if Dirichlet
+    # set by the analysis of the factorization
+    rows: np.ndarray | None = None    # (n, nB) factored index of each B DOF,
+                                      # n_c if Dirichlet
+    at: np.ndarray | None = None      # (n, nB, nB) position of each B x B
+                                      # entry in the factor, one past the last
+                                      # above the diagonal or if Dirichlet
 
 
 class PlateSystem:
@@ -455,15 +461,9 @@ class PlateSystem:
         factored[self.n_theta:self.n_theta + n_el * ue] = False
         fac = np.flatnonzero(factored)
         n_c = fac.size
-        split = []
-        for dofs, s0, *_ in blocks:
-            nt = s0.shape[1]
-            inner = np.r_[:te, nt:nt + ue]
-            split.append((inner, np.setdiff1d(np.arange(dofs.shape[1]), inner)))
         # the B DOFs of every block: the cells' outer ones, and at k = 0 the
         # jump stacks'
-        index = ([dofs[:, outer] for (dofs, *_), (_, outer) in zip(blocks, split)]
-                 + [idx for idx, _, _ in jump])
+        index = [b.dofs[:, b.outer] for b in blocks] + [idx for idx, _, _ in jump]
         # the mesh entity of each DOF that is not an element interior: edge e,
         # or ne + v for vertex v. An entity's DOFs are all factored or all
         # Dirichlet, and every block holds all of them or none
@@ -547,15 +547,17 @@ class PlateSystem:
         in_graph = in_graph[entity]
         keys = (np.repeat(np.arange(ents.size), np.diff(graph.indptr)) << 32) | graph.indices
         edge_at = np.append(edge_at, self._supernodes.offset[-1]).astype(edge_at.dtype)
-        del graph
-        at = [_entity_slots(i, in_graph, rank, within, stride, keys, edge_at) for i in index]
-        del index
-        self._blocks = [CellBlocks(dofs, s0, s1, M, g, inner, outer, rank[dofs[:, outer]], a)
-                        for (dofs, s0, s1, M, g), (inner, outer), a in zip(blocks, split, at)]
+        del graph, index
+        slots = functools.partial(_entity_slots, entity=in_graph, rank=rank, within=within,
+                                  stride=stride, keys=keys, edge=edge_at)
+        for b in blocks:
+            b.rows = rank[b.dofs[:, b.outer]]
+            b.at = slots(b.dofs[:, b.outer])
+        self._blocks = list(blocks)
         # the k = 0 jump, per stack: the global rotation DOFs, J_E and h_E
         # (the form's blocks are jump_form(J_E, h_E), formed where summed),
         # and the positions of the blocks' entries in the factor
-        self._jump = [(idx, J, h, a) for (idx, J, h), a in zip(jump, at[len(blocks):])]
+        self._jump = [(idx, J, h, slots(idx)) for idx, J, h in jump]
         self.stages["analysis_s"] = time.perf_counter() - started
 
     # -- bilinear forms -----------------------------------------------------
@@ -578,7 +580,7 @@ class PlateSystem:
                           len(indices))
         data *= material.beta0
         for scale, stacks, vals in ((material.beta1, rot, [b.s1 for b in blocks]),
-                                    (material.shear_over_t2, cells, map(_shear, blocks))):
+                                    (material.shear_over_t2, cells, [_shear(b) for b in blocks])):
             term = sum_blocks(stacks, vals, len(indices))
             term *= scale
             data += term
@@ -605,53 +607,6 @@ class PlateSystem:
             at.append(idx.ravel())
             vals.append((beta0 / h[:, None, None] * (_t(J) @ (J @ x[idx][..., None]))).ravel())
         return np.bincount(np.concatenate(at), np.concatenate(vals), len(x))
-
-    def _cell_parts(self, scales: tuple[float, float, float], rhs: np.ndarray,
-                    sums: np.ndarray, interior: list):
-        """The stacks a solve sums into the fronts of its factorization, one
-        chunk at a time, each formed only once the previous one is summed.
-        Per cell chunk, from its cell matrices K_T = beta0 s0 + beta1 s1 +
-        (kappa/t^2) s2, formed once and symmetric bit for bit: each cell's
-        K_BB less its Schur block K_BI K_II^{-1} K_IB, symmetrised (K_BB =
-        K_T at k = 0, where no DOF is interior), from one stacked solve
-        K_II^{-1} [K_IB | r_I] with the interior rows of ``rhs``. Only its own
-        cell adds to an interior row, so K_II and K_IB equal the slices of
-        ``full_matrix`` bit for bit; ``interior`` gets (block, K_II,
-        K_II^{-1} K_IB, K_II^{-1} r_I) per chunk. Then the k = 0 jump stacks
-        beta0 J_E^T J_E / h_E, in edge chunks split as ``cell_chunks`` splits
-        a group of cells. ``sums`` gets, per DOF, the row sums of |K_T| and
-        of the jump stacks over the free columns; a chunk whose sums overflow
-        is a ``SolverFailure`` before its interior solve."""
-        beta0, beta1, c = scales
-        mask = self.dirichlet_mask
-        for b in self._blocks:
-            nt = b.s0.shape[1]
-            K = _shear(b)
-            K *= c
-            K[:, :nt, :nt] += beta0 * b.s0 + beta1 * b.s1
-            sums += np.bincount(b.dofs.ravel(), _free_row_sums(b.dofs, K, mask).ravel(),
-                                len(mask))
-            _matrix_norm(sums, self.free)
-            if b.inner.size:
-                rows = K[:, b.inner]
-                kii = _cell_axis_fastest(rows[:, :, b.inner])
-                kib = _cell_axis_fastest(rows[:, :, b.outer])
-                X = _interior_solve(kii, np.concatenate(
-                    [kib, rhs[b.dofs[:, b.inner]][..., None]], axis=2))
-                interior.append((b, kii, X[..., :-1], X[..., -1]))
-                K = K[:, b.outer[:, None], b.outer]
-                K -= _sym(_t(kib) @ X[..., :-1])
-                del rows, kib
-            yield K
-            del K
-        for idx, J, h, _ in self._jump:
-            vals = []
-            for i, j, e in zip(cell_chunks(idx), cell_chunks(J), cell_chunks(h)):
-                K = beta0 * jump_form(j, e)
-                vals.append(_free_row_sums(i, K, mask))
-                yield K
-                del K
-            sums += np.bincount(idx.ravel(), np.concatenate(vals).ravel(), len(mask))
 
     def load_vector(self, f) -> np.ndarray:
         """l_h(v) = sum_T int_T f * (displacement reconstruction of v)."""
@@ -703,16 +658,52 @@ class PlateSystem:
                     rhs = load.copy()
                 rhs[self.dirichlet_mask] = 0.0
                 started = time.perf_counter()
-                # eliminate the interior DOFs chunk by chunk and sum each
-                # cell's Schur-complemented block, symmetric bit for bit so
-                # that the lower triangle the factorization reads is the whole
-                # matrix, then the jump stacks, straight into the fronts of
-                # the factorization: one chunk's stack at a time beside them
+                # one chunk's stack at a time, summed straight into the
+                # fronts of the factorization in the order of sum_blocks (one
+                # np.add.at per stack). Per cell chunk: its cell matrices K_T
+                # = beta0 s0 + beta1 s1 + (kappa/t^2) s2, formed once and
+                # symmetric bit for bit; their free row sums, of which ||K||
+                # is the largest (a SolverFailure if they overflow, before
+                # the interior solve); then each cell's K_BB less its Schur
+                # block K_BI K_II^{-1} K_IB, symmetrised, from one stacked
+                # solve K_II^{-1} [K_IB | r_I], which ``interior`` keeps with
+                # K_II (at k = 0 no DOF is interior and K_BB = K_T). Only its
+                # own cell adds to an interior row, so K_II and K_IB are the
+                # slices of ``full_matrix`` bit for bit. Then the k = 0 jump
+                # stacks beta0 J_E^T J_E / h_E, in edge chunks split as
+                # ``cell_chunks`` splits a group of cells
+                beta0, beta1, c = scales
+                mask = self.dirichlet_mask
                 sums, interior = np.zeros(n), []
-                fronts = sum_blocks([b.at for b in self._blocks]
-                                    + [a for *_, at in self._jump for a in cell_chunks(at)],
-                                    self._cell_parts(scales, rhs, sums, interior),
-                                    int(sn.offset[-1]) + 1)
+                fronts = np.zeros(int(sn.offset[-1]) + 1)
+                for b in self._blocks:
+                    nt = b.s0.shape[1]
+                    K = _shear(b)
+                    K *= c
+                    K[:, :nt, :nt] += beta0 * b.s0 + beta1 * b.s1
+                    sums += np.bincount(b.dofs.ravel(),
+                                        _free_row_sums(b.dofs, K, mask).ravel(), n)
+                    _matrix_norm(sums, free)
+                    if b.inner.size:
+                        rows = K[:, b.inner]
+                        kii = _cell_axis_fastest(rows[:, :, b.inner])
+                        kib = _cell_axis_fastest(rows[:, :, b.outer])
+                        X = _interior_solve(kii, np.concatenate(
+                            [kib, rhs[b.dofs[:, b.inner]][..., None]], axis=2))
+                        interior.append((b, kii, X[..., :-1], X[..., -1]))
+                        K = K[:, b.outer[:, None], b.outer]
+                        K -= _sym(_t(kib) @ X[..., :-1])
+                        del rows, kib
+                    np.add.at(fronts, b.at.ravel(), K.ravel())
+                    del K
+                for idx, J, h, at in self._jump:
+                    vals = []
+                    for i, j, e, a in zip(*map(cell_chunks, (idx, J, h, at))):
+                        K = beta0 * jump_form(j, e)
+                        vals.append(_free_row_sums(i, K, mask))
+                        np.add.at(fronts, a.ravel(), K.ravel())
+                        del K
+                    sums += np.bincount(idx.ravel(), np.concatenate(vals).ravel(), n)
             knorm = _matrix_norm(sums, free)
             report.condense_s = time.perf_counter() - started
             # relative residual = normwise backward error on the full K_ff,
@@ -744,7 +735,7 @@ class PlateSystem:
                 rc = r[self.factored]
                 if ys:
                     rc -= sum_blocks([b.rows for b, *_ in interior],
-                                     (r[b.dofs[:, None, b.inner]] @ X for b, _, X, _ in interior),
+                                     [r[b.dofs[:, None, b.inner]] @ X for b, _, X, _ in interior],
                                      n_c + 1)[:-1]
                 xc = np.zeros(n_c + 1)          # the last entry stands for Dirichlet DOFs
                 if chol is not None:

@@ -21,11 +21,12 @@ import pytest
 import scipy.sparse as sps
 from scipy.special import roots_legendre
 
+import ddrplate.system
 from ddrplate.harness import PROPERTY_TEST_SEED
 from ddrplate.mesh import load_mesh, loop_slots, triangular_mesh
 from ddrplate.operators import build_packs
 from ddrplate.polyspace import EdgeFamily, PolyFamily, dim_P, scaled_monomials
-from ddrplate.spaces import Discretization
+from ddrplate.spaces import Discretization, cell_chunks
 
 ASSETS = resources.files("ddrplate") / "assets" / "meshes"
 
@@ -214,7 +215,7 @@ class CellView:
         self.element = cell_record(ctx.mesh, ctx.ids[c])
         self.qpoints, self.qweights = ctx.qpoints[c], ctx.qweights[c]
         self.phi = ctx.phi[c]
-        self.roly_vals, self.croly_vals = ctx.roly_vals[c], ctx.croly_vals[c]
+        self.roly_vals, self.croly_vals = (t[c] for t in ctx.rotation_tables())
         self.scal, self.roly, self.croly = (
             CellFamily(f.center[c], f.h[c], f.coef[c], f.vector)
             for f in (ctx.scal, ctx.roly, ctx.croly))
@@ -358,3 +359,49 @@ def node_blocks(sn, A):
         assert (r >= 0).all()
         out[sn.offset[j] + r * p[j] + A.col[on] - sn.start[j]] = A.data[on]
     return out
+
+
+class _WatchedNumpy:
+    """numpy, with ``np.zeros`` and ``np.add.at`` calling hooks first."""
+
+    def __init__(self, zeros, add_at):
+        self._zeros, self._add_at = zeros, add_at
+        self.add = SimpleNamespace(at=self._add)
+
+    def zeros(self, *args, **kwargs):
+        self._zeros(*args)
+        return np.zeros(*args, **kwargs)
+
+    def _add(self, out, slots, values):
+        self._add_at(out, slots, values)
+        np.add.at(out, slots, values)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def watch_fronts(monkeypatch, plate, on_stack, on_fronts=lambda: None):
+    """Watch the solves of ``plate`` sum their stacks into the fronts of the
+    factorization, each stack flattened into one ``np.add.at``: the cell
+    chunks' in ``_blocks`` order, then the jump stacks' in edge chunks.
+    ``on_fronts()`` runs just before the fronts are allocated, and
+    ``on_stack(at, block)`` before each stack is added: its positions in the
+    fronts, which must be the kept ones of its chunk (n, m, m), and the
+    values it adds, as stacked blocks of that shape. ``ddrplate.system``
+    adds to no other array with ``np.add.at``."""
+    size = int(plate._supernodes.offset[-1]) + 1
+    kept = [b.at for b in plate._blocks] + [a for *_, at in plate._jump for a in cell_chunks(at)]
+    count = [0]
+
+    def zeros(shape, *args):
+        if shape == size:
+            count[0] = 0
+            on_fronts()
+
+    def add_at(out, slots, values):
+        at = kept[count[0]]
+        count[0] += 1
+        assert out.shape == (size,) and np.array_equal(slots, at.ravel())
+        on_stack(at, values.reshape(at.shape))
+
+    monkeypatch.setattr(ddrplate.system, "np", _WatchedNumpy(zeros, add_at))

@@ -7,11 +7,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cells, fd_gradient_scalar, fd_jacobian_vector, per_group
+from conftest import ASSETS, cells, fd_gradient_scalar, fd_jacobian_vector, per_group
 from ddrplate.harness import (PROPERTY_TEST_SEED, RunConfig, run_convergence,
                               solve_case)
 from ddrplate.hho import local_theta_interpolation
-from ddrplate.mesh import triangular_mesh
+from ddrplate.mesh import load_mesh, triangular_mesh
 from ddrplate.operators import _vp_k, build_global_gradient
 from ddrplate.polyspace import dim_P
 from ddrplate.solutions import analytical_solution, get_solution, seminorm_probe
@@ -275,6 +275,17 @@ def test_criterion_5_analytical_convergence():
         good = rate >= k + 0.7
         ok = ok and good
         lines.append(f"k={k}: rate {rate:.2f}")
+    # k = 0 on the bundled polygonal meshes, finest step, every thickness:
+    # the boundary jump p1_T - theta_E is consistent with the imposed traces
+    for family in ("hexa", "locref"):
+        meshes = [load_mesh(str(ASSETS / f"{family}_{i:02d}.json")) for i in (3, 4)]
+        systems = [PlateSystem(Discretization(mesh, 0)) for mesh in meshes]
+        rates = []
+        for t in (1e-1, 1e-3, 1e-5):
+            errs = [solve_case(system, MaterialParams(t=t), "analytical")[0] for system in systems]
+            rates.append(np.log(errs[0] / errs[1]) / np.log(meshes[0].h / meshes[1].h))
+        ok = ok and min(rates) >= 0.7
+        lines.append(f"{family} k=0: rates " + ", ".join(f"{r:.2f}" for r in rates))
     _report("criterion 5 (non-homogeneous boundary-layer rates)", ok,
             "; ".join(lines))
 

@@ -191,7 +191,7 @@ def test_metadata_records_the_arrays_each_object_keeps(tmp_path):
         assert stage["discretization_mb"] > 0.0 and stage["plate_system_mb"] > 0.0
         disc = Discretization(triangular_mesh(n), 3)
         tables = sum(t.nbytes for ctx in disc.elem_ctxs
-                     for t in (ctx.phi, ctx.roly_vals, ctx.croly_vals))
+                     for t in (ctx.phi, *ctx.rotation_tables()))
         assert stage["discretization_mb"] == harness._kept_mb(disc, disc.mesh)
         assert stage["discretization_mb"] < tables / 2 ** 20
 

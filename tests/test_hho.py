@@ -308,9 +308,10 @@ def test_jump_symmetry(cache):
 @pytest.mark.parametrize("name", ["tri_n4", "hexa_02", "locref_02"])
 def test_jump_value_is_the_edge_integral_of_the_reconstruction_jumps(name, rng):
     """For a random rotation vector v, v^T (sum of the jump blocks) v is
-    sum_E h_E^{-1} int_E |p1_T1 - p1_T2|^2, with |p1_T|^2 on boundary edges:
-    p1 evaluated from each cell's P1 coefficients on a Gauss rule of the
-    edge, exact for the quadratic integrand."""
+    sum_E h_E^{-1} int_E |p1_T1 - p1_T2|^2, with |p1_T - v_E|^2 on boundary
+    edges, v_E the edge's constant tangential and normal unknowns: p1
+    evaluated from each cell's P1 coefficients on a Gauss rule of the edge,
+    exact for the quadratic integrand."""
     mesh = triangular_mesh(4) if name == "tri_n4" else load_mesh(str(ASSETS / f"{name}.json"))
     disc = Discretization(mesh, 0)
     packs = build_packs(disc)
@@ -327,10 +328,65 @@ def test_jump_value_is_the_edge_integral_of_the_reconstruction_jumps(name, rng):
             a, b = mesh.vertex_coords[mesh.edge_vertices[e]]
             p1 = ctx.scal.eval(0.5 * (a + b) + 0.5 * s[:, None] * (b - a)) @ coef.T
             jumps[e] = jumps[e] - p1 if e in jumps else p1
+    sp = disc.theta_space
+    for e in mesh.boundary_edges:
+        # v_E: its coefficients against the edge's psi_0 = h_E^{-1/2}
+        t = sp.edge_offset(e)
+        jumps[e] = jumps[e] - ((v[t] * mesh.edge_tangent[e] + v[t + 1] * mesh.edge_normal[e])
+                               / np.sqrt(mesh.edge_length[e]))
     # h_E^{-1} int_E is half the sum over the rule's weights on [-1, 1]
     want = sum(0.5 * w @ (jump ** 2).sum(axis=1) for jump in jumps.values())
     assert len(jumps) == mesh.n_edges
     assert abs(got - want) <= 1e-12 * want
+
+
+def _jump_oracle(disc, restrictions):
+    """The jump's edge stacks edge by edge: J_E on the sorted union of the
+    rotation DOFs of the edge's one or two cells, 0.0 plus the restriction
+    of the lower cell id and minus that of the other, and on a boundary
+    edge minus 1 at its own tangential and normal DOFs in rows 0 and 2;
+    stacked by width, in edge order inside each stack."""
+    mesh, sp = disc.mesh, disc.theta_space
+    sides = [[] for _ in range(mesh.n_edges)]       # (cell, its DOFs, its rows on the edge)
+    for ctx, rest in zip(disc.elem_ctxs, restrictions):
+        for c, dofs in enumerate(sp.local_dofs(ctx)):
+            for j, e in enumerate(ctx.edge_ids[c]):
+                sides[e].append((ctx.ids[c], dofs, rest[c, j]))
+    columns, blocks = [], []
+    for e, cells_of_e in enumerate(sides):
+        cells_of_e.sort(key=lambda side: side[0])
+        cols = sorted({int(d) for _, dofs, _ in cells_of_e for d in dofs})
+        J = np.zeros((4, len(cols)))
+        for sign, (_, dofs, rest) in zip((1.0, -1.0), cells_of_e):
+            for local, d in enumerate(dofs):
+                J[:, cols.index(d)] += sign * rest[:, local]
+        if len(cells_of_e) == 1:
+            J[0, cols.index(sp.edge_offset(e))] -= 1.0
+            J[2, cols.index(sp.edge_offset(e) + 1)] -= 1.0
+        columns.append(cols)
+        blocks.append(J)
+    width = np.array([len(cols) for cols in columns])
+    return [(np.array([columns[e] for e in edges]), np.array([blocks[e] for e in edges]),
+             mesh.edge_length[edges])
+            for edges in (np.flatnonzero(width == w) for w in np.unique(width))]
+
+
+@pytest.mark.parametrize("name", ["tri_n4", "hexa_02", "locref_02"])
+def test_jump_stacks_equal_the_per_edge_oracle_bit_for_bit(name):
+    """``build_jump_penalisation`` keys every cell's DOFs by (edge, DOF);
+    its stacks equal, bit for bit, those built edge by edge from the sorted
+    union of the edge's cells' DOFs: the same widths in the same order, and
+    in each the same edges in the same order, DOFs, J_E and h_E."""
+    mesh = triangular_mesh(4) if name == "tri_n4" else load_mesh(str(ASSETS / f"{name}.json"))
+    disc = Discretization(mesh, 0)
+    packs = build_packs(disc)
+    rests = [jump_restriction(*t) for t in zip(disc.elem_ctxs, packs, build_hho_packs(disc, packs))]
+    got, want = build_jump_penalisation(disc, rests), _jump_oracle(disc, rests)
+    assert [idx.shape[1] for idx, _, _ in got] == [idx.shape[1] for idx, _, _ in want]
+    assert len(want) > (name != "tri_n4")
+    for stack, oracle in zip(got, want):
+        for a, b in zip(stack, oracle):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_rank_deficient_reconstruction_names_the_cell(meshes):

@@ -201,9 +201,10 @@ def test_families_are_orthonormal_under_the_fan_rule(moment_mesh, k):
         # the data tables are the leading members of the families
         np_k1 = dim_P(k + 1)
         assert np.abs(ctx.phi - evaluate(ctx.scal, ctx.qpoints)[..., :np_k1]).max() < 1e-12
-        assert np.abs(ctx.roly_vals - evaluate(ctx.roly, ctx.qpoints)).max(initial=0.0) < 1e-12
+        roly, croly = ctx.rotation_tables()
+        assert np.abs(roly - evaluate(ctx.roly, ctx.qpoints)).max(initial=0.0) < 1e-12
         n_croly = dim_croly(k)
-        assert np.abs(ctx.croly_vals - evaluate(ctx.croly, ctx.qpoints)[:, :, :n_croly]
+        assert np.abs(croly - evaluate(ctx.croly, ctx.qpoints)[:, :, :n_croly]
                       ).max(initial=0.0) < 1e-12
 
 
@@ -216,10 +217,12 @@ def test_element_contexts_keep_no_data_tables():
                if isinstance(v, np.ndarray))
     assert kept <= 2 ** 20
     tables = sum(t.nbytes for ctx in disc.elem_ctxs
-                 for t in (ctx.phi, ctx.roly_vals, ctx.croly_vals))
+                 for t in (ctx.phi, *ctx.rotation_tables()))
     assert tables > 6 * 2 ** 20
+    # no table is cached on a context: a read evaluates a new one
     for ctx in disc.elem_ctxs:
-        assert {"phi", "roly_vals", "croly_vals"}.isdisjoint(vars(ctx))
+        assert ctx.phi is not ctx.phi
+        assert not any(a is b for a, b in zip(ctx.rotation_tables(), ctx.rotation_tables()))
 
 
 def test_orthonormality_of_families():

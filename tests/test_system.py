@@ -6,7 +6,8 @@ import pytest
 import scipy.sparse as sps
 from scipy.sparse.linalg import splu, spsolve
 
-from conftest import fronts_matrix, locate, lower_factor, node_blocks, shear_blocks
+from conftest import (fronts_matrix, locate, lower_factor, node_blocks, shear_blocks,
+                      watch_fronts)
 import ddrplate.system
 from ddrplate.cholesky import _BLOCK, Cholesky
 from ddrplate.errors import SolverFailure, ZeroNormError
@@ -16,7 +17,7 @@ from ddrplate.mesh import build_mesh, load_mesh, triangular_mesh
 from ddrplate.operators import assemble_theta_product, build_global_gradient, build_packs
 from ddrplate.polyspace import dim_croly, dim_P, dim_roly
 from ddrplate.spaces import (Discretization, ThetaVector, UVector, assemble, cell_chunks,
-                             interpolate_theta, interpolate_u)
+                             interpolate_theta, interpolate_u, sum_blocks)
 from ddrplate.system import MaterialParams, PlateSystem
 
 
@@ -844,11 +845,12 @@ def test_cell_blocks_and_condensed_data_are_bitwise_symmetric(case, monkeypatch)
     lists each DOF once, so every block is symmetric bit for bit, and so are
     the forms summed from them and the full matrix. Without the
     symmetrisation the g^T M g blocks of tri k = 3 differ from their
-    transposes by round-off. A solve sums the fronts of its factorization in one
-    ``sum_blocks`` call, from the stacks a generator hands over one chunk at
-    a time: each cell's K_BB less its symmetrised Schur block, then the jump
-    stacks in edge chunks. Every block of them is symmetric bit for bit, so
-    the lower triangle that the fronts keep is the whole matrix."""
+    transposes by round-off. A solve sums the fronts of its factorization
+    stack by stack, one chunk at a time: each cell's K_BB less its
+    symmetrised Schur block, then the jump stacks in edge chunks. Every
+    block of them is symmetric bit for bit, so the lower triangle that the
+    fronts keep is the whole matrix, and the fronts handed to the
+    factorization are their ``sum_blocks`` bit for bit."""
     family, k = case
     system = PlateSystem(Discretization(_order_mesh(family), k))
     for b in system._blocks:
@@ -864,27 +866,17 @@ def test_cell_blocks_and_condensed_data_are_bitwise_symmetric(case, monkeypatch)
     material = MaterialParams(t=1e-5)
     K = system.full_matrix(material)
     assert (K != K.T).nnz == 0
-    sums, factored = [], []
-    sum_blocks = ddrplate.system.sum_blocks
-
-    def spy(slots, blocks, n):
-        blocks = list(blocks)                           # the stacks a generator hands over
-        out = sum_blocks(slots, blocks, n)
-        sums.append((blocks, out.copy()))               # the factorization overwrites it
-        return out
-
-    monkeypatch.setattr(ddrplate.system, "sum_blocks", spy)
+    stacks, factored = [], []
+    watch_fronts(monkeypatch, system, lambda at, block: stacks.append((at, block.copy())))
     monkeypatch.setattr(ddrplate.system, "Cholesky",
                         lambda sn, F: factored.append(F.copy()) or Cholesky(sn, F))
     system.solve(material, system.load_vector(lambda x: np.ones(len(x))))
-    fronts = [(blocks, out) for blocks, out in sums
-              if len(out) == system._supernodes.offset[-1] + 1]
-    assert len(fronts) == len(factored) == 1
-    (blocks, out), = fronts
-    assert len(blocks) == len(system._blocks) + sum(len(cell_chunks(idx))
+    assert len(factored) == 1
+    assert len(stacks) == len(system._blocks) + sum(len(cell_chunks(idx))
                                                     for idx, *_ in system._jump)
-    for block in blocks:
+    for _, block in stacks:
         assert np.array_equal(block, np.swapaxes(block, 1, 2))
+    out = sum_blocks(*zip(*stacks), system._supernodes.offset[-1] + 1)
     assert out[:-1].tobytes() == factored[0].tobytes()
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import ddrplate.spaces as spaces
 import ddrplate.system
-from conftest import ASSETS
+from conftest import ASSETS, watch_fronts
 from ddrplate.harness import _base_arrays, solve_case
 from ddrplate.hho import build_hho_packs
 from ddrplate.operators import build_global_gradient, build_packs
@@ -35,11 +35,12 @@ def _same_bits(a, b):
 
 
 def _sum_calls(name, k, monkeypatch, rng):
-    """The ``sum_blocks`` calls of a build in chunks of 16 cells: the three
-    of ``full_matrix`` and those of a solve, the one into the fronts of the
-    factorization first (every stack its generator hands over, kept), and
-    the full matrix's data; for "random", stacks of mixed block shapes (one
-    of them empty), with no data."""
+    """The sums of a build in chunks of 16 cells: the three ``sum_blocks``
+    calls of ``full_matrix``, then those of a solve: its stacks summed into
+    the fronts of the factorization (one ``np.add.at`` each, kept), which
+    must give the fronts the factorization gets, and its ``sum_blocks``
+    calls; and the full matrix's data. For "random", stacks of mixed block
+    shapes (one of them empty), with no data."""
     if name == "random":
         shapes = [(5, 2, 3), (4, 1, 1), (6, 3, 2), (0, 2, 2)]
         stacks = ([rng.integers(0, 17, s).astype(np.int32) for s in shapes],
@@ -51,9 +52,8 @@ def _sum_calls(name, k, monkeypatch, rng):
     calls = []
 
     def spy(slots, blocks, n_entries):
-        # the stacks a generator hands over, all kept
-        calls.append((list(slots), list(blocks), n_entries))
-        return sum_blocks(calls[-1][0], calls[-1][1], n_entries)
+        calls.append((slots, blocks, n_entries))
+        return sum_blocks(slots, blocks, n_entries)
 
     monkeypatch.setattr(ddrplate.system, "sum_blocks", spy)
     material = MaterialParams(t=1e-3)
@@ -68,14 +68,21 @@ def _sum_calls(name, k, monkeypatch, rng):
     combined = material.beta0 * s0 + material.beta1 * s1
     combined += material.shear_over_t2 * s2
     assert _same_bits(combined, data)
-    # a solve sums the fronts in one call, the cell chunks then the jump
+    # a solve sums the fronts stack by stack, the cell chunks then the jump
     # stacks in edge chunks
+    fronts, factored = ([], [], plate._supernodes.offset[-1] + 1), []
+    calls.append(fronts)
+    watch_fronts(monkeypatch, plate,
+                 lambda at, block: (fronts[0].append(at), fronts[1].append(block.copy())))
+    cholesky = ddrplate.system.Cholesky
+    monkeypatch.setattr(ddrplate.system, "Cholesky",
+                        lambda sn, F: factored.append(F.copy()) or cholesky(sn, F))
     plate.solve(material, plate.load_vector(lambda x: np.ones(len(x))))
-    fronts = calls[3]
     assert len(fronts[0]) == cell_stacks + sum(len(spaces.cell_chunks(idx))
                                                for idx, *_ in plate._jump)
-    assert fronts[2] == plate._supernodes.offset[-1] + 1
-    assert all(n != fronts[2] for _, _, n in calls[4:])
+    assert _same_bits(sum_blocks(*fronts)[:-1], factored[0])
+    # the condensed right-hand sides, where there are interiors
+    assert (len(calls) > 4) == (k > 0) and all(n != fronts[2] for _, _, n in calls[4:])
     return calls, data
 
 
@@ -128,52 +135,49 @@ def test_build_peak_stays_near_what_it_keeps(monkeypatch):
 
 @pytest.mark.parametrize("k", [0, 3])
 def test_one_chunk_stack_is_alive_beside_the_fronts(k, monkeypatch):
-    """A solve hands its stacks to the fronts one chunk at a time, on tri
+    """A solve sums its stacks into the fronts one chunk at a time, on tri
     n=16 in 8 chunks of 64 cells (at k = 0 the jump stacks follow in edge
-    chunks): when a stack arrives, every earlier one is gone, and the
-    traced memory beyond what the solve held before the sum is at most the
-    fronts, the interior blocks kept so far (K_II and K_II^{-1} [K_IB | r_I]
-    per chunk), the free row sums of the jump stacks so far (one per
-    block row) and this stack, plus 2 KB per earlier stack for the Python
-    objects that hold them and 4 KB (measured at most 2.3 KB). One stack
-    more would add 41 KB at k = 0 and 0.66 MB at k = 3."""
+    chunks): when a stack is added, every earlier one is gone, and the
+    traced memory beyond what the solve held just before it allocated the
+    fronts is at most the fronts, the interior blocks kept so far (K_II and
+    K_II^{-1} [K_IB | r_I] per chunk), the free row sums of the jump stacks
+    so far (one per block row) and this stack, twice where ``np.add.at`` is
+    handed a flattened copy of it (the Schur-complemented blocks of a fancy
+    index have the cell axis fastest), plus 2 KB per earlier stack for the
+    Python objects that hold them and 4 KB (measured at most 2.2 KB). One
+    stack more would add 41 KB at k = 0 and 0.66 MB at k = 3."""
     monkeypatch.setattr(spaces, "_CHUNK_CELLS", 16)
     plate = PlateSystem(Discretization(triangular_mesh(16), k))
     assert len(plate._blocks) == 8
     n_fronts = int(plate._supernodes.offset[-1]) + 1
-    sum_blocks = ddrplate.system.sum_blocks
     # the bytes a chunk's interior blocks keep, in the order of the stacks
     interior = np.cumsum([8 * b.dofs.shape[0] * b.inner.size
                           * (b.inner.size + b.outer.size + 1) for b in plate._blocks])
-    excess = []
+    before, alive, row_sums, excess = [], [], [0], []
 
-    def spy(slots, blocks, n_entries):
-        if n_entries != n_fronts:
-            return sum_blocks(slots, blocks, n_entries)
-        before = tracemalloc.get_traced_memory()[0]
+    def on_stack(at, block):
+        # the array the solve formed, of which ``block`` is a view, or its
+        # flattened copy
+        stack = block
+        while stack.base is not None:
+            stack = stack.base
+        i = len(alive)
+        assert all(ref() is None for ref in alive)
+        alive.append(weakref.ref(stack))
+        if i >= len(interior):
+            row_sums[0] += 8 * block.shape[0] * block.shape[1]
+        held = (8 * n_fronts + interior[min(i, len(interior) - 1)] + row_sums[0]
+                + stack.nbytes * (2 if stack.ndim == 1 else 1))
+        excess.append(tracemalloc.get_traced_memory()[0] - before[0] - held - 2_000 * i)
 
-        def watched():
-            alive, row_sums = [], 0
-            for i, stack in enumerate(blocks):
-                assert all(ref() is None for ref in alive)
-                alive.append(weakref.ref(stack))
-                if i >= len(interior):
-                    row_sums += 8 * stack.shape[0] * stack.shape[1]
-                held = (8 * n_entries + interior[min(i, len(interior) - 1)] + row_sums
-                        + stack.nbytes)
-                excess.append(tracemalloc.get_traced_memory()[0] - before - held - 2_000 * i)
-                yield stack
-                del stack
-
-        return sum_blocks(slots, watched(), n_entries)
-
-    monkeypatch.setattr(ddrplate.system, "sum_blocks", spy)
+    watch_fronts(monkeypatch, plate, on_stack,
+                 lambda: before.append(tracemalloc.get_traced_memory()[0]))
     tracemalloc.start()
     try:
         _, report, _ = solve_case(plate, MaterialParams(t=1e-3), "polynomial")
     finally:
         tracemalloc.stop()
-    assert report.residual <= 1e-10
+    assert report.residual <= 1e-10 and len(before) == 1
     assert len(excess) == len(plate._blocks) + sum(len(spaces.cell_chunks(idx))
                                                    for idx, *_ in plate._jump)
     assert max(excess) <= 4_000
